@@ -2,14 +2,16 @@
 //! except ReRAM-V, which has its own calibration protocol).
 
 use datasets::ClassificationDataset;
+use nn::Mode;
 use reram::{monte_carlo, DriftModel, McStats};
 
-use crate::TrainedModel;
+use crate::{reshape_for, OutputDecoder, TrainedModel};
 
 /// Monte-Carlo accuracy of a trained model under a drift model: the
 /// estimator of the paper's Eq. (4) with the metric set to test accuracy.
 ///
-/// Weights are restored between trials; the model is unchanged afterwards.
+/// Trial `t` drifts the pristine weights with an RNG seeded
+/// `reram::mix_seed(seed, t)`; the model is unchanged afterwards.
 ///
 /// # Panics
 ///
@@ -39,21 +41,18 @@ pub fn drift_accuracy(
     trials: usize,
     seed: u64,
 ) -> McStats {
-    // `monte_carlo` drives injection/restore; decoding happens inside the
-    // metric closure via the model's decoder.
-    let decoder = model.decoder.clone();
-    let net = model.net.as_mut();
-    monte_carlo(net, drift, trials, seed, |n| {
+    let decoder = &model.decoder;
+    monte_carlo(model.net.as_mut(), &[(drift, seed)], trials, 1, |n, ws| {
         let mut preds = Vec::with_capacity(data.len());
         let mut labels = Vec::with_capacity(data.len());
         for (x, y) in data.batches(64) {
-            let x = crate::trained::reshape_for(n, &x);
-            let out = n.forward(x.as_ref(), nn::Mode::Eval);
-            let p = match &decoder {
-                crate::OutputDecoder::Softmax => out.argmax_rows(),
-                crate::OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
-            };
-            preds.extend(p);
+            let x = reshape_for(n, &x);
+            let out = n.forward_ws(x.as_ref(), Mode::Eval, ws);
+            preds.extend(match decoder {
+                OutputDecoder::Softmax => out.argmax_rows(),
+                OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
+            });
+            ws.recycle(out);
             labels.extend(y);
         }
         metrics::accuracy(&preds, &labels)

@@ -45,4 +45,4 @@ pub use erm::{train_epochs, train_erm, train_step};
 pub use eval::drift_accuracy;
 pub use ftna::{train_ftna, Codebook};
 pub use reram_v::{reram_v_accuracy, ReRamVConfig};
-pub use trained::{OutputDecoder, TrainConfig, TrainedModel};
+pub use trained::{reshape_for, OutputDecoder, TrainConfig, TrainedModel};

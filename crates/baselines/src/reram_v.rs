@@ -96,7 +96,7 @@ pub fn reram_v_accuracy(
         );
         values.push(model.accuracy(data));
         reference
-            .restore(model.net.as_mut())
+            .restore_into(model.net.as_mut())
             .expect("snapshot was taken from this network");
     }
     McStats::from_values(values)

@@ -103,7 +103,7 @@ impl std::fmt::Debug for TrainedModel {
 /// Flattens image batches for MLP-style networks; borrows the input
 /// untouched otherwise, so the common no-reshape case costs nothing per
 /// batch.
-pub(crate) fn reshape_for<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
+pub fn reshape_for<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
     if net.name() == "mlp" && x.rank() > 2 {
         let n = x.dims()[0];
         let rest: usize = x.dims()[1..].iter().product();
@@ -135,13 +135,23 @@ mod tests {
 
     #[test]
     fn reshape_for_flattens_only_for_mlp() {
+        use std::borrow::Cow;
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut mlp = Mlp::new(&MlpConfig::new(4, 2), &mut rng);
+        // Image batch into an MLP: reshaped copy.
         let img = Tensor::ones(&[2, 1, 2, 2]);
-        assert_eq!(reshape_for(&mut mlp, &img).dims(), &[2, 4]);
+        let reshaped = reshape_for(&mut mlp, &img);
+        assert!(matches!(reshaped, Cow::Owned(_)));
+        assert_eq!(reshaped.dims(), &[2, 4]);
+        // Already flat: the eval loop must not pay a clone per batch.
+        let flat = Tensor::ones(&[2, 4]);
+        assert!(matches!(reshape_for(&mut mlp, &flat), Cow::Borrowed(_)));
+        // Non-MLP networks keep image batches borrowed, any rank.
         let mut lenet = models::LeNet5::new(1, 14, 2, &mut rng);
         let img14 = Tensor::ones(&[2, 1, 14, 14]);
-        assert_eq!(reshape_for(&mut lenet, &img14).dims(), &[2, 1, 14, 14]);
+        let kept = reshape_for(&mut lenet, &img14);
+        assert!(matches!(kept, Cow::Borrowed(_)));
+        assert_eq!(kept.dims(), &[2, 1, 14, 14]);
     }
 
     #[test]

@@ -11,9 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::train_step;
+use bayesft::{EvalCtx, Objective};
 use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use models::{LeNet5, Mlp, MlpConfig};
-use nn::{softmax_cross_entropy, Layer, Mode, Optimizer, Sgd, Workspace};
+use nn::{Layer, Mode, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{FaultInjector, LogNormalDrift};
@@ -76,7 +77,7 @@ fn bench_drift_injection(c: &mut Criterion) {
                 b.iter(|| {
                     let mut rng = ChaCha8Rng::seed_from_u64(1);
                     FaultInjector::inject(&mut net, &drift, &mut rng);
-                    snapshot.restore(&mut net).unwrap();
+                    snapshot.restore_into(&mut net).unwrap();
                 })
             },
         );
@@ -97,7 +98,7 @@ fn bench_drift_injection(c: &mut Criterion) {
 }
 
 /// The steady-state Monte-Carlo trial (the paper's Eq. 4 inner loop):
-/// latency and allocator traffic, legacy vs fused/workspace form.
+/// latency and allocator traffic of the fused inject + workspace forward.
 fn bench_mc_trial(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(3).hidden(64), &mut rng);
@@ -107,15 +108,6 @@ fn bench_mc_trial(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("mc_trial");
     group.sample_size(samples(40));
-    group.bench_function("legacy_restore_inject_forward", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(7);
-            FaultInjector::inject(&mut net, &drift, &mut rng);
-            let v = net.forward(&x, Mode::Eval).sum();
-            snapshot.restore(&mut net).unwrap();
-            v
-        })
-    });
     let mut ws = Workspace::new();
     group.bench_function("fused_inject_forward_ws", |b| {
         b.iter(|| {
@@ -129,24 +121,9 @@ fn bench_mc_trial(c: &mut Criterion) {
     });
     group.finish();
 
-    // Allocator traffic per steady-state trial, outside the timing loops.
+    // Allocator traffic per steady-state trial, outside the timing loop:
+    // warm the workspace, then measure the steady state.
     let trials = 32u64;
-    snapshot.restore_into(&mut net).unwrap();
-    let before = BYTES.load(Ordering::SeqCst);
-    for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(t);
-        FaultInjector::inject(&mut net, &drift, &mut rng);
-        let _ = net.forward(&x, Mode::Eval).sum();
-        snapshot.restore(&mut net).unwrap();
-    }
-    let legacy_bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "mc_trial/legacy_bytes_per_trial",
-        legacy_bytes as f64 / trials as f64,
-        "bytes/iter",
-    );
-
-    // Warm the workspace, then measure the steady state.
     let mut ws = Workspace::new();
     for t in 0..2 {
         let mut rng = ChaCha8Rng::seed_from_u64(t);
@@ -172,10 +149,8 @@ fn bench_mc_trial(c: &mut Criterion) {
 }
 
 /// The steady-state SGD training step (the loop dominating every BayesOpt
-/// trial's wall-clock): latency and allocator traffic, legacy
-/// (`forward`/allocating loss/`backward`) vs workspace
-/// (`forward_ws`/pooled loss/`backward_ws` + in-place optimizer) form —
-/// bit-identical weights either way.
+/// trial's wall-clock): latency and allocator traffic of the workspace
+/// step (`forward_ws`/pooled loss/`backward_ws` + in-place optimizer).
 fn bench_train_step(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(3).hidden(64), &mut rng);
@@ -185,44 +160,15 @@ fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_step");
     group.sample_size(samples(40));
     let mut opt = Sgd::new(0.01).momentum(0.9).clip_norm(5.0);
-    group.bench_function("legacy_forward_backward", |b| {
-        b.iter(|| {
-            let logits = net.forward(&x, Mode::Train);
-            let out = softmax_cross_entropy(&logits, &labels);
-            let _ = net.backward(&out.grad);
-            opt.step(&mut net);
-            out.loss
-        })
-    });
     let mut ws = Workspace::new();
     group.bench_function("workspace_forward_backward", |b| {
         b.iter(|| train_step(&mut net, &x, &labels, &mut opt, &mut ws))
     });
     group.finish();
 
-    // Allocator traffic per steady-state step, outside the timing loops.
+    // Allocator traffic per steady-state step, outside the timing loop:
+    // warm the workspace and caches, then measure the steady state.
     let steps = 32u64;
-    for _ in 0..steps {
-        let logits = net.forward(&x, Mode::Train);
-        let out = softmax_cross_entropy(&logits, &labels);
-        let _ = net.backward(&out.grad);
-        opt.step(&mut net);
-    }
-    let before = BYTES.load(Ordering::SeqCst);
-    for _ in 0..steps {
-        let logits = net.forward(&x, Mode::Train);
-        let out = softmax_cross_entropy(&logits, &labels);
-        let _ = net.backward(&out.grad);
-        opt.step(&mut net);
-    }
-    let legacy_bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "train_step/legacy_bytes_per_step",
-        legacy_bytes as f64 / steps as f64,
-        "bytes/iter",
-    );
-
-    // Warm the workspace and caches, then measure the steady state.
     let mut ws = Workspace::new();
     for _ in 0..3 {
         let _ = train_step(&mut net, &x, &labels, &mut opt, &mut ws);
@@ -245,15 +191,6 @@ fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_step_lenet");
     group.sample_size(samples(20));
     let mut opt = Sgd::new(0.01).momentum(0.9).clip_norm(5.0);
-    group.bench_function("legacy_forward_backward", |b| {
-        b.iter(|| {
-            let logits = lenet.forward(&img, Mode::Train);
-            let out = softmax_cross_entropy(&logits, &img_labels);
-            let _ = lenet.backward(&out.grad);
-            opt.step(&mut lenet);
-            out.loss
-        })
-    });
     let mut ws = Workspace::new();
     group.bench_function("workspace_forward_backward", |b| {
         b.iter(|| train_step(&mut lenet, &img, &img_labels, &mut opt, &mut ws))
@@ -277,10 +214,11 @@ fn bench_mc_objective(c: &mut Criterion) {
     // worker threads (results are bit-identical to serial).
     let obj = bayesft::DriftObjective::new(0.6, 16);
     for workers in [1usize, 2, 4, 8] {
+        let ctx = EvalCtx::new(0, 3).parallelism(workers);
         group.bench_with_input(
             BenchmarkId::new("samples16_workers", workers),
             &workers,
-            |b, &w| b.iter(|| obj.evaluate_parallel(&mut net, &data, 3, w)),
+            |b, _| b.iter(|| Objective::evaluate(&obj, &mut net, &data, &ctx)),
         );
     }
     group.finish();
@@ -324,9 +262,6 @@ fn bench_conv(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = LeNet5::new(1, 14, 10, &mut rng);
     let x = Tensor::randn(&[8, 1, 14, 14], 0.0, 1.0, &mut rng);
-    group.bench_function("lenet_fwd_batch8", |b| {
-        b.iter(|| net.forward(&x, Mode::Eval))
-    });
     let mut ws = Workspace::new();
     group.bench_function("lenet_fwd_ws_batch8", |b| {
         b.iter(|| {

@@ -4,7 +4,8 @@
 //! Run: `cargo run --release -p bench --bin ablate_mc_samples`
 
 use baselines::train_erm;
-use bayesft::{BayesFt, BayesFtConfig, DriftObjective};
+use bayesft::{DriftObjective, Engine};
+use bayesopt::Acquisition;
 use bench::{drift_point, make_task, Scale};
 use models::{Mlp, MlpConfig};
 use rand::SeedableRng;
@@ -38,16 +39,18 @@ fn main() {
             &MlpConfig::new(input_dim, task.classes).hidden(48),
             &mut rng,
         ));
-        let cfg = BayesFtConfig {
-            trials: scale.bo_trials(),
-            epochs_per_trial: (scale.epochs() / 3).max(1),
-            mc_samples: t,
-            sigma: 0.6,
-            train: bench::train_config(scale, 17),
-            seed: 17,
-            ..BayesFtConfig::default()
-        };
-        let mut model = BayesFt::new(cfg)
+        let mut model = Engine::builder()
+            .trials(scale.bo_trials())
+            .epochs_per_trial((scale.epochs() / 3).max(1))
+            .mc_samples(t)
+            .sigma(0.6)
+            .acquisition(Acquisition::PosteriorMean)
+            .lengthscale(0.3)
+            .train(bench::train_config(scale, 17))
+            .seed(17)
+            .max_rate(0.8)
+            .final_epochs(10)
+            .parallelism(1)
             .run(net, &task.train, &task.test)
             .expect("GP fit")
             .model;

@@ -70,7 +70,7 @@ fn main() {
         );
         let (canvas, acc) = render_boundary(model.net.as_mut(), &data);
         snapshot
-            .restore(model.net.as_mut())
+            .restore_into(model.net.as_mut())
             .expect("snapshot was taken from this network");
         println!("--- σ = {sigma} (accuracy {:.1}%) ---", acc * 100.0);
         println!("{canvas}");

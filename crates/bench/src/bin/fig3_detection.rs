@@ -31,8 +31,7 @@ fn main() {
 
     // BayesFT detector: the Algorithm-1 alternation with the drift-mAP
     // objective. (The detector's typed decode methods keep this loop
-    // inline rather than going through `bayesft::optimize_dropout`, whose
-    // closures see only `&mut dyn Layer`.)
+    // inline: the engine's objectives see only `&mut dyn Layer`.)
     let mut bft = TinyDetector::new(24, &mut rng);
     let space = DropoutSearchSpace::probe(&mut bft);
     let epochs_per_trial = (epochs / bo_trials).max(1);

@@ -60,7 +60,7 @@ fn show(det: &mut TinyDetector, data: &DetectionDataset, label: &str) {
         FaultInjector::inject(det, &LogNormalDrift::new(sigma), &mut rng);
         let dets = det.detect(&images, 0.5);
         snapshot
-            .restore(det)
+            .restore_into(det)
             .expect("snapshot was taken from this network");
         let scene = &data.scenes()[0];
         println!(

@@ -62,7 +62,7 @@ pub fn drift_map(
     trials: usize,
     seed: u64,
 ) -> McStats {
-    // `reram::monte_carlo` passes the network as `&mut dyn Layer`, which
+    // `reram::monte_carlo` hands the metric a `&mut dyn Layer`, which
     // cannot reach TinyDetector's typed decode methods, so the
     // snapshot/inject/restore loop is inlined here.
     let snapshot = reram::FaultInjector::snapshot(det);
@@ -72,7 +72,7 @@ pub fn drift_map(
         reram::FaultInjector::inject(det, &LogNormalDrift::new(sigma), &mut rng);
         values.push(detector_map(det, data, 0.5));
         snapshot
-            .restore(det)
+            .restore_into(det)
             .expect("snapshot was taken from this network");
     }
     McStats::from_values(values)

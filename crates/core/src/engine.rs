@@ -480,6 +480,11 @@ mod tests {
         let result = quick().seed(7).run(net, &train, &val).unwrap();
         assert_eq!(result.report.trials.len(), 3);
         assert_eq!(result.report.best_alpha.len(), 2);
+        assert!(result
+            .report
+            .best_alpha
+            .iter()
+            .all(|a| (0.0..=1.0).contains(a)));
         assert_eq!(result.report.space, "per_layer");
         assert!(result.report.objective.starts_with("drift["));
         assert_eq!(result.model.method, "bayesft");
@@ -590,6 +595,65 @@ mod tests {
         assert_eq!(
             serial.report.to_json().get("trials"),
             parallel.report.to_json().get("trials")
+        );
+    }
+
+    #[test]
+    fn best_alpha_is_the_best_trial() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let data = datasets::moons(150, 0.1, &mut rng);
+        let (train, val) = data.split(0.8, &mut rng);
+        let net = Box::new(Mlp::new(&MlpConfig::new(2, 2), &mut rng));
+        let result = Engine::builder()
+            .trials(4)
+            .epochs_per_trial(2)
+            .final_epochs(2)
+            .mc_samples(3)
+            .sigma(0.5)
+            .train(TrainConfig::fast_test())
+            .run(net, &train, &val)
+            .unwrap();
+        let best = result
+            .report
+            .trials
+            .iter()
+            .max_by(|a, b| bayesopt::nan_low_cmp(a.objective, b.objective))
+            .unwrap();
+        assert_eq!(best.alpha, result.report.best_alpha);
+    }
+
+    #[test]
+    fn bayesft_beats_erm_under_drift_on_moons() {
+        // The paper's headline claim, at miniature scale: the searched
+        // architecture is more drift-robust than plain ERM.
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let data = datasets::moons(400, 0.1, &mut rng);
+        let (train, val) = data.split(0.8, &mut rng);
+
+        let erm_net = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(24), &mut rng));
+        let cfg = TrainConfig {
+            epochs: 24,
+            ..TrainConfig::fast_test()
+        };
+        let mut erm = baselines::train_erm(erm_net, &train, &cfg);
+
+        let bft_net = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(24), &mut rng));
+        let mut bft = Engine::builder()
+            .trials(8)
+            .epochs_per_trial(3)
+            .mc_samples(6)
+            .sigma(0.8)
+            .train(TrainConfig::fast_test())
+            .run(bft_net, &train, &val)
+            .unwrap()
+            .model;
+
+        let sigma = reram::LogNormalDrift::new(1.0);
+        let erm_acc = baselines::drift_accuracy(&mut erm, &val, &sigma, 12, 99).mean;
+        let bft_acc = baselines::drift_accuracy(&mut bft, &val, &sigma, 12, 99).mean;
+        assert!(
+            bft_acc >= erm_acc - 0.02,
+            "BayesFT ({bft_acc}) should not lose to ERM ({erm_acc}) under drift"
         );
     }
 }

@@ -26,7 +26,6 @@
 //!    robust" headline ratios.
 //!
 //! Errors from every stage surface as the unified [`BayesFtError`].
-//! The original [`BayesFt`] driver remains as a thin shim over the engine.
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@
 //! # Ok::<(), bayesft::BayesFtError>(())
 //! ```
 
-mod algorithm;
 mod engine;
 mod error;
 mod objective;
@@ -66,7 +64,6 @@ mod report;
 mod space;
 mod sweep;
 
-pub use algorithm::{optimize_dropout, BayesFt, BayesFtConfig, BayesFtResult, Trial};
 pub use engine::{Engine, ExperimentBuilder, ExperimentResult};
 pub use error::BayesFtError;
 pub use objective::{DriftObjective, EvalCtx, Objective, ObjectiveMetric};

@@ -3,12 +3,10 @@
 
 use std::sync::Arc;
 
+use baselines::reshape_for;
 use datasets::ClassificationDataset;
-use nn::{softmax_cross_entropy, Layer, Mode};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use reram::{DriftModel, FaultInjector, LogNormalDrift, McStats};
-use tensor::Tensor;
+use nn::{softmax_cross_entropy_ws, Layer, Mode, Workspace};
+use reram::{DriftModel, LogNormalDrift, McStats};
 
 /// Per-evaluation metadata handed to an [`Objective`] by the engine.
 ///
@@ -69,7 +67,8 @@ pub trait Objective: Send + Sync {
 /// What the Monte-Carlo marginalization measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObjectiveMetric {
-    /// `−E[ℓ]`, the paper's Eq. (3) utility (higher is better).
+    /// `−E[ℓ]`, the paper's Eq. (3) utility (higher is better): the
+    /// per-sample cross-entropy averaged over the whole set, negated.
     NegLoss,
     /// Expected test accuracy (higher is better) — monotonically related
     /// and what Fig. 3 reports.
@@ -222,7 +221,8 @@ impl DriftObjective {
 
     /// Monte-Carlo statistics of the metric under drift, pooled over all
     /// fault levels; the objective value for Bayesian optimization is
-    /// `.mean`. Serial evaluation; the network's weights are restored
+    /// `.mean`. Serial shorthand for [`Objective::evaluate`] with
+    /// `EvalCtx::new(0, seed)`; the network's weights are restored
     /// afterwards.
     pub fn evaluate(
         &self,
@@ -230,99 +230,30 @@ impl DriftObjective {
         data: &ClassificationDataset,
         seed: u64,
     ) -> McStats {
-        self.evaluate_parallel(network, data, seed, 1)
-    }
-
-    /// [`DriftObjective::evaluate`] with the Monte-Carlo samples of **all**
-    /// fault levels fanned out over one pool of `workers` threads.
-    /// Replicas are cloned and threads spawned once per evaluation, not per
-    /// level. Bit-identical to the serial path for every worker count:
-    /// sample `(i, t)` uses the same RNG seed either way, and results are
-    /// reassembled in level-major order.
-    pub fn evaluate_parallel(
-        &self,
-        network: &mut dyn Layer,
-        data: &ClassificationDataset,
-        seed: u64,
-        workers: usize,
-    ) -> McStats {
-        let metric = self.metric;
-        let trials = self.trials;
-        let total = self.levels.len() * trials;
-        let workers = workers.min(total);
-        // Per-sample seed, shared by both paths. The inner mix matches
-        // what `reram::monte_carlo` derives for trial `t` of a run seeded
-        // with the outer mix — the equality the serial path relies on.
-        let sample_seed =
-            |i: usize, t: usize| reram::mix_seed(reram::mix_seed(seed, i as u64 + 1), t as u64);
-
-        if workers <= 1 {
-            let mut values = Vec::with_capacity(total);
-            for (i, level) in self.levels.iter().enumerate() {
-                let stats = reram::monte_carlo(
-                    network,
-                    level.as_ref(),
-                    trials,
-                    reram::mix_seed(seed, i as u64 + 1),
-                    |net| evaluate_once(net, data, metric),
-                );
-                values.extend(stats.values);
-            }
-            return McStats::from_values(values);
-        }
-
-        let snapshot = FaultInjector::snapshot(network);
-        let snapshot_ref = &snapshot;
-        let levels = &self.levels;
-        let replicas: Vec<Box<dyn Layer>> = (0..workers).map(|_| network.clone_box()).collect();
-        let mut values = vec![0.0f32; total];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = replicas
-                .into_iter()
-                .enumerate()
-                .map(|(w, mut replica)| {
-                    scope.spawn(move || {
-                        let mut local = Vec::with_capacity(total / workers + 1);
-                        let mut k = w;
-                        // Fused inject-from-snapshot (see `reram::monte_carlo`):
-                        // every sample drifts straight from the shared pristine
-                        // snapshot, eliminating the per-sample restore pass.
-                        // The replica is dropped when the worker exits.
-                        while k < total {
-                            let (i, t) = (k / trials, k % trials);
-                            let mut rng = ChaCha8Rng::seed_from_u64(sample_seed(i, t));
-                            FaultInjector::inject_from(
-                                snapshot_ref,
-                                replica.as_mut(),
-                                levels[i].as_ref(),
-                                &mut rng,
-                            )
-                            .expect("snapshot was taken from this network's replica");
-                            local.push((k, evaluate_once(replica.as_mut(), data, metric)));
-                            k += workers;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (k, v) in handle.join().expect("objective worker panicked") {
-                    values[k] = v;
-                }
-            }
-        });
-        McStats::from_values(values)
+        Objective::evaluate(self, network, data, &EvalCtx::new(0, seed))
     }
 }
 
 impl Objective for DriftObjective {
+    /// Runs every fault level through one [`reram::monte_carlo`] call over
+    /// `ctx.parallelism` workers, level `i` seeded
+    /// `mix_seed(ctx.seed, i + 1)`; bit-identical for every worker count.
     fn evaluate(
         &self,
         network: &mut dyn Layer,
         data: &ClassificationDataset,
         ctx: &EvalCtx,
     ) -> McStats {
-        self.evaluate_parallel(network, data, ctx.seed, ctx.parallelism)
+        let levels: Vec<(&dyn DriftModel, u64)> = self
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(i, model)| (model.as_ref(), reram::mix_seed(ctx.seed, i as u64 + 1)))
+            .collect();
+        let metric = self.metric;
+        reram::monte_carlo(network, &levels, self.trials, ctx.parallelism, |net, ws| {
+            evaluate_once(net, data, metric, ws)
+        })
     }
 
     fn label(&self) -> String {
@@ -331,21 +262,26 @@ impl Objective for DriftObjective {
     }
 }
 
+/// The metric of one drifted network on `data`, evaluated in batches of 64
+/// through the worker's workspace.
 fn evaluate_once(
     net: &mut dyn Layer,
     data: &ClassificationDataset,
     metric: ObjectiveMetric,
+    ws: &mut Workspace,
 ) -> f32 {
     let mut total_loss = 0.0f32;
     let mut correct = 0usize;
-    let mut batches = 0usize;
     for (x, labels) in data.batches(64) {
-        let x = flatten_if_mlp(net, &x);
-        let logits = net.forward(x.as_ref(), Mode::Eval);
+        let x = reshape_for(net, &x);
+        let logits = net.forward_ws(x.as_ref(), Mode::Eval, ws);
         match metric {
             ObjectiveMetric::NegLoss => {
-                total_loss += softmax_cross_entropy(&logits, &labels).loss;
-                batches += 1;
+                // Weighted by batch size: a partial last batch counts for
+                // its samples, not as a whole batch.
+                let out = softmax_cross_entropy_ws(&logits, &labels, ws);
+                total_loss += out.loss * labels.len() as f32;
+                ws.recycle(out.grad);
             }
             ObjectiveMetric::Accuracy => {
                 correct += logits
@@ -356,23 +292,12 @@ fn evaluate_once(
                     .count();
             }
         }
+        ws.recycle(logits);
     }
+    let n = data.len().max(1) as f32;
     match metric {
-        ObjectiveMetric::NegLoss => -total_loss / batches.max(1) as f32,
-        ObjectiveMetric::Accuracy => correct as f32 / data.len().max(1) as f32,
-    }
-}
-
-/// Flattens image batches for MLP-style networks; borrows the input
-/// untouched otherwise — the non-MLP eval loop used to pay one full batch
-/// clone here per batch per Monte-Carlo trial.
-fn flatten_if_mlp<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
-    if net.name() == "mlp" && x.rank() > 2 {
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        std::borrow::Cow::Owned(x.reshaped(&[n, rest]).expect("element count preserved"))
-    } else {
-        std::borrow::Cow::Borrowed(x)
+        ObjectiveMetric::NegLoss => -total_loss / n,
+        ObjectiveMetric::Accuracy => correct as f32 / n,
     }
 }
 
@@ -449,7 +374,8 @@ mod tests {
         let obj = DriftObjective::with_sigmas(vec![0.0, 0.4, 0.8], 4);
         let serial = obj.evaluate(&mut net, &data, 11);
         for workers in [2usize, 4, 16] {
-            let parallel = obj.evaluate_parallel(&mut net, &data, 11, workers);
+            let ctx = EvalCtx::new(0, 11).parallelism(workers);
+            let parallel = Objective::evaluate(&obj, &mut net, &data, &ctx);
             assert_eq!(serial.values, parallel.values, "{workers} workers");
         }
     }
@@ -495,21 +421,18 @@ mod tests {
         ));
     }
 
+    /// `NegLoss` is −E[ℓ] over samples: 65 samples make one batch of 64
+    /// and one of 1, which a mean of batch means would weight equally.
     #[test]
-    fn flatten_if_mlp_borrows_unless_reshaping() {
-        use std::borrow::Cow;
-        let (mut net, _) = setup();
-        // Already flat: the eval loop must not pay a clone per batch.
-        let flat = Tensor::ones(&[4, 2]);
-        assert!(matches!(flatten_if_mlp(&mut net, &flat), Cow::Borrowed(_)));
-        // Image batch into an MLP: reshaped copy.
-        let img = Tensor::ones(&[4, 1, 1, 2]);
-        let reshaped = flatten_if_mlp(&mut net, &img);
-        assert!(matches!(reshaped, Cow::Owned(_)));
-        assert_eq!(reshaped.dims(), &[4, 2]);
-        // Non-MLP networks keep image batches borrowed, any rank.
-        let mut id = nn::Identity::new();
-        assert!(matches!(flatten_if_mlp(&mut id, &img), Cow::Borrowed(_)));
+    fn neg_loss_weights_batches_by_size() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let data = moons(65, 0.1, &mut rng);
+        let mut net = Mlp::new(&MlpConfig::new(2, 2).hidden(16), &mut rng);
+        let obj = DriftObjective::new(0.0, 1).metric(ObjectiveMetric::NegLoss);
+        let got = obj.evaluate(&mut net, &data, 1).mean;
+        let logits = net.forward(data.images(), Mode::Eval);
+        let want = -nn::softmax_cross_entropy(&logits, data.labels()).loss;
+        assert!((got - want).abs() < 1e-5, "{got} vs {want}");
     }
 
     #[test]

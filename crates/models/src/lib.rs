@@ -90,10 +90,6 @@ pub fn dropout_rates(network: &mut dyn Layer) -> Vec<f32> {
 macro_rules! delegate_layer {
     ($ty:ident, $tag:literal) => {
         impl nn::Layer for $ty {
-            fn forward(&mut self, input: &tensor::Tensor, mode: nn::Mode) -> tensor::Tensor {
-                self.net.forward(input, mode)
-            }
-
             fn forward_ws(
                 &mut self,
                 input: &tensor::Tensor,
@@ -101,10 +97,6 @@ macro_rules! delegate_layer {
                 ws: &mut nn::Workspace,
             ) -> tensor::Tensor {
                 self.net.forward_ws(input, mode, ws)
-            }
-
-            fn backward(&mut self, grad_out: &tensor::Tensor) -> tensor::Tensor {
-                self.net.backward(grad_out)
             }
 
             fn backward_ws(

@@ -3,7 +3,9 @@
 //! it, and a CNN classifies the canonicalized image — the architecture the
 //! paper uses for randomized-geometry traffic-sign recognition (ref. [27]).
 
-use nn::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Relu, Sequential};
+use nn::{
+    Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Relu, Sequential, Workspace,
+};
 use rand::Rng;
 use tensor::Tensor;
 
@@ -21,7 +23,7 @@ pub struct SpatialTransformer {
     cache: Option<StnCache>,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct StnCache {
     input: Tensor,
     theta: Tensor,
@@ -81,16 +83,18 @@ fn pixel(img: &[f32], c: usize, y: i64, x: i64, h: usize, w: usize) -> f32 {
 }
 
 impl Layer for SpatialTransformer {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "spatial transformer expects [N, C, H, W]");
-        let theta = self.loc.forward(input, mode);
+        let theta = self.loc.forward_ws(input, mode, ws);
         let (n, c, h, w) = (
             input.dims()[0],
             input.dims()[1],
             input.dims()[2],
             input.dims()[3],
         );
-        let mut out = Tensor::zeros(input.dims());
+        // Every output element is written below, so the pooled buffer
+        // needs no zero-fill.
+        let mut out = ws.take_tensor(input.dims());
         let src = input.as_slice();
         let dst = out.as_mut_slice();
         let chw = c * h * w;
@@ -122,14 +126,18 @@ impl Layer for SpatialTransformer {
                 }
             }
         }
-        self.cache = Some(StnCache {
-            input: input.clone(),
-            theta,
-        });
+        // The backward tape, refreshed in place (grown once, reused
+        // across steps).
+        let cache = self.cache.get_or_insert_with(StnCache::default);
+        cache.input.reuse_as(input.dims());
+        cache.input.as_mut_slice().copy_from_slice(src);
+        cache.theta.reuse_as(theta.dims());
+        cache.theta.as_mut_slice().copy_from_slice(theta.as_slice());
+        ws.recycle(theta);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
             .as_ref()
@@ -145,8 +153,10 @@ impl Layer for SpatialTransformer {
         let chw = c * h * w;
         let src = input.as_slice();
         let go = grad_out.as_slice();
-        let mut grad_input = Tensor::zeros(input.dims());
-        let mut grad_theta = Tensor::zeros(&[n, 6]);
+        let mut grad_input = ws.take_tensor(input.dims());
+        grad_input.as_mut_slice().fill(0.0);
+        // Every row is written below.
+        let mut grad_theta = ws.take_tensor(&[n, 6]);
         for s in 0..n {
             let t = theta.row(s);
             let img = &src[s * chw..(s + 1) * chw];
@@ -202,8 +212,10 @@ impl Layer for SpatialTransformer {
             }
             grad_theta.row_mut(s).copy_from_slice(&gt);
         }
-        let grad_via_loc = self.loc.backward(&grad_theta);
+        let grad_via_loc = self.loc.backward_ws(&grad_theta, ws);
         grad_input.add_assign(&grad_via_loc);
+        ws.recycle(grad_via_loc);
+        ws.recycle(grad_theta);
         grad_input
     }
 

@@ -68,16 +68,6 @@ macro_rules! elementwise_activation {
         }
 
         impl Layer for $name {
-            fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-                if mode == Mode::Train {
-                    cache_into(&mut self.input, input.as_slice(), input.dims());
-                } else {
-                    invalidate_cache(&mut self.input);
-                }
-                let a = self.alpha;
-                input.map(|x| ($fwd)(x, a))
-            }
-
             fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
                 if mode == Mode::Train {
                     cache_into(&mut self.input, input.as_slice(), input.dims());
@@ -90,19 +80,6 @@ macro_rules! elementwise_activation {
                     *o = ($fwd)(x, a);
                 }
                 out
-            }
-
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                let input = self
-                    .input
-                    .as_ref()
-                    .expect(concat!("backward called before forward on ", $tag));
-                assert!(
-                    !input.is_empty(),
-                    concat!("backward called after an eval-mode forward on ", $tag)
-                );
-                let a = self.alpha;
-                input.zip_map(grad_out, |x, g| g * ($bwd)(x, a))
             }
 
             fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {

@@ -105,8 +105,7 @@ impl Conv2d {
     }
 
     /// Train-mode forward kernel: refreshes the per-sample im2col tapes and
-    /// mixes outputs into `out` — one implementation behind both the
-    /// allocating and workspace paths, so they cannot desynchronize.
+    /// mixes outputs into `out`.
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor, y: &mut [f32]) {
         let (n, c, h, w) = self.check_input(input);
         let (oh, ow) = self.spec.output_hw(h, w);
@@ -170,7 +169,7 @@ impl Conv2d {
 }
 
 /// `y = W·col`, then `dst = y + bias` per output channel — the per-sample
-/// mixing step shared by all four convolution forward variants.
+/// mixing step shared by the train and eval forward kernels.
 fn conv_mix_output(
     weight: &Tensor,
     bias: &Tensor,
@@ -192,22 +191,6 @@ fn conv_mix_output(
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (n, _, h, w) = self.check_input(input);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let (oc, patch) = (self.spec.out_channels, self.spec.patch_len());
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-        let mut y = vec![0.0f32; oc * oh * ow];
-        match mode {
-            Mode::Train => self.train_forward_into(input, &mut out, &mut y),
-            Mode::Eval => {
-                let mut col = vec![0.0f32; patch * oh * ow];
-                self.eval_forward_into(input, &mut out, &mut y, &mut col);
-            }
-        }
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let (n, _, h, w) = self.check_input(input);
         let (oh, ow) = self.spec.output_hw(h, w);
@@ -224,11 +207,6 @@ impl Layer for Conv2d {
         }
         ws.recycle_vec(y);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -383,23 +361,11 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "max_pool2d expects [N, C, H, W] input");
-        let mut out = Tensor::zeros(&self.output_dims(input));
-        self.pool_into(input, &mut out, mode);
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "max_pool2d expects [N, C, H, W] input");
         let mut out = ws.take_tensor(&self.output_dims(input));
         self.pool_into(input, &mut out, mode);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -453,7 +419,7 @@ impl AvgPool2d {
 }
 
 impl AvgPool2d {
-    /// The shared window scan behind both forward variants.
+    /// The window scan: pools every sample into `out`.
     fn pool_into(&mut self, input: &Tensor, out: &mut Tensor, mode: Mode) {
         assert_eq!(input.rank(), 4, "avg_pool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (
@@ -490,23 +456,11 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "avg_pool2d expects [N, C, H, W] input");
-        let mut out = Tensor::zeros(&self.output_dims(input));
-        self.pool_into(input, &mut out, mode);
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "avg_pool2d expects [N, C, H, W] input");
         let mut out = ws.take_tensor(&self.output_dims(input));
         self.pool_into(input, &mut out, mode);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -558,7 +512,7 @@ impl GlobalAvgPool {
 }
 
 impl GlobalAvgPool {
-    /// The shared channel-mean scan behind both forward variants.
+    /// The channel-mean scan: averages every map into `out`.
     fn pool_into(&mut self, input: &Tensor, out: &mut Tensor, mode: Mode) {
         assert_eq!(input.rank(), 4, "global_avg_pool expects [N, C, H, W]");
         let (n, c, h, w) = (
@@ -584,23 +538,11 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "global_avg_pool expects [N, C, H, W]");
-        let mut out = Tensor::zeros(&[input.dims()[0], input.dims()[1]]);
-        self.pool_into(input, &mut out, mode);
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "global_avg_pool expects [N, C, H, W]");
         let mut out = ws.take_tensor(&[input.dims()[0], input.dims()[1]]);
         self.pool_into(input, &mut out, mode);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -655,17 +597,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            cache_dims(&mut self.input_dims, input.dims());
-        } else {
-            self.input_dims.clear(); // eval invalidates the tape
-        }
-        let n = input.dims()[0];
-        let rest: usize = input.dims()[1..].iter().product();
-        input.reshaped(&[n, rest]).expect("element count preserved")
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         if mode == Mode::Train {
             cache_dims(&mut self.input_dims, input.dims());
@@ -675,16 +606,6 @@ impl Layer for Flatten {
         let n = input.dims()[0];
         let rest: usize = input.dims()[1..].iter().product();
         ws.take_copy(input, &[n, rest])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.input_dims.is_empty(),
-            "backward called before forward on flatten"
-        );
-        grad_out
-            .reshaped(&self.input_dims)
-            .expect("element count preserved")
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {

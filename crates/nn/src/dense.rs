@@ -77,8 +77,7 @@ impl Dense {
         input.len() / self.in_features
     }
 
-    /// `out = input·W + b` into a caller-provided `[m, out]` buffer —
-    /// identical arithmetic for the allocating and workspace paths.
+    /// `out = input·W + b` into a caller-provided `[m, out]` buffer.
     fn output_into(&self, input: &Tensor, m: usize, out: &mut Tensor) {
         gemm_into(
             input.as_slice(),
@@ -98,18 +97,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let m = self.fold_batch(input);
-        if mode == Mode::Train {
-            cache_into(&mut self.input, input.as_slice(), &[m, self.in_features]);
-        } else {
-            invalidate_cache(&mut self.input);
-        }
-        let mut out = Tensor::zeros(&[m, self.out_features]);
-        self.output_into(input, m, &mut out);
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let m = self.fold_batch(input);
         if mode == Mode::Train {
@@ -120,11 +107,6 @@ impl Layer for Dense {
         let mut out = ws.take_tensor(&[m, self.out_features]);
         self.output_into(input, m, &mut out);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {

@@ -70,8 +70,7 @@ impl Dropout {
 
 impl Dropout {
     /// Draws a fresh mask into the persistent buffer (grown once, reused
-    /// across steps) — the RNG consumption and mask values are identical
-    /// for the allocating and workspace paths.
+    /// across steps).
     fn sample_mask(&mut self, dims: &[usize]) {
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
@@ -95,15 +94,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Eval || self.rate == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        self.sample_mask(input.dims());
-        input.mul(self.mask.as_ref().expect("mask was just sampled"))
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         if mode == Mode::Eval || self.rate == 0.0 {
             self.mask = None;
@@ -121,13 +111,6 @@ impl Layer for Dropout {
             *o = x * m;
         }
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => grad_out.mul(mask),
-            None => grad_out.clone(),
-        }
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -220,9 +203,9 @@ impl AlphaDropout {
 }
 
 impl AlphaDropout {
-    /// Shared train-mode kernel: fills `out` with the dropped/rescaled
+    /// Train-mode kernel: fills `out` with the dropped/rescaled
     /// activations while refreshing the persistent multiplier mask in
-    /// place — RNG consumption is identical for both forward paths.
+    /// place. Every element of `out` is written.
     fn apply_into(&mut self, input: &Tensor, out: &mut Tensor) {
         let keep = 1.0 - self.rate;
         let (a, b) = self.affine();
@@ -253,17 +236,6 @@ impl AlphaDropout {
 }
 
 impl Layer for AlphaDropout {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Eval || self.rate == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        // `apply_into` writes every element, so the buffer needs no copy.
-        let mut out = Tensor::zeros(input.dims());
-        self.apply_into(input, &mut out);
-        out
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         if mode == Mode::Eval || self.rate == 0.0 {
             self.mask = None;
@@ -272,13 +244,6 @@ impl Layer for AlphaDropout {
         let mut out = ws.take_tensor(input.dims());
         self.apply_into(input, &mut out);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => grad_out.mul(mask),
-            None => grad_out.clone(),
-        }
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {

@@ -1,6 +1,7 @@
 //! Finite-difference gradient checking used throughout the test suite,
-//! plus the workspace-path equivalence check: `forward_ws`/`backward_ws`
-//! must be bit-identical to `forward`/`backward`.
+//! plus the workspace-reuse check: a train step through a reused,
+//! stale-content [`Workspace`] must be bit-identical to one on fresh
+//! workspaces.
 
 use tensor::Tensor;
 
@@ -137,15 +138,16 @@ pub fn numeric_gradient(layer: &mut dyn Layer, x: &Tensor, eps: f32) -> f32 {
     GradCheck::new().eps(eps).max_input_error(layer, x)
 }
 
-/// Counts the scalars where the workspace train step diverges bitwise from
-/// the allocating one: two replicas of `layer` (cloned via
-/// [`Layer::clone_box`], so RNG states match) run
-/// `forward`/`backward` and `forward_ws`/`backward_ws` on the same input,
+/// Counts the scalars where a train step through a reused [`Workspace`]
+/// diverges bitwise from one on fresh workspaces: two replicas of `layer`
+/// (cloned via [`Layer::clone_box`], so RNG states match) run
+/// `forward`/`backward` (a fresh workspace per call) and
+/// `forward_ws`/`backward_ws` (one shared workspace) on the same input,
 /// and the forward outputs, input gradients, and accumulated parameter
 /// gradients are compared bit for bit. Returns the number of differing
 /// scalars — `0` is the invariant every layer must uphold.
 ///
-/// Two passes run through one shared [`Workspace`], so the second pass
+/// Two passes run through the shared workspace, so the second pass
 /// exercises recycled (stale-content) buffers.
 pub fn backward_ws_divergence(layer: &dyn Layer, x: &Tensor, mode: Mode) -> usize {
     let mut reference = layer.clone_box();

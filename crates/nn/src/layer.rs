@@ -6,74 +6,65 @@ use crate::{Mode, Param, Workspace};
 
 /// A differentiable network component.
 ///
-/// A training-mode `forward` caches activations; `backward` consumes them,
-/// accumulates parameter gradients, and returns the gradient with respect
-/// to the layer's input. Calling `backward` without a preceding
-/// training-mode `forward` on the same input is a programming error and
+/// A training-mode forward caches activations; the backward pass consumes
+/// them, accumulates parameter gradients, and returns the gradient with
+/// respect to the layer's input. Calling backward without a preceding
+/// training-mode forward on the same input is a programming error and
 /// panics. Evaluation-mode forwards skip the cache refresh entirely (the
-/// gradient tape is dead weight on the inference hot path), so `backward`
+/// gradient tape is dead weight on the inference hot path), so backward
 /// after an eval-only forward is unsupported.
+///
+/// Layers implement exactly one forward and one backward,
+/// [`Layer::forward_ws`] and [`Layer::backward_ws`], which draw every
+/// output and scratch buffer from a reusable [`Workspace`].
+/// [`Layer::forward`] and [`Layer::backward`] are provided wrappers that
+/// run them on a fresh workspace.
 ///
 /// The trait is object-safe: networks are built as `Vec<Box<dyn Layer>>`
 /// ([`Sequential`]).
 pub trait Layer: Send {
-    /// Computes the layer output for `input`.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
-
-    /// [`Layer::forward`] drawing output (and internal scratch) buffers
-    /// from a reusable [`Workspace`] instead of the allocator.
+    /// Computes the layer output for `input`, drawing the output (and
+    /// internal scratch) buffers from `ws` instead of the allocator.
     ///
-    /// The returned tensor is **bit-identical** to `forward(input, mode)`;
-    /// only the provenance of its buffer differs. Callers should hand the
-    /// result back via [`Workspace::recycle`] once done so the next pass
-    /// reuses it — after one warm-up pass, an eval-mode forward through
-    /// layers that override this method performs zero heap allocations.
+    /// Pooled buffers arrive with stale contents, so implementations
+    /// overwrite everything they hand out: the result is bit-identical
+    /// whatever the workspace held before. Callers hand the result back
+    /// via [`Workspace::recycle`] once done so the next pass reuses it —
+    /// after one warm-up pass, an eval-mode forward performs zero heap
+    /// allocations.
     ///
-    /// In `Mode::Eval`, activation/input caches needed by `backward` are
-    /// *not* refreshed (calling `backward` after an eval forward is
-    /// unsupported — see [`Layer::forward`]). In `Mode::Train`, overriding
-    /// layers refresh their caches **in place** into persistent per-layer
-    /// buffers (grown once, reused across steps), so a whole SGD step —
-    /// `forward_ws` + [`Layer::backward_ws`] + an in-place optimizer — is
-    /// allocation-free in the steady state.
-    ///
-    /// The default implementation ignores the workspace and calls
-    /// `forward`, so layers without an override remain correct (just
-    /// allocating).
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
-        self.forward(input, mode)
-    }
+    /// In `Mode::Eval`, activation/input caches needed by the backward
+    /// pass are *not* refreshed. In `Mode::Train`, layers refresh their
+    /// caches **in place** into persistent per-layer buffers (grown once,
+    /// reused across steps), so a whole SGD step — `forward_ws` +
+    /// [`Layer::backward_ws`] + an in-place optimizer — is allocation-free
+    /// in the steady state.
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor;
 
     /// Backpropagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients and returning the gradient w.r.t.
-    /// the layer's input.
+    /// the layer's input. The gradient output and internal scratch
+    /// (transposed-gemm temporaries, `col2im` images, bias-sum
+    /// accumulators) come from `ws`; callers hand the result back via
+    /// [`Workspace::recycle`] once consumed.
     ///
     /// # Panics
     ///
-    /// Panics if no forward pass has been run.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Panics if no training-mode forward pass has been run.
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
-    /// [`Layer::backward`] drawing the gradient output (and internal
-    /// scratch: transposed-gemm temporaries, `col2im` images, bias-sum
-    /// accumulators) from a reusable [`Workspace`] instead of the
-    /// allocator.
-    ///
-    /// The returned gradient and the accumulated parameter gradients are
-    /// **bit-identical** to `backward(grad_out)`; only the provenance of
-    /// the buffers differs. Callers hand the result back via
-    /// [`Workspace::recycle`] once consumed — after one warm-up step, a
-    /// training step through layers that override both this method and the
-    /// train-mode [`Layer::forward_ws`] performs zero heap allocations.
-    ///
-    /// The default implementation ignores the workspace and calls
-    /// `backward`, so layers without an override remain correct (just
-    /// allocating).
+    /// [`Layer::forward_ws`] on a fresh [`Workspace`].
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_ws(input, mode, &mut Workspace::new())
+    }
+
+    /// [`Layer::backward_ws`] on a fresh [`Workspace`].
     ///
     /// # Panics
     ///
-    /// Panics if no forward pass has been run.
-    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
-        self.backward(grad_out)
+    /// Panics if no training-mode forward pass has been run.
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_ws(grad_out, &mut Workspace::new())
     }
 
     /// Visits every trainable parameter in a stable order.
@@ -165,16 +156,8 @@ impl Identity {
 }
 
 impl Layer for Identity {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        input.clone()
-    }
-
     fn forward_ws(&mut self, input: &Tensor, _mode: Mode, ws: &mut Workspace) -> Tensor {
         ws.take_copy(input, input.dims())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -267,14 +250,6 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let mut layers = self.layers.iter_mut();
         let Some(first) = layers.next() else {
@@ -287,14 +262,6 @@ impl Layer for Sequential {
             x = y;
         }
         x
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -358,10 +325,10 @@ mod tests {
         #[derive(Clone)]
         struct AddOne;
         impl Layer for AddOne {
-            fn forward(&mut self, input: &Tensor, _m: Mode) -> Tensor {
+            fn forward_ws(&mut self, input: &Tensor, _m: Mode, _ws: &mut Workspace) -> Tensor {
                 input.add_scalar(1.0)
             }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
+            fn backward_ws(&mut self, g: &Tensor, _ws: &mut Workspace) -> Tensor {
                 g.clone()
             }
             fn name(&self) -> &'static str {

@@ -10,9 +10,14 @@
 //!
 //! Design notes:
 //!
-//! * Layers are stateful: `forward` caches whatever `backward` needs, so a
-//!   backward call must follow the matching forward call (standard
-//!   tape-free reverse mode for sequential graphs).
+//! * Layers are stateful: a training-mode forward caches whatever the
+//!   backward pass needs, so a backward call must follow the matching
+//!   forward call (standard tape-free reverse mode for sequential graphs).
+//! * Each layer implements one forward and one backward,
+//!   [`Layer::forward_ws`] and [`Layer::backward_ws`], drawing every buffer
+//!   from a reusable [`Workspace`]; [`Layer::forward`] and
+//!   [`Layer::backward`] are provided wrappers that run them on a fresh
+//!   workspace.
 //! * Parameters are exposed through the visitor
 //!   [`Layer::visit_params`], which is also how the `reram` crate injects
 //!   weight drift into a trained network — every trainable value, including

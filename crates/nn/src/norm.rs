@@ -79,7 +79,7 @@ impl std::fmt::Display for NormKind {
 }
 
 /// Layout information extracted from an input tensor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct NormLayout {
     n: usize,
     c: usize,
@@ -128,103 +128,110 @@ fn coords(i: usize, lay: &NormLayout) -> (usize, usize) {
     (n, c)
 }
 
-/// Shared normalization state cached between forward and backward.
+/// Shared normalization state cached between forward and backward,
+/// refreshed in place by every caching forward (grown once, reused across
+/// steps). An empty `xhat` means no forward has filled it yet, or an
+/// eval-mode forward invalidated it.
 #[derive(Debug, Clone, Default)]
 struct NormCache {
     xhat: Tensor,
     inv_std: Vec<f32>,
     group_size: f32,
-    lay_n: usize,
-    lay_c: usize,
-    lay_s: usize,
+    lay: NormLayout,
 }
 
-/// Normalizes `x` within groups given by `group_of`, returning `(x̂, cache)`.
+/// Persistent per-layer scratch for the group statistics of both passes
+/// (grown once, reused across steps — part of the allocation-free path).
+#[derive(Debug, Clone, Default)]
+struct NormScratch {
+    sum: Vec<f64>,
+    sum_sq: Vec<f64>,
+    count: Vec<usize>,
+    mean: Vec<f32>,
+    mean_g: Vec<f64>,
+    mean_gx: Vec<f64>,
+}
+
+/// Clears `v` to `n` default values, reusing its capacity.
+fn reset<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
+    v.clear();
+    v.resize(n, T::default());
+}
+
+/// Normalizes `x` within groups given by `group_of` into `cache` (x̂ and
+/// the per-group inverse std), accumulating group statistics in `scratch`.
 fn normalize(
     x: &Tensor,
     lay: &NormLayout,
     n_groups: usize,
     group_of: impl Fn(usize, usize) -> usize,
-) -> (Tensor, NormCache) {
-    let mut sum = vec![0.0f64; n_groups];
-    let mut sum_sq = vec![0.0f64; n_groups];
-    let mut count = vec![0usize; n_groups];
+    cache: &mut NormCache,
+    scratch: &mut NormScratch,
+) {
+    reset(&mut scratch.sum, n_groups);
+    reset(&mut scratch.sum_sq, n_groups);
+    reset(&mut scratch.count, n_groups);
+    reset(&mut scratch.mean, n_groups);
+    reset(&mut cache.inv_std, n_groups);
     for (i, &v) in x.as_slice().iter().enumerate() {
         let (n, c) = coords(i, lay);
         let g = group_of(n, c);
-        sum[g] += v as f64;
-        sum_sq[g] += (v as f64) * (v as f64);
-        count[g] += 1;
+        scratch.sum[g] += v as f64;
+        scratch.sum_sq[g] += (v as f64) * (v as f64);
+        scratch.count[g] += 1;
     }
-    let mut mean = vec![0.0f32; n_groups];
-    let mut inv_std = vec![0.0f32; n_groups];
     for g in 0..n_groups {
-        let m = sum[g] / count[g].max(1) as f64;
-        let var = (sum_sq[g] / count[g].max(1) as f64 - m * m).max(0.0);
-        mean[g] = m as f32;
-        inv_std[g] = 1.0 / ((var as f32) + EPS).sqrt();
+        let count = scratch.count[g].max(1) as f64;
+        let m = scratch.sum[g] / count;
+        let var = (scratch.sum_sq[g] / count - m * m).max(0.0);
+        scratch.mean[g] = m as f32;
+        cache.inv_std[g] = 1.0 / ((var as f32) + EPS).sqrt();
     }
-    let mut xhat = x.clone();
-    for (i, v) in xhat.as_mut_slice().iter_mut().enumerate() {
+    cache.xhat.reuse_as(x.dims());
+    for (i, (h, &v)) in cache
+        .xhat
+        .as_mut_slice()
+        .iter_mut()
+        .zip(x.as_slice())
+        .enumerate()
+    {
         let (n, c) = coords(i, lay);
         let g = group_of(n, c);
-        *v = (*v - mean[g]) * inv_std[g];
+        *h = (v - scratch.mean[g]) * cache.inv_std[g];
     }
-    let group_size = count.first().copied().unwrap_or(1) as f32;
-    (
-        xhat.clone(),
-        NormCache {
-            xhat,
-            inv_std,
-            group_size,
-            lay_n: lay.n,
-            lay_c: lay.c,
-            lay_s: lay.s,
-        },
-    )
+    cache.group_size = scratch.count.first().copied().unwrap_or(1) as f32;
+    cache.lay = *lay;
 }
 
-/// Persistent per-layer scratch for the backward group statistics (grown
-/// once, reused across steps — part of the allocation-free training path).
-#[derive(Debug, Clone, Default)]
-struct NormScratch {
-    mean_g: Vec<f64>,
-    mean_gx: Vec<f64>,
-}
-
-impl NormScratch {
-    /// Zeroed accumulators of length `n_groups`, reusing prior capacity.
-    fn reset(&mut self, n_groups: usize) {
-        self.mean_g.clear();
-        self.mean_g.resize(n_groups, 0.0);
-        self.mean_gx.clear();
-        self.mean_gx.resize(n_groups, 0.0);
-    }
-}
-
-/// Backward pass of group-wise normalization, computed **in place** over
-/// `ĝ = g·γ`: on return each element holds
-/// `dx_i = inv_std_g · (ĝ_i − mean_G(ĝ) − x̂_i · mean_G(ĝ·x̂))`.
+/// Backward pass of group-wise normalization and its per-channel affine:
+/// accumulates `dγ`/`dβ`, then turns `ghat` (arriving as the output
+/// gradient) into the input gradient in place — with `ĝ = g·γ`, each
+/// element becomes `inv_std_g · (ĝ_i − mean_G(ĝ) − x̂_i · mean_G(ĝ·x̂))`.
 fn normalize_backward(
     ghat: &mut Tensor,
     cache: &NormCache,
+    gamma: &mut Param,
+    beta: &mut Param,
     n_groups: usize,
     group_of: impl Fn(usize, usize) -> usize,
     scratch: &mut NormScratch,
 ) {
-    let lay = NormLayout {
-        n: cache.lay_n,
-        c: cache.lay_c,
-        s: cache.lay_s,
-    };
-    scratch.reset(n_groups);
+    let lay = &cache.lay;
+    for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
+        let (_, c) = coords(i, lay);
+        gamma.grad.as_mut_slice()[c] += *v * cache.xhat.as_slice()[i];
+        beta.grad.as_mut_slice()[c] += *v;
+        *v *= gamma.value.as_slice()[c];
+    }
+    reset(&mut scratch.mean_g, n_groups);
+    reset(&mut scratch.mean_gx, n_groups);
     for (i, (&g, &xh)) in ghat
         .as_slice()
         .iter()
         .zip(cache.xhat.as_slice())
         .enumerate()
     {
-        let (n, c) = coords(i, &lay);
+        let (n, c) = coords(i, lay);
         let grp = group_of(n, c);
         scratch.mean_g[grp] += g as f64;
         scratch.mean_gx[grp] += (g * xh) as f64;
@@ -235,7 +242,7 @@ fn normalize_backward(
         scratch.mean_gx[grp] /= m;
     }
     for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-        let (n, c) = coords(i, &lay);
+        let (n, c) = coords(i, lay);
         let grp = group_of(n, c);
         *v = cache.inv_std[grp]
             * (*v
@@ -244,15 +251,17 @@ fn normalize_backward(
     }
 }
 
-/// Applies the per-channel affine `γ·x̂ + β` and accumulates `dγ`, `dβ` on
-/// backward.
-fn apply_affine(xhat: &Tensor, lay: &NormLayout, gamma: &Tensor, beta: &Tensor) -> Tensor {
-    let mut out = xhat.clone();
-    for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+/// Writes the per-channel affine `γ·x̂ + β` into `out`.
+fn apply_affine(xhat: &Tensor, lay: &NormLayout, gamma: &Tensor, beta: &Tensor, out: &mut Tensor) {
+    for (i, (o, &h)) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(xhat.as_slice())
+        .enumerate()
+    {
         let (_, c) = coords(i, lay);
-        *v = gamma.as_slice()[c] * *v + beta.as_slice()[c];
+        *o = gamma.as_slice()[c] * h + beta.as_slice()[c];
     }
-    out
 }
 
 macro_rules! norm_common_impl {
@@ -290,7 +299,7 @@ pub struct BatchNorm {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     momentum: f32,
-    cache: Option<NormCache>,
+    cache: NormCache,
     scratch: NormScratch,
 }
 
@@ -304,7 +313,7 @@ impl BatchNorm {
             running_mean: vec![0.0; num_features],
             running_var: vec![1.0; num_features],
             momentum: 0.1,
-            cache: None,
+            cache: NormCache::default(),
             scratch: NormScratch::default(),
         }
     }
@@ -313,85 +322,86 @@ impl BatchNorm {
     pub fn running_mean(&self) -> &[f32] {
         &self.running_mean
     }
-
-    /// Shared backward kernel: transforms `ĝ` (initially the output
-    /// gradient) into the input gradient in place, accumulating `dγ`/`dβ`.
-    fn backward_into(&mut self, ghat: &mut Tensor) {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward called before training-mode forward on batch_norm");
-        let lay = NormLayout {
-            n: cache.lay_n,
-            c: cache.lay_c,
-            s: cache.lay_s,
-        };
-        for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-            let (_, c) = coords(i, &lay);
-            self.gamma.grad.as_mut_slice()[c] += *v * cache.xhat.as_slice()[i];
-            self.beta.grad.as_mut_slice()[c] += *v;
-            *v *= self.gamma.value.as_slice()[c];
-        }
-        normalize_backward(ghat, cache, lay.c, |_, c| c, &mut self.scratch);
-    }
 }
 
 norm_common_impl!(BatchNorm);
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let lay = layout(input, self.num_features);
+        let mut out = ws.take_tensor(input.dims());
         match mode {
             Mode::Train => {
-                let (xhat, cache) = normalize(input, &lay, lay.c, |_, c| c);
-                // Recover batch statistics to refresh the running estimates.
+                normalize(
+                    input,
+                    &lay,
+                    lay.c,
+                    |_, c| c,
+                    &mut self.cache,
+                    &mut self.scratch,
+                );
+                // Recover the batch variances from the inverse stds to
+                // refresh the running estimates.
                 for c in 0..lay.c {
-                    let inv = cache.inv_std[c];
+                    let inv = self.cache.inv_std[c];
                     let var = 1.0 / (inv * inv) - EPS;
-                    // mean_c = x - xhat/inv; cheaper: recompute from sums is
-                    // gone, so derive from one representative element.
                     self.running_var[c] =
                         (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
                 }
-                // Batch means via direct pass (cheap relative to normalize).
-                let mut mean = vec![0.0f32; lay.c];
-                let mut cnt = vec![0usize; lay.c];
+                // Batch means via a direct f32 pass (`normalize` keeps f64
+                // means); its per-channel element counts are reused.
+                let mean = &mut self.scratch.mean;
+                reset(mean, lay.c);
                 for (i, &v) in input.as_slice().iter().enumerate() {
                     let (_, c) = coords(i, &lay);
                     mean[c] += v;
-                    cnt[c] += 1;
                 }
-                for c in 0..lay.c {
-                    mean[c] /= cnt[c].max(1) as f32;
+                for (c, m) in mean.iter_mut().enumerate() {
+                    *m /= self.scratch.count[c].max(1) as f32;
                     self.running_mean[c] =
-                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
+                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * *m;
                 }
-                let out = apply_affine(&xhat, &lay, &self.gamma.value, &self.beta.value);
-                self.cache = Some(cache);
-                out
+                apply_affine(
+                    &self.cache.xhat,
+                    &lay,
+                    &self.gamma.value,
+                    &self.beta.value,
+                    &mut out,
+                );
             }
             Mode::Eval => {
-                let mut out = input.clone();
-                for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+                for (i, (o, &x)) in out
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(input.as_slice())
+                    .enumerate()
+                {
                     let (_, c) = coords(i, &lay);
-                    let xh = (*v - self.running_mean[c]) / (self.running_var[c] + EPS).sqrt();
-                    *v = self.gamma.value.as_slice()[c] * xh + self.beta.value.as_slice()[c];
+                    let xh = (x - self.running_mean[c]) / (self.running_var[c] + EPS).sqrt();
+                    *o = self.gamma.value.as_slice()[c] * xh + self.beta.value.as_slice()[c];
                 }
-                self.cache = None;
-                out
+                // Eval invalidates the tape (capacity retained).
+                self.cache.xhat.reuse_as(&[0]);
             }
         }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ghat = grad_out.clone();
-        self.backward_into(&mut ghat);
-        ghat
+        out
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        assert!(
+            !self.cache.xhat.is_empty(),
+            "backward called before training-mode forward on batch_norm"
+        );
         let mut ghat = ws.take_copy(grad_out, grad_out.dims());
-        self.backward_into(&mut ghat);
+        normalize_backward(
+            &mut ghat,
+            &self.cache,
+            &mut self.gamma,
+            &mut self.beta,
+            self.cache.lay.c,
+            |_, c| c,
+            &mut self.scratch,
+        );
         ghat
     }
 
@@ -426,60 +436,41 @@ macro_rules! sample_group_norm {
             groups: usize,
             gamma: Param,
             beta: Param,
-            cache: Option<NormCache>,
+            cache: NormCache,
             scratch: NormScratch,
         }
 
         norm_common_impl!($ty);
 
-        impl $ty {
-            /// Shared backward kernel: transforms `ĝ` (initially the output
-            /// gradient) into the input gradient in place, accumulating
-            /// `dγ`/`dβ`.
-            fn backward_into(&mut self, ghat: &mut Tensor) {
-                let cache = self
-                    .cache
-                    .as_ref()
-                    .expect(concat!("backward called before forward on ", $tag));
-                let lay = NormLayout {
-                    n: cache.lay_n,
-                    c: cache.lay_c,
-                    s: cache.lay_s,
-                };
-                let groups = self.groups;
-                let n_groups = ($n_groups)(&lay, groups);
-                let gof = ($group_of)(lay, groups);
-                for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-                    let (_, c) = coords(i, &lay);
-                    self.gamma.grad.as_mut_slice()[c] += *v * cache.xhat.as_slice()[i];
-                    self.beta.grad.as_mut_slice()[c] += *v;
-                    *v *= self.gamma.value.as_slice()[c];
-                }
-                normalize_backward(ghat, cache, n_groups, &gof, &mut self.scratch);
-            }
-        }
-
         impl Layer for $ty {
-            fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+            fn forward_ws(&mut self, input: &Tensor, _mode: Mode, ws: &mut Workspace) -> Tensor {
                 let lay = layout(input, self.num_features);
-                let groups = self.groups;
-                let n_groups = ($n_groups)(&lay, groups);
-                let gof = ($group_of)(lay, groups);
-                let (xhat, cache) = normalize(input, &lay, n_groups, &gof);
-                let out = apply_affine(&xhat, &lay, &self.gamma.value, &self.beta.value);
-                self.cache = Some(cache);
+                let n_groups = ($n_groups)(&lay, self.groups);
+                let gof = ($group_of)(lay, self.groups);
+                normalize(input, &lay, n_groups, &gof, &mut self.cache, &mut self.scratch);
+                let mut out = ws.take_tensor(input.dims());
+                apply_affine(&self.cache.xhat, &lay, &self.gamma.value, &self.beta.value, &mut out);
                 out
             }
 
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                let mut ghat = grad_out.clone();
-                self.backward_into(&mut ghat);
-                ghat
-            }
-
             fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+                assert!(
+                    !self.cache.xhat.is_empty(),
+                    concat!("backward called before forward on ", $tag)
+                );
+                let lay = self.cache.lay;
+                let n_groups = ($n_groups)(&lay, self.groups);
+                let gof = ($group_of)(lay, self.groups);
                 let mut ghat = ws.take_copy(grad_out, grad_out.dims());
-                self.backward_into(&mut ghat);
+                normalize_backward(
+                    &mut ghat,
+                    &self.cache,
+                    &mut self.gamma,
+                    &mut self.beta,
+                    n_groups,
+                    &gof,
+                    &mut self.scratch,
+                );
                 ghat
             }
 
@@ -523,7 +514,7 @@ impl LayerNorm {
             groups: 1,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
+            cache: NormCache::default(),
             scratch: NormScratch::default(),
         }
     }
@@ -552,7 +543,7 @@ impl InstanceNorm {
             groups: 1,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
+            cache: NormCache::default(),
             scratch: NormScratch::default(),
         }
     }
@@ -586,7 +577,7 @@ impl GroupNorm {
             groups,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
+            cache: NormCache::default(),
             scratch: NormScratch::default(),
         }
     }

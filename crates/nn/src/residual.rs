@@ -43,22 +43,6 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let main_out = self.main.forward(input, mode);
-        let short_out = match &mut self.shortcut {
-            Some(s) => s.forward(input, mode),
-            None => input.clone(),
-        };
-        assert_eq!(
-            main_out.dims(),
-            short_out.dims(),
-            "residual branch shape mismatch: main {} vs shortcut {}",
-            main_out.shape(),
-            short_out.shape()
-        );
-        main_out.add(&short_out)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let mut main_out = self.main.forward_ws(input, mode, ws);
         match &mut self.shortcut {
@@ -86,15 +70,6 @@ impl Layer for Residual {
             }
         }
         main_out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_main = self.main.backward(grad_out);
-        let g_short = match &mut self.shortcut {
-            Some(s) => s.backward(grad_out),
-            None => grad_out.clone(),
-        };
-        g_main.add(&g_short)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -166,16 +141,8 @@ impl PreActBlock {
 }
 
 impl Layer for PreActBlock {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        self.inner.forward(input, mode)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         self.inner.forward_ws(input, mode, ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.inner.backward(grad_out)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {

@@ -1,6 +1,6 @@
-//! Snapshot/inject/restore machinery and Monte-Carlo drift evaluation.
+//! Snapshot/inject/restore machinery and the Monte-Carlo drift driver.
 
-use nn::Layer;
+use nn::{Layer, Workspace};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tensor::Tensor;
@@ -9,8 +9,9 @@ use crate::{DriftModel, FaultError};
 
 /// A copy of every trainable parameter of a network, in visit order.
 ///
-/// Obtained from [`FaultInjector::snapshot`]; call [`WeightSnapshot::restore`]
-/// to return the network to its pristine state after drift injection.
+/// Obtained from [`FaultInjector::snapshot`]; call
+/// [`WeightSnapshot::restore_into`] to return the network to its pristine
+/// state after drift injection.
 #[derive(Debug, Clone)]
 pub struct WeightSnapshot {
     values: Vec<Tensor>,
@@ -65,19 +66,6 @@ impl WeightSnapshot {
             });
         }
         Ok(())
-    }
-
-    /// Writes the saved values back into `network`.
-    ///
-    /// Alias of [`WeightSnapshot::restore_into`], kept as the historical
-    /// entry-point name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultError::SnapshotMismatch`] if the network's parameter
-    /// structure differs from what the snapshot captured.
-    pub fn restore(&self, network: &mut dyn Layer) -> Result<(), FaultError> {
-        self.restore_into(network)
     }
 
     /// Copies the saved values into `network`'s existing parameter
@@ -270,7 +258,7 @@ impl FaultInjector {
         FaultInjector::inject(network, model, rng);
         let result = f(network);
         snapshot
-            .restore(network)
+            .restore_into(network)
             .expect("snapshot was taken from this network");
         result
     }
@@ -354,26 +342,28 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The RNG seed of Monte-Carlo trial `t` under master seed `seed`.
+/// Monte-Carlo marginalization of a metric over fault distributions — the
+/// tractable estimator of the paper's Eq. 3/4,
+/// `u ≈ (1/T) Σ_t metric(f(θ·e^{λ_t}))`, pooled over fault levels.
 ///
-/// Shared by [`monte_carlo`] and [`monte_carlo_parallel`] so the two
-/// produce bit-identical trial streams.
-fn trial_seed(seed: u64, t: usize) -> u64 {
-    mix_seed(seed, t as u64)
-}
-
-/// Monte-Carlo marginalization of a metric over the drift distribution
-/// (the tractable estimator of the paper's Eq. 3/4):
+/// `levels` pairs each fault model with the seed its trials derive from:
+/// sample `(i, t)` drifts the pristine weights under `levels[i].0` with an
+/// RNG seeded `mix_seed(levels[i].1, t)`, and the returned values are in
+/// level-major order (index `i·trials + t`).
 ///
-/// `u ≈ (1/T) Σ_t metric(f(θ·e^{λ_t}))`
-///
-/// Each trial drifts from the same pristine snapshot with an independent
-/// seed derived from `seed` via [`mix_seed`], and the network is restored
-/// afterwards.
+/// The `levels.len()·trials` samples are split into contiguous blocks, one
+/// per worker thread (at most `workers`). The first block runs on
+/// `network` itself — with `workers <= 1` it is the only one, so nothing
+/// is cloned or spawned — and every other block on a
+/// [`Layer::clone_box`] replica. Each worker owns one [`Workspace`] and
+/// hands it to every `metric` call. Every sample drifts straight from one
+/// shared snapshot ([`FaultInjector::inject_from`]) and one final
+/// [`WeightSnapshot::restore_into`] hands `network` back pristine, so the
+/// result is bit-identical for every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero.
+/// Panics if `levels` is empty, `trials` is zero, or a worker panics.
 ///
 /// # Example
 ///
@@ -387,103 +377,56 @@ fn trial_seed(seed: u64, t: usize) -> u64 {
 /// let mut rng = ChaCha8Rng::seed_from_u64(0);
 /// let mut net = Dense::new(2, 2, &mut rng);
 /// let x = Tensor::ones(&[1, 2]);
-/// let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.3), 8, 7, |n| {
-///     n.forward(&x, Mode::Eval).sum()
+/// let drift = LogNormalDrift::new(0.3);
+/// let stats = monte_carlo(&mut net, &[(&drift, 7)], 8, 2, |n, ws| {
+///     let y = n.forward_ws(&x, Mode::Eval, ws);
+///     let sum = y.sum();
+///     ws.recycle(y);
+///     sum
 /// });
 /// assert_eq!(stats.values.len(), 8);
 /// ```
 pub fn monte_carlo(
     network: &mut dyn Layer,
-    model: &dyn DriftModel,
+    levels: &[(&dyn DriftModel, u64)],
     trials: usize,
-    seed: u64,
-    mut metric: impl FnMut(&mut dyn Layer) -> f32,
+    workers: usize,
+    metric: impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync,
 ) -> McStats {
+    assert!(
+        !levels.is_empty(),
+        "Monte-Carlo needs at least one fault level"
+    );
     assert!(trials > 0, "Monte-Carlo needs at least one trial");
     let snapshot = FaultInjector::snapshot(network);
-    let mut values = Vec::with_capacity(trials);
-    // Fused hot loop: each trial drifts directly from the pristine
-    // snapshot, so the per-trial restore pass (and its weight traffic)
-    // disappears; a steady-state trial allocates nothing in inject.
-    for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(seed, t));
-        FaultInjector::inject_from(&snapshot, network, model, &mut rng)
-            .expect("snapshot was taken from this network");
-        values.push(metric(network));
-    }
+    // Evaluates samples `first..first + out.len()` on one network.
+    let run = |first: usize, out: &mut [f32], net: &mut dyn Layer| {
+        let mut ws = Workspace::new();
+        for (k, value) in (first..).zip(out) {
+            let (model, level_seed) = levels[k / trials];
+            let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(level_seed, (k % trials) as u64));
+            FaultInjector::inject_from(&snapshot, net, model, &mut rng)
+                .expect("snapshot was taken from this network");
+            *value = metric(net, &mut ws);
+        }
+    };
+    let mut values = vec![0.0f32; levels.len() * trials];
+    let block = values.len().div_ceil(workers.max(1));
+    let mut blocks = values.chunks_mut(block);
+    let own = blocks.next().expect("at least one sample");
+    std::thread::scope(|scope| {
+        let run = &run;
+        for (b, out) in blocks.enumerate() {
+            // `dyn Layer` is Send but not Sync, so each replica is cloned
+            // here and moved into its worker.
+            let mut replica = network.clone_box();
+            scope.spawn(move || run((b + 1) * block, out, replica.as_mut()));
+        }
+        run(0, own, network);
+    });
     snapshot
         .restore_into(network)
         .expect("snapshot was taken from this network");
-    McStats::from_values(values)
-}
-
-/// [`monte_carlo`] with the independent drift trials fanned out over
-/// `workers` scoped threads.
-///
-/// Each worker clones the pristine network once
-/// ([`nn::Layer::clone_box`]), then repeatedly injects drift into its
-/// replica, evaluates `metric`, and restores from a shared
-/// [`WeightSnapshot`]. Trial `t` uses the same RNG seed as in the serial
-/// driver and results are reassembled in trial order, so for any worker
-/// count the returned statistics are **bit-identical** to
-/// `monte_carlo(..)` with the same arguments — parallelism is a pure
-/// wall-clock optimization of the Eq. 4 hot path.
-///
-/// `workers <= 1` runs the serial driver in place (no clones).
-///
-/// # Panics
-///
-/// Panics if `trials` is zero, or if a worker thread panics.
-pub fn monte_carlo_parallel(
-    network: &mut dyn Layer,
-    model: &dyn DriftModel,
-    trials: usize,
-    seed: u64,
-    workers: usize,
-    metric: &(dyn Fn(&mut dyn Layer) -> f32 + Sync),
-) -> McStats {
-    assert!(trials > 0, "Monte-Carlo needs at least one trial");
-    let workers = workers.min(trials);
-    if workers <= 1 {
-        return monte_carlo(network, model, trials, seed, metric);
-    }
-
-    let snapshot = FaultInjector::snapshot(network);
-    let snapshot_ref = &snapshot;
-    // `dyn Layer` is Send but not Sync, so replicas are cloned here and
-    // moved into their worker threads rather than cloned from a shared
-    // reference inside them.
-    let replicas: Vec<Box<dyn Layer>> = (0..workers).map(|_| network.clone_box()).collect();
-    let mut values = vec![0.0f32; trials];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = replicas
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut replica)| {
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(trials / workers + 1);
-                    let mut t = w;
-                    // Same fused loop as the serial driver: drift straight
-                    // from the shared pristine snapshot, no per-trial
-                    // restore. The replica is dropped afterwards, so no
-                    // final restore is needed either.
-                    while t < trials {
-                        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(seed, t));
-                        FaultInjector::inject_from(snapshot_ref, replica.as_mut(), model, &mut rng)
-                            .expect("snapshot was taken from this network's replica");
-                        local.push((t, metric(replica.as_mut())));
-                        t += workers;
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (t, v) in handle.join().expect("Monte-Carlo worker panicked") {
-                values[t] = v;
-            }
-        }
-    });
     McStats::from_values(values)
 }
 
@@ -510,7 +453,7 @@ mod tests {
         assert_eq!(snap.len(), 4); // 2 weights + 2 biases
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         FaultInjector::inject(&mut net, &LogNormalDrift::new(1.0), &mut rng);
-        snap.restore(&mut net).unwrap();
+        snap.restore_into(&mut net).unwrap();
         let snap2 = FaultInjector::snapshot(&mut net);
         for (a, b) in snap.scalar_count_pairs(&snap2) {
             assert_eq!(a, b);
@@ -559,13 +502,22 @@ mod tests {
         assert_eq!(clean.as_slice(), restored.as_slice());
     }
 
+    /// Σ of the eval-mode outputs on `x`, through the worker's workspace.
+    fn output_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
+        move |n, ws| {
+            let y = n.forward_ws(x, Mode::Eval, ws);
+            let sum = y.sum();
+            ws.recycle(y);
+            sum
+        }
+    }
+
     #[test]
     fn monte_carlo_sigma_zero_has_no_variance() {
         let mut net = test_net(6);
         let x = Tensor::ones(&[2, 3]);
-        let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.0), 5, 1, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
+        let drift = LogNormalDrift::new(0.0);
+        let stats = monte_carlo(&mut net, &[(&drift, 1)], 5, 1, output_sum(&x));
         assert!(stats.std < 1e-9, "σ=0 drift must be deterministic");
     }
 
@@ -573,9 +525,8 @@ mod tests {
     fn monte_carlo_trials_are_independent() {
         let mut net = test_net(7);
         let x = Tensor::ones(&[2, 3]);
-        let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.8), 16, 2, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
+        let drift = LogNormalDrift::new(0.8);
+        let stats = monte_carlo(&mut net, &[(&drift, 2)], 16, 1, output_sum(&x));
         assert_eq!(stats.values.len(), 16);
         assert!(stats.std > 0.0, "independent drifted trials must vary");
     }
@@ -583,33 +534,35 @@ mod tests {
     #[test]
     fn monte_carlo_is_reproducible() {
         let x = Tensor::ones(&[2, 3]);
-        let mut net1 = test_net(8);
-        let s1 = monte_carlo(&mut net1, &LogNormalDrift::new(0.5), 4, 11, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
-        let mut net2 = test_net(8);
-        let s2 = monte_carlo(&mut net2, &LogNormalDrift::new(0.5), 4, 11, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
+        let drift = LogNormalDrift::new(0.5);
+        let s1 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
+        let s2 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
         assert_eq!(s1.values, s2.values);
+    }
+
+    /// Sample `(i, t)` is seeded `mix_seed(level_seed_i, t)` and values
+    /// come back level-major, so one call over two levels equals one call
+    /// per level.
+    #[test]
+    fn levels_are_seeded_independently_in_level_major_order() {
+        let x = Tensor::ones(&[2, 3]);
+        let (a, b) = (LogNormalDrift::new(0.7), GaussianAdditive::new(0.3));
+        let both: [(&dyn DriftModel, u64); 2] = [(&a, 5), (&b, 6)];
+        let both = monte_carlo(&mut test_net(10), &both, 3, 1, output_sum(&x));
+        let only_a = monte_carlo(&mut test_net(10), &[(&a, 5)], 3, 1, output_sum(&x));
+        let only_b = monte_carlo(&mut test_net(10), &[(&b, 6)], 3, 1, output_sum(&x));
+        assert_eq!(both.values[..3], only_a.values[..]);
+        assert_eq!(both.values[3..], only_b.values[..]);
     }
 
     #[test]
     fn parallel_monte_carlo_matches_serial_bitwise() {
         let x = Tensor::ones(&[2, 3]);
-        let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
-        for workers in [1usize, 2, 3, 8, 32] {
-            let mut net_a = test_net(12);
-            let serial = monte_carlo(&mut net_a, &LogNormalDrift::new(0.7), 9, 5, &metric);
-            let mut net_b = test_net(12);
-            let parallel = monte_carlo_parallel(
-                &mut net_b,
-                &LogNormalDrift::new(0.7),
-                9,
-                5,
-                workers,
-                &metric,
-            );
+        let (a, b) = (LogNormalDrift::new(0.7), StuckAtFault::new(0.2, 0.0, 1.0));
+        let levels: [(&dyn DriftModel, u64); 2] = [(&a, 5), (&b, 9)];
+        let serial = monte_carlo(&mut test_net(12), &levels, 9, 1, output_sum(&x));
+        for workers in [2usize, 3, 8, 32] {
+            let parallel = monte_carlo(&mut test_net(12), &levels, 9, workers, output_sum(&x));
             assert_eq!(
                 serial.values, parallel.values,
                 "{workers} workers diverged from serial"
@@ -622,9 +575,8 @@ mod tests {
         let mut net = test_net(13);
         let x = Tensor::ones(&[1, 3]);
         let clean = net.forward(&x, Mode::Eval);
-        let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
-        let _ = monte_carlo_parallel(&mut net, &GaussianAdditive::new(0.4), 6, 3, 3, &metric);
-        let x = Tensor::ones(&[1, 3]);
+        let drift = GaussianAdditive::new(0.4);
+        let _ = monte_carlo(&mut net, &[(&drift, 3)], 6, 3, output_sum(&x));
         assert_eq!(clean.as_slice(), net.forward(&x, Mode::Eval).as_slice());
     }
 
@@ -692,7 +644,7 @@ mod tests {
             assert_eq!(a.as_slice(), b.as_slice());
         }
         // Loaded snapshot can restore the network (deployment round trip).
-        loaded.restore(&mut net).unwrap();
+        loaded.restore_into(&mut net).unwrap();
     }
 
     #[test]
@@ -716,10 +668,10 @@ mod tests {
         let big_snap = FaultInjector::snapshot(&mut big);
 
         // Too few saved tensors for the target network.
-        let err = small_snap.restore(&mut big).unwrap_err();
+        let err = small_snap.restore_into(&mut big).unwrap_err();
         assert!(matches!(err, crate::FaultError::SnapshotMismatch { .. }));
         // Too many saved tensors for the target network.
-        let err = big_snap.restore(&mut small).unwrap_err();
+        let err = big_snap.restore_into(&mut small).unwrap_err();
         assert!(matches!(err, crate::FaultError::SnapshotMismatch { .. }));
         // Same tensor count, different shapes.
         let mut other = {
@@ -730,7 +682,7 @@ mod tests {
                 Box::new(Dense::new(5, 2, &mut rng)),
             ])
         };
-        let err = small_snap.restore(&mut other).unwrap_err();
+        let err = small_snap.restore_into(&mut other).unwrap_err();
         assert!(err.to_string().contains("changed shape"), "{err}");
     }
 
@@ -750,7 +702,7 @@ mod tests {
         // First tensor shape matches neither network fully; the pre-write
         // validation must reject without mutating anything.
         assert!(FaultInjector::snapshot(&mut other)
-            .restore(&mut net)
+            .restore_into(&mut net)
             .is_err());
         assert_eq!(before.as_slice(), net.forward(&x, Mode::Eval).as_slice());
     }

@@ -22,10 +22,11 @@
 //!   and normalization γ/β — the paper's "Achilles heel"), and restores the
 //!   pristine weights afterwards. Structural mismatches surface as
 //!   recoverable [`FaultError`]s, not panics.
-//! * [`monte_carlo`] / [`monte_carlo_parallel`] — the Monte-Carlo
-//!   marginalization of Eq. (4): evaluate a metric under `T` independent
-//!   drift samples, serially or fanned out over scoped worker threads with
-//!   per-thread network replicas (bit-identical results either way).
+//! * [`monte_carlo`] — the one Monte-Carlo driver for the marginalization
+//!   of Eq. (4): it evaluates a metric under `T` independent drift samples
+//!   per fault level, in place or fanned out over scoped worker threads
+//!   with per-thread network replicas and workspaces (bit-identical
+//!   results for every worker count).
 //! * [`Crossbar`] — a device-level model (differential conductance pairs,
 //!   programming noise, quantized levels, read noise) that gives the
 //!   ReRAM-V baseline something to diagnose and re-program.
@@ -49,7 +50,7 @@
 //! let snapshot = FaultInjector::snapshot(&mut net);
 //! FaultInjector::inject(&mut net, model.as_ref(), &mut rng);
 //! let drifted = net.forward(&x, Mode::Eval); // degraded output
-//! snapshot.restore(&mut net)?;
+//! snapshot.restore_into(&mut net)?;
 //! let restored = net.forward(&x, Mode::Eval);
 //! assert_eq!(clean.as_slice(), restored.as_slice());
 //! # let _ = drifted;
@@ -68,7 +69,5 @@ pub use drift::{
     LevelQuantization, LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
 };
 pub use error::FaultError;
-pub use inject::{
-    mix_seed, monte_carlo, monte_carlo_parallel, FaultInjector, McStats, WeightSnapshot,
-};
+pub use inject::{mix_seed, monte_carlo, FaultInjector, McStats, WeightSnapshot};
 pub use spec::FaultSpec;

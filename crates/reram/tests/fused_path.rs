@@ -1,14 +1,29 @@
 //! Integration tests pinning the fused inject-from-snapshot Monte-Carlo
 //! hot path: golden values captured from the pre-refactor implementation
 //! (separate inject + per-trial restore, allocating matmul), fused ≡
-//! unfused equivalence, and serial ≡ parallel bit-identity for every fault
-//! model in the suite.
+//! unfused equivalence, and bit-identity across worker counts for every
+//! fault model in the suite.
 
 use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{monte_carlo, monte_carlo_parallel, DriftModel, FaultInjector};
+use reram::{monte_carlo, DriftModel, FaultInjector};
 use tensor::Tensor;
+
+/// Σ of the eval-mode outputs on `x` through the allocating `forward`.
+fn plain_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
+    move |n, _| n.forward(x, Mode::Eval).sum()
+}
+
+/// The same metric through `forward_ws` on the worker's workspace.
+fn ws_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
+    move |n, ws| {
+        let y = n.forward_ws(x, Mode::Eval, ws);
+        let sum = y.sum();
+        ws.recycle(y);
+        sum
+    }
+}
 
 fn test_net(seed: u64) -> Sequential {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -45,8 +60,9 @@ fn model_suite() -> Vec<(&'static str, Box<dyn DriftModel>)> {
     ]
 }
 
-/// Per-trial metric bits of `monte_carlo(test_net(42), model, 6, 99, Σ f(1))`
-/// captured from the implementation **before** the fused hot path landed
+/// Per-trial metric bits of `Σ f(1)` for `test_net(42)` under each model,
+/// 6 trials with level seed 99, captured from the implementation **before**
+/// the fused hot path landed
 /// (commit with separate `inject` + per-trial `restore`). The refactor
 /// contract is bit-identity: same trial seeds, same arithmetic order.
 const GOLDEN: &[(&str, [u32; 6])] = &[
@@ -117,31 +133,33 @@ fn fused_path_reproduces_pre_refactor_golden_values() {
             .expect("golden model present in suite")
             .1;
         let mut net = test_net(42);
-        let stats = monte_carlo(&mut net, model.as_ref(), 6, 99, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
+        let stats = monte_carlo(&mut net, &[(model.as_ref(), 99)], 6, 1, plain_sum(&x));
         let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expected_bits.to_vec(), "{name} diverged from golden");
     }
 }
 
-/// The workspace-backed forward is part of the same bit-identity contract:
-/// a metric evaluated through `forward_ws` pins the identical golden bits.
+/// One driver call with every golden model as a level (each with level
+/// seed 99), evaluated through `forward_ws` on the worker's workspace,
+/// reproduces the golden bits in level-major order for every worker count.
 #[test]
 fn workspace_metric_reproduces_golden_values() {
     let x = Tensor::ones(&[2, 3]);
-    let model = reram::LogNormalDrift::new(0.5);
-    let mut net = test_net(42);
-    let mut ws = Workspace::new();
-    let stats = monte_carlo(&mut net, &model, 6, 99, move |n| {
-        let y = n.forward_ws(&x, Mode::Eval, &mut ws);
-        let s = y.sum();
-        ws.recycle(y);
-        s
-    });
-    let golden = &GOLDEN.iter().find(|(n, _)| *n == "lognormal").unwrap().1;
-    let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, golden.to_vec());
+    let models = model_suite();
+    let mut levels: Vec<(&dyn DriftModel, u64)> = Vec::new();
+    for (name, _) in GOLDEN {
+        let (_, model) = models
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("golden model present in suite");
+        levels.push((model.as_ref(), 99));
+    }
+    let golden: Vec<u32> = GOLDEN.iter().flat_map(|(_, bits)| *bits).collect();
+    for workers in [1usize, 2, 5] {
+        let stats = monte_carlo(&mut test_net(42), &levels, 6, workers, ws_sum(&x));
+        let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, golden, "{workers} workers diverged from golden");
+    }
 }
 
 /// `inject_from` must equal `restore_into` followed by `inject` — same RNG
@@ -181,18 +199,16 @@ fn inject_from_equals_restore_then_inject_for_every_model() {
     }
 }
 
-/// Serial and parallel drivers stay bit-identical on the fused path for
+/// The driver stays bit-identical to its serial run on the fused path for
 /// every fault-model variant and worker counts {1, 2, 5}.
 #[test]
 fn parallel_matches_serial_for_every_model_and_worker_count() {
     let x = Tensor::ones(&[2, 3]);
-    let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
     for (name, model) in &model_suite() {
-        let mut net = test_net(21);
-        let serial = monte_carlo(&mut net, model.as_ref(), 7, 13, &metric);
+        let levels = [(model.as_ref(), 13)];
+        let serial = monte_carlo(&mut test_net(21), &levels, 7, 1, plain_sum(&x));
         for workers in [1usize, 2, 5] {
-            let mut net = test_net(21);
-            let parallel = monte_carlo_parallel(&mut net, model.as_ref(), 7, 13, workers, &metric);
+            let parallel = monte_carlo(&mut test_net(21), &levels, 7, workers, plain_sum(&x));
             assert_eq!(
                 serial.values, parallel.values,
                 "{name} with {workers} workers diverged from serial"
@@ -211,21 +227,11 @@ fn parallel_matches_serial_for_every_model_and_worker_count() {
 #[test]
 fn fused_drivers_restore_the_network() {
     let x = Tensor::ones(&[1, 3]);
+    let drift = reram::LogNormalDrift::new(0.9);
     for workers in [1usize, 3] {
         let mut net = test_net(30);
         let clean = net.forward(&x, Mode::Eval);
-        let metric = {
-            let x = x.clone();
-            move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum()
-        };
-        let _ = monte_carlo_parallel(
-            &mut net,
-            &reram::LogNormalDrift::new(0.9),
-            5,
-            2,
-            workers,
-            &metric,
-        );
+        let _ = monte_carlo(&mut net, &[(&drift, 2)], 5, workers, plain_sum(&x));
         assert_eq!(
             clean.as_slice(),
             net.forward(&x, Mode::Eval).as_slice(),

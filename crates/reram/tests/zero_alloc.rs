@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{monte_carlo, FaultInjector, LogNormalDrift};
+use reram::{monte_carlo, DriftModel, FaultInjector, LogNormalDrift};
 use tensor::Tensor;
 
 struct CountingAllocator;
@@ -101,21 +101,23 @@ fn steady_state_trial_allocates_nothing() {
     );
 
     // Sanity: the allocation-free loop computes the same trial values as
-    // the plain (allocating) metric through the public driver.
+    // the public driver with the plain (allocating) metric.
     snapshot.restore_into(&mut net).unwrap();
-    let x2 = x.clone();
-    let reference = monte_carlo(&mut net, &model, 4, 9, |n| n.forward(&x2, Mode::Eval).sum());
+    let level: [(&dyn DriftModel, u64); 1] = [(&model, 9)];
+    let reference = monte_carlo(&mut net, &level, 4, 1, |n, _| {
+        n.forward(&x, Mode::Eval).sum()
+    });
     assert_eq!(&reference.values[..2], &warm[..2]);
 
-    // Whole-driver check: `monte_carlo`'s allocation count must not scale
-    // with the trial count (fixed setup cost only: snapshot + one values
-    // vec + workspace warm-up inside the first trials).
-    let count_driver = |trials: usize, net: &mut Sequential| -> u64 {
-        let x = x.clone();
-        let mut ws = Workspace::new();
+    // Whole-driver check: with the metric running `forward_ws` on the
+    // driver's per-worker workspace, the allocation count must not scale
+    // with the trial count, serial or threaded (fixed setup cost only:
+    // snapshot, values, replicas and threads, and each worker's workspace
+    // warm-up in its first trials).
+    let count_driver = |trials: usize, workers: usize, net: &mut Sequential| -> u64 {
         let (before, _) = allocs();
-        let _ = monte_carlo(net, &model, trials, 9, move |n| {
-            let y = n.forward_ws(&x, Mode::Eval, &mut ws);
+        let _ = monte_carlo(net, &level, trials, workers, |n, ws| {
+            let y = n.forward_ws(&x, Mode::Eval, ws);
             let s = y.sum();
             ws.recycle(y);
             s
@@ -123,10 +125,12 @@ fn steady_state_trial_allocates_nothing() {
         let (after, _) = allocs();
         after - before
     };
-    let small = count_driver(8, &mut net);
-    let large = count_driver(64, &mut net);
-    assert_eq!(
-        small, large,
-        "allocations grew with trial count: {small} for 8 trials vs {large} for 64"
-    );
+    for workers in [1usize, 2] {
+        let small = count_driver(8, workers, &mut net);
+        let large = count_driver(64, workers, &mut net);
+        assert_eq!(
+            small, large,
+            "{workers} workers: allocations grew with trial count: {small} for 8 trials vs {large} for 64"
+        );
+    }
 }

@@ -74,7 +74,7 @@ fn main() {
             FaultInjector::inject(&mut det, &LogNormalDrift::new(sigma), &mut drift_rng);
             sum += map_at(&mut det, &test_set);
             snapshot
-                .restore(&mut det)
+                .restore_into(&mut det)
                 .expect("snapshot was taken from this network");
         }
         println!("{sigma:<8}{:>7.1}%", sum / trials as f32 * 100.0);

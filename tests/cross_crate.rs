@@ -35,7 +35,7 @@ fn drift_injection_round_trips_across_model_zoo() {
         let mut drift_rng = ChaCha8Rng::seed_from_u64(1);
         FaultInjector::inject(net.as_mut(), &LogNormalDrift::new(0.8), &mut drift_rng);
         let drifted = net.forward(&x, Mode::Eval);
-        snapshot.restore(net.as_mut()).unwrap();
+        snapshot.restore_into(net.as_mut()).unwrap();
         let restored = net.forward(&x, Mode::Eval);
         assert_eq!(
             clean.as_slice(),

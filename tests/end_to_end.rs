@@ -5,7 +5,8 @@ use baselines::{
     drift_accuracy, reram_v_accuracy, train_awp, train_erm, train_ftna, AwpConfig, Codebook,
     ReRamVConfig, TrainConfig,
 };
-use bayesft::{accuracy_vs_sigma, BayesFt, BayesFtConfig, SIGMA_GRID};
+use bayesft::{accuracy_vs_sigma, Engine, SIGMA_GRID};
+use bayesopt::Acquisition;
 use datasets::{digits, moons};
 use models::{LeNet5, Mlp, MlpConfig};
 use rand::SeedableRng;
@@ -105,15 +106,20 @@ fn bayesft_search_improves_drift_robustness_on_moons() {
     );
 
     let bft_net = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(24), &mut rng));
-    let cfg = BayesFtConfig {
-        trials: 8,
-        epochs_per_trial: 3,
-        mc_samples: 6,
-        sigma: 0.8,
-        train: quick_cfg(),
-        ..BayesFtConfig::default()
-    };
-    let result = BayesFt::new(cfg).run(bft_net, &train, &test).unwrap();
+    let result = Engine::builder()
+        .trials(8)
+        .epochs_per_trial(3)
+        .mc_samples(6)
+        .sigma(0.8)
+        .acquisition(Acquisition::PosteriorMean)
+        .lengthscale(0.3)
+        .train(quick_cfg())
+        .seed(0)
+        .max_rate(0.8)
+        .final_epochs(10)
+        .parallelism(1)
+        .run(bft_net, &train, &test)
+        .unwrap();
     let mut bft = result.model;
 
     // Clean accuracy must stay competitive...

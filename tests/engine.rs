@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use baselines::TrainConfig;
 use bayesft::{
-    DriftObjective, DropoutSearchSpace, Engine, ExperimentBuilder, GroupedDropoutSpace,
-    SearchSpace, SharedDropoutSpace,
+    DriftObjective, DropoutSearchSpace, Engine, EvalCtx, ExperimentBuilder, GroupedDropoutSpace,
+    Objective, SearchSpace, SharedDropoutSpace,
 };
 use datasets::{moons, ClassificationDataset};
 use models::{Mlp, MlpConfig};
@@ -201,7 +201,8 @@ fn drift_objective_reproduces_pre_refactor_golden_values() {
         "serial objective diverged from golden"
     );
     for workers in [2usize, 5] {
-        let parallel = obj.evaluate_parallel(&mut mlp, &data, 123, workers);
+        let ctx = EvalCtx::new(0, 123).parallelism(workers);
+        let parallel = Objective::evaluate(&obj, &mut mlp, &data, &ctx);
         assert_eq!(parallel.values, serial.values, "{workers} workers");
     }
 }

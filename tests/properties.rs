@@ -55,7 +55,7 @@ proptest! {
         let before = net.forward(&x, Mode::Eval);
         let snap = FaultInjector::snapshot(&mut net);
         FaultInjector::inject(&mut net, &LogNormalDrift::new(sigma), &mut rng);
-        snap.restore(&mut net).unwrap();
+        snap.restore_into(&mut net).unwrap();
         let after = net.forward(&x, Mode::Eval);
         prop_assert_eq!(before.as_slice(), after.as_slice());
     }
@@ -176,7 +176,7 @@ proptest! {
         }
     }
 
-    /// Workspace-backed eval forward is bit-identical to the allocating
+    /// A reused-workspace eval forward is bit-identical to a fresh-workspace
     /// forward for arbitrary MLP geometry and inputs.
     #[test]
     fn forward_ws_matches_forward(

@@ -1,9 +1,10 @@
 //! Bit-identity of the workspace train step (`Layer::forward_ws` in
 //! `Mode::Train`, `Layer::backward_ws`, pooled loss gradients, in-place
-//! optimizers) against the allocating `forward`/`backward` path, across
-//! every layer family and whole-model training loops — plus golden
-//! bit-value pins captured from the pre-refactor build, proving the
-//! refactor changed buffer provenance and nothing else.
+//! optimizers) on a reused, stale-content workspace against
+//! fresh-workspace `forward`/`backward` calls, across every layer family
+//! and whole-model training loops — plus golden bit-value pins captured
+//! from the pre-refactor build, proving the refactor changed buffer
+//! provenance and nothing else.
 
 use baselines::{
     train_awp, train_epochs, train_erm, train_ftna, train_step, AwpConfig, Codebook, TrainConfig,
@@ -135,9 +136,9 @@ fn whole_models_match() {
     assert_bwd_matches(&lenet, &img, "lenet5");
 }
 
-/// Legacy-shaped training loop — plain `forward`, allocating loss,
-/// `backward`, optimizer step — the reference the workspace step must
-/// reproduce bit for bit.
+/// Fresh-workspace training loop — `forward`, allocating loss,
+/// `backward`, optimizer step — the reference the reused-workspace step
+/// must reproduce bit for bit.
 fn legacy_steps(net: &mut dyn Layer, x: &Tensor, labels: &[usize], opt: &mut dyn Optimizer) {
     for _ in 0..10 {
         let logits = net.forward(x, Mode::Train);

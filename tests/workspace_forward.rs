@@ -1,7 +1,7 @@
-//! Bit-identity of the workspace-backed eval forward (`Layer::forward_ws`)
-//! against the allocating `Layer::forward`, across every layer family and
-//! model architecture in the workspace, plus end-to-end use inside the
-//! Monte-Carlo drivers.
+//! Workspace reuse is invisible: an eval forward through a reused,
+//! stale-content `Workspace` (`Layer::forward_ws`) is bit-identical to one
+//! on a fresh workspace (`Layer::forward`), across every layer family and
+//! model architecture in the workspace.
 
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
@@ -12,9 +12,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tensor::Tensor;
 
-/// Asserts `forward_ws` ≡ `forward` bitwise on `x`, twice (the second pass
-/// exercises recycled buffers), and returns the pooled-buffer count so
-/// callers can check the pool stabilized.
+/// Asserts a reused-workspace `forward_ws` ≡ fresh-workspace `forward`
+/// bitwise on `x`, twice (the second pass runs on recycled, stale-content
+/// buffers), and returns the pooled-buffer count so callers can check the
+/// pool stabilized.
 fn assert_ws_matches(layer: &mut dyn Layer, x: &Tensor) -> usize {
     let reference = layer.forward(x, Mode::Eval);
     let mut ws = Workspace::new();
@@ -155,8 +156,8 @@ fn train_mode_falls_back_and_keeps_backward_working() {
         Box::new(Dense::new(8, 2, &mut rng)),
     ]);
     let x = Tensor::randn(&[4, 5], 0.0, 1.0, &mut rng);
-    // Train through forward_ws (falls back to caching forward internally),
-    // then backward must work as usual.
+    // Train through forward_ws (refreshing the activation caches), then a
+    // fresh-workspace backward must work as usual.
     let mut ws = Workspace::new();
     let y = net.forward_ws(&x, Mode::Train, &mut ws);
     let g = net.backward(&Tensor::ones(y.dims()));
