@@ -8,12 +8,11 @@
 //! implementation reproduces at large `gamma`.
 
 use datasets::ClassificationDataset;
-use nn::{softmax_cross_entropy_ws, Layer, Mode, Optimizer, Param, Sgd, Workspace};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use nn::{Layer, Param};
 use reram::FaultInjector;
 
-use crate::{trained::reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+use crate::train::{run_epochs, softmax_grads};
+use crate::{OutputDecoder, TrainConfig, TrainedModel};
 
 /// AWP hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,54 +36,30 @@ pub fn train_awp(
     cfg: &TrainConfig,
     awp: &AwpConfig,
 ) -> TrainedModel {
-    let mut opt = Sgd::new(cfg.lr).momentum(cfg.momentum).clip_norm(5.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut ws = Workspace::new();
-    for _ in 0..cfg.epochs {
-        let shuffled = data.shuffled(&mut rng);
-        for (x, labels) in shuffled.batches(cfg.batch_size) {
-            let x = reshape_for(net.as_mut(), &x);
-            // 1. Gradient at the current weights (workspace train path).
-            net.zero_grads();
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
-            let out = softmax_cross_entropy_ws(&logits, &labels, &mut ws);
-            ws.recycle(logits);
-            let grad_in = net.backward_ws(&out.grad, &mut ws);
-            ws.recycle(grad_in);
-            ws.recycle(out.grad);
-            // 2. Adversarial ascent: w ← w + γ‖w‖·g/‖g‖ per tensor.
-            let snapshot = FaultInjector::snapshot(net.as_mut());
-            net.visit_params(&mut |p| {
-                let gnorm = p.grad.norm();
-                if gnorm > 1e-12 {
-                    let scale = awp.gamma * p.value.norm() / gnorm;
-                    let Param { value, grad, .. } = p;
-                    value.add_scaled(grad, scale);
-                }
-            });
-            // 3. Gradient at the perturbed weights.
-            net.zero_grads();
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
-            let out = softmax_cross_entropy_ws(&logits, &labels, &mut ws);
-            ws.recycle(logits);
-            let grad_in = net.backward_ws(&out.grad, &mut ws);
-            ws.recycle(grad_in);
-            ws.recycle(out.grad);
-            // 4. Restore pristine weights (keeping the robust gradients) and
-            //    step.
-            let mut grads = Vec::new();
-            net.visit_params(&mut |p| grads.push(p.grad.clone()));
-            snapshot
-                .restore_into(net.as_mut())
-                .expect("snapshot was taken from this network");
-            let mut i = 0;
-            net.visit_params(&mut |p| {
-                p.grad = grads[i].clone();
-                i += 1;
-            });
-            opt.step(net.as_mut());
-        }
-    }
+    let _ = run_epochs(net.as_mut(), data, cfg, |net, x, labels, ws| {
+        // 1. Gradient at the current weights.
+        net.zero_grads();
+        softmax_grads(net, x, labels, ws);
+        // 2. Adversarial ascent: w ← w + γ‖w‖·g/‖g‖ per tensor.
+        let snapshot = FaultInjector::snapshot(net);
+        net.visit_params(&mut |p| {
+            let gnorm = p.grad.norm();
+            if gnorm > 1e-12 {
+                let scale = awp.gamma * p.value.norm() / gnorm;
+                let Param { value, grad, .. } = p;
+                value.add_scaled(grad, scale);
+            }
+        });
+        // 3. Gradient at the perturbed weights.
+        net.zero_grads();
+        let loss = softmax_grads(net, x, labels, ws);
+        // 4. Restore the pristine weights for the update. `restore_into`
+        //    writes values only, so the robust gradients survive it.
+        snapshot
+            .restore_into(net)
+            .expect("snapshot was taken from this network");
+        loss
+    });
     TrainedModel {
         net,
         decoder: OutputDecoder::Softmax,
@@ -97,6 +72,8 @@ mod tests {
     use super::*;
     use datasets::moons;
     use models::{Mlp, MlpConfig};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn awp_learns_moons() {

@@ -1,11 +1,44 @@
-//! Monte-Carlo drift evaluation of trained models (shared by all methods
-//! except ReRAM-V, which has its own calibration protocol).
+//! The shared eval loop, and Monte-Carlo drift evaluation of trained
+//! models (shared by all methods except ReRAM-V, which has its own
+//! calibration protocol).
 
 use datasets::ClassificationDataset;
-use nn::Mode;
+use nn::{Layer, Mode, Workspace};
 use reram::{monte_carlo, DriftModel, McStats};
+use tensor::Tensor;
 
-use crate::{reshape_for, OutputDecoder, TrainedModel};
+use crate::train::flattens;
+use crate::TrainedModel;
+
+/// Samples per eval batch.
+const EVAL_BATCH: usize = 64;
+
+/// The one eval loop: runs `data` through `net` in dataset order, in
+/// batches of 64, and hands each batch's eval-mode output and labels to
+/// `score`.
+///
+/// Each batch is gathered into a buffer taken from `ws` (flattened for
+/// MLPs on images) and its output is recycled after `score` returns, so
+/// once `ws` is warm a pass allocates nothing.
+pub fn eval_batches(
+    net: &mut dyn Layer,
+    data: &ClassificationDataset,
+    ws: &mut Workspace,
+    mut score: impl FnMut(&Tensor, &[usize], &mut Workspace),
+) {
+    let flatten = flattens(net, data);
+    let mut labels = [0; EVAL_BATCH];
+    for start in (0..data.len()).step_by(EVAL_BATCH) {
+        let rows = start..(start + EVAL_BATCH).min(data.len());
+        let labels = &mut labels[..rows.len()];
+        let mut x = ws.take_tensor(&[rows.len() * data.feature_len()]);
+        data.gather_into(rows, flatten, &mut x, labels);
+        let out = net.forward_ws(&x, Mode::Eval, ws);
+        ws.recycle(x);
+        score(&out, labels, ws);
+        ws.recycle(out);
+    }
+}
 
 /// Monte-Carlo accuracy of a trained model under a drift model: the
 /// estimator of the paper's Eq. (4) with the metric set to test accuracy.
@@ -42,21 +75,13 @@ pub fn drift_accuracy(
     seed: u64,
 ) -> McStats {
     let decoder = &model.decoder;
-    monte_carlo(model.net.as_mut(), &[(drift, seed)], trials, 1, |n, ws| {
-        let mut preds = Vec::with_capacity(data.len());
-        let mut labels = Vec::with_capacity(data.len());
-        for (x, y) in data.batches(64) {
-            let x = reshape_for(n, &x);
-            let out = n.forward_ws(x.as_ref(), Mode::Eval, ws);
-            preds.extend(match decoder {
-                OutputDecoder::Softmax => out.argmax_rows(),
-                OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
-            });
-            ws.recycle(out);
-            labels.extend(y);
-        }
-        metrics::accuracy(&preds, &labels)
-    })
+    monte_carlo(
+        model.net.as_mut(),
+        &[(drift, seed)],
+        trials,
+        1,
+        |net, ws| decoder.accuracy(net, data, ws),
+    )
 }
 
 #[cfg(test)]

@@ -8,12 +8,11 @@
 //! drifted *earlier* layers still entangle in the code bits.
 
 use datasets::ClassificationDataset;
-use nn::{Layer, LossOutput, Mode, Optimizer, Sgd, Workspace};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use nn::{Layer, LossOutput, Workspace};
 use tensor::Tensor;
 
-use crate::{trained::reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+use crate::train::{backprop, run_epochs};
+use crate::{OutputDecoder, TrainConfig, TrainedModel};
 
 /// A binary class codebook with guaranteed pairwise Hamming distance
 /// (Sylvester–Hadamard construction: distance = bits/2).
@@ -86,62 +85,41 @@ impl Codebook {
         best
     }
 
-    /// Decodes one output row (logits) to the nearest class.
-    pub fn decode(&self, logits: &[f32]) -> usize {
-        let bits: Vec<u8> = logits.iter().map(|&v| u8::from(v > 0.0)).collect();
-        let mut best_class = 0;
-        let mut best_dist = usize::MAX;
-        for (class, code) in self.codes.iter().enumerate() {
-            let d = code.iter().zip(&bits).filter(|(x, y)| x != y).count();
-            if d < best_dist {
-                best_dist = d;
-                best_class = class;
-            }
-        }
-        best_class
-    }
-
-    /// Decodes every row of an `[N, bits]` output tensor.
+    /// Decodes one output row (logits) to the nearest class: the first
+    /// codeword at minimum Hamming distance from the thresholded row.
     ///
     /// # Panics
     ///
-    /// Panics if the column count differs from the codeword length.
-    pub fn decode_batch(&self, out: &Tensor) -> Vec<usize> {
-        assert_eq!(out.dims()[1], self.bits, "output width != codeword length");
-        (0..out.dims()[0])
-            .map(|r| self.decode(out.row(r)))
-            .collect()
+    /// Panics if the row width differs from the codeword length.
+    pub fn decode(&self, logits: &[f32]) -> usize {
+        assert_eq!(logits.len(), self.bits, "output width != codeword length");
+        self.codes
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, code)| {
+                code.iter()
+                    .zip(logits)
+                    .filter(|&(&bit, &v)| bit != u8::from(v > 0.0))
+                    .count()
+            })
+            .map_or(0, |(class, _)| class)
     }
 
     /// Binary cross-entropy (with logits) against the class codewords, plus
     /// its gradient: `σ(z) − target`, summed over bits and averaged over the
     /// batch (so gradient magnitudes match softmax cross-entropy and the
-    /// same learning rates work for both heads).
+    /// same learning rates work for both heads). The gradient buffer comes
+    /// from `ws`, so the loss is allocation-free in the steady state once
+    /// the gradient is recycled after `backward`.
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
-    pub fn bce_loss(&self, logits: &Tensor, labels: &[usize]) -> LossOutput {
-        self.bce_loss_impl(logits.clone(), labels)
-    }
-
-    /// [`Codebook::bce_loss`] drawing the gradient buffer from a reusable
-    /// [`Workspace`] — bit-identical (one shared kernel), allocation-free
-    /// in the steady state once the gradient is recycled after `backward`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Codebook::bce_loss`].
     pub fn bce_loss_ws(&self, logits: &Tensor, labels: &[usize], ws: &mut Workspace) -> LossOutput {
-        self.bce_loss_impl(ws.take_copy(logits, logits.dims()), labels)
-    }
-
-    /// Shared kernel: `grad` arrives holding a copy of the logits and is
-    /// transformed in place into the per-bit BCE gradient.
-    fn bce_loss_impl(&self, mut grad: Tensor, labels: &[usize]) -> LossOutput {
-        let (n, b) = (grad.dims()[0], grad.dims()[1]);
+        let (n, b) = (logits.dims()[0], logits.dims()[1]);
         assert_eq!(b, self.bits, "logit width != codeword length");
         assert_eq!(n, labels.len(), "batch/label mismatch");
+        let mut grad = ws.take_copy(logits, logits.dims());
         let mut loss = 0.0f32;
         let count = n as f32;
         for (r, &label) in labels.iter().enumerate() {
@@ -166,22 +144,11 @@ pub fn train_ftna(
     cfg: &TrainConfig,
     codebook: Codebook,
 ) -> TrainedModel {
-    let mut opt = Sgd::new(cfg.lr).momentum(cfg.momentum).clip_norm(5.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut ws = Workspace::new();
-    for _ in 0..cfg.epochs {
-        let shuffled = data.shuffled(&mut rng);
-        for (x, labels) in shuffled.batches(cfg.batch_size) {
-            let x = reshape_for(net.as_mut(), &x);
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
-            let out = codebook.bce_loss_ws(&logits, &labels, &mut ws);
-            ws.recycle(logits);
-            let grad_in = net.backward_ws(&out.grad, &mut ws);
-            ws.recycle(grad_in);
-            ws.recycle(out.grad);
-            opt.step(net.as_mut());
-        }
-    }
+    let _ = run_epochs(net.as_mut(), data, cfg, |net, x, labels, ws| {
+        backprop(net, x, ws, |logits, ws| {
+            codebook.bce_loss_ws(logits, labels, ws)
+        })
+    });
     TrainedModel {
         net,
         decoder: OutputDecoder::Codebook(codebook),
@@ -194,6 +161,8 @@ mod tests {
     use super::*;
     use datasets::moons;
     use models::{Mlp, MlpConfig};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn hadamard_codebook_has_half_distance() {
@@ -254,15 +223,15 @@ mod tests {
         )
         .unwrap();
         let labels = [0usize, 2];
-        let out = cb.bce_loss(&logits, &labels);
+        let bce = |logits: &Tensor| cb.bce_loss_ws(logits, &labels, &mut Workspace::new());
+        let out = bce(&logits);
         let eps = 1e-3;
         for i in (0..logits.len()).step_by(5) {
             let mut hi = logits.clone();
             hi.as_mut_slice()[i] += eps;
             let mut lo = logits.clone();
             lo.as_mut_slice()[i] -= eps;
-            let num =
-                (cb.bce_loss(&hi, &labels).loss - cb.bce_loss(&lo, &labels).loss) / (2.0 * eps);
+            let num = (bce(&hi).loss - bce(&lo).loss) / (2.0 * eps);
             assert!(
                 (num - out.grad.as_slice()[i]).abs() < 1e-3,
                 "bit {i}: {num} vs {}",

@@ -14,7 +14,9 @@
 //! All training functions operate on any [`nn::Layer`] network and a
 //! [`datasets::ClassificationDataset`], and return a [`TrainedModel`]
 //! bundling the network with its output decoder (softmax argmax, or FTNA
-//! codebook decoding).
+//! codebook decoding). The trainers share one epoch loop and differ only in
+//! their gradient step; every accuracy is scored by one eval loop,
+//! [`eval_batches`].
 //!
 //! # Example
 //!
@@ -34,15 +36,15 @@
 //! ```
 
 mod awp;
-mod erm;
 mod eval;
 mod ftna;
 mod reram_v;
+mod train;
 mod trained;
 
 pub use awp::{train_awp, AwpConfig};
-pub use erm::{train_epochs, train_erm, train_step};
-pub use eval::drift_accuracy;
+pub use eval::{drift_accuracy, eval_batches};
 pub use ftna::{train_ftna, Codebook};
 pub use reram_v::{reram_v_accuracy, ReRamVConfig};
-pub use trained::{reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+pub use train::{train_epochs, train_erm, train_step};
+pub use trained::{OutputDecoder, TrainConfig, TrainedModel};

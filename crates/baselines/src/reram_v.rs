@@ -12,9 +12,10 @@
 //! visit.
 
 use datasets::ClassificationDataset;
+use nn::Workspace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{Crossbar, CrossbarConfig, FaultInjector, LogNormalDrift, McStats};
+use reram::{mix_seed, Crossbar, CrossbarConfig, FaultInjector, LogNormalDrift, McStats};
 
 use crate::TrainedModel;
 
@@ -47,7 +48,7 @@ impl Default for ReRamVConfig {
 /// and re-programs every parameter tensor through a [`Crossbar`] for
 /// `iterations` passes (each pass limited by programming noise and
 /// quantization); (3) residual drift `LogNormal(residual_fraction·σ)`
-/// accumulates before evaluation.
+/// accumulates before evaluation. Trial `t` is seeded `mix_seed(seed, t)`.
 ///
 /// # Panics
 ///
@@ -63,8 +64,9 @@ pub fn reram_v_accuracy(
     assert!(trials > 0, "need at least one trial");
     let reference = FaultInjector::snapshot(model.net.as_mut());
     let mut values = Vec::with_capacity(trials);
+    let mut ws = Workspace::new();
     for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(seed, t as u64));
         // 1. Field drift.
         FaultInjector::inject(model.net.as_mut(), &LogNormalDrift::new(sigma), &mut rng);
         // 2. Calibration: re-program each tensor toward its reference value.
@@ -94,7 +96,7 @@ pub fn reram_v_accuracy(
             &LogNormalDrift::new(sigma * cfg.residual_fraction),
             &mut rng,
         );
-        values.push(model.accuracy(data));
+        values.push(model.decoder.accuracy(model.net.as_mut(), data, &mut ws));
         reference
             .restore_into(model.net.as_mut())
             .expect("snapshot was taken from this network");
@@ -147,6 +149,19 @@ mod tests {
         let _ = reram_v_accuracy(&mut model, &data, 1.0, 3, 1, &ReRamVConfig::default());
         let after = model.accuracy(&data);
         assert!((before - after).abs() < 1e-6, "weights leaked drift");
+    }
+
+    /// Regression: trial `t` used to draw from `seed ^ t·0x9E37_79B9`, so
+    /// the 2-trial runs at `s` and `s ^ 0x9E37_79B9` drew the same two
+    /// trials in swapped order.
+    #[test]
+    fn trial_streams_do_not_collide_across_seeds() {
+        let (mut model, data) = trained_moons_model();
+        let cfg = ReRamVConfig::default();
+        let s = 5u64;
+        let a = reram_v_accuracy(&mut model, &data, 1.5, 2, s, &cfg).values;
+        let b = reram_v_accuracy(&mut model, &data, 1.5, 2, s ^ 0x9E37_79B9, &cfg).values;
+        assert_ne!((a[0], a[1]), (b[1], b[0]), "{a:?} vs {b:?}");
     }
 
     #[test]

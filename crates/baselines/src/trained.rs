@@ -2,11 +2,9 @@
 //! class predictions.
 
 use datasets::ClassificationDataset;
-use metrics::accuracy;
-use nn::{Layer, Mode};
-use tensor::Tensor;
+use nn::{Layer, Workspace};
 
-use crate::Codebook;
+use crate::{eval_batches, Codebook};
 
 /// Shared training hyper-parameters for all baseline methods.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +56,37 @@ pub enum OutputDecoder {
     Codebook(Codebook),
 }
 
+impl OutputDecoder {
+    /// The class predicted by one output row.
+    pub(crate) fn decode(&self, row: &[f32]) -> usize {
+        match self {
+            OutputDecoder::Softmax => tensor::argmax_row(row),
+            OutputDecoder::Codebook(cb) => cb.decode(row),
+        }
+    }
+
+    /// Top-1 accuracy of `net` on `data` under this decoder, scored row
+    /// by row through the shared eval loop ([`eval_batches`]) on `ws`.
+    ///
+    /// # Panics
+    /// If `data` is empty: the accuracy of an empty set is undefined.
+    pub fn accuracy(
+        &self,
+        net: &mut dyn Layer,
+        data: &ClassificationDataset,
+        ws: &mut Workspace,
+    ) -> f32 {
+        assert!(!data.is_empty(), "accuracy of an empty set is undefined");
+        let mut correct = 0usize;
+        eval_batches(net, data, ws, |out, labels, _| {
+            correct += (0..labels.len())
+                .filter(|&r| self.decode(out.row(r)) == labels[r])
+                .count();
+        });
+        correct as f32 / data.len() as f32
+    }
+}
+
 /// A trained network together with its output decoder.
 pub struct TrainedModel {
     /// The trained network.
@@ -69,26 +98,10 @@ pub struct TrainedModel {
 }
 
 impl TrainedModel {
-    /// Predicts class indices for a batch (images or flat rows, matching
-    /// what the network was trained on).
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let out = self.net.forward(x, Mode::Eval);
-        match &self.decoder {
-            OutputDecoder::Softmax => out.argmax_rows(),
-            OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
-        }
-    }
-
     /// Top-1 accuracy on a dataset (evaluated in batches of 64).
     pub fn accuracy(&mut self, data: &ClassificationDataset) -> f32 {
-        let mut preds = Vec::with_capacity(data.len());
-        let mut labels = Vec::with_capacity(data.len());
-        for (x, y) in data.batches(64) {
-            let x = reshape_for(self.net.as_mut(), &x);
-            preds.extend(self.predict(x.as_ref()));
-            labels.extend(y);
-        }
-        accuracy(&preds, &labels)
+        self.decoder
+            .accuracy(self.net.as_mut(), data, &mut Workspace::new())
     }
 }
 
@@ -100,58 +113,51 @@ impl std::fmt::Debug for TrainedModel {
     }
 }
 
-/// Flattens image batches for MLP-style networks; borrows the input
-/// untouched otherwise, so the common no-reshape case costs nothing per
-/// batch.
-pub fn reshape_for<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
-    if net.name() == "mlp" && x.rank() > 2 {
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        std::borrow::Cow::Owned(x.reshaped(&[n, rest]).expect("element count preserved"))
-    } else {
-        std::borrow::Cow::Borrowed(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use models::{Mlp, MlpConfig};
+    use nn::Mode;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
-    fn softmax_decoder_is_argmax() {
+    fn decoders_map_rows_to_classes() {
+        assert_eq!(OutputDecoder::Softmax.decode(&[0.1, f32::NAN, 0.7]), 2);
+        let cb = Codebook::hadamard(3);
+        let row: Vec<f32> = cb.code(1).iter().map(|&b| f32::from(b) - 0.5).collect();
+        assert_eq!(OutputDecoder::Codebook(cb).decode(&row), 1);
+    }
+
+    /// 70 digit images make one batch of 64 plus a remainder, flattened
+    /// for the MLP: the eval loop must score every sample exactly as one
+    /// whole-set forward does.
+    #[test]
+    fn accuracy_matches_one_whole_set_forward() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let data = datasets::digits(7, &mut rng);
         let mut model = TrainedModel {
-            net: Box::new(Mlp::new(&MlpConfig::new(2, 3), &mut rng)),
+            net: Box::new(Mlp::new(&MlpConfig::new(196, 10), &mut rng)),
             decoder: OutputDecoder::Softmax,
             method: "erm",
         };
-        let preds = model.predict(&Tensor::ones(&[4, 2]));
-        assert_eq!(preds.len(), 4);
-        assert!(preds.iter().all(|&p| p < 3));
+        let flat = data.images().reshaped(&[70, 196]).unwrap();
+        let preds = model.net.forward(&flat, Mode::Eval).argmax_rows();
+        let correct = preds.iter().zip(data.labels()).filter(|(p, l)| p == l);
+        assert_eq!(model.accuracy(&data), correct.count() as f32 / 70.0);
     }
 
     #[test]
-    fn reshape_for_flattens_only_for_mlp() {
-        use std::borrow::Cow;
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut mlp = Mlp::new(&MlpConfig::new(4, 2), &mut rng);
-        // Image batch into an MLP: reshaped copy.
-        let img = Tensor::ones(&[2, 1, 2, 2]);
-        let reshaped = reshape_for(&mut mlp, &img);
-        assert!(matches!(reshaped, Cow::Owned(_)));
-        assert_eq!(reshaped.dims(), &[2, 4]);
-        // Already flat: the eval loop must not pay a clone per batch.
-        let flat = Tensor::ones(&[2, 4]);
-        assert!(matches!(reshape_for(&mut mlp, &flat), Cow::Borrowed(_)));
-        // Non-MLP networks keep image batches borrowed, any rank.
-        let mut lenet = models::LeNet5::new(1, 14, 2, &mut rng);
-        let img14 = Tensor::ones(&[2, 1, 14, 14]);
-        let kept = reshape_for(&mut lenet, &img14);
-        assert!(matches!(kept, Cow::Borrowed(_)));
-        assert_eq!(kept.dims(), &[2, 1, 14, 14]);
+    #[should_panic(expected = "empty set")]
+    fn accuracy_of_an_empty_set_panics() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let empty = datasets::moons(8, 0.1, &mut rng).subset(&[]);
+        let mut model = TrainedModel {
+            net: Box::new(Mlp::new(&MlpConfig::new(2, 2), &mut rng)),
+            decoder: OutputDecoder::Softmax,
+            method: "erm",
+        };
+        model.accuracy(&empty);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
-use baselines::reshape_for;
+use baselines::{eval_batches, OutputDecoder};
 use datasets::ClassificationDataset;
-use nn::{softmax_cross_entropy_ws, Layer, Mode, Workspace};
+use nn::{softmax_cross_entropy_ws, Layer, Workspace};
 use reram::{DriftModel, LogNormalDrift, McStats};
 
 /// Per-evaluation metadata handed to an [`Objective`] by the engine.
@@ -251,9 +251,16 @@ impl Objective for DriftObjective {
             .map(|(i, model)| (model.as_ref(), reram::mix_seed(ctx.seed, i as u64 + 1)))
             .collect();
         let metric = self.metric;
-        reram::monte_carlo(network, &levels, self.trials, ctx.parallelism, |net, ws| {
-            evaluate_once(net, data, metric, ws)
-        })
+        reram::monte_carlo(
+            network,
+            &levels,
+            self.trials,
+            ctx.parallelism,
+            |net, ws| match metric {
+                ObjectiveMetric::NegLoss => neg_loss(net, data, ws),
+                ObjectiveMetric::Accuracy => OutputDecoder::Softmax.accuracy(net, data, ws),
+            },
+        )
     }
 
     fn label(&self) -> String {
@@ -262,43 +269,17 @@ impl Objective for DriftObjective {
     }
 }
 
-/// The metric of one drifted network on `data`, evaluated in batches of 64
-/// through the worker's workspace.
-fn evaluate_once(
-    net: &mut dyn Layer,
-    data: &ClassificationDataset,
-    metric: ObjectiveMetric,
-    ws: &mut Workspace,
-) -> f32 {
+/// `−E[ℓ]` of one drifted network on `data`, through the shared eval loop.
+/// Batch losses are weighted by batch size: a partial last batch counts
+/// for its samples, not as a whole batch.
+fn neg_loss(net: &mut dyn Layer, data: &ClassificationDataset, ws: &mut Workspace) -> f32 {
     let mut total_loss = 0.0f32;
-    let mut correct = 0usize;
-    for (x, labels) in data.batches(64) {
-        let x = reshape_for(net, &x);
-        let logits = net.forward_ws(x.as_ref(), Mode::Eval, ws);
-        match metric {
-            ObjectiveMetric::NegLoss => {
-                // Weighted by batch size: a partial last batch counts for
-                // its samples, not as a whole batch.
-                let out = softmax_cross_entropy_ws(&logits, &labels, ws);
-                total_loss += out.loss * labels.len() as f32;
-                ws.recycle(out.grad);
-            }
-            ObjectiveMetric::Accuracy => {
-                correct += logits
-                    .argmax_rows()
-                    .iter()
-                    .zip(&labels)
-                    .filter(|(p, l)| p == l)
-                    .count();
-            }
-        }
-        ws.recycle(logits);
-    }
-    let n = data.len().max(1) as f32;
-    match metric {
-        ObjectiveMetric::NegLoss => -total_loss / n,
-        ObjectiveMetric::Accuracy => correct as f32 / n,
-    }
+    eval_batches(net, data, ws, |logits, labels, ws| {
+        let out = softmax_cross_entropy_ws(logits, labels, ws);
+        total_loss += out.loss * labels.len() as f32;
+        ws.recycle(out.grad);
+    });
+    -total_loss / data.len().max(1) as f32
 }
 
 #[cfg(test)]
@@ -306,6 +287,7 @@ mod tests {
     use super::*;
     use datasets::moons;
     use models::{Mlp, MlpConfig};
+    use nn::Mode;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use reram::{GaussianAdditive, StuckAtFault, UniformDrift};

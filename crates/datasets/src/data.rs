@@ -1,7 +1,7 @@
-//! Labeled dataset container, splitting and batching.
+//! Labeled dataset container, splitting and batch gathering.
 
 use rand::Rng;
-use tensor::Tensor;
+use tensor::{Tensor, MAX_RANK};
 
 /// A labeled classification dataset.
 ///
@@ -72,18 +72,11 @@ impl ClassificationDataset {
     ///
     /// Panics if any index is out of bounds.
     pub fn subset(&self, indices: &[usize]) -> ClassificationDataset {
-        let f = self.feature_len();
-        let mut data = Vec::with_capacity(indices.len() * f);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            assert!(i < self.len(), "index {i} out of bounds");
-            data.extend_from_slice(&self.x.as_slice()[i * f..(i + 1) * f]);
-            labels.push(self.labels[i]);
-        }
-        let mut dims = self.x.dims().to_vec();
-        dims[0] = indices.len();
+        let mut x = Tensor::default();
+        let mut labels = vec![0; indices.len()];
+        self.gather_into(indices.iter().copied(), false, &mut x, &mut labels);
         ClassificationDataset {
-            x: Tensor::from_vec(data, &dims).expect("subset length matches"),
+            x,
             labels,
             classes: self.classes,
         }
@@ -104,64 +97,56 @@ impl ClassificationDataset {
             train_fraction > 0.0 && train_fraction < 1.0,
             "train fraction must be in (0, 1)"
         );
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        for i in (1..indices.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            indices.swap(i, j);
-        }
+        let mut indices = vec![0; self.len()];
+        shuffle_order(&mut indices, rng);
         let cut = ((self.len() as f32 * train_fraction).round() as usize)
             .clamp(1, self.len().saturating_sub(1).max(1));
         (self.subset(&indices[..cut]), self.subset(&indices[cut..]))
     }
 
-    /// Iterates over consecutive mini-batches of at most `batch_size`
-    /// samples.
+    /// Copies the samples at `rows` into caller-owned batch buffers:
+    /// features into `x`, reshaped in place to `[rows.len(), ..sample dims]`
+    /// (or `[rows.len(), feature_len]` when `flatten` is set), and labels
+    /// into `labels`. `x` keeps its capacity across calls, so once it has
+    /// grown to the largest batch, gathering allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size` is zero.
-    pub fn batches(&self, batch_size: usize) -> Batches<'_> {
-        assert!(batch_size > 0, "batch size must be positive");
-        Batches {
-            data: self,
-            batch_size,
-            cursor: 0,
+    /// Panics if `labels.len() != rows.len()` or any row is out of bounds.
+    pub fn gather_into(
+        &self,
+        rows: impl ExactSizeIterator<Item = usize>,
+        flatten: bool,
+        x: &mut Tensor,
+        labels: &mut [usize],
+    ) {
+        assert_eq!(labels.len(), rows.len(), "label buffer != batch size");
+        let f = self.feature_len();
+        let sample: &[usize] = if flatten { &[f] } else { &self.x.dims()[1..] };
+        let mut dims = [rows.len(); MAX_RANK];
+        dims[1..=sample.len()].copy_from_slice(sample);
+        let mut data = std::mem::take(x).into_vec();
+        data.clear();
+        data.reserve(rows.len() * f);
+        for (label, i) in labels.iter_mut().zip(rows) {
+            data.extend_from_slice(&self.x.as_slice()[i * f..(i + 1) * f]);
+            *label = self.labels[i];
         }
-    }
-
-    /// Returns a copy with sample order shuffled (fresh epoch ordering).
-    pub fn shuffled(&self, rng: &mut impl Rng) -> ClassificationDataset {
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        for i in (1..indices.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            indices.swap(i, j);
-        }
-        self.subset(&indices)
+        *x = Tensor::from_vec(data, &dims[..=sample.len()]).expect("one row per label");
     }
 }
 
-/// Mini-batch iterator over a [`ClassificationDataset`].
-///
-/// Yields `(images, labels)` pairs; the final batch may be smaller.
-#[derive(Debug)]
-pub struct Batches<'a> {
-    data: &'a ClassificationDataset,
-    batch_size: usize,
-    cursor: usize,
-}
-
-impl Iterator for Batches<'_> {
-    type Item = (Tensor, Vec<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor >= self.data.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.data.len());
-        let indices: Vec<usize> = (self.cursor..end).collect();
-        let batch = self.data.subset(&indices);
-        self.cursor = end;
-        Some((batch.x, batch.labels))
+/// Overwrites `order` with a uniformly random permutation of
+/// `0..order.len()`: reset to the identity, then Fisher–Yates. Starting
+/// from the identity makes the result a function of the RNG stream alone,
+/// so one reused buffer draws exactly what fresh index vectors would.
+pub fn shuffle_order(order: &mut [usize], rng: &mut impl Rng) {
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
+    }
+    for i in (1..order.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        order.swap(i, j);
     }
 }
 
@@ -207,17 +192,67 @@ mod tests {
         assert_eq!(train.len(), 7);
     }
 
+    /// Gathering rows of a shuffled order — full batches and the
+    /// remainder, image and flat dims — matches `subset` exactly.
     #[test]
-    fn batches_cover_dataset_in_order() {
+    fn gather_matches_subset() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let images = Tensor::from_vec((0..7 * 8).map(|v| v as f32).collect(), &[7, 2, 2, 2]);
+        let images =
+            ClassificationDataset::new(images.unwrap(), (0..7).map(|i| i % 3).collect(), 3);
+        let mut order = vec![0; images.len()];
+        shuffle_order(&mut order, &mut rng);
+        let (mut x, mut labels) = (Tensor::default(), vec![0; 3]);
+        for d in [toy(), images] {
+            for flatten in [false, true] {
+                for rows in order.chunks(3) {
+                    let want = d.subset(rows);
+                    let labels = &mut labels[..rows.len()];
+                    d.gather_into(rows.iter().copied(), flatten, &mut x, labels);
+                    let dims = if flatten {
+                        vec![rows.len(), d.feature_len()]
+                    } else {
+                        want.images().dims().to_vec()
+                    };
+                    assert_eq!(x.dims(), dims.as_slice());
+                    assert_eq!(x.as_slice(), want.images().as_slice());
+                    assert_eq!(labels, want.labels());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_reuses_the_batch_buffer() {
         let d = toy();
-        let batches: Vec<_> = d.batches(4).collect();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].0.dims(), &[4, 2]);
-        assert_eq!(batches[2].0.dims(), &[2, 2]); // remainder
-        let total: usize = batches.iter().map(|(_, l)| l.len()).sum();
-        assert_eq!(total, 10);
-        // First batch is rows 0..4.
-        assert_eq!(batches[0].0.row(0), &[0.0, 1.0]);
+        let mut x = Tensor::default();
+        let mut labels = [0; 4];
+        d.gather_into(0..4, false, &mut x, &mut labels);
+        let ptr = x.as_slice().as_ptr();
+        d.gather_into(8..10, false, &mut x, &mut labels[..2]);
+        d.gather_into(4..8, false, &mut x, &mut labels);
+        assert_eq!(x.as_slice().as_ptr(), ptr, "the buffer must be reused");
+        assert_eq!(x.row(0), &[8.0, 9.0]);
+        assert_eq!(labels, [0, 1, 0, 1]);
+    }
+
+    /// `shuffle_order` restarts from the identity, so reusing one buffer
+    /// draws exactly what a fresh index vector would.
+    #[test]
+    fn shuffle_order_is_a_fresh_permutation_each_call() {
+        let mut reused = vec![0; 10];
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut fresh_rng = ChaCha8Rng::seed_from_u64(1);
+        for _ in 0..3 {
+            shuffle_order(&mut reused, &mut rng);
+            let mut fresh = vec![0; 10];
+            shuffle_order(&mut fresh, &mut fresh_rng);
+            assert_eq!(reused, fresh);
+        }
+        let mut sorted = reused.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
+        assert_ne!(reused, sorted, "seed 1 should not draw the identity");
     }
 
     /// NaN-total canonical ordering for multiset comparison. total_cmp
@@ -230,12 +265,14 @@ mod tests {
     }
 
     #[test]
-    fn shuffled_preserves_multiset() {
+    fn gathered_epoch_preserves_multiset() {
         let d = toy();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let s = d.shuffled(&mut rng);
+        let mut order = vec![0; d.len()];
+        shuffle_order(&mut order, &mut ChaCha8Rng::seed_from_u64(1));
+        let (mut x, mut labels) = (Tensor::default(), vec![0; d.len()]);
+        d.gather_into(order.iter().copied(), false, &mut x, &mut labels);
         let a = canonical(d.images().as_slice());
-        let b = canonical(s.images().as_slice());
+        let b = canonical(x.as_slice());
         assert_eq!(a, b);
     }
 

@@ -16,6 +16,8 @@
 //!
 //! Every generator takes an explicit RNG, so datasets are reproducible from
 //! a seed.
+//! Training and eval loops read batches through
+//! [`ClassificationDataset::gather_into`] into caller-owned buffers.
 //!
 //! # Example
 //!
@@ -38,7 +40,7 @@ mod moons;
 mod shapes;
 mod signs;
 
-pub use data::{Batches, ClassificationDataset};
+pub use data::{shuffle_order, ClassificationDataset};
 pub use detect::{ped_scenes, BBox, DetectionDataset, Scene};
 pub use digits::{digits, glyph_bitmap};
 pub use moons::moons;

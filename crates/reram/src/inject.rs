@@ -245,23 +245,6 @@ impl FaultInjector {
         });
         Ok(())
     }
-
-    /// Runs `f` on a drifted copy of the network, restoring the pristine
-    /// weights before returning.
-    pub fn with_drift<R>(
-        network: &mut dyn Layer,
-        model: &dyn DriftModel,
-        rng: &mut dyn RngCore,
-        f: impl FnOnce(&mut dyn Layer) -> R,
-    ) -> R {
-        let snapshot = FaultInjector::snapshot(network);
-        FaultInjector::inject(network, model, rng);
-        let result = f(network);
-        snapshot
-            .restore_into(network)
-            .expect("snapshot was taken from this network");
-        result
-    }
 }
 
 /// Summary statistics of a Monte-Carlo drift evaluation (Eq. 4).
@@ -486,20 +469,6 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert!(changed > 0, "injection must modify weights");
-    }
-
-    #[test]
-    fn with_drift_restores_automatically() {
-        let mut net = test_net(4);
-        let x = Tensor::ones(&[1, 3]);
-        let clean = net.forward(&x, Mode::Eval);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let _ =
-            FaultInjector::with_drift(&mut net, &StuckAtFault::new(0.9, 0.0, 0.0), &mut rng, |n| {
-                n.forward(&x, Mode::Eval).sum()
-            });
-        let restored = net.forward(&x, Mode::Eval);
-        assert_eq!(clean.as_slice(), restored.as_slice());
     }
 
     /// Σ of the eval-mode outputs on `x`, through the worker's workspace.

@@ -3,6 +3,7 @@
 //! restart recovery from the persisted store prefix.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
 use scenarios::{Campaign, CampaignError, CampaignRunner, ResultStore, Scenario, TaskKind};
@@ -24,6 +25,17 @@ fn temp_store(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("bayesft-serve-{}-{tag}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// The daemon's gauges are process-wide statics, so every test that runs
+/// a daemon holds this lock for its whole body: one daemon at a time
+/// writes them, and a test can assert the values its own daemon left.
+static DAEMONS: Mutex<()> = Mutex::new(());
+
+fn one_daemon_at_a_time() -> MutexGuard<'static, ()> {
+    DAEMONS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Binds on an ephemeral loopback port and runs the daemon on a thread.
@@ -48,6 +60,7 @@ fn u64_field(value: &Value, key: &str) -> u64 {
 
 #[test]
 fn daemon_runs_a_submitted_campaign_end_to_end() {
+    let _serial = one_daemon_at_a_time();
     let campaign = Campaign::new(
         "served",
         vec![
@@ -124,6 +137,7 @@ fn daemon_runs_a_submitted_campaign_end_to_end() {
 
 #[test]
 fn concurrent_aliased_submissions_cost_one_engine_run() {
+    let _serial = one_daemon_at_a_time();
     // Jobs from two clients share scenario content under different names:
     // the shared in-flight reservation must collapse them to one compute.
     let shared_spec = ["lognormal:0.5"];
@@ -195,6 +209,7 @@ fn concurrent_aliased_submissions_cost_one_engine_run() {
 
 #[test]
 fn queued_jobs_cancel_and_overflow_is_refused() {
+    let _serial = one_daemon_at_a_time();
     // No workers: jobs queue deterministically and never start.
     let store_path = temp_store("queue");
     let mut config = config(&store_path, 0);
@@ -253,6 +268,7 @@ fn queued_jobs_cancel_and_overflow_is_refused() {
 
 #[test]
 fn restarted_daemon_resumes_from_the_persisted_prefix() {
+    let _serial = one_daemon_at_a_time();
     let campaign = Campaign::new(
         "restart",
         vec![
@@ -325,6 +341,7 @@ fn restarted_daemon_resumes_from_the_persisted_prefix() {
 
 #[test]
 fn status_stays_consistent_under_concurrent_submissions() {
+    let _serial = one_daemon_at_a_time();
     // No workers: every accepted job stays queued, so the status listing
     // is deterministic no matter how the submissions raced.
     let store_path = temp_store("concurrent-status");
@@ -390,6 +407,8 @@ fn malformed_requests_get_error_responses_and_the_daemon_survives() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
+    let _serial = one_daemon_at_a_time();
+
     let store_path = temp_store("malformed");
     let (addr, daemon) = start(config(&store_path, 1));
 
@@ -450,6 +469,7 @@ fn malformed_requests_get_error_responses_and_the_daemon_survives() {
 
 #[test]
 fn metrics_verb_returns_a_prometheus_snapshot() {
+    let _serial = one_daemon_at_a_time();
     let store_path = temp_store("metrics");
     let (addr, daemon) = start(config(&store_path, 1));
     let campaign = Campaign::new("observed", vec![tiny("only", &["lognormal:0.5"], 11)]);
@@ -510,6 +530,8 @@ fn metrics_verb_returns_a_prometheus_snapshot() {
 fn watch_cancel_and_submit_while_draining_do_not_deadlock() {
     use std::sync::mpsc;
     use std::time::Duration;
+
+    let _serial = one_daemon_at_a_time();
 
     const BOUND: Duration = Duration::from_secs(60);
     let campaign = Campaign::new(

@@ -28,6 +28,16 @@ pub fn nan_low_cmp(a: f32, b: f32) -> std::cmp::Ordering {
     }
 }
 
+/// Index of the maximum of `row` (0 for an empty row). NaN-low: a NaN
+/// never wins (unless the whole row is NaN), and can't tie-poison the
+/// comparator the way `partial_cmp`'s `Equal` fallback did.
+pub fn argmax_row(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| nan_low_cmp(*a.1, *b.1))
+        .map_or(0, |(i, _)| i)
+}
+
 impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
@@ -206,17 +216,7 @@ impl Tensor {
             "argmax_rows requires at least one column"
         );
         (0..self.dims()[0])
-            .map(|r| {
-                let row = self.row(r);
-                row.iter()
-                    .enumerate()
-                    // NaN-low: a NaN logit never wins the argmax (unless
-                    // the whole row is NaN), and can't tie-poison the
-                    // comparator the way partial_cmp's Equal fallback did.
-                    .max_by(|a, b| nan_low_cmp(*a.1, *b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
+            .map(|r| argmax_row(self.row(r)))
             .collect()
     }
 

@@ -5,6 +5,12 @@
 //! allocations, and whole epochs allocate nothing beyond that (allocation
 //! count independent of epoch count).
 //!
+//! The real loops are held to the same bar: one `baselines::train_epochs`
+//! call allocates as often at 2 epochs as at 8, and one serial
+//! `DriftObjective` evaluation or `drift_accuracy` call allocates as often
+//! at 2 Monte-Carlo samples as at 8 — batch gathering, the epoch shuffle
+//! and the eval loop add nothing per epoch, batch or sample.
+//!
 //! This binary runs without the libtest harness (`harness = false`):
 //! everything executes on the main thread, so the process-wide allocation
 //! counters see no concurrent harness activity (libtest's waiting main
@@ -20,12 +26,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use baselines::train_step;
-use datasets::ped_scenes;
+use baselines::{
+    drift_accuracy, train_epochs, train_step, Codebook, OutputDecoder, TrainConfig, TrainedModel,
+};
+use bayesft::{DriftObjective, ObjectiveMetric};
+use datasets::{digits, ped_scenes};
 use models::{set_dropout_rates, DetectionLoss, LeNet5, Mlp, MlpConfig, TinyDetector};
 use nn::{Layer, Mode, Optimizer, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use reram::LogNormalDrift;
 use tensor::Tensor;
 
 struct CountingAllocator;
@@ -64,6 +74,13 @@ fn allocs() -> (u64, u64) {
     (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
 }
 
+/// Heap allocations performed by `f`.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    let (before, _) = allocs();
+    f();
+    allocs().0 - before
+}
+
 /// One epoch over prepared batches through the shared workspace train step.
 fn epoch(
     net: &mut dyn Layer,
@@ -80,7 +97,90 @@ fn epoch(
 
 fn main() {
     steady_state_training_step_allocates_nothing();
+    train_epochs_allocations_do_not_grow_with_epochs();
+    drift_evaluation_allocations_do_not_grow_with_samples();
     println!("train_zero_alloc: ok");
+}
+
+/// 30 digit images: batches of 8 leave a remainder of 6, and 70 images
+/// leave an eval remainder of 6 after one batch of 64.
+fn digit_data(per_class: usize) -> datasets::ClassificationDataset {
+    digits(per_class, &mut ChaCha8Rng::seed_from_u64(9))
+}
+
+/// The whole training loop — epoch shuffle, batch gathering (flattened
+/// for the MLP), step, update — costs a fixed number of allocations per
+/// call, whatever the epoch count.
+fn train_epochs_allocations_do_not_grow_with_epochs() {
+    let data = digit_data(3);
+    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let mut mlp = Mlp::new(&MlpConfig::new(196, 10).hidden(16), &mut rng);
+    set_dropout_rates(&mut mlp, &[0.2]);
+    let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
+    let cfg = |epochs| TrainConfig {
+        epochs,
+        batch_size: 8,
+        ..TrainConfig::fast_test()
+    };
+    for (name, net) in [("mlp", &mut mlp as &mut dyn Layer), ("lenet", &mut lenet)] {
+        // Warm the layer caches and telemetry registrations.
+        let _ = train_epochs(net, &data, &cfg(1));
+        let two = count_allocs(|| assert_eq!(train_epochs(net, &data, &cfg(2)).len(), 2));
+        let eight = count_allocs(|| assert_eq!(train_epochs(net, &data, &cfg(8)).len(), 8));
+        assert_eq!(
+            two, eight,
+            "{name}: train_epochs allocated {two} times at 2 epochs but {eight} at 8"
+        );
+    }
+}
+
+/// One serial Monte-Carlo evaluation costs a fixed number of allocations,
+/// whatever the sample count: the shared eval loop gathers every batch
+/// into the worker's workspace and scores it in place.
+fn drift_evaluation_allocations_do_not_grow_with_samples() {
+    let data = digit_data(7);
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut mlp = Mlp::new(&MlpConfig::new(196, 10).hidden(16), &mut rng);
+    for metric in [ObjectiveMetric::Accuracy, ObjectiveMetric::NegLoss] {
+        let objective = |samples| DriftObjective::new(0.5, samples).metric(metric);
+        let (warm, two, eight) = (objective(1), objective(2), objective(8));
+        let _ = warm.evaluate(&mut mlp, &data, 3);
+        let at_two = count_allocs(|| assert_eq!(two.evaluate(&mut mlp, &data, 3).values.len(), 2));
+        let at_eight =
+            count_allocs(|| assert_eq!(eight.evaluate(&mut mlp, &data, 3).values.len(), 8));
+        assert_eq!(
+            at_two, at_eight,
+            "{metric:?}: DriftObjective allocated {at_two} times at 2 samples but {at_eight} at 8"
+        );
+    }
+
+    let cb = Codebook::hadamard(10);
+    let mut model = TrainedModel {
+        net: Box::new(Mlp::new(
+            &MlpConfig::new(196, cb.bits()).hidden(16),
+            &mut rng,
+        )),
+        decoder: OutputDecoder::Codebook(cb),
+        method: "ftna",
+    };
+    let drift = LogNormalDrift::new(0.5);
+    let _ = drift_accuracy(&mut model, &data, &drift, 1, 3);
+    let two = count_allocs(|| {
+        assert_eq!(
+            drift_accuracy(&mut model, &data, &drift, 2, 3).values.len(),
+            2
+        )
+    });
+    let eight = count_allocs(|| {
+        assert_eq!(
+            drift_accuracy(&mut model, &data, &drift, 8, 3).values.len(),
+            8
+        )
+    });
+    assert_eq!(
+        two, eight,
+        "drift_accuracy (codebook) allocated {two} times at 2 trials but {eight} at 8"
+    );
 }
 
 fn steady_state_training_step_allocates_nothing() {
