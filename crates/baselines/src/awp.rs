@@ -9,7 +9,7 @@
 
 use datasets::ClassificationDataset;
 use nn::{Layer, Param};
-use reram::FaultInjector;
+use reram::{FaultInjector, WeightSnapshot};
 
 use crate::train::{run_epochs, softmax_grads};
 use crate::{OutputDecoder, TrainConfig, TrainedModel};
@@ -36,12 +36,14 @@ pub fn train_awp(
     cfg: &TrainConfig,
     awp: &AwpConfig,
 ) -> TrainedModel {
+    // One snapshot, refreshed in place every step.
+    let mut snapshot = WeightSnapshot::default();
     let _ = run_epochs(net.as_mut(), data, cfg, |net, x, labels, ws| {
         // 1. Gradient at the current weights.
         net.zero_grads();
         softmax_grads(net, x, labels, ws);
         // 2. Adversarial ascent: w ← w + γ‖w‖·g/‖g‖ per tensor.
-        let snapshot = FaultInjector::snapshot(net);
+        FaultInjector::snapshot_into(net, &mut snapshot);
         net.visit_params(&mut |p| {
             let gnorm = p.grad.norm();
             if gnorm > 1e-12 {

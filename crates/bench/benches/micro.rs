@@ -18,7 +18,9 @@ use nn::{Layer, Mode, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{FaultInjector, LogNormalDrift};
-use tensor::{Matmul, Tensor};
+use tensor::{
+    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Matmul, Tensor,
+};
 
 /// Counts allocator traffic so benches can report bytes per trial.
 struct CountingAllocator;
@@ -295,8 +297,8 @@ fn bench_matmul(c: &mut Criterion) {
             b.iter(|| a.matmul_into(&b_mat, &mut out))
         });
     }
-    // Sparse lhs: the finite-gated zero-skip at work (stuck-at-0 faults
-    // and post-ReLU activations look like this).
+    // Sparse lhs (stuck-at-0 faults and post-ReLU activations look like
+    // this): the kernel has no zero-skip, so it costs what a dense one does.
     let n = 128;
     let a_sparse = Tensor::from_vec(
         (0..n * n)
@@ -315,6 +317,35 @@ fn bench_matmul(c: &mut Criterion) {
     let mut out = Tensor::zeros(&[n, n]);
     group.bench_function("square_into_sparse75", |b| {
         b.iter(|| a_sparse.matmul_into(&b_mat, &mut out))
+    });
+    // LeNet-5's per-sample products on 14×14 inputs: conv1 forward (nn
+    // 6×25×196), conv2 forward (nn 16×150×9, a narrow column tail), and
+    // conv1's backward dW (nt 6×196×25) and dcol (tn 25×6×196).
+    type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    let shapes: [(&str, Gemm, [usize; 3]); 4] = [
+        ("lenet_nn_6x25x196", gemm_into, [6, 25, 196]),
+        ("lenet_nn_16x150x9", gemm_into, [16, 150, 9]),
+        ("lenet_nt_6x196x25", gemm_nt_into, [6, 196, 25]),
+        ("lenet_tn_25x6x196", gemm_tn_into, [25, 6, 196]),
+    ];
+    for (name, gemm, [m, k, n]) in shapes {
+        let a = Tensor::randn(&[m * k], 0.0, 1.0, &mut rng);
+        let b_mat = Tensor::randn(&[k * n], 0.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(name, |b| {
+            b.iter(|| gemm(a.as_slice(), b_mat.as_slice(), &mut out, m, k, n))
+        });
+    }
+    // conv1's lowering and its adjoint: a 5×5 kernel, padding 2, on 14×14.
+    let spec = Conv2dSpec::new(1, 6, 5, 1, 2);
+    let image = Tensor::randn(&[14 * 14], 0.0, 1.0, &mut rng);
+    let mut cols = vec![0.0f32; spec.patch_len() * 14 * 14];
+    group.bench_function("lenet_im2col_14x14", |b| {
+        b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, 14, 14))
+    });
+    let mut grad = vec![0.0f32; 14 * 14];
+    group.bench_function("lenet_col2im_14x14", |b| {
+        b.iter(|| col2im_into(&cols, &mut grad, &spec, 14, 14))
     });
     group.finish();
 }

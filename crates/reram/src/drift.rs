@@ -654,16 +654,32 @@ mod tests {
         assert!(s.iter().all(|&v| v >= 0.0));
     }
 
+    /// Asserts that `hits` successes in `trials` Bernoulli(`p`) draws lie
+    /// within five standard deviations of the binomial mean `trials·p`
+    /// (a false alarm has probability below 10⁻⁶).
+    fn assert_binomial(hits: usize, trials: usize, p: f64, what: &str) {
+        let mean = trials as f64 * p;
+        let sigma = (trials as f64 * p * (1.0 - p)).sqrt();
+        let z = (hits as f64 - mean) / sigma;
+        assert!(
+            z.abs() <= 5.0,
+            "{what}: {hits} of {trials} (expected {mean:.0} ± {sigma:.1}, z = {z:.2})"
+        );
+    }
+
     #[test]
     fn stuck_at_rates_are_respected() {
         let model = StuckAtFault::new(0.1, 0.05, 3.0);
         let s = samples(&model, -1.0, 50_000);
-        let zeros = s.iter().filter(|&&v| v == 0.0).count() as f32 / s.len() as f32;
-        let maxed = s.iter().filter(|&&v| v == -3.0).count() as f32 / s.len() as f32;
-        assert!((zeros - 0.1).abs() < 0.01, "zero rate {zeros}");
-        assert!((maxed - 0.05).abs() < 0.01, "saturation rate {maxed}");
-        // Stuck-on keeps the sign.
-        assert!(s.iter().all(|&v| v <= 0.0));
+        let zeros = s.iter().filter(|&&v| v == 0.0).count();
+        let maxed = s.iter().filter(|&&v| v == -3.0).count();
+        assert_binomial(zeros, s.len(), 0.1, "stuck-at-zero");
+        assert_binomial(maxed, s.len(), 0.05, "stuck-at-max");
+        // Every other cell keeps its value, and stuck-on keeps the sign.
+        assert_eq!(
+            s.iter().filter(|&&v| v == -1.0).count(),
+            s.len() - zeros - maxed
+        );
     }
 
     #[test]
@@ -726,6 +742,25 @@ mod tests {
     }
 
     #[test]
+    fn quantization_is_idempotent_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        for (levels, range) in [(2, 1.0f32), (5, 1.0), (16, 2.0), (33, 0.7), (256, 3.5)] {
+            let model = LevelQuantization::new(levels, range);
+            // A grid over ±2.5·range: in-range values and values to clamp.
+            for i in 0..=1000 {
+                let w = range * (-2.5 + 5.0 * i as f32 / 1000.0);
+                let once = model.perturb(w, &mut rng);
+                let twice = model.perturb(once, &mut rng);
+                assert_eq!(
+                    once.to_bits(),
+                    twice.to_bits(),
+                    "{levels} levels over ±{range}: {w} -> {once} -> {twice}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn bit_flip_zero_probability_is_quantization_only() {
         let model = BitFlipFault::new(0.0, 8, 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -739,17 +774,22 @@ mod tests {
 
     #[test]
     fn bit_flip_rate_matches_probability() {
-        let model = BitFlipFault::new(0.5, 8, 1.0);
+        let (bits, range, p) = (8u32, 1.0f32, 0.1);
+        let model = BitFlipFault::new(p, bits, range);
+        let step = 2.0 * range / ((1u32 << bits) - 1) as f32;
+        let code_of = |v: f32| ((v + range) / step).round() as u32;
+        let original = code_of(0.25);
         let s = samples(&model, 0.25, 20_000);
-        let changed = s
-            .iter()
-            .filter(|&&v| (v - 0.25).abs() > 2.0 / 255.0)
-            .count() as f32
-            / s.len() as f32;
-        // With p=0.5 per bit, essentially every sample changes.
-        assert!(changed > 0.95, "changed fraction {changed}");
         // Outputs stay within the code range.
-        assert!(s.iter().all(|&v| (-1.0..=1.0).contains(&v)));
+        assert!(s.iter().all(|&v| (-range..=range).contains(&v)));
+        // Each bit of the stored code flips independently with rate p.
+        for bit in 0..bits {
+            let flips = s
+                .iter()
+                .filter(|&&v| (code_of(v) ^ original) & (1 << bit) != 0)
+                .count();
+            assert_binomial(flips, s.len(), f64::from(p), &format!("bit {bit} flips"));
+        }
     }
 
     #[test]

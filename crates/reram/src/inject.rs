@@ -9,10 +9,10 @@ use crate::{DriftModel, FaultError};
 
 /// A copy of every trainable parameter of a network, in visit order.
 ///
-/// Obtained from [`FaultInjector::snapshot`]; call
-/// [`WeightSnapshot::restore_into`] to return the network to its pristine
-/// state after drift injection.
-#[derive(Debug, Clone)]
+/// Obtained from [`FaultInjector::snapshot`] (or refreshed in place by
+/// [`FaultInjector::snapshot_into`]); call [`WeightSnapshot::restore_into`]
+/// to return the network to its pristine state after drift injection.
+#[derive(Debug, Clone, Default)]
 pub struct WeightSnapshot {
     values: Vec<Tensor>,
 }
@@ -196,9 +196,32 @@ pub struct FaultInjector;
 impl FaultInjector {
     /// Captures the current parameter values of `network`.
     pub fn snapshot(network: &mut dyn Layer) -> WeightSnapshot {
+        // Exact-size buffers first, then the one capture path fills them.
         let mut values = Vec::new();
-        network.visit_params(&mut |p| values.push(p.value.clone()));
-        WeightSnapshot { values }
+        network.visit_params(&mut |p| values.push(Tensor::zeros(p.value.dims())));
+        let mut snapshot = WeightSnapshot { values };
+        Self::snapshot_into(network, &mut snapshot);
+        snapshot
+    }
+
+    /// Overwrites `snapshot` with the current parameter values of
+    /// `network`, reusing its tensors' capacity. The first capture grows
+    /// the snapshot to the network's parameters; refreshing it from the
+    /// same network allocates nothing, so a training loop can take one per
+    /// step.
+    pub fn snapshot_into(network: &mut dyn Layer, snapshot: &mut WeightSnapshot) {
+        let values = &mut snapshot.values;
+        let mut idx = 0usize;
+        network.visit_params(&mut |p| {
+            if idx == values.len() {
+                values.resize_with(idx + 1, Tensor::default);
+            }
+            let saved = &mut values[idx];
+            saved.reuse_as(p.value.dims());
+            saved.as_mut_slice().copy_from_slice(p.value.as_slice());
+            idx += 1;
+        });
+        values.truncate(idx);
     }
 
     /// Applies `model` to every trainable scalar of `network` in place.

@@ -4,6 +4,16 @@
 //! matrix of shape `[C·kh·kw, OH·OW]` is built by [`im2col`], multiplied by a
 //! `[OC, C·kh·kw]` weight matrix, and the backward pass scatters gradients
 //! back with [`col2im`].
+//!
+//! Both work one row segment at a time: for each kernel tap `(c, ky, kx)`
+//! and output row `oy`, the output columns whose input pixel lies inside
+//! the image form one contiguous range, computed once. With stride 1 that
+//! range is a single slice copy (`im2col`) or a single add loop
+//! (`col2im`); padding columns are filled with zeros. `col2im` visits taps
+//! in the same `(c, ky, kx)` order as a per-element scatter, so every
+//! image element accumulates its contributions in ascending `(ky, kx)`.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +90,21 @@ impl Conv2dSpec {
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
+
+    /// The outputs `o` in `0..outputs` whose input coordinate
+    /// `o·stride + tap − padding` lies inside `0..len`, for kernel offset
+    /// `tap` along an axis of `len` inputs.
+    fn valid_outputs(&self, tap: usize, len: usize, outputs: usize) -> Range<usize> {
+        let (stride, pad) = (self.stride, self.padding);
+        // o·stride + tap ≥ pad  ⇔  o ≥ ⌈(pad − tap) / stride⌉
+        let lo = pad.saturating_sub(tap).div_ceil(stride).min(outputs);
+        // o·stride + tap < len + pad  ⇔  o < ⌈(len + pad − tap) / stride⌉
+        let hi = (len + pad)
+            .saturating_sub(tap)
+            .div_ceil(stride)
+            .min(outputs);
+        lo..hi.max(lo)
+    }
 }
 
 /// Lowers one `[C, H, W]` image to a `[C·kh·kw, OH·OW]` patch matrix.
@@ -122,25 +147,30 @@ pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w:
         spec.patch_len() * oh * ow,
         "im2col_into output length mismatch"
     );
-    dst.fill(0.0);
     let ncols = oh * ow;
-    for c in 0..spec.in_channels {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
-                        }
-                        dst[row * ncols + oy * ow + ox] =
-                            src[(c * h + iy as usize) * w + ix as usize];
-                    }
+    for (row, dst_row) in dst.chunks_exact_mut(ncols).enumerate() {
+        let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
+        let plane = &src[c * h * w..][..h * w];
+        let ys = spec.valid_outputs(ky, h, oh);
+        let xs = spec.valid_outputs(kx, w, ow);
+        dst_row[..ys.start * ow].fill(0.0);
+        dst_row[ys.end * ow..].fill(0.0);
+        for oy in ys {
+            let seg = &mut dst_row[oy * ow..][..ow];
+            seg[..xs.start].fill(0.0);
+            seg[xs.end..].fill(0.0);
+            if xs.is_empty() {
+                continue;
+            }
+            let iy = oy * spec.stride + ky - spec.padding;
+            let ix0 = xs.start * spec.stride + kx - spec.padding;
+            let src_row = &plane[iy * w..][ix0..w];
+            let seg = &mut seg[xs.start..xs.end];
+            if spec.stride == 1 {
+                seg.copy_from_slice(&src_row[..seg.len()]);
+            } else {
+                for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(spec.stride)) {
+                    *d = v;
                 }
             }
         }
@@ -195,23 +225,25 @@ pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w:
     );
     dst.fill(0.0);
     let ncols = oh * ow;
-    for c in 0..spec.in_channels {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
-                        }
-                        dst[(c * h + iy as usize) * w + ix as usize] +=
-                            src[row * ncols + oy * ow + ox];
-                    }
+    for (row, src_row) in src.chunks_exact(ncols).enumerate() {
+        let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
+        let plane = &mut dst[c * h * w..][..h * w];
+        let xs = spec.valid_outputs(kx, w, ow);
+        if xs.is_empty() {
+            continue;
+        }
+        let ix0 = xs.start * spec.stride + kx - spec.padding;
+        for oy in spec.valid_outputs(ky, h, oh) {
+            let iy = oy * spec.stride + ky - spec.padding;
+            let seg = &src_row[oy * ow..][xs.start..xs.end];
+            let dst_row = &mut plane[iy * w..][ix0..w];
+            if spec.stride == 1 {
+                for (d, &v) in dst_row.iter_mut().zip(seg) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in dst_row.iter_mut().step_by(spec.stride).zip(seg) {
+                    *d += v;
                 }
             }
         }

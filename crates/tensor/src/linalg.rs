@@ -2,74 +2,228 @@
 //! backpropagation and the allocation-free `_into` variants used by the
 //! Monte-Carlo evaluation hot path.
 //!
-//! All variants share the same blocked microkernels, so an `_into` product
-//! is bit-identical to its allocating twin. Each output element accumulates
-//! its `k` terms in the same (sequential) order in every variant and in the
-//! unrolled and scalar tails alike — blocking only changes *which* elements
-//! are in flight, never the order of additions within one element — so
-//! results are reproducible down to the last ULP regardless of entry point.
+//! # One packed microkernel
+//!
+//! [`gemm_into`] (`A·B`), [`gemm_tn_into`] (`Aᵀ·B`) and [`gemm_nt_into`]
+//! (`A·Bᵀ`) are one blocked kernel instantiated for three operand
+//! layouts; they differ only in how they pack `B` and gather `A`:
+//!
+//! - `C` is cut into column blocks of `NR` columns. For each block and
+//!   each K-chunk, the `B` values it needs are packed into a K-panel on
+//!   the stack, `NR` contiguous floats per `k` (row copies for `nn`/`tn`,
+//!   a transposing gather for `nt`; tail columns padded with zeros).
+//! - An `MR×NR` tile of `C` then lives in locals (`MR·NR = 32` floats,
+//!   eight SSE registers) while the kernel walks the panel, gathering the
+//!   tile's `MR` values of `A` per `k` from rows (`nn`/`nt`) or a column
+//!   run (`tn`). Narrow column tails get taller tiles — `1×32`, `2×16`,
+//!   `2×12`, `4×8`, `8×4` — so every tile keeps several independent
+//!   accumulator chains in flight.
+//! - The partial sums of a tile go back through `C` between K-chunks
+//!   (an `f32` store is exact), so the panel stays a fixed 4 KiB array
+//!   and the kernel never allocates.
+//!
+//! # Per-element order invariant
+//!
+//! Every output element starts at `+0.0` and adds its `a·b` terms in
+//! ascending `k`, each as a separate multiply then add — no fused
+//! multiply-add, no reassociation, no split accumulators. Blocking only
+//! changes *which* elements are in flight, never the order of additions
+//! within one element, so all three layouts, and the allocating
+//! [`Matmul`] wrappers, agree with a naive sequential triple loop down to
+//! the last ULP (NaN payloads aside, which IEEE-754 leaves unspecified).
+//!
+//! There is no zero-skip. With a non-finite `B`, skipping `0.0·b` would
+//! mask the NaN the product must carry — a zeroed weight or activation
+//! would hide e.g. an overflowing activation under stuck-at-zero faults —
+//! so a skip has to be gated on a finiteness scan of `B`; with that scan
+//! included, the search over post-ReLU activations (about half zeros) ran
+//! slower with the skip than without it.
+
+use std::array::from_fn;
 
 use crate::Tensor;
 
-/// Inner-loop unroll width of the matmul microkernels.
-const UNROLL: usize = 8;
+/// Floats in the packed `B` K-panel (a 4 KiB stack array): an `NR`-column
+/// block packs up to `PANEL / NR` values of `k` per chunk.
+const PANEL: usize = 1024;
 
-/// Whether skipping `a == 0.0` terms is numerically transparent.
-///
-/// IEEE-754 addition of `±0.0 · b` to a partial sum is a no-op only when
-/// `b` is finite (and the partial sum is not `-0.0`, which row-major
-/// accumulation from a `+0.0` start never produces). When `b` contains a
-/// NaN or ±∞, `0.0 · b` is NaN and **must** be propagated — a zeroed
-/// weight or activation would otherwise mask a non-finite operand, hiding
-/// e.g. an overflowing activation under stuck-at-zero faults. The skip is
-/// therefore enabled only when every element of `b` is finite.
-///
-/// The O(len) scan is evaluated lazily via [`ZeroSkip`] — a product with
-/// a zero-free left operand never pays for it.
-#[inline]
-fn zero_skip_is_safe(b: &[f32]) -> bool {
-    b.iter().all(|v| v.is_finite())
+/// One product's operands: `A` is `[m, k]` (`[k, m]` when `A_T`), `B` is
+/// `[k, n]` (`[n, k]` when `B_T`), and the result is `[m, n]`.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
 }
 
-/// Lazily memoized [`zero_skip_is_safe`] verdict for one kernel call.
-#[derive(Default)]
-struct ZeroSkip(Option<bool>);
-
-impl ZeroSkip {
-    /// Whether the zero-skip may fire, scanning `b` on first use only.
-    #[inline]
-    fn allowed(&mut self, b: &[f32]) -> bool {
-        *self.0.get_or_insert_with(|| zero_skip_is_safe(b))
+/// The kernel behind all three entry points: `C = op(A)·op(B)` with `c`
+/// fully overwritten.
+fn gemm<const A_T: bool, const B_T: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    let ops = Operands { a, b, m, k, n };
+    let mut panel = [0.0f32; PANEL];
+    let mut j0 = 0;
+    while j0 < n {
+        j0 += match n - j0 {
+            32.. => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            13..=31 => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
+            9..=12 => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
+            5..=8 => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
+            _ => column_block::<8, 4, A_T, B_T>(ops, c, j0, &mut panel),
+        };
     }
 }
 
-/// `c[i·n + j] += s · b[j]`, 8-wide unrolled.
-///
-/// Each `c[j]` receives exactly one fused term per call, so per-element
-/// accumulation order is identical to the scalar loop.
-#[inline]
-fn axpy_row(s: f32, b: &[f32], c: &mut [f32]) {
-    let mut cc = c.chunks_exact_mut(UNROLL);
-    let mut bc = b.chunks_exact(UNROLL);
-    for (cv, bv) in (&mut cc).zip(&mut bc) {
-        cv[0] += s * bv[0];
-        cv[1] += s * bv[1];
-        cv[2] += s * bv[2];
-        cv[3] += s * bv[3];
-        cv[4] += s * bv[4];
-        cv[5] += s * bv[5];
-        cv[6] += s * bv[6];
-        cv[7] += s * bv[7];
+/// Computes columns `j0..j0 + NR` of `C` (clipped to `n`), one K-chunk
+/// at a time, and returns `NR`.
+#[inline(always)]
+fn column_block<const MR: usize, const NR: usize, const A_T: bool, const B_T: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+    j0: usize,
+    panel: &mut [f32; PANEL],
+) -> usize {
+    let Operands { m, k, n, .. } = ops;
+    let nr = NR.min(n - j0);
+    let mut k0 = 0;
+    while k0 < k {
+        let kc = (PANEL / NR).min(k - k0);
+        let bp = &mut panel[..kc * NR];
+        pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
+        let bp = &*bp;
+        let mut i0 = 0;
+        while i0 < m {
+            // A row tail repeats its last row; the copies are never stored.
+            let mr = MR.min(m - i0);
+            let rows: [usize; MR] = from_fn(|r| i0 + r.min(mr - 1));
+            let mut acc = [[0.0f32; NR]; MR];
+            if k0 > 0 {
+                for (tile_row, &i) in acc.iter_mut().zip(&rows).take(mr) {
+                    copy_row::<NR>(&c[i * n + j0..][..nr], &mut tile_row[..nr]);
+                }
+            }
+            microkernel::<MR, NR, A_T>(ops, &rows, k0, bp, &mut acc);
+            for (tile_row, &i) in acc.iter().zip(&rows).take(mr) {
+                copy_row::<NR>(&tile_row[..nr], &mut c[i * n + j0..][..nr]);
+            }
+            i0 += MR;
+        }
+        k0 += kc;
     }
-    for (cv, &bv) in cc.into_remainder().iter_mut().zip(bc.remainder()) {
-        *cv += s * bv;
+    NR
+}
+
+/// Packs `B[k0 .. k0 + kc, j0 .. j0 + nr]` into `bp` as `kc` runs of `NR`
+/// floats, zero-padding columns `nr..NR`.
+#[inline(always)]
+fn pack_b<const NR: usize, const B_T: bool>(
+    ops: Operands<'_>,
+    bp: &mut [f32],
+    k0: usize,
+    j0: usize,
+    nr: usize,
+) {
+    let Operands { b, k, n, .. } = ops;
+    let kc = bp.len() / NR;
+    if B_T {
+        // `B` is `[n, k]`: column j of the block is the contiguous run
+        // `b[j, k0..k0 + kc]`, scattered down the panel.
+        if nr < NR {
+            bp.fill(0.0);
+        }
+        for (jj, src) in b[j0 * k..].chunks(k).take(nr).enumerate() {
+            for (dst, &v) in bp.chunks_exact_mut(NR).zip(&src[k0..k0 + kc]) {
+                dst[jj] = v;
+            }
+        }
+    } else {
+        for (dst, src) in bp.chunks_exact_mut(NR).zip(b[k0 * n..].chunks(n)) {
+            if nr == NR {
+                dst.copy_from_slice(&src[j0..j0 + NR]);
+            } else {
+                for (jj, d) in dst.iter_mut().enumerate() {
+                    *d = if jj < nr { src[j0 + jj] } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
+/// `acc[r][j] += A[rows[r], k0 + kk] · bp[kk][j]` for each `kk` of the
+/// panel in ascending order, as a separate multiply then add.
+#[inline(always)]
+fn microkernel<const MR: usize, const NR: usize, const A_T: bool>(
+    ops: Operands<'_>,
+    rows: &[usize; MR],
+    k0: usize,
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
+    let Operands { a, m, k, .. } = ops;
+    let kc = bp.len() / NR;
+    if A_T {
+        // `A` is `[k, m]`: the tile's values for one `k` share a row.
+        for (arow, brow) in a[k0 * m..][..kc * m]
+            .chunks_exact(m)
+            .zip(bp.chunks_exact(NR))
+        {
+            tile_update(acc, &from_fn(|r| arow[rows[r]]), brow);
+        }
+    } else {
+        let arows: [&[f32]; MR] = from_fn(|r| &a[rows[r] * k + k0..][..kc]);
+        for (kk, brow) in bp.chunks_exact(NR).enumerate() {
+            tile_update(acc, &from_fn(|r| arows[r][kk]), brow);
+        }
+    }
+}
+
+/// One `k` step of the tile: `acc[r][j] += av[r] · brow[j]`.
+///
+/// Constant-range index loops (rather than iterator zips) let the
+/// compiler keep the whole tile in registers.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn tile_update<const MR: usize, const NR: usize>(
+    acc: &mut [[f32; NR]; MR],
+    av: &[f32; MR],
+    brow: &[f32],
+) {
+    for r in 0..MR {
+        for j in 0..NR {
+            acc[r][j] += av[r] * brow[j];
+        }
+    }
+}
+
+/// Copies `src` into `dst` (equal lengths), with a fixed-size copy for a
+/// full `NR`-wide row.
+#[inline(always)]
+fn copy_row<const NR: usize>(src: &[f32], dst: &mut [f32]) {
+    match (
+        <&[f32; NR]>::try_from(src),
+        <&mut [f32; NR]>::try_from(&mut *dst),
+    ) {
+        (Ok(src), Ok(dst)) => *dst = *src,
+        _ => dst.copy_from_slice(src),
     }
 }
 
 /// `C = A·B` on raw row-major slices: `[m, k] x [k, n] -> [m, n]`.
 ///
-/// `c` is zeroed before accumulation, so recycled scratch buffers can be
-/// passed directly. This is the kernel behind both [`Matmul::matmul`] and
+/// `c` is fully overwritten, so recycled scratch buffers can be passed
+/// directly. This is the kernel behind both [`Matmul::matmul`] and
 /// [`Matmul::matmul_into`]; layers that need to run on reshaped views
 /// (e.g. a dense layer folding `[N, ...]` input to `[N, features]`) can
 /// call it without materializing a rank-2 tensor.
@@ -82,71 +236,29 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into output length mismatch");
-    c.fill(0.0);
-    let mut skip = ZeroSkip::default();
-    // i-k-j ordering keeps the inner loop streaming over contiguous rows.
-    for i in 0..m {
-        for kk in 0..k {
-            let aik = a[i * k + kk];
-            if aik == 0.0 && skip.allowed(b) {
-                continue;
-            }
-            axpy_row(aik, &b[kk * n..(kk + 1) * n], &mut c[i * n..(i + 1) * n]);
-        }
-    }
+    gemm::<false, false>(a, b, c, m, k, n);
 }
 
 /// `C = Aᵀ·B` on raw row-major slices: `[k, m] x [k, n] -> [m, n]`.
 ///
-/// See [`gemm_into`] for zeroing and panic behaviour.
+/// See [`gemm_into`] for overwrite and panic behaviour.
 pub fn gemm_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
     assert_eq!(a.len(), k * m, "gemm_tn_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_tn_into output length mismatch");
-    c.fill(0.0);
-    let mut skip = ZeroSkip::default();
-    for kk in 0..k {
-        let arow = &a[kk * m..(kk + 1) * m];
-        let brow = &b[kk * n..(kk + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 && skip.allowed(b) {
-                continue;
-            }
-            axpy_row(av, brow, &mut c[i * n..(i + 1) * n]);
-        }
-    }
+    gemm::<true, false>(a, b, c, m, k, n);
 }
 
 /// `C = A·Bᵀ` on raw row-major slices: `[m, k] x [n, k] -> [m, n]`.
 ///
-/// See [`gemm_into`] for zeroing and panic behaviour. Output elements are
-/// independent dot products, each with a single sequential accumulator,
-/// preserving bit-exact summation order.
-///
-/// Unlike the `nn`/`tn` kernels there is no zero-skip here: in this
-/// layout a skip would save one fused multiply-add (not a whole row) at
-/// the price of a compare in the innermost loop of every dense product.
-/// The variants still agree bitwise — the `nn`/`tn` skip only fires when
-/// it is numerically transparent.
+/// See [`gemm_into`] for overwrite and panic behaviour.
 pub fn gemm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
     assert_eq!(a.len(), m * k, "gemm_nt_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_into output length mismatch");
-    c.fill(0.0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            crow[j] = acc;
-        }
-    }
+    gemm::<false, true>(a, b, c, m, k, n);
 }
 
 /// Matrix-product operations on rank-2 tensors.
@@ -399,8 +511,8 @@ mod tests {
 
     #[test]
     fn into_variants_are_bit_identical_to_allocating_ones() {
-        // Dimensions straddling the unroll width exercise main + tail loops.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 9), (8, 8, 8), (7, 17, 13)] {
+        // Dimensions straddling the tile widths exercise full and tail tiles.
+        for (m, k, n) in [(1, 1, 1), (3, 5, 9), (8, 8, 8), (7, 17, 13), (9, 300, 45)] {
             let a = Tensor::from_vec(
                 (0..m * k)
                     .map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.37)
@@ -448,7 +560,7 @@ mod tests {
 
     /// The three variants must agree on non-finite propagation: a zero in
     /// the left operand multiplied by NaN/±∞ in the right is NaN and must
-    /// not be skipped away (IEEE `0.0 · NaN = NaN`).
+    /// reach the output (IEEE `0.0 · NaN = NaN`).
     #[test]
     fn zero_times_non_finite_propagates_in_all_variants() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -468,9 +580,8 @@ mod tests {
         }
     }
 
-    /// With a non-finite right operand the variants must agree elementwise
-    /// (NaN positions included) — previously `matmul`/`matmul_tn` skipped
-    /// zero terms unconditionally while `matmul_nt` did not.
+    /// With a non-finite right operand the variants must agree elementwise,
+    /// NaN positions included.
     #[test]
     fn variants_agree_elementwise_under_non_finite_inputs() {
         let a = Tensor::from_vec(vec![0.0, 1.0, -2.0, 0.0, 0.5, 0.0], &[2, 3]).unwrap();
@@ -485,8 +596,7 @@ mod tests {
         }
     }
 
-    /// NaN/±∞ in the *left* operand flows through the product too (no skip
-    /// triggers: NaN ≠ 0.0).
+    /// NaN/±∞ in the *left* operand flows through the product too.
     #[test]
     fn non_finite_lhs_propagates() {
         let a = Tensor::from_vec(vec![f32::NAN, 0.0], &[1, 2]).unwrap();
@@ -494,10 +604,10 @@ mod tests {
         assert!(a.matmul(&b).as_slice().iter().all(|v| v.is_nan()));
     }
 
-    /// The zero-skip stays active for finite inputs, and skipping is
-    /// bit-transparent: a sparse product equals its dense recomputation.
+    /// A sparse left operand (every third entry zero) gives the bits of
+    /// the plain sequential loop.
     #[test]
-    fn zero_skip_is_bit_transparent_for_finite_inputs() {
+    fn sparse_lhs_matches_dense_recomputation() {
         let a = Tensor::from_vec(
             (0..6 * 9)
                 .map(|i| {
@@ -517,7 +627,7 @@ mod tests {
         )
         .unwrap();
         let fast = a.matmul(&b);
-        // Dense reference: same loop order, no skip.
+        // Dense reference: the same per-element order, zeros included.
         let (m, k, n) = (6, 9, 11);
         let mut dense = vec![0.0f32; m * n];
         for i in 0..m {

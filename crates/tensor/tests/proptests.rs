@@ -1,7 +1,10 @@
 //! Property-based tests for tensor invariants.
 
 use proptest::prelude::*;
-use tensor::{im2col, outer, Conv2dSpec, Matmul, Shape, Tensor};
+use tensor::{
+    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col, im2col_into, outer, Conv2dSpec,
+    Matmul, Shape, Tensor,
+};
 
 fn small_matrix() -> impl Strategy<Value = Tensor> {
     (1usize..6, 1usize..6).prop_flat_map(|(r, c)| {
@@ -119,5 +122,171 @@ proptest! {
             let row = a.row(r);
             prop_assert!(row.iter().all(|&v| v <= row[i]));
         }
+    }
+}
+
+/// `A·B` for row-major `a` (`[m, k]`) and `b` (`[k, n]`) as a naive triple
+/// loop: each element starts at `+0.0` and adds its `a·b` terms in
+/// ascending `k`, each as a separate multiply then add.
+fn naive_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[kk * n + j];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// Bit patterns with every NaN mapped to one value: the kernels promise
+/// bit identity, but IEEE-754 leaves NaN payloads and signs unspecified.
+fn canonical_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+        .collect()
+}
+
+/// Random operands for an `m×k×n` product: about 30 % of `A` is exact
+/// zeros (some negative) and, with `nonfinite`, about 6 % of `B` is NaN
+/// or ±∞.
+fn gemm_operands(m: usize, k: usize, n: usize, seed: u64, nonfinite: bool) -> (Vec<f32>, Vec<f32>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let a = (0..m * k)
+        .map(|_| match rng.gen_range(0u32..20) {
+            0..=4 => 0.0,
+            5 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect();
+    let b = (0..k * n)
+        .map(|_| match rng.gen_range(0u32..50) {
+            0 if nonfinite => f32::NAN,
+            1 if nonfinite => f32::INFINITY,
+            2 if nonfinite => f32::NEG_INFINITY,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect();
+    (a, b)
+}
+
+/// The old per-element `im2col`: one bounds check per output element.
+fn naive_im2col(src: &[f32], spec: &Conv2dSpec, h: usize, w: usize) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let mut dst = vec![0.0f32; spec.patch_len() * oh * ow];
+    for c in 0..spec.in_channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (c * k + ky) * k + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                            dst[row * oh * ow + oy * ow + ox] =
+                                src[(c * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    dst
+}
+
+/// The old per-element `col2im`: scatter-add in `(c, ky, kx, oy, ox)` order.
+fn naive_col2im(src: &[f32], spec: &Conv2dSpec, h: usize, w: usize) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let mut dst = vec![0.0f32; spec.in_channels * h * w];
+    for c in 0..spec.in_channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (c * k + ky) * k + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                            dst[(c * h + iy as usize) * w + ix as usize] +=
+                                src[row * oh * ow + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    dst
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every gemm layout equals the naive sequential triple loop bit for
+    /// bit, across sizes that straddle every tile width and K-panel depth
+    /// (k = 0 included), sparse `A` and non-finite `B`.
+    #[test]
+    fn gemm_variants_match_naive_triple_loop(
+        m in 0usize..41,
+        k in 0usize..41,
+        n in 0usize..41,
+        seed in 0u64..u64::MAX,
+        nonfinite in 0u8..2,
+    ) {
+        let (a, b) = gemm_operands(m, k, n, seed, nonfinite == 1);
+        // `b` read as `[k, n]`; `bt` holds the same matrix as `[n, k]`.
+        let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+        // `a` read as `[m, k]`; `at` holds the same matrix as `[k, m]`.
+        let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+        let want = canonical_bits(&naive_gemm(&a, &b, m, k, n));
+
+        let mut c = vec![f32::NAN; m * n]; // recycled garbage must vanish
+        gemm_into(&a, &b, &mut c, m, k, n);
+        prop_assert_eq!(canonical_bits(&c), want.clone());
+
+        c.fill(7.0);
+        gemm_tn_into(&at, &b, &mut c, m, k, n);
+        prop_assert_eq!(canonical_bits(&c), want.clone());
+
+        c.fill(-3.0);
+        gemm_nt_into(&a, &bt, &mut c, m, k, n);
+        prop_assert_eq!(canonical_bits(&c), want);
+    }
+
+    /// `im2col_into`/`col2im_into` equal the per-element loops bit for bit
+    /// over random geometry, writing into dirty recycled buffers.
+    #[test]
+    fn im2col_col2im_match_per_element_loops(
+        geometry in (1usize..4, 1usize..6, 1usize..4, 0usize..4),
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (channels, kernel, stride, padding) = geometry;
+        let spec = Conv2dSpec::new(channels, 1, kernel, stride, padding);
+        // The padded input must cover the kernel.
+        let min_side = kernel.saturating_sub(2 * padding).max(1);
+        let (h, w) = (min_side + extra_h, min_side + extra_w);
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let image: Vec<f32> = (0..channels * h * w).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let cols: Vec<f32> = (0..spec.patch_len() * oh * ow)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect();
+
+        let mut col_buf = vec![f32::NAN; spec.patch_len() * oh * ow];
+        im2col_into(&image, &mut col_buf, &spec, h, w);
+        prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&naive_im2col(&image, &spec, h, w)));
+
+        let mut image_buf = vec![f32::NAN; channels * h * w];
+        col2im_into(&cols, &mut image_buf, &spec, h, w);
+        prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&naive_col2im(&cols, &spec, h, w)));
     }
 }

@@ -6,7 +6,8 @@
 //! count independent of epoch count).
 //!
 //! The real loops are held to the same bar: one `baselines::train_epochs`
-//! call allocates as often at 2 epochs as at 8, and one serial
+//! or `baselines::train_awp` call allocates as often at 2 epochs as at 8
+//! (AWP refreshes one weight snapshot in place every step), and one serial
 //! `DriftObjective` evaluation or `drift_accuracy` call allocates as often
 //! at 2 Monte-Carlo samples as at 8 — batch gathering, the epoch shuffle
 //! and the eval loop add nothing per epoch, batch or sample.
@@ -27,7 +28,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::{
-    drift_accuracy, train_epochs, train_step, Codebook, OutputDecoder, TrainConfig, TrainedModel,
+    drift_accuracy, train_awp, train_epochs, train_step, AwpConfig, Codebook, OutputDecoder,
+    TrainConfig, TrainedModel,
 };
 use bayesft::{DriftObjective, ObjectiveMetric};
 use datasets::{digits, ped_scenes};
@@ -98,6 +100,7 @@ fn epoch(
 fn main() {
     steady_state_training_step_allocates_nothing();
     train_epochs_allocations_do_not_grow_with_epochs();
+    train_awp_allocations_do_not_grow_with_epochs();
     drift_evaluation_allocations_do_not_grow_with_samples();
     println!("train_zero_alloc: ok");
 }
@@ -132,6 +135,32 @@ fn train_epochs_allocations_do_not_grow_with_epochs() {
             "{name}: train_epochs allocated {two} times at 2 epochs but {eight} at 8"
         );
     }
+}
+
+/// AWP snapshots the weights before every adversarial ascent; the one
+/// snapshot it refreshes in place keeps a whole `train_awp` call at a
+/// fixed number of allocations, whatever the epoch count.
+fn train_awp_allocations_do_not_grow_with_epochs() {
+    let data = digit_data(3);
+    let cfg = |epochs| TrainConfig {
+        epochs,
+        batch_size: 8,
+        ..TrainConfig::fast_test()
+    };
+    let net = || -> Box<dyn Layer> {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        Box::new(Mlp::new(&MlpConfig::new(196, 10).hidden(16), &mut rng))
+    };
+    let awp = AwpConfig::default();
+    // Warm the telemetry registrations.
+    let _ = train_awp(net(), &data, &cfg(1), &awp);
+    let (net_two, net_eight) = (net(), net());
+    let two = count_allocs(|| drop(train_awp(net_two, &data, &cfg(2), &awp)));
+    let eight = count_allocs(|| drop(train_awp(net_eight, &data, &cfg(8), &awp)));
+    assert_eq!(
+        two, eight,
+        "train_awp allocated {two} times at 2 epochs but {eight} at 8"
+    );
 }
 
 /// One serial Monte-Carlo evaluation costs a fixed number of allocations,
