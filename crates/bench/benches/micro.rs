@@ -14,7 +14,7 @@ use baselines::train_step;
 use bayesft::{EvalCtx, Objective};
 use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use models::{LeNet5, Mlp, MlpConfig};
-use nn::{Layer, Mode, Sgd, Workspace};
+use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{FaultInjector, LogNormalDrift};
@@ -279,6 +279,35 @@ fn bench_conv(c: &mut Criterion) {
             net.backward(&Tensor::ones(y.dims()))
         })
     });
+    // LeNet's conv2 (6→16, 5×5, 7×7 maps → 3×3) on a batch of 32: the
+    // chunked layer runs 2 forward and 2 `Wᵀ·G` gemms per step.
+    let mut conv2 = Conv2d::new(6, 16, 5, 1, 0, &mut rng);
+    let maps = Tensor::randn(&[32, 6, 7, 7], 0.0, 1.0, &mut rng);
+    let grad = Tensor::randn(&[32, 16, 3, 3], 0.0, 1.0, &mut rng);
+    group.bench_function("lenet_conv2_train_step_b32", |b| {
+        b.iter(|| {
+            let y = conv2.forward_ws(&maps, Mode::Train, &mut ws);
+            let g = conv2.backward_ws(&grad, &mut ws);
+            ws.recycle(y);
+            ws.recycle(g);
+        })
+    });
+    group.finish();
+
+    // LeNet's first dropout (after conv1) on a batch of 32: one mask
+    // word per activation, mask and output written in one pass.
+    let mut group = c.benchmark_group("dropout_train_b32_6x14x14");
+    group.sample_size(samples(20));
+    let acts = Tensor::randn(&[32, 6, 14, 14], 0.0, 1.0, &mut rng);
+    for rate in [0.1f32, 0.5] {
+        let mut drop = Dropout::new(rate, 7);
+        group.bench_function(format!("rate_{rate}"), |b| {
+            b.iter(|| {
+                let y = drop.forward_ws(&acts, Mode::Train, &mut ws);
+                ws.recycle(y);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -341,11 +370,11 @@ fn bench_matmul(c: &mut Criterion) {
     let image = Tensor::randn(&[14 * 14], 0.0, 1.0, &mut rng);
     let mut cols = vec![0.0f32; spec.patch_len() * 14 * 14];
     group.bench_function("lenet_im2col_14x14", |b| {
-        b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, 14, 14))
+        b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, 1, 14, 14))
     });
     let mut grad = vec![0.0f32; 14 * 14];
     group.bench_function("lenet_col2im_14x14", |b| {
-        b.iter(|| col2im_into(&cols, &mut grad, &spec, 14, 14))
+        b.iter(|| col2im_into(&cols, &mut grad, &spec, 1, 14, 14))
     });
     group.finish();
 }

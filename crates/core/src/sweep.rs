@@ -28,11 +28,17 @@ pub fn accuracy_vs_sigma(
                 data,
                 &LogNormalDrift::new(sigma),
                 trials,
-                seed ^ ((sigma * 1000.0) as u64),
+                sigma_seed(seed, sigma),
             );
             (sigma, stats)
         })
         .collect()
+}
+
+/// The Monte-Carlo seed of one σ of a sweep, distinct for every
+/// `(seed, σ)` pair.
+fn sigma_seed(seed: u64, sigma: f32) -> u64 {
+    reram::mix_seed(seed, u64::from(sigma.to_bits()))
 }
 
 /// One method's accuracy curve over the σ grid.
@@ -190,6 +196,23 @@ mod tests {
             sweep[0].1.mean,
             sweep[1].1.mean
         );
+    }
+
+    /// Every `(seed, σ)` pair of a sweep draws its own stream: seed 300
+    /// at σ = 0 and seed 0 at σ = 0.3 must not share one, as they did
+    /// when a σ's seed was `seed ^ (σ·1000)`.
+    #[test]
+    fn sweep_seeds_are_distinct_across_seeds_and_sigmas() {
+        assert_ne!(sigma_seed(300, 0.0), sigma_seed(0, 0.3));
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..1000 {
+            for &sigma in &SIGMA_GRID {
+                assert!(
+                    seen.insert(sigma_seed(seed, sigma)),
+                    "seed {seed} at σ = {sigma} reuses another pair's stream"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,47 @@ fn cache_dims(slot: &mut Vec<usize>, dims: &[usize]) {
     }
 }
 
+/// Output columns one chunk of a convolution lowers and multiplies at a
+/// time: `g = max(1, ⌊CHUNK_COLUMNS / (OH·OW)⌋)` samples.
+const CHUNK_COLUMNS: usize = 256;
+
+/// Samples per chunk for an `ohw`-output map (see [`CHUNK_COLUMNS`]).
+fn samples_per_chunk(ohw: usize) -> usize {
+    (CHUNK_COLUMNS / ohw).max(1)
+}
+
+/// Grows `buf` to at least `len` elements; it never shrinks, so a layer
+/// buffer reaches its high-water mark once and is reused in place.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
 /// 2-D convolution lowered to `im2col` + matmul.
 ///
 /// Input `[N, C, H, W]`, output `[N, OC, OH, OW]`. Weights are stored as a
 /// `[OC, C·k·k]` matrix, He-normal initialized.
+///
+/// # Chunks
+///
+/// The batch is processed `g = max(1, ⌊256 / (OH·OW)⌋)` samples at a
+/// time: a chunk's images lower side by side into `[C·k·k, g·OH·OW]`,
+/// and the forward product `W·cols` and the backward `Wᵀ·G` are one gemm
+/// per chunk. The gemm kernel adds every output element's terms in
+/// ascending `k` whatever the column count, so a chunked step computes
+/// the same bits as a per-sample one. `dW` stays one `grad·colᵀ`
+/// product per sample, accumulated in sample order, so its sums are
+/// unchanged too.
+///
+/// The chunks' patch matrices form the layer's `backward` tape. It, the
+/// chunk's gemm output (reused as the gathered output gradient `G`) and
+/// one sample's patch matrix are layer-owned buffers that grow to the
+/// largest batch once and are reused in place after that. `backward`
+/// writes each chunk's `Wᵀ·G` over its spent patch matrices, so it
+/// consumes the tape. An eval forward lowers each chunk into the start
+/// of the same tape and then invalidates it. A `backward` needs a fresh
+/// train-mode forward and panics otherwise.
 ///
 /// # Example
 ///
@@ -39,7 +76,14 @@ pub struct Conv2d {
     spec: Conv2dSpec,
     weight: Param,
     bias: Param,
-    cols: Vec<Tensor>,
+    /// Patch matrices, chunk after chunk: `[patch, g·OH·OW]` each.
+    tape: Vec<f32>,
+    /// One chunk's `W·cols` (forward) or gathered `G` (backward):
+    /// `[OC, g·OH·OW]`.
+    mix: Vec<f32>,
+    /// One sample's patch matrix, copied out of a multi-sample chunk
+    /// for its `dW` product: `[patch, OH·OW]`.
+    col: Vec<f32>,
     input_hw: (usize, usize),
     batch: usize,
 }
@@ -66,7 +110,9 @@ impl Conv2d {
             spec,
             weight: Param::new(weight, ParamKind::Weight),
             bias: Param::new(Tensor::zeros(&[out_channels]), ParamKind::Bias),
-            cols: Vec::new(),
+            tape: Vec::new(),
+            mix: Vec::new(),
+            col: Vec::new(),
             input_hw: (0, 0),
             batch: 0,
         }
@@ -76,9 +122,10 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
+}
 
-    /// Validates the input layout and returns `(n, c, h, w)`.
-    fn check_input(&self, input: &Tensor) -> (usize, usize, usize, usize) {
+impl Layer for Conv2d {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "conv2d expects [N, C, H, W] input");
         let (n, c, h, w) = (
             input.dims()[0],
@@ -87,177 +134,103 @@ impl Conv2d {
             input.dims()[3],
         );
         assert_eq!(c, self.spec.in_channels, "conv2d channel mismatch");
-        (n, c, h, w)
-    }
-
-    /// Lowers sample `i` into its persistent patch-matrix cache (grown
-    /// once, reused across steps — the `backward` tape).
-    fn refresh_col(&mut self, i: usize, src: &[f32], h: usize, w: usize) {
         let (oh, ow) = self.spec.output_hw(h, w);
-        let dims = [self.spec.patch_len(), oh * ow];
-        if self.cols.len() <= i {
-            // lint:allow(R1, reason = "tape grows to the batch high-water mark once; steady-state steps take the reuse_as arm in place")
-            self.cols.push(Tensor::zeros(&dims));
-        } else {
-            self.cols[i].reuse_as(&dims);
-        }
-        im2col_into(src, self.cols[i].as_mut_slice(), &self.spec, h, w);
-    }
-
-    /// Train-mode forward kernel: refreshes the per-sample im2col tapes and
-    /// mixes outputs into `out`.
-    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor, y: &mut [f32]) {
-        let (n, c, h, w) = self.check_input(input);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let per_sample = c * h * w;
-        let out_per_sample = self.spec.out_channels * oh * ow;
-        self.input_hw = (h, w);
-        self.batch = n;
-        for i in 0..n {
-            self.refresh_col(
-                i,
-                &input.as_slice()[i * per_sample..(i + 1) * per_sample],
-                h,
-                w,
-            );
-            conv_mix_output(
-                &self.weight.value,
-                &self.bias.value,
-                self.cols[i].as_slice(),
-                y,
-                &mut out.as_mut_slice()[i * out_per_sample..(i + 1) * out_per_sample],
-                &self.spec,
-                oh * ow,
-            );
-        }
-    }
-
-    /// Eval-mode forward kernel: lowers into caller-provided scratch and
-    /// invalidates the training tape, so a stray `backward` fails loudly
-    /// instead of using stale patch matrices from an earlier step.
-    fn eval_forward_into(
-        &mut self,
-        input: &Tensor,
-        out: &mut Tensor,
-        y: &mut [f32],
-        col: &mut [f32],
-    ) {
-        let (n, c, h, w) = self.check_input(input);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let per_sample = c * h * w;
-        let out_per_sample = self.spec.out_channels * oh * ow;
-        self.batch = 0;
-        for i in 0..n {
-            im2col_into(
-                &input.as_slice()[i * per_sample..(i + 1) * per_sample],
-                col,
-                &self.spec,
-                h,
-                w,
-            );
-            conv_mix_output(
-                &self.weight.value,
-                &self.bias.value,
-                col,
-                y,
-                &mut out.as_mut_slice()[i * out_per_sample..(i + 1) * out_per_sample],
-                &self.spec,
-                oh * ow,
-            );
-        }
-    }
-}
-
-/// `y = W·col`, then `dst = y + bias` per output channel — the per-sample
-/// mixing step shared by the train and eval forward kernels.
-fn conv_mix_output(
-    weight: &Tensor,
-    bias: &Tensor,
-    col: &[f32],
-    y: &mut [f32],
-    dst: &mut [f32],
-    spec: &Conv2dSpec,
-    ohw: usize,
-) {
-    let (oc, patch) = (spec.out_channels, spec.patch_len());
-    gemm_into(weight.as_slice(), col, y, oc, patch, ohw);
-    for och in 0..oc {
-        let b = bias.as_slice()[och];
-        let src = &y[och * ohw..(och + 1) * ohw];
-        for (d, &s) in dst[och * ohw..(och + 1) * ohw].iter_mut().zip(src) {
-            *d = s + b;
-        }
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        let (n, _, h, w) = self.check_input(input);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let (oc, patch) = (self.spec.out_channels, self.spec.patch_len());
+        let (oc, patch, ohw) = (self.spec.out_channels, self.spec.patch_len(), oh * ow);
+        let g = samples_per_chunk(ohw).min(n).max(1);
+        let train = mode == Mode::Train;
+        // Train keeps every chunk for backward; eval reuses the first slot.
+        grow(&mut self.tape, patch * ohw * if train { n } else { g });
+        grow(&mut self.mix, oc * g * ohw);
         let mut out = ws.take_tensor(&[n, oc, oh, ow]);
-        let mut y = ws.take(oc * oh * ow);
-        match mode {
-            Mode::Train => self.train_forward_into(input, &mut out, &mut y),
-            Mode::Eval => {
-                let mut col = ws.take(patch * oh * ow);
-                self.eval_forward_into(input, &mut out, &mut y, &mut col);
-                ws.recycle_vec(col);
+        let in_len = c * h * w;
+        for s0 in (0..n).step_by(g) {
+            let gc = g.min(n - s0);
+            let cols = gc * ohw;
+            let at = if train { s0 * patch * ohw } else { 0 };
+            let chunk = &mut self.tape[at..][..patch * cols];
+            let images = &input.as_slice()[s0 * in_len..][..gc * in_len];
+            im2col_into(images, chunk, &self.spec, gc, h, w);
+            let mix = &mut self.mix[..oc * cols];
+            gemm_into(self.weight.value.as_slice(), chunk, mix, oc, patch, cols);
+            // Sample s's map `och` is columns `s·ohw..` of row `och`.
+            let dst = &mut out.as_mut_slice()[s0 * oc * ohw..][..gc * oc * ohw];
+            for (och, (row, &b)) in mix
+                .chunks_exact(cols)
+                .zip(self.bias.value.as_slice())
+                .enumerate()
+            {
+                for (s, src) in row.chunks_exact(ohw).enumerate() {
+                    for (d, &v) in dst[(s * oc + och) * ohw..][..ohw].iter_mut().zip(src) {
+                        *d = v + b;
+                    }
+                }
             }
         }
-        ws.recycle_vec(y);
+        self.input_hw = (h, w);
+        self.batch = if train { n } else { 0 };
         out
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         assert!(
-            self.batch > 0 && !self.cols.is_empty(),
-            "backward called before a training-mode forward on conv2d (eval invalidates the tape)"
+            self.batch > 0,
+            "conv2d backward without a fresh train forward (eval invalidates the tape, backward consumes it)"
         );
         let (h, w) = self.input_hw;
         let (oh, ow) = self.spec.output_hw(h, w);
-        let oc = self.spec.out_channels;
-        let c = self.spec.in_channels;
-        let n = self.batch;
-        let patch = self.spec.patch_len();
+        let (oc, c, n) = (self.spec.out_channels, self.spec.in_channels, self.batch);
+        let (patch, ohw) = (self.spec.patch_len(), oh * ow);
         assert_eq!(grad_out.dims(), &[n, oc, oh, ow], "conv2d gradient shape");
+        let g = samples_per_chunk(ohw).min(n);
+        if g > 1 {
+            grow(&mut self.col, patch * ohw);
+        }
         let mut grad_in = ws.take_tensor(&[n, c, h, w]);
         let mut dw = ws.take(oc * patch);
-        let mut dcol = ws.take(patch * oh * ow);
-        let out_per_sample = oc * oh * ow;
-        let in_per_sample = c * h * w;
-        for i in 0..n {
-            let g = &grad_out.as_slice()[i * out_per_sample..(i + 1) * out_per_sample];
-            // dW += g · colᵀ ; db += row sums of g ; dcol = Wᵀ · g — each
-            // partial product lands in workspace scratch first, then
-            // accumulates (the same two-step arithmetic as the old
-            // `add_assign(matmul_*)` form).
-            gemm_nt_into(g, self.cols[i].as_slice(), &mut dw, oc, oh * ow, patch);
-            for (gw, &d) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
-                *gw += d;
+        let in_len = c * h * w;
+        for s0 in (0..n).step_by(g) {
+            let gc = g.min(n - s0);
+            let cols = gc * ohw;
+            let chunk = &mut self.tape[s0 * patch * ohw..][..patch * cols];
+            for s in 0..gc {
+                let gs = &grad_out.as_slice()[(s0 + s) * oc * ohw..][..oc * ohw];
+                let col = if gc == 1 {
+                    &*chunk
+                } else {
+                    let rows = chunk.chunks_exact(cols);
+                    for (dst, src) in self.col.chunks_exact_mut(ohw).zip(rows) {
+                        dst.copy_from_slice(&src[s * ohw..][..ohw]);
+                    }
+                    &self.col[..patch * ohw]
+                };
+                // dW += g · colᵀ (the product lands in scratch first, then
+                // accumulates) and db += row sums of g; g's rows are
+                // gathered into the chunk's G on the way.
+                gemm_nt_into(gs, col, &mut dw, oc, ohw, patch);
+                for (gw, &d) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
+                    *gw += d;
+                }
+                for (och, gb) in self.bias.grad.as_mut_slice().iter_mut().enumerate() {
+                    let row = &gs[och * ohw..][..ohw];
+                    *gb += row.iter().sum::<f32>();
+                    self.mix[och * cols + s * ohw..][..ohw].copy_from_slice(row);
+                }
             }
-            for och in 0..oc {
-                let row_sum: f32 = g[och * oh * ow..(och + 1) * oh * ow].iter().sum();
-                self.bias.grad.as_mut_slice()[och] += row_sum;
-            }
+            // The chunk's patch matrices are spent: dcol = Wᵀ · G over the
+            // whole chunk overwrites them, then scatters back per image.
             gemm_tn_into(
                 self.weight.value.as_slice(),
-                g,
-                &mut dcol,
+                &self.mix[..oc * cols],
+                chunk,
                 patch,
                 oc,
-                oh * ow,
+                cols,
             );
-            col2im_into(
-                &dcol,
-                &mut grad_in.as_mut_slice()[i * in_per_sample..(i + 1) * in_per_sample],
-                &self.spec,
-                h,
-                w,
-            );
+            let images = &mut grad_in.as_mut_slice()[s0 * in_len..][..gc * in_len];
+            col2im_into(chunk, images, &self.spec, gc, h, w);
         }
+        self.batch = 0;
         ws.recycle_vec(dw);
-        ws.recycle_vec(dcol);
         grad_in
     }
 
@@ -285,7 +258,8 @@ impl std::fmt::Debug for Conv2d {
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     spec: Pool2dSpec,
-    argmax: Vec<Vec<usize>>,
+    /// Sample-local argmax index of every train-mode output, `n·C·OH·OW`.
+    argmax: Vec<usize>,
     input_dims: Vec<usize>,
 }
 
@@ -306,8 +280,8 @@ impl MaxPool2d {
 
 impl MaxPool2d {
     /// The shared window scan: pools every sample into `out`, recording
-    /// argmax indices into the persistent per-sample buffers (grown once,
-    /// reused across steps) when training.
+    /// argmax indices into the persistent tape (grown once, reused across
+    /// steps) when training.
     fn pool_into(&mut self, input: &Tensor, out: &mut Tensor, mode: Mode) {
         assert_eq!(input.rank(), 4, "max_pool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (
@@ -321,6 +295,7 @@ impl MaxPool2d {
         let out_per_sample = c * oh * ow;
         if mode == Mode::Train {
             cache_dims(&mut self.input_dims, input.dims());
+            self.argmax.resize(n * out_per_sample, 0);
         } else {
             // Eval invalidates the tape (capacity retained): a stray
             // backward fails loudly instead of using stale state.
@@ -331,26 +306,10 @@ impl MaxPool2d {
         for i in 0..n {
             let src_seg = &src[i * per_sample..(i + 1) * per_sample];
             let dst_seg = &mut dst[i * out_per_sample..(i + 1) * out_per_sample];
-            if mode == Mode::Train {
-                if self.argmax.len() <= i {
-                    // lint:allow(R1, reason = "argmax tape grows to the batch high-water mark once; steady state resizes in place")
-                    self.argmax.push(vec![0; out_per_sample]);
-                } else {
-                    self.argmax[i].resize(out_per_sample, 0);
-                }
-                tensor::max_pool2d_into(
-                    src_seg,
-                    dst_seg,
-                    &self.spec,
-                    c,
-                    h,
-                    w,
-                    Some(&mut self.argmax[i]),
-                );
-            } else {
-                // Eval never backpropagates: skip the argmax bookkeeping.
-                tensor::max_pool2d_into(src_seg, dst_seg, &self.spec, c, h, w, None);
-            }
+            // Eval never backpropagates: skip the argmax bookkeeping.
+            let argmax = (mode == Mode::Train)
+                .then(|| &mut self.argmax[i * out_per_sample..(i + 1) * out_per_sample]);
+            tensor::max_pool2d_into(src_seg, dst_seg, &self.spec, c, h, w, argmax);
         }
     }
 
@@ -370,7 +329,7 @@ impl Layer for MaxPool2d {
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         assert!(
-            !self.argmax.is_empty() && !self.input_dims.is_empty(),
+            !self.input_dims.is_empty(),
             "backward called before a training-mode forward on max_pool2d (eval invalidates the tape)"
         );
         let n = self.input_dims[0];
@@ -381,7 +340,8 @@ impl Layer for MaxPool2d {
         for i in 0..n {
             let g = &grad_out.as_slice()[i * out_per_sample..(i + 1) * out_per_sample];
             let gi = &mut grad_in.as_mut_slice()[i * per_sample..(i + 1) * per_sample];
-            for (&gv, &idx) in g.iter().zip(&self.argmax[i]) {
+            let argmax = &self.argmax[i * out_per_sample..(i + 1) * out_per_sample];
+            for (&gv, &idx) in g.iter().zip(argmax) {
                 gi[idx] += gv;
             }
         }
@@ -672,6 +632,113 @@ mod tests {
         let x = Tensor::randn(&[1, 1, 5, 5], 0.0, 1.0, &mut rng);
         let gc = GradCheck::new().eps(1e-2);
         assert!(gc.max_input_error(&mut conv, &x) < 5e-2);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The per-sample step the chunked layer replaces: one im2col, one
+    /// `W·col`, one `g·colᵀ`, one `Wᵀ·g` and one col2im per sample.
+    /// Returns `(output, dW, db, dx)`.
+    fn per_sample_reference(
+        conv: &Conv2d,
+        x: &Tensor,
+        grad_out: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let spec = *conv.spec();
+        let (weight, bias) = (conv.weight.value.as_slice(), conv.bias.value.as_slice());
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let (oh, ow) = spec.output_hw(h, w);
+        let (oc, patch, ohw) = (spec.out_channels, spec.patch_len(), oh * ow);
+        let in_len = spec.in_channels * h * w;
+        let (mut out, mut dx) = (vec![0.0; n * oc * ohw], vec![0.0; n * in_len]);
+        let (mut dw, mut db) = (vec![0.0f32; oc * patch], vec![0.0f32; oc]);
+        let (mut col, mut y) = (vec![0.0; patch * ohw], vec![0.0; oc * ohw]);
+        let (mut dw_i, mut dcol) = (vec![0.0; oc * patch], vec![0.0; patch * ohw]);
+        for i in 0..n {
+            im2col_into(
+                &x.as_slice()[i * in_len..][..in_len],
+                &mut col,
+                &spec,
+                1,
+                h,
+                w,
+            );
+            gemm_into(weight, &col, &mut y, oc, patch, ohw);
+            for (j, v) in y.iter().enumerate() {
+                out[i * oc * ohw + j] = v + bias[j / ohw];
+            }
+            let g = &grad_out.as_slice()[i * oc * ohw..][..oc * ohw];
+            gemm_nt_into(g, &col, &mut dw_i, oc, ohw, patch);
+            for (a, &d) in dw.iter_mut().zip(&dw_i) {
+                *a += d;
+            }
+            for (och, b) in db.iter_mut().enumerate() {
+                *b += g[och * ohw..][..ohw].iter().sum::<f32>();
+            }
+            gemm_tn_into(weight, g, &mut dcol, patch, oc, ohw);
+            col2im_into(&dcol, &mut dx[i * in_len..][..in_len], &spec, 1, h, w);
+        }
+        (out, dw, db, dx)
+    }
+
+    /// Chunked train and eval forwards, weight/bias/input gradients all
+    /// equal the per-sample step bit for bit, at batch sizes around the
+    /// chunk size `g` for a 9-output (`g = 28`) and a 196-output
+    /// (`g = 1`) geometry, with the tape shrinking and regrowing between
+    /// batches.
+    #[test]
+    fn chunked_conv_matches_per_sample_reference_bit_for_bit() {
+        // (in, out, kernel, stride, padding, side): LeNet's conv2 on 7×7
+        // maps (3×3 outputs) and conv1 on 14×14 digits (14×14 outputs).
+        for (c, oc, k, stride, pad, side) in [(6, 16, 5, 1, 0, 7), (1, 6, 5, 1, 2, 14)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut conv = Conv2d::new(c, oc, k, stride, pad, &mut rng);
+            conv.bias.value = Tensor::randn(&[oc], 0.0, 1.0, &mut rng);
+            let (oh, ow) = conv.spec().output_hw(side, side);
+            let g = samples_per_chunk(oh * ow);
+            for n in [1, g - 1, g, g + 1, 2 * g + 3]
+                .into_iter()
+                .filter(|&n| n > 0)
+            {
+                let x = Tensor::randn(&[n, c, side, side], 0.0, 1.0, &mut rng);
+                let grad_out = Tensor::randn(&[n, oc, oh, ow], 0.0, 1.0, &mut rng);
+                let (out, dw, db, dx) = per_sample_reference(&conv, &x, &grad_out);
+                let label = format!("{oh}x{ow} outputs, n = {n}");
+
+                let eval = conv.forward(&x, Mode::Eval);
+                assert_eq!(bits(eval.as_slice()), bits(&out), "eval output, {label}");
+                conv.zero_grads();
+                let train = conv.forward(&x, Mode::Train);
+                assert_eq!(bits(train.as_slice()), bits(&out), "train output, {label}");
+                let grad_in = conv.backward(&grad_out);
+                assert_eq!(bits(grad_in.as_slice()), bits(&dx), "input grad, {label}");
+                assert_eq!(bits(conv.weight.grad.as_slice()), bits(&dw), "dW, {label}");
+                assert_eq!(bits(conv.bias.grad.as_slice()), bits(&db), "db, {label}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "eval invalidates the tape")]
+    fn conv_backward_after_eval_forward_panics() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut conv = Conv2d::new(6, 16, 5, 1, 0, &mut rng);
+        let x = Tensor::randn(&[4, 6, 7, 7], 0.0, 1.0, &mut rng);
+        let _ = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x, Mode::Eval);
+        let _ = conv.backward(&Tensor::ones(y.dims()));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward consumes it")]
+    fn conv_second_backward_panics() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut conv = Conv2d::new(1, 6, 5, 1, 2, &mut rng);
+        let y = conv.forward(&Tensor::ones(&[2, 1, 14, 14]), Mode::Train);
+        let _ = conv.backward(&Tensor::ones(y.dims()));
+        let _ = conv.backward(&Tensor::ones(y.dims()));
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! (`col2im`); padding columns are filled with zeros. `col2im` visits taps
 //! in the same `(c, ky, kx)` order as a per-element scatter, so every
 //! image element accumulates its contributions in ascending `(ky, kx)`.
+//!
+//! Both take a sample count `n`: `n` images lower side by side into one
+//! `[C·kh·kw, n·OH·OW]` matrix (sample `s` owns columns
+//! `s·OH·OW .. (s+1)·OH·OW` of every row), so a convolution can multiply
+//! a whole chunk of samples with one gemm. Each sample's column block is
+//! exactly the single-image matrix, and each image gradient only gathers
+//! from its own block, so batching changes no value.
 
 use std::ops::Range;
 
@@ -118,59 +125,62 @@ pub fn im2col(image: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
     assert_eq!(image.dims()[0], spec.in_channels, "im2col channel mismatch");
     let (oh, ow) = spec.output_hw(h, w);
     let mut col = Tensor::zeros(&[spec.patch_len(), oh * ow]);
-    im2col_into(image.as_slice(), col.as_mut_slice(), spec, h, w);
+    im2col_into(image.as_slice(), col.as_mut_slice(), spec, 1, h, w);
     col
 }
 
-/// [`im2col`] on raw slices, writing into a caller-provided buffer.
+/// [`im2col`] on raw slices for `n` images, writing into a
+/// caller-provided buffer.
 ///
-/// `src` is one `[C, H, W]` image (`C·h·w` elements); `dst` must hold
-/// `patch_len() · OH·OW` elements and is fully overwritten (zero padding
-/// included), so recycled scratch buffers can be passed directly. The
-/// eval-mode convolution hot path uses this to lower images without
-/// allocating a fresh patch matrix per sample per trial.
+/// `src` is `n` consecutive `[C, H, W]` images (`n·C·h·w` elements);
+/// `dst` must hold `patch_len() · n·OH·OW` elements, laid out as
+/// `[patch_len(), n·OH·OW]` with sample `s` in columns
+/// `s·OH·OW .. (s+1)·OH·OW`. It is fully overwritten (zero padding
+/// included), so recycled scratch buffers can be passed directly.
 ///
 /// # Panics
 ///
 /// Panics if either slice length disagrees with the geometry.
-pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w: usize) {
+pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_im2col_seconds"));
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
-    assert_eq!(
-        src.len(),
-        spec.in_channels * h * w,
-        "im2col_into image length mismatch"
-    );
+    let image = spec.in_channels * h * w;
+    assert_eq!(src.len(), n * image, "im2col_into image length mismatch");
     assert_eq!(
         dst.len(),
-        spec.patch_len() * oh * ow,
+        spec.patch_len() * n * oh * ow,
         "im2col_into output length mismatch"
     );
     let ncols = oh * ow;
-    for (row, dst_row) in dst.chunks_exact_mut(ncols).enumerate() {
+    if n == 0 {
+        return;
+    }
+    for (row, dst_row) in dst.chunks_exact_mut(n * ncols).enumerate() {
         let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
-        let plane = &src[c * h * w..][..h * w];
         let ys = spec.valid_outputs(ky, h, oh);
         let xs = spec.valid_outputs(kx, w, ow);
-        dst_row[..ys.start * ow].fill(0.0);
-        dst_row[ys.end * ow..].fill(0.0);
-        for oy in ys {
-            let seg = &mut dst_row[oy * ow..][..ow];
-            seg[..xs.start].fill(0.0);
-            seg[xs.end..].fill(0.0);
-            if xs.is_empty() {
-                continue;
-            }
-            let iy = oy * spec.stride + ky - spec.padding;
-            let ix0 = xs.start * spec.stride + kx - spec.padding;
-            let src_row = &plane[iy * w..][ix0..w];
-            let seg = &mut seg[xs.start..xs.end];
-            if spec.stride == 1 {
-                seg.copy_from_slice(&src_row[..seg.len()]);
-            } else {
-                for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(spec.stride)) {
-                    *d = v;
+        for (s, dst_seg) in dst_row.chunks_exact_mut(ncols).enumerate() {
+            let plane = &src[s * image + c * h * w..][..h * w];
+            dst_seg[..ys.start * ow].fill(0.0);
+            dst_seg[ys.end * ow..].fill(0.0);
+            for oy in ys.start..ys.end {
+                let seg = &mut dst_seg[oy * ow..][..ow];
+                seg[..xs.start].fill(0.0);
+                seg[xs.end..].fill(0.0);
+                if xs.is_empty() {
+                    continue;
+                }
+                let iy = oy * spec.stride + ky - spec.padding;
+                let ix0 = xs.start * spec.stride + kx - spec.padding;
+                let src_row = &plane[iy * w..][ix0..w];
+                let seg = &mut seg[xs.start..xs.end];
+                if spec.stride == 1 {
+                    seg.copy_from_slice(&src_row[..seg.len()]);
+                } else {
+                    for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(spec.stride)) {
+                        *d = v;
+                    }
                 }
             }
         }
@@ -192,58 +202,60 @@ pub fn col2im(col: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
         "col2im shape mismatch"
     );
     let mut image = Tensor::zeros(&[spec.in_channels, h, w]);
-    col2im_into(col.as_slice(), image.as_mut_slice(), spec, h, w);
+    col2im_into(col.as_slice(), image.as_mut_slice(), spec, 1, h, w);
     image
 }
 
-/// [`col2im`] on raw slices, writing into a caller-provided buffer.
+/// [`col2im`] on raw slices for `n` images, writing into a
+/// caller-provided buffer.
 ///
-/// `src` is one `[C·kh·kw, OH·OW]` patch-gradient matrix; `dst` (`C·h·w`
-/// elements) is zeroed and then scatter-accumulated into, so recycled
+/// `src` is a `[C·kh·kw, n·OH·OW]` patch-gradient matrix in the
+/// [`im2col_into`] layout; `dst` (`n·C·h·w` elements, `n` consecutive
+/// images) is zeroed and then scatter-accumulated into, so recycled
 /// scratch buffers can be passed directly. This is the single scatter
 /// implementation behind the allocating wrapper, so the two stay
-/// bit-identical by construction — the convolution backward hot path uses
-/// it to write each sample's image gradient straight into its segment of
-/// the batch gradient tensor.
+/// bit-identical by construction.
 ///
 /// # Panics
 ///
 /// Panics if either slice length disagrees with the geometry.
-pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w: usize) {
+pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_col2im_seconds"));
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
+    let image = spec.in_channels * h * w;
     assert_eq!(
         src.len(),
-        spec.patch_len() * oh * ow,
+        spec.patch_len() * n * oh * ow,
         "col2im_into patch matrix length mismatch"
     );
-    assert_eq!(
-        dst.len(),
-        spec.in_channels * h * w,
-        "col2im_into image length mismatch"
-    );
+    assert_eq!(dst.len(), n * image, "col2im_into image length mismatch");
     dst.fill(0.0);
     let ncols = oh * ow;
-    for (row, src_row) in src.chunks_exact(ncols).enumerate() {
+    if n == 0 {
+        return;
+    }
+    for (row, src_row) in src.chunks_exact(n * ncols).enumerate() {
         let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
-        let plane = &mut dst[c * h * w..][..h * w];
         let xs = spec.valid_outputs(kx, w, ow);
         if xs.is_empty() {
             continue;
         }
         let ix0 = xs.start * spec.stride + kx - spec.padding;
-        for oy in spec.valid_outputs(ky, h, oh) {
-            let iy = oy * spec.stride + ky - spec.padding;
-            let seg = &src_row[oy * ow..][xs.start..xs.end];
-            let dst_row = &mut plane[iy * w..][ix0..w];
-            if spec.stride == 1 {
-                for (d, &v) in dst_row.iter_mut().zip(seg) {
-                    *d += v;
-                }
-            } else {
-                for (d, &v) in dst_row.iter_mut().step_by(spec.stride).zip(seg) {
-                    *d += v;
+        for (s, src_seg) in src_row.chunks_exact(ncols).enumerate() {
+            let plane = &mut dst[s * image + c * h * w..][..h * w];
+            for oy in spec.valid_outputs(ky, h, oh) {
+                let iy = oy * spec.stride + ky - spec.padding;
+                let seg = &src_seg[oy * ow..][xs.start..xs.end];
+                let dst_row = &mut plane[iy * w..][ix0..w];
+                if spec.stride == 1 {
+                    for (d, &v) in dst_row.iter_mut().zip(seg) {
+                        *d += v;
+                    }
+                } else {
+                    for (d, &v) in dst_row.iter_mut().step_by(spec.stride).zip(seg) {
+                        *d += v;
+                    }
                 }
             }
         }
@@ -316,7 +328,7 @@ mod tests {
         .unwrap();
         let reference = col2im(&col, &spec, h, w);
         let mut dst = vec![f32::NAN; 2 * h * w]; // stale garbage must vanish
-        col2im_into(col.as_slice(), &mut dst, &spec, h, w);
+        col2im_into(col.as_slice(), &mut dst, &spec, 1, h, w);
         assert_eq!(dst, reference.as_slice());
     }
 

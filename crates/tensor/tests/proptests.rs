@@ -282,11 +282,57 @@ proptest! {
             .collect();
 
         let mut col_buf = vec![f32::NAN; spec.patch_len() * oh * ow];
-        im2col_into(&image, &mut col_buf, &spec, h, w);
+        im2col_into(&image, &mut col_buf, &spec, 1, h, w);
         prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&naive_im2col(&image, &spec, h, w)));
 
         let mut image_buf = vec![f32::NAN; channels * h * w];
-        col2im_into(&cols, &mut image_buf, &spec, h, w);
+        col2im_into(&cols, &mut image_buf, &spec, 1, h, w);
         prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&naive_col2im(&cols, &spec, h, w)));
+    }
+
+    /// `n` images lowered side by side equal `n` per-sample lowerings bit
+    /// for bit (sample `s` in columns `s·OH·OW..` of every row), and the
+    /// batched scatter equals `n` per-sample scatters, into dirty buffers.
+    #[test]
+    fn batched_im2col_col2im_match_per_sample_loops(
+        geometry in (1usize..4, 1usize..6, 1usize..4, 0usize..4),
+        n in 1usize..6,
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (channels, kernel, stride, padding) = geometry;
+        let spec = Conv2dSpec::new(channels, 1, kernel, stride, padding);
+        let min_side = kernel.saturating_sub(2 * padding).max(1);
+        let (h, w) = (min_side + extra_h, min_side + extra_w);
+        let (oh, ow) = spec.output_hw(h, w);
+        let (image_len, ncols, patch) = (channels * h * w, oh * ow, spec.patch_len());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let images: Vec<f32> = (0..n * image_len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let cols: Vec<f32> = (0..patch * n * ncols)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect();
+
+        let mut want_cols = vec![0.0f32; patch * n * ncols];
+        let mut want_images = Vec::with_capacity(n * image_len);
+        for s in 0..n {
+            let one = naive_im2col(&images[s * image_len..][..image_len], &spec, h, w);
+            let mut sample_cols = Vec::with_capacity(patch * ncols);
+            for row in 0..patch {
+                let at = row * n * ncols + s * ncols;
+                want_cols[at..at + ncols].copy_from_slice(&one[row * ncols..][..ncols]);
+                sample_cols.extend_from_slice(&cols[at..at + ncols]);
+            }
+            want_images.extend(naive_col2im(&sample_cols, &spec, h, w));
+        }
+
+        let mut col_buf = vec![f32::NAN; patch * n * ncols];
+        im2col_into(&images, &mut col_buf, &spec, n, h, w);
+        prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&want_cols));
+
+        let mut image_buf = vec![f32::NAN; n * image_len];
+        col2im_into(&cols, &mut image_buf, &spec, n, h, w);
+        prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&want_images));
     }
 }

@@ -10,7 +10,10 @@
 //! (AWP refreshes one weight snapshot in place every step), and one serial
 //! `DriftObjective` evaluation or `drift_accuracy` call allocates as often
 //! at 2 Monte-Carlo samples as at 8 — batch gathering, the epoch shuffle
-//! and the eval loop add nothing per epoch, batch or sample.
+//! and the eval loop add nothing per epoch, batch or sample. A LeNet
+//! alternating batch-32 train epochs with batch-64 `eval_batches` passes
+//! allocates as often at 2 rounds as at 8: layer tapes and dropout masks
+//! survive eval forwards and grow once.
 //!
 //! This binary runs without the libtest harness (`harness = false`):
 //! everything executes on the main thread, so the process-wide allocation
@@ -28,8 +31,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::{
-    drift_accuracy, train_awp, train_epochs, train_step, AwpConfig, Codebook, OutputDecoder,
-    TrainConfig, TrainedModel,
+    drift_accuracy, eval_batches, train_awp, train_epochs, train_step, AwpConfig, Codebook,
+    OutputDecoder, TrainConfig, TrainedModel,
 };
 use bayesft::{DriftObjective, ObjectiveMetric};
 use datasets::{digits, ped_scenes};
@@ -101,6 +104,7 @@ fn main() {
     steady_state_training_step_allocates_nothing();
     train_epochs_allocations_do_not_grow_with_epochs();
     train_awp_allocations_do_not_grow_with_epochs();
+    lenet_train_eval_rounds_allocations_do_not_grow_with_rounds();
     drift_evaluation_allocations_do_not_grow_with_samples();
     println!("train_zero_alloc: ok");
 }
@@ -135,6 +139,58 @@ fn train_epochs_allocations_do_not_grow_with_epochs() {
             "{name}: train_epochs allocated {two} times at 2 epochs but {eight} at 8"
         );
     }
+}
+
+/// One round: a LeNet train epoch over prepared batch-32 batches, then
+/// an `eval_batches` pass (batches of 64).
+fn lenet_round(
+    net: &mut dyn Layer,
+    batches: &[(Tensor, Vec<usize>)],
+    data: &datasets::ClassificationDataset,
+    opt: &mut dyn Optimizer,
+    ws: &mut Workspace,
+) {
+    assert!(epoch(net, batches, opt, ws).is_finite());
+    eval_batches(net, data, ws, |out, _, _| {
+        assert!(out.as_slice().iter().all(|v| v.is_finite()));
+    });
+}
+
+/// Conv layers keep their tapes across train and eval: alternating a
+/// batch-32 train epoch with a batch-64 eval pass allocates as often at
+/// 2 rounds as at 8. The conv tape grows once, to the train batch (the
+/// eval pass reuses its first chunk), and eval takes no batch-sized
+/// workspace buffers of its own.
+fn lenet_train_eval_rounds_allocations_do_not_grow_with_rounds() {
+    // 70 images: train batches of 32, 32 and 6; eval batches of 64 and 6.
+    let data = digit_data(7);
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
+    set_dropout_rates(&mut lenet, &[0.3, 0.2, 0.1]);
+    let batches: Vec<(Tensor, Vec<usize>)> = (0..data.len())
+        .step_by(32)
+        .map(|start| {
+            let rows = start..(start + 32).min(data.len());
+            let (mut x, mut labels) = (Tensor::zeros(&[0]), vec![0; rows.len()]);
+            data.gather_into(rows, false, &mut x, &mut labels);
+            (x, labels)
+        })
+        .collect();
+    let mut opt = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
+    let mut ws = Workspace::new();
+    lenet_round(&mut lenet, &batches, &data, &mut opt, &mut ws);
+    let mut rounds = |n: usize| {
+        count_allocs(|| {
+            for _ in 0..n {
+                lenet_round(&mut lenet, &batches, &data, &mut opt, &mut ws);
+            }
+        })
+    };
+    let (two, eight) = (rounds(2), rounds(8));
+    assert_eq!(
+        two, eight,
+        "LeNet train/eval rounds allocated {two} times at 2 rounds but {eight} at 8"
+    );
 }
 
 /// AWP snapshots the weights before every adversarial ascent; the one
