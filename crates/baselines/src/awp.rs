@@ -8,7 +8,7 @@
 //! implementation reproduces at large `gamma`.
 
 use datasets::ClassificationDataset;
-use nn::{Layer, Param};
+use nn::{Layer, Param, Workspace};
 use reram::{FaultInjector, WeightSnapshot};
 
 use crate::train::{run_epochs, softmax_grads};
@@ -38,7 +38,8 @@ pub fn train_awp(
 ) -> TrainedModel {
     // One snapshot, refreshed in place every step.
     let mut snapshot = WeightSnapshot::default();
-    let _ = run_epochs(net.as_mut(), data, cfg, |net, x, labels, ws| {
+    let mut ws = Workspace::new();
+    let _ = run_epochs(net.as_mut(), data, cfg, &mut ws, |net, x, labels, ws| {
         // 1. Gradient at the current weights.
         net.zero_grads();
         softmax_grads(net, x, labels, ws);

@@ -4,7 +4,7 @@
 
 use datasets::ClassificationDataset;
 use nn::{Layer, Mode, Workspace};
-use reram::{monte_carlo, DriftModel, McStats};
+use reram::{monte_carlo, DriftModel, McState, McStats};
 use tensor::Tensor;
 
 use crate::train::flattens;
@@ -80,6 +80,7 @@ pub fn drift_accuracy(
         &[(drift, seed)],
         trials,
         1,
+        &mut McState::default(),
         |net, ws| decoder.accuracy(net, data, ws),
     )
 }

@@ -144,7 +144,8 @@ pub fn train_ftna(
     cfg: &TrainConfig,
     codebook: Codebook,
 ) -> TrainedModel {
-    let _ = run_epochs(net.as_mut(), data, cfg, |net, x, labels, ws| {
+    let mut ws = Workspace::new();
+    let _ = run_epochs(net.as_mut(), data, cfg, &mut ws, |net, x, labels, ws| {
         backprop(net, x, ws, |logits, ws| {
             codebook.bce_loss_ws(logits, labels, ws)
         })

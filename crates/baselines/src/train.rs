@@ -12,18 +12,20 @@ use crate::{OutputDecoder, TrainConfig, TrainedModel};
 /// Runs `cfg.epochs` epochs of momentum SGD and returns each epoch's mean
 /// batch loss. Every epoch redraws a permutation of the samples, gathers
 /// each batch of it (the last may be partial) into buffers reused across
-/// the run, lets `step` leave that batch's gradients on the parameters, and
-/// applies the update; once the first epoch has warmed them, epochs
-/// allocate nothing.
+/// the call, lets `step` leave that batch's gradients on the parameters
+/// (drawing its scratch from `ws`), and applies the update. Once the first
+/// epoch has warmed them, epochs allocate nothing; a caller that keeps `ws`
+/// across calls (one per search run) pays its buffers once. The optimizer
+/// is built per call, so momentum starts from zero every call.
 pub(crate) fn run_epochs(
     net: &mut dyn Layer,
     data: &ClassificationDataset,
     cfg: &TrainConfig,
+    ws: &mut Workspace,
     mut step: impl FnMut(&mut dyn Layer, &Tensor, &[usize], &mut Workspace) -> f32,
 ) -> Vec<f32> {
     let mut opt = Sgd::new(cfg.lr).momentum(cfg.momentum).clip_norm(5.0);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut ws = Workspace::new();
     let flatten = flattens(net, data);
     let mut order = vec![0; data.len()];
     let (mut x, mut labels) = (Tensor::default(), vec![0; cfg.batch_size]);
@@ -34,7 +36,7 @@ pub(crate) fn run_epochs(
         for batch in order.chunks(cfg.batch_size) {
             let labels = &mut labels[..batch.len()];
             data.gather_into(batch.iter().copied(), flatten, &mut x, labels);
-            loss_sum += step(net, &x, labels, &mut ws);
+            loss_sum += step(net, &x, labels, ws);
             opt.step(net);
         }
         let batches = order.len().div_ceil(cfg.batch_size);
@@ -72,13 +74,16 @@ pub(crate) fn flattens(net: &dyn Layer, data: &ClassificationDataset) -> bool {
 /// Each step runs on the workspace train path — `forward_ws`, a pooled loss
 /// gradient, `backward_ws`, and an in-place optimizer — and batches are
 /// gathered into reused buffers, so after the first epoch warms them,
-/// further epochs perform zero heap allocations.
+/// further epochs perform zero heap allocations. Passing the same `ws` to
+/// every call (as the search engine does across trials) keeps its buffers
+/// warm between calls too; a one-off caller passes `&mut Workspace::new()`.
 pub fn train_epochs(
     net: &mut dyn Layer,
     data: &ClassificationDataset,
     cfg: &TrainConfig,
+    ws: &mut Workspace,
 ) -> Vec<f32> {
-    run_epochs(net, data, cfg, softmax_grads)
+    run_epochs(net, data, cfg, ws, softmax_grads)
 }
 
 /// One allocation-free SGD step on a prepared batch: workspace forward,
@@ -119,7 +124,7 @@ pub fn train_erm(
     data: &ClassificationDataset,
     cfg: &TrainConfig,
 ) -> TrainedModel {
-    let _ = train_epochs(net.as_mut(), data, cfg);
+    let _ = train_epochs(net.as_mut(), data, cfg, &mut Workspace::new());
     TrainedModel {
         net,
         decoder: OutputDecoder::Softmax,
@@ -152,7 +157,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let data = moons(200, 0.1, &mut rng);
         let mut net = Mlp::new(&MlpConfig::new(2, 2).hidden(16), &mut rng);
-        let losses = train_epochs(&mut net, &data, &TrainConfig::fast_test());
+        let losses = train_epochs(
+            &mut net,
+            &data,
+            &TrainConfig::fast_test(),
+            &mut Workspace::new(),
+        );
         assert_eq!(losses.len(), 5);
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),

@@ -87,12 +87,13 @@ fn random_search(
     };
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let mut best = (Vec::new(), f32::NEG_INFINITY);
+    let mut ws = nn::Workspace::new();
     for t in 0..scale.bo_trials() {
         let alpha: Vec<f64> = (0..space.dim()).map(|_| rng.gen::<f64>()).collect();
         space
             .apply(net.as_mut(), &alpha)
             .expect("alpha matches probed dimension");
-        let _ = baselines::train_epochs(net.as_mut(), &task.train, &cfg);
+        let _ = baselines::train_epochs(net.as_mut(), &task.train, &cfg, &mut ws);
         let score = objective.evaluate(net.as_mut(), &task.test, t as u64).mean;
         if score > best.1 {
             best = (alpha, score);
@@ -101,7 +102,7 @@ fn random_search(
     space
         .apply(net.as_mut(), &best.0)
         .expect("alpha matches probed dimension");
-    let _ = baselines::train_epochs(net.as_mut(), &task.train, &cfg);
+    let _ = baselines::train_epochs(net.as_mut(), &task.train, &cfg, &mut ws);
     baselines::TrainedModel {
         net,
         decoder: baselines::OutputDecoder::Softmax,

@@ -12,7 +12,7 @@ use std::time::Instant;
 use baselines::{train_epochs, OutputDecoder, TrainConfig, TrainedModel};
 use bayesopt::{Acquisition, BayesOpt, SquaredExponential};
 use datasets::ClassificationDataset;
-use nn::Layer;
+use nn::{Layer, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::mix_seed;
@@ -300,7 +300,10 @@ impl Engine {
     /// Weights `θ` persist across trials (Algorithm 1 trains them
     /// continuously); only the architecture vector `α` jumps between
     /// Bayesian-optimization suggestions. After the search the best `α` is
-    /// re-applied and the weights fine-tuned.
+    /// re-applied and the weights fine-tuned. One training workspace
+    /// serves every trial and the fine-tune, and a [`DriftObjective`]
+    /// keeps its Monte-Carlo state across trials, so a trial allocates
+    /// buffers only while they first grow.
     ///
     /// The run is deterministic in the master seed: for a fixed seed the
     /// returned [`RunReport`] is [`RunReport::deterministic_eq`]-identical
@@ -357,6 +360,7 @@ impl Engine {
         .candidates(cfg.candidates);
         let mut suggest_rng = ChaCha8Rng::seed_from_u64(mix_seed(cfg.seed, SUGGEST_STREAM));
 
+        let mut train_ws = Workspace::new();
         let mut timings = StageTimings::default();
         let mut trials = Vec::with_capacity(cfg.trials);
         for t in 0..cfg.trials {
@@ -378,7 +382,7 @@ impl Engine {
                     "engine.train",
                     telemetry::duration_histogram!("engine_train_seconds"),
                 );
-                let _ = train_epochs(net.as_mut(), train, &epoch_cfg);
+                let _ = train_epochs(net.as_mut(), train, &epoch_cfg, &mut train_ws);
             }
             timings.train_ms += ms_since(mark);
 
@@ -419,7 +423,7 @@ impl Engine {
                 "engine.finetune",
                 telemetry::duration_histogram!("engine_finetune_seconds"),
             );
-            let _ = train_epochs(net.as_mut(), train, &final_cfg);
+            let _ = train_epochs(net.as_mut(), train, &final_cfg, &mut train_ws);
         }
         timings.finetune_ms = ms_since(mark);
         timings.total_ms = ms_since(run_start);

@@ -1,12 +1,12 @@
 //! Objectives: the drift-marginalized utility of Eqs. (3)–(4), behind a
 //! pluggable trait.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use baselines::{eval_batches, OutputDecoder};
 use datasets::ClassificationDataset;
 use nn::{softmax_cross_entropy_ws, Layer, Workspace};
-use reram::{DriftModel, LogNormalDrift, McStats};
+use reram::{DriftModel, LogNormalDrift, McState, McStats};
 
 /// Per-evaluation metadata handed to an [`Objective`] by the engine.
 ///
@@ -83,6 +83,12 @@ pub enum ObjectiveMetric {
 /// Gaussian, uniform, stuck-at, bit-flip, or composites — can be averaged
 /// over, not just the log-normal σ-ladder of the original formulation.
 ///
+/// The objective keeps the Monte-Carlo driver's [`McState`] (weight
+/// snapshot and worker workspaces) between calls, so scoring one network
+/// per search trial allocates its buffers once per objective, not once per
+/// trial. The state never changes a result; a clone starts with a fresh
+/// one.
+///
 /// # Example
 ///
 /// ```
@@ -107,7 +113,6 @@ pub enum ObjectiveMetric {
 ///     vec![Arc::new(StuckAtFault::new(0.1, 0.0, 1.0))], 4);
 /// assert_eq!(stuck.evaluate(&mut net, &data, 7).values.len(), 4);
 /// ```
-#[derive(Clone)]
 pub struct DriftObjective {
     /// Fault distributions the objective averages over. The paper's
     /// Eq. (3) uses a single log-normal σ; averaging over a small ladder
@@ -118,6 +123,19 @@ pub struct DriftObjective {
     trials: usize,
     /// Measured quantity.
     metric: ObjectiveMetric,
+    /// Buffers reused by the next evaluation.
+    mc_state: Mutex<McState>,
+}
+
+impl Clone for DriftObjective {
+    fn clone(&self) -> Self {
+        DriftObjective {
+            levels: self.levels.clone(),
+            trials: self.trials,
+            metric: self.metric,
+            mc_state: Mutex::default(),
+        }
+    }
 }
 
 impl std::fmt::Debug for DriftObjective {
@@ -200,6 +218,7 @@ impl DriftObjective {
             levels: models,
             trials,
             metric: ObjectiveMetric::Accuracy,
+            mc_state: Mutex::default(),
         }
     }
 
@@ -238,6 +257,8 @@ impl Objective for DriftObjective {
     /// Runs every fault level through one [`reram::monte_carlo`] call over
     /// `ctx.parallelism` workers, level `i` seeded
     /// `mix_seed(ctx.seed, i + 1)`; bit-identical for every worker count.
+    /// A call that finds the kept state in use by another thread (or
+    /// poisoned by a panic) runs on a fresh one instead of waiting.
     fn evaluate(
         &self,
         network: &mut dyn Layer,
@@ -251,11 +272,14 @@ impl Objective for DriftObjective {
             .map(|(i, model)| (model.as_ref(), reram::mix_seed(ctx.seed, i as u64 + 1)))
             .collect();
         let metric = self.metric;
+        let mut kept = self.mc_state.try_lock().ok();
+        let mut fresh = McState::default();
         reram::monte_carlo(
             network,
             &levels,
             self.trials,
             ctx.parallelism,
+            kept.as_deref_mut().unwrap_or(&mut fresh),
             |net, ws| match metric {
                 ObjectiveMetric::NegLoss => neg_loss(net, data, ws),
                 ObjectiveMetric::Accuracy => OutputDecoder::Softmax.accuracy(net, data, ws),
@@ -359,6 +383,36 @@ mod tests {
             let ctx = EvalCtx::new(0, 11).parallelism(workers);
             let parallel = Objective::evaluate(&obj, &mut net, &data, &ctx);
             assert_eq!(serial.values, parallel.values, "{workers} workers");
+        }
+    }
+
+    /// One objective keeps its state across calls; scoring a sequence of
+    /// networks — trained further in between, and one of another shape —
+    /// must equal a fresh objective per call, for every worker count.
+    #[test]
+    fn kept_state_matches_a_fresh_objective_per_call() {
+        let (mut net, data) = setup();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut wide = Mlp::new(&MlpConfig::new(2, 2).hidden(24).depth(3), &mut rng);
+        let objective = || {
+            let models: Vec<Arc<dyn DriftModel>> = vec![
+                Arc::new(LogNormalDrift::new(0.0)),
+                Arc::new(LogNormalDrift::new(0.5)),
+                Arc::new(StuckAtFault::new(0.05, 0.0, 1.0)),
+            ];
+            DriftObjective::with_models(models, 3).metric(ObjectiveMetric::NegLoss)
+        };
+        let cfg = baselines::TrainConfig::fast_test();
+        for workers in 1..=3 {
+            let kept = objective();
+            for call in 0..4u64 {
+                let target: &mut dyn Layer = if call == 2 { &mut wide } else { &mut net };
+                let ctx = EvalCtx::new(0, call).parallelism(workers);
+                let got = Objective::evaluate(&kept, target, &data, &ctx);
+                let want = Objective::evaluate(&objective(), target, &data, &ctx);
+                assert_eq!(got.values, want.values, "call {call}, {workers} workers");
+                let _ = baselines::train_epochs(target, &data, &cfg, &mut Workspace::new());
+            }
         }
     }
 

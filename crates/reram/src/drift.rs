@@ -11,6 +11,14 @@ use crate::FaultError;
 /// as a dynamic trait object for the same reason.
 pub trait DriftModel: Send + Sync {
     /// Returns the drifted version of `value`.
+    ///
+    /// The output must depend only on `value` and the words drawn from
+    /// `rng` (no interior state, no other entropy). A call that draws no
+    /// words is then deterministic in `value`, and [`monte_carlo`] relies
+    /// on that: a fault level whose injection drew nothing is scored once
+    /// per worker instead of once per sample.
+    ///
+    /// [`monte_carlo`]: crate::monte_carlo
     fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32;
 
     /// Short name for reports.

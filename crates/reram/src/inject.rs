@@ -140,9 +140,15 @@ impl WeightSnapshot {
     /// [`WeightSnapshot::write_to`]. A `&mut` reference can be passed as
     /// the reader.
     ///
+    /// Buffers grow as values arrive rather than trusting the header's
+    /// counts, so a corrupt or hostile header fails with an error instead
+    /// of a multi-terabyte allocation.
+    ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a bad magic header or truncated stream.
+    /// Returns `InvalidData` on a bad magic header, an implausible rank or
+    /// an element count that overflows `usize`, and `UnexpectedEof` on a
+    /// truncated stream.
     pub fn read_from<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let mut magic = [0u8; 4];
@@ -152,8 +158,8 @@ impl WeightSnapshot {
         }
         let mut u64buf = [0u8; 8];
         r.read_exact(&mut u64buf)?;
-        let count = u64::from_le_bytes(u64buf) as usize;
-        let mut values = Vec::with_capacity(count);
+        let count = u64::from_le_bytes(u64buf);
+        let mut values = Vec::new();
         for _ in 0..count {
             r.read_exact(&mut u64buf)?;
             let rank = u64::from_le_bytes(u64buf) as usize;
@@ -168,8 +174,11 @@ impl WeightSnapshot {
                 r.read_exact(&mut u64buf)?;
                 dims.push(u64::from_le_bytes(u64buf) as usize);
             }
-            let len: usize = dims.iter().product();
-            let mut data = Vec::with_capacity(len);
+            let len = dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| Error::new(ErrorKind::InvalidData, "tensor size overflows"))?;
+            let mut data = Vec::new();
             let mut f32buf = [0u8; 4];
             for _ in 0..len {
                 r.read_exact(&mut f32buf)?;
@@ -277,7 +286,9 @@ pub struct McStats {
     pub values: Vec<f32>,
     /// Sample mean.
     pub mean: f32,
-    /// Sample standard deviation (0 for a single trial).
+    /// Population standard deviation: the root of the mean squared
+    /// deviation, divided by `n` rather than `n − 1` (0 for a single
+    /// trial).
     pub std: f32,
 }
 
@@ -348,6 +359,22 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Buffers one [`monte_carlo`] call leaves behind for the next: the
+/// pristine-weight snapshot, refreshed in place from the network on every
+/// call, and one [`Workspace`] per worker block.
+///
+/// A caller that evaluates many networks (one per search trial) keeps one
+/// state and passes it to every call, so after the first call the driver
+/// allocates only its returned values; a caller that keeps no state passes
+/// `&mut McState::default()`. The state never changes a result: the
+/// snapshot is retaken from the network each call, and workspace contents
+/// are scratch.
+#[derive(Debug, Default)]
+pub struct McState {
+    snapshot: WeightSnapshot,
+    workspaces: Vec<Workspace>,
+}
+
 /// Monte-Carlo marginalization of a metric over fault distributions — the
 /// tractable estimator of the paper's Eq. 3/4,
 /// `u ≈ (1/T) Σ_t metric(f(θ·e^{λ_t}))`, pooled over fault levels.
@@ -361,11 +388,18 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
 /// per worker thread (at most `workers`). The first block runs on
 /// `network` itself — with `workers <= 1` it is the only one, so nothing
 /// is cloned or spawned — and every other block on a
-/// [`Layer::clone_box`] replica. Each worker owns one [`Workspace`] and
-/// hands it to every `metric` call. Every sample drifts straight from one
-/// shared snapshot ([`FaultInjector::inject_from`]) and one final
-/// [`WeightSnapshot::restore_into`] hands `network` back pristine, so the
-/// result is bit-identical for every worker count.
+/// [`Layer::clone_box`] replica. Block `b` hands `state`'s `b`-th
+/// [`Workspace`] to every `metric` call. Every sample drifts straight from
+/// the snapshot in `state` ([`FaultInjector::inject_from`]) and one final
+/// [`WeightSnapshot::restore_into`] hands `network` back pristine.
+///
+/// A sample whose injection drew no RNG words drifted the weights
+/// deterministically (see [`DriftModel::perturb`]), so every sample of its
+/// level would see the same network: the block's remaining samples of that
+/// level copy its value without injecting or calling `metric`. `metric`
+/// must therefore be a function of the network it is handed. Each block
+/// scores its first sample of a level itself, so the result is
+/// bit-identical for every worker count.
 ///
 /// # Panics
 ///
@@ -377,14 +411,15 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
 /// use nn::{Dense, Layer, Mode};
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
-/// use reram::{monte_carlo, LogNormalDrift};
+/// use reram::{monte_carlo, LogNormalDrift, McState};
 /// use tensor::Tensor;
 ///
 /// let mut rng = ChaCha8Rng::seed_from_u64(0);
 /// let mut net = Dense::new(2, 2, &mut rng);
 /// let x = Tensor::ones(&[1, 2]);
 /// let drift = LogNormalDrift::new(0.3);
-/// let stats = monte_carlo(&mut net, &[(&drift, 7)], 8, 2, |n, ws| {
+/// let mut state = McState::default();
+/// let stats = monte_carlo(&mut net, &[(&drift, 7)], 8, 2, &mut state, |n, ws| {
 ///     let y = n.forward_ws(&x, Mode::Eval, ws);
 ///     let sum = y.sum();
 ///     ws.recycle(y);
@@ -397,6 +432,7 @@ pub fn monte_carlo(
     levels: &[(&dyn DriftModel, u64)],
     trials: usize,
     workers: usize,
+    state: &mut McState,
     metric: impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync,
 ) -> McStats {
     assert!(
@@ -404,32 +440,56 @@ pub fn monte_carlo(
         "Monte-Carlo needs at least one fault level"
     );
     assert!(trials > 0, "Monte-Carlo needs at least one trial");
-    let snapshot = FaultInjector::snapshot(network);
+    let McState {
+        snapshot,
+        workspaces,
+    } = state;
+    FaultInjector::snapshot_into(network, snapshot);
+    let snapshot = &*snapshot;
     // Evaluates samples `first..first + out.len()` on one network.
-    let run = |first: usize, out: &mut [f32], net: &mut dyn Layer| {
-        let mut ws = Workspace::new();
+    let run = |first: usize, out: &mut [f32], net: &mut dyn Layer, ws: &mut Workspace| {
+        // The level whose injection drew no words, and its value.
+        let mut fixed: Option<(usize, f32)> = None;
         for (k, value) in (first..).zip(out) {
-            let (model, level_seed) = levels[k / trials];
+            let level = k / trials;
+            if let Some((_, v)) = fixed.filter(|&(l, _)| l == level) {
+                *value = v;
+                continue;
+            }
+            let (model, level_seed) = levels[level];
             let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(level_seed, (k % trials) as u64));
-            FaultInjector::inject_from(&snapshot, net, model, &mut rng)
+            FaultInjector::inject_from(snapshot, net, model, &mut rng)
                 .expect("snapshot was taken from this network");
-            *value = metric(net, &mut ws);
+            *value = metric(net, ws);
+            if rng.get_word_pos() == 0 {
+                fixed = Some((level, *value));
+            }
         }
     };
     let mut values = vec![0.0f32; levels.len() * trials];
     let block = values.len().div_ceil(workers.max(1));
-    let mut blocks = values.chunks_mut(block);
-    let own = blocks.next().expect("at least one sample");
-    std::thread::scope(|scope| {
-        let run = &run;
-        for (b, out) in blocks.enumerate() {
-            // `dyn Layer` is Send but not Sync, so each replica is cloned
-            // here and moved into its worker.
-            let mut replica = network.clone_box();
-            scope.spawn(move || run((b + 1) * block, out, replica.as_mut()));
-        }
-        run(0, own, network);
-    });
+    let blocks = values.len().div_ceil(block);
+    if workspaces.len() < blocks {
+        workspaces.resize_with(blocks, Workspace::new);
+    }
+    let (own, rest) = values.split_at_mut(block);
+    let (own_ws, rest_ws) = workspaces.split_first_mut().expect("at least one block");
+    if rest.is_empty() {
+        // No scope: setting one up allocates, and a warm serial call
+        // allocates only `values`.
+        run(0, own, network, own_ws);
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            for ((b, out), ws) in rest.chunks_mut(block).enumerate().zip(rest_ws) {
+                // `dyn Layer` is Send but not Sync, so each replica is
+                // cloned here and moved into its worker.
+                let mut replica = network.clone_box();
+                scope.spawn(move || run((b + 1) * block, out, replica.as_mut(), ws));
+            }
+            run(0, own, network, own_ws);
+        });
+    }
     snapshot
         .restore_into(network)
         .expect("snapshot was taken from this network");
@@ -494,14 +554,28 @@ mod tests {
         assert!(changed > 0, "injection must modify weights");
     }
 
-    /// Σ of the eval-mode outputs on `x`, through the worker's workspace.
-    fn output_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
-        move |n, ws| {
-            let y = n.forward_ws(x, Mode::Eval, ws);
-            let sum = y.sum();
-            ws.recycle(y);
-            sum
-        }
+    /// The driver on a fresh state, scoring Σ of the eval-mode outputs on
+    /// `x` through the worker's workspace.
+    fn mc_sum(
+        net: &mut dyn Layer,
+        levels: &[(&dyn DriftModel, u64)],
+        trials: usize,
+        workers: usize,
+        x: &Tensor,
+    ) -> McStats {
+        monte_carlo(
+            net,
+            levels,
+            trials,
+            workers,
+            &mut McState::default(),
+            |n, ws| {
+                let y = n.forward_ws(x, Mode::Eval, ws);
+                let sum = y.sum();
+                ws.recycle(y);
+                sum
+            },
+        )
     }
 
     #[test]
@@ -509,7 +583,7 @@ mod tests {
         let mut net = test_net(6);
         let x = Tensor::ones(&[2, 3]);
         let drift = LogNormalDrift::new(0.0);
-        let stats = monte_carlo(&mut net, &[(&drift, 1)], 5, 1, output_sum(&x));
+        let stats = mc_sum(&mut net, &[(&drift, 1)], 5, 1, &x);
         assert!(stats.std < 1e-9, "σ=0 drift must be deterministic");
     }
 
@@ -518,7 +592,7 @@ mod tests {
         let mut net = test_net(7);
         let x = Tensor::ones(&[2, 3]);
         let drift = LogNormalDrift::new(0.8);
-        let stats = monte_carlo(&mut net, &[(&drift, 2)], 16, 1, output_sum(&x));
+        let stats = mc_sum(&mut net, &[(&drift, 2)], 16, 1, &x);
         assert_eq!(stats.values.len(), 16);
         assert!(stats.std > 0.0, "independent drifted trials must vary");
     }
@@ -527,8 +601,8 @@ mod tests {
     fn monte_carlo_is_reproducible() {
         let x = Tensor::ones(&[2, 3]);
         let drift = LogNormalDrift::new(0.5);
-        let s1 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
-        let s2 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
+        let s1 = mc_sum(&mut test_net(8), &[(&drift, 11)], 4, 1, &x);
+        let s2 = mc_sum(&mut test_net(8), &[(&drift, 11)], 4, 1, &x);
         assert_eq!(s1.values, s2.values);
     }
 
@@ -540,9 +614,9 @@ mod tests {
         let x = Tensor::ones(&[2, 3]);
         let (a, b) = (LogNormalDrift::new(0.7), GaussianAdditive::new(0.3));
         let both: [(&dyn DriftModel, u64); 2] = [(&a, 5), (&b, 6)];
-        let both = monte_carlo(&mut test_net(10), &both, 3, 1, output_sum(&x));
-        let only_a = monte_carlo(&mut test_net(10), &[(&a, 5)], 3, 1, output_sum(&x));
-        let only_b = monte_carlo(&mut test_net(10), &[(&b, 6)], 3, 1, output_sum(&x));
+        let both = mc_sum(&mut test_net(10), &both, 3, 1, &x);
+        let only_a = mc_sum(&mut test_net(10), &[(&a, 5)], 3, 1, &x);
+        let only_b = mc_sum(&mut test_net(10), &[(&b, 6)], 3, 1, &x);
         assert_eq!(both.values[..3], only_a.values[..]);
         assert_eq!(both.values[3..], only_b.values[..]);
     }
@@ -552,9 +626,9 @@ mod tests {
         let x = Tensor::ones(&[2, 3]);
         let (a, b) = (LogNormalDrift::new(0.7), StuckAtFault::new(0.2, 0.0, 1.0));
         let levels: [(&dyn DriftModel, u64); 2] = [(&a, 5), (&b, 9)];
-        let serial = monte_carlo(&mut test_net(12), &levels, 9, 1, output_sum(&x));
+        let serial = mc_sum(&mut test_net(12), &levels, 9, 1, &x);
         for workers in [2usize, 3, 8, 32] {
-            let parallel = monte_carlo(&mut test_net(12), &levels, 9, workers, output_sum(&x));
+            let parallel = mc_sum(&mut test_net(12), &levels, 9, workers, &x);
             assert_eq!(
                 serial.values, parallel.values,
                 "{workers} workers diverged from serial"
@@ -568,7 +642,7 @@ mod tests {
         let x = Tensor::ones(&[1, 3]);
         let clean = net.forward(&x, Mode::Eval);
         let drift = GaussianAdditive::new(0.4);
-        let _ = monte_carlo(&mut net, &[(&drift, 3)], 6, 3, output_sum(&x));
+        let _ = mc_sum(&mut net, &[(&drift, 3)], 6, 3, &x);
         assert_eq!(clean.as_slice(), net.forward(&x, Mode::Eval).as_slice());
     }
 
@@ -643,6 +717,35 @@ mod tests {
     fn snapshot_read_rejects_garbage() {
         assert!(WeightSnapshot::read_from(&b"NOPE1234"[..]).is_err());
         assert!(WeightSnapshot::read_from(&b"BF"[..]).is_err()); // truncated
+    }
+
+    /// A header claiming 2^40 tensors used to be preallocated up front and
+    /// abort the process; now the stream simply runs out.
+    #[test]
+    fn snapshot_read_survives_huge_tensor_count() {
+        let mut buf = b"BFTW".to_vec();
+        buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = WeightSnapshot::read_from(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    /// One tensor of dims [2^20, 2^20] (2^40 elements) with no data, and
+    /// one whose dims overflow `usize` when multiplied.
+    #[test]
+    fn snapshot_read_survives_huge_tensor_dims() {
+        let header = |dims: &[u64]| {
+            let mut buf = b"BFTW".to_vec();
+            buf.extend_from_slice(&1u64.to_le_bytes());
+            buf.extend_from_slice(&(dims.len() as u64).to_le_bytes());
+            for d in dims {
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+            buf
+        };
+        let err = WeightSnapshot::read_from(header(&[1 << 20, 1 << 20]).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        let err = WeightSnapshot::read_from(header(&[1 << 40, 1 << 40]).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! * [`monte_carlo`] — the one Monte-Carlo driver for the marginalization
 //!   of Eq. (4): it evaluates a metric under `T` independent drift samples
 //!   per fault level, in place or fanned out over scoped worker threads
-//!   with per-thread network replicas and workspaces (bit-identical
-//!   results for every worker count).
+//!   with per-thread network replicas (bit-identical results for every
+//!   worker count). Its caller-owned [`McState`] keeps the weight snapshot
+//!   and per-worker workspaces across calls, and a fault level that draws
+//!   no randomness is scored once per worker.
 //! * [`Crossbar`] — a device-level model (differential conductance pairs,
 //!   programming noise, quantized levels, read noise) that gives the
 //!   ReRAM-V baseline something to diagnose and re-program.
@@ -69,5 +71,5 @@ pub use drift::{
     LevelQuantization, LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
 };
 pub use error::FaultError;
-pub use inject::{mix_seed, monte_carlo, FaultInjector, McStats, WeightSnapshot};
+pub use inject::{mix_seed, monte_carlo, FaultInjector, McState, McStats, WeightSnapshot};
 pub use spec::FaultSpec;

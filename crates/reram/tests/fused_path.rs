@@ -1,13 +1,14 @@
 //! Integration tests pinning the fused inject-from-snapshot Monte-Carlo
 //! hot path: golden values captured from the pre-refactor implementation
 //! (separate inject + per-trial restore, allocating matmul), fused ≡
-//! unfused equivalence, and bit-identity across worker counts for every
-//! fault model in the suite.
+//! unfused equivalence, bit-identity across worker counts for every
+//! fault model in the suite, and the zero-draw shortcut against a
+//! per-sample reference.
 
 use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{monte_carlo, DriftModel, FaultInjector};
+use reram::{monte_carlo, DriftModel, FaultInjector, McState};
 use tensor::Tensor;
 
 /// Σ of the eval-mode outputs on `x` through the allocating `forward`.
@@ -23,6 +24,24 @@ fn ws_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync +
         ws.recycle(y);
         sum
     }
+}
+
+/// The driver on a fresh state.
+fn mc(
+    net: &mut dyn Layer,
+    levels: &[(&dyn DriftModel, u64)],
+    trials: usize,
+    workers: usize,
+    metric: impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync,
+) -> reram::McStats {
+    monte_carlo(
+        net,
+        levels,
+        trials,
+        workers,
+        &mut McState::default(),
+        metric,
+    )
 }
 
 fn test_net(seed: u64) -> Sequential {
@@ -133,7 +152,7 @@ fn fused_path_reproduces_pre_refactor_golden_values() {
             .expect("golden model present in suite")
             .1;
         let mut net = test_net(42);
-        let stats = monte_carlo(&mut net, &[(model.as_ref(), 99)], 6, 1, plain_sum(&x));
+        let stats = mc(&mut net, &[(model.as_ref(), 99)], 6, 1, plain_sum(&x));
         let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expected_bits.to_vec(), "{name} diverged from golden");
     }
@@ -156,7 +175,7 @@ fn workspace_metric_reproduces_golden_values() {
     }
     let golden: Vec<u32> = GOLDEN.iter().flat_map(|(_, bits)| *bits).collect();
     for workers in [1usize, 2, 5] {
-        let stats = monte_carlo(&mut test_net(42), &levels, 6, workers, ws_sum(&x));
+        let stats = mc(&mut test_net(42), &levels, 6, workers, ws_sum(&x));
         let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, golden, "{workers} workers diverged from golden");
     }
@@ -206,9 +225,9 @@ fn parallel_matches_serial_for_every_model_and_worker_count() {
     let x = Tensor::ones(&[2, 3]);
     for (name, model) in &model_suite() {
         let levels = [(model.as_ref(), 13)];
-        let serial = monte_carlo(&mut test_net(21), &levels, 7, 1, plain_sum(&x));
+        let serial = mc(&mut test_net(21), &levels, 7, 1, plain_sum(&x));
         for workers in [1usize, 2, 5] {
-            let parallel = monte_carlo(&mut test_net(21), &levels, 7, workers, plain_sum(&x));
+            let parallel = mc(&mut test_net(21), &levels, 7, workers, plain_sum(&x));
             assert_eq!(
                 serial.values, parallel.values,
                 "{name} with {workers} workers diverged from serial"
@@ -231,7 +250,7 @@ fn fused_drivers_restore_the_network() {
     for workers in [1usize, 3] {
         let mut net = test_net(30);
         let clean = net.forward(&x, Mode::Eval);
-        let _ = monte_carlo(&mut net, &[(&drift, 2)], 5, workers, plain_sum(&x));
+        let _ = mc(&mut net, &[(&drift, 2)], 5, workers, plain_sum(&x));
         assert_eq!(
             clean.as_slice(),
             net.forward(&x, Mode::Eval).as_slice(),
@@ -265,5 +284,153 @@ fn inject_from_rejects_mismatched_snapshot() {
     let after = FaultInjector::snapshot(&mut net);
     for (a, b) in before.tensors().iter().zip(after.tensors()) {
         assert_eq!(a.as_slice(), b.as_slice(), "failed inject_from wrote data");
+    }
+}
+
+/// The zero-draw shortcut's level mix: three levels whose injection draws
+/// no RNG words (log-normal σ = 0, `quantize:16`, and the two chained)
+/// around two that draw. `GaussianAdditive` at σ = 0 draws normals and adds
+/// `0·n`, which turns a −0.0 weight into +0.0 when `n > 0`, so its samples
+/// differ and it must not take the shortcut.
+fn shortcut_mix() -> Vec<Box<dyn DriftModel>> {
+    let spec = |s: &str| s.parse::<reram::FaultSpec>().unwrap().build().unwrap();
+    vec![
+        Box::new(reram::LogNormalDrift::new(0.0)),
+        spec("quantize:16"),
+        spec("quantize:16+lognormal:0"),
+        Box::new(reram::LogNormalDrift::new(0.5)),
+        Box::new(reram::GaussianAdditive::new(0.0)),
+    ]
+}
+
+/// `test_net(seed)` with every third weight set to −0.0, so a σ = 0
+/// additive draw can flip its sign bit.
+fn signed_zero_net(seed: u64) -> Sequential {
+    let mut net = test_net(seed);
+    net.visit_params(&mut |p| {
+        for v in p.value.as_mut_slice().iter_mut().step_by(3) {
+            *v = -0.0;
+        }
+    });
+    net
+}
+
+/// A metric that sees every weight bit, signed zeros included: a 24-bit
+/// hash of the parameters (exact in f32) plus Σ f(1).
+fn bits_metric(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
+    move |n, ws| {
+        let mut h = 0u32;
+        n.visit_params(&mut |p| {
+            for v in p.value.as_slice() {
+                h = h.wrapping_mul(0x0100_0193) ^ v.to_bits();
+            }
+        });
+        let y = n.forward_ws(x, Mode::Eval, ws);
+        let sum = y.sum();
+        ws.recycle(y);
+        (h >> 8) as f32 + sum
+    }
+}
+
+/// The driver's contract without the shortcut: every sample injects from
+/// the pristine snapshot and runs the metric.
+fn per_sample_reference(
+    net: &mut dyn Layer,
+    levels: &[(&dyn DriftModel, u64)],
+    trials: usize,
+    metric: impl Fn(&mut dyn Layer, &mut Workspace) -> f32,
+) -> Vec<f32> {
+    let snapshot = FaultInjector::snapshot(net);
+    let mut ws = Workspace::new();
+    let mut values = Vec::new();
+    for &(model, seed) in levels {
+        for t in 0..trials {
+            let mut rng = ChaCha8Rng::seed_from_u64(reram::mix_seed(seed, t as u64));
+            FaultInjector::inject_from(&snapshot, net, model, &mut rng).unwrap();
+            values.push(metric(net, &mut ws));
+        }
+    }
+    snapshot.restore_into(net).unwrap();
+    values
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Levels that draw no randomness are scored once per worker block and
+/// copied; the result equals the per-sample reference bit for bit for
+/// every worker count, and reusing one state across calls changes nothing.
+#[test]
+fn zero_draw_shortcut_matches_per_sample_reference() {
+    let x = Tensor::ones(&[2, 3]);
+    let models = shortcut_mix();
+    let levels: Vec<(&dyn DriftModel, u64)> = models
+        .iter()
+        .zip(40..)
+        .map(|(m, seed)| (m.as_ref(), seed))
+        .collect();
+    let want = bits(&per_sample_reference(
+        &mut signed_zero_net(3),
+        &levels,
+        6,
+        bits_metric(&x),
+    ));
+    // The mix exercises both sides of the shortcut.
+    let gauss_zero = &want[24..30];
+    assert!(
+        gauss_zero.iter().any(|&b| b != gauss_zero[0]),
+        "σ = 0 additive samples must differ"
+    );
+    assert!(want[..6].iter().all(|&b| b == want[0]));
+    let mut kept = McState::default();
+    for workers in [1usize, 2, 3, 5] {
+        for state in [&mut McState::default(), &mut kept] {
+            let mut net = signed_zero_net(3);
+            let got = monte_carlo(&mut net, &levels, 6, workers, state, bits_metric(&x));
+            assert_eq!(bits(&got.values), want, "{workers} workers");
+        }
+    }
+}
+
+/// Each zero-draw level runs the metric once in every worker block that
+/// holds any of its samples; every other level runs it once per sample.
+#[test]
+fn zero_draw_levels_run_the_metric_once_per_worker_block() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let x = Tensor::ones(&[2, 3]);
+    let models = shortcut_mix();
+    let levels: Vec<(&dyn DriftModel, u64)> = models.iter().map(|m| (m.as_ref(), 7)).collect();
+    let draws_nothing = [true, true, true, false, false];
+    let trials = 6;
+    for workers in [1usize, 2, 3, 5] {
+        let block = (levels.len() * trials).div_ceil(workers);
+        let want: usize = draws_nothing
+            .iter()
+            .enumerate()
+            .map(|(i, &fixed)| {
+                let (first, last) = (i * trials, (i + 1) * trials - 1);
+                if fixed {
+                    last / block - first / block + 1
+                } else {
+                    trials
+                }
+            })
+            .sum();
+        let calls = AtomicUsize::new(0);
+        let metric = ws_sum(&x);
+        let _ = mc(
+            &mut signed_zero_net(3),
+            &levels,
+            trials,
+            workers,
+            |n, ws| {
+                // Ordering: `Relaxed` — a plain tally read after the scoped
+                // workers have joined.
+                calls.fetch_add(1, Ordering::Relaxed);
+                metric(n, ws)
+            },
+        );
+        assert_eq!(calls.into_inner(), want, "{workers} workers");
     }
 }

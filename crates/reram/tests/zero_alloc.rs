@@ -1,6 +1,7 @@
 //! Asserts the Monte-Carlo steady state is allocation-free: once the
 //! workspace is warm, an `inject_from → forward_ws → recycle` trial
-//! performs **zero** heap allocations.
+//! performs **zero** heap allocations, and a driver call on a warm
+//! `McState` allocates only its returned values.
 //!
 //! This binary runs without the libtest harness (`harness = false`): it
 //! installs a counting global allocator, and running on the main thread
@@ -13,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{monte_carlo, DriftModel, FaultInjector, LogNormalDrift};
+use reram::{monte_carlo, DriftModel, FaultInjector, LogNormalDrift, McState};
 use tensor::Tensor;
 
 struct CountingAllocator;
@@ -109,7 +110,7 @@ fn steady_state_trial_allocates_nothing() {
     // the public driver with the plain (allocating) metric.
     snapshot.restore_into(&mut net).unwrap();
     let level: [(&dyn DriftModel, u64); 1] = [(&model, 9)];
-    let reference = monte_carlo(&mut net, &level, 4, 1, |n, _| {
+    let reference = monte_carlo(&mut net, &level, 4, 1, &mut McState::default(), |n, _| {
         n.forward(&x, Mode::Eval).sum()
     });
     assert_eq!(&reference.values[..2], &warm[..2]);
@@ -119,23 +120,31 @@ fn steady_state_trial_allocates_nothing() {
     // with the trial count, serial or threaded (fixed setup cost only:
     // snapshot, values, replicas and threads, and each worker's workspace
     // warm-up in its first trials).
-    let count_driver = |trials: usize, workers: usize, net: &mut Sequential| -> u64 {
-        let (before, _) = allocs();
-        let _ = monte_carlo(net, &level, trials, workers, |n, ws| {
-            let y = n.forward_ws(&x, Mode::Eval, ws);
-            let s = y.sum();
-            ws.recycle(y);
-            s
-        });
-        let (after, _) = allocs();
-        after - before
-    };
+    let count_driver =
+        |trials: usize, workers: usize, net: &mut Sequential, state: &mut McState| {
+            let (before, _) = allocs();
+            let _ = monte_carlo(net, &level, trials, workers, state, |n, ws| {
+                let y = n.forward_ws(&x, Mode::Eval, ws);
+                let s = y.sum();
+                ws.recycle(y);
+                s
+            });
+            let (after, _) = allocs();
+            after - before
+        };
     for workers in [1usize, 2] {
-        let small = count_driver(8, workers, &mut net);
-        let large = count_driver(64, workers, &mut net);
+        let small = count_driver(8, workers, &mut net, &mut McState::default());
+        let large = count_driver(64, workers, &mut net, &mut McState::default());
         assert_eq!(
             small, large,
             "{workers} workers: allocations grew with trial count: {small} for 8 trials vs {large} for 64"
         );
     }
+
+    // With a kept state the snapshot and workspace survive the call: once
+    // warm, a serial driver call allocates only its returned values.
+    let mut state = McState::default();
+    let _ = count_driver(8, 1, &mut net, &mut state);
+    let warm = count_driver(64, 1, &mut net, &mut state);
+    assert_eq!(warm, 1, "a warm serial driver call allocated {warm} times");
 }

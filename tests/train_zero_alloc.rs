@@ -13,7 +13,10 @@
 //! and the eval loop add nothing per epoch, batch or sample. A LeNet
 //! alternating batch-32 train epochs with batch-64 `eval_batches` passes
 //! allocates as often at 2 rounds as at 8: layer tapes and dropout masks
-//! survive eval forwards and grow once.
+//! survive eval forwards and grow once. Per search trial, a warm
+//! `DriftObjective` evaluation allocates only its result and level list,
+//! and a `train_epochs` call on a warm run workspace takes no workspace
+//! buffer.
 //!
 //! This binary runs without the libtest harness (`harness = false`):
 //! everything executes on the main thread, so the process-wide allocation
@@ -81,9 +84,15 @@ fn allocs() -> (u64, u64) {
 
 /// Heap allocations performed by `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    let (before, _) = allocs();
+    count_allocs_and_bytes(f).0
+}
+
+/// Heap allocations and bytes performed by `f`.
+fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let (a0, b0) = allocs();
     f();
-    allocs().0 - before
+    let (a1, b1) = allocs();
+    (a1 - a0, b1 - b0)
 }
 
 /// One epoch over prepared batches through the shared workspace train step.
@@ -106,6 +115,8 @@ fn main() {
     train_awp_allocations_do_not_grow_with_epochs();
     lenet_train_eval_rounds_allocations_do_not_grow_with_rounds();
     drift_evaluation_allocations_do_not_grow_with_samples();
+    train_epochs_on_a_warm_run_workspace_allocates_no_workspace_buffer();
+    drift_objective_allocates_only_its_result_once_warm();
     println!("train_zero_alloc: ok");
 }
 
@@ -131,9 +142,10 @@ fn train_epochs_allocations_do_not_grow_with_epochs() {
     };
     for (name, net) in [("mlp", &mut mlp as &mut dyn Layer), ("lenet", &mut lenet)] {
         // Warm the layer caches and telemetry registrations.
-        let _ = train_epochs(net, &data, &cfg(1));
-        let two = count_allocs(|| assert_eq!(train_epochs(net, &data, &cfg(2)).len(), 2));
-        let eight = count_allocs(|| assert_eq!(train_epochs(net, &data, &cfg(8)).len(), 8));
+        let _ = train_epochs(net, &data, &cfg(1), &mut Workspace::new());
+        let mut run = |epochs| train_epochs(net, &data, &cfg(epochs), &mut Workspace::new()).len();
+        let two = count_allocs(|| assert_eq!(run(2), 2));
+        let eight = count_allocs(|| assert_eq!(run(8), 8));
         assert_eq!(
             two, eight,
             "{name}: train_epochs allocated {two} times at 2 epochs but {eight} at 8"
@@ -266,6 +278,92 @@ fn drift_evaluation_allocations_do_not_grow_with_samples() {
         two, eight,
         "drift_accuracy (codebook) allocated {two} times at 2 trials but {eight} at 8"
     );
+}
+
+/// The moons MLP and the digits LeNet the search benchmarks train, with
+/// active dropout, and data for each.
+fn search_nets() -> Vec<(
+    &'static str,
+    Box<dyn Layer>,
+    datasets::ClassificationDataset,
+)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let mut mlp = Mlp::new(&MlpConfig::new(2, 2).depth(4).hidden(64), &mut rng);
+    set_dropout_rates(&mut mlp, &[0.2, 0.1, 0.3]);
+    let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
+    set_dropout_rates(&mut lenet, &[0.3, 0.2, 0.1]);
+    vec![
+        ("mlp", Box::new(mlp), datasets::moons(90, 0.15, &mut rng)),
+        ("lenet", Box::new(lenet), digit_data(7)),
+    ]
+}
+
+/// A search run keeps one training workspace for all its trials. Once one
+/// `train_epochs` call has warmed it, the next call takes every workspace
+/// buffer from the pool. Bound, stated before measuring: the call
+/// allocates exactly its own per-call buffers — the sample order, the
+/// label batch, the gathered input batch and the epoch losses (4) — plus
+/// whatever a fresh momentum `Sgd` allocates on its first step (its
+/// velocity, since momentum restarts each call), and the pool holds the
+/// same buffers afterwards. With a workspace built inside every call, a
+/// call also allocated every forward and backward buffer (19 and 22
+/// allocations here against a bound of 14).
+fn train_epochs_on_a_warm_run_workspace_allocates_no_workspace_buffer() {
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 16,
+        ..TrainConfig::fast_test()
+    };
+    for (name, mut net, data) in search_nets() {
+        let mut ws = Workspace::new();
+        let _ = train_epochs(net.as_mut(), &data, &cfg, &mut ws);
+        let sgd = {
+            let mut probe = net.clone_box();
+            let mut opt = Sgd::new(cfg.lr).momentum(cfg.momentum).clip_norm(5.0);
+            count_allocs(|| opt.step(probe.as_mut()))
+        };
+        let pooled = (ws.pooled_buffers(), ws.pooled_elements());
+        let spent = count_allocs(|| {
+            assert_eq!(train_epochs(net.as_mut(), &data, &cfg, &mut ws).len(), 2);
+        });
+        assert_eq!(
+            spent,
+            4 + sgd,
+            "{name}: a warm train_epochs call allocated {spent} times, want 4 buffers + {sgd} optimizer"
+        );
+        assert_eq!(
+            (ws.pooled_buffers(), ws.pooled_elements()),
+            pooled,
+            "{name}: the run workspace changed"
+        );
+    }
+}
+
+/// An objective keeps its Monte-Carlo state (weight snapshot and worker
+/// workspace) across calls. Bound, stated before measuring: once one call
+/// has warmed it, a serial evaluation allocates exactly twice — the
+/// returned `McStats` values and the level-seed list — and nothing else.
+/// Building the snapshot and workspace inside every call cost 17
+/// allocations per call here, 69 KB on the MLP and 669 KB on LeNet.
+fn drift_objective_allocates_only_its_result_once_warm() {
+    let (levels, samples) = (3, 4);
+    let want_bytes = levels * samples * std::mem::size_of::<f32>()
+        + levels * std::mem::size_of::<(&dyn reram::DriftModel, u64)>();
+    for (name, mut net, data) in search_nets() {
+        for metric in [ObjectiveMetric::Accuracy, ObjectiveMetric::NegLoss] {
+            let objective =
+                DriftObjective::with_sigmas(vec![0.0, 0.3, 0.6], samples).metric(metric);
+            let _ = objective.evaluate(net.as_mut(), &data, 1);
+            let (count, bytes) = count_allocs_and_bytes(|| {
+                assert_eq!(objective.evaluate(net.as_mut(), &data, 2).values.len(), 12);
+            });
+            assert_eq!(
+                (count, bytes),
+                (2, want_bytes as u64),
+                "{name} {metric:?}: a warm evaluate allocated {count} times ({bytes} bytes)"
+            );
+        }
+    }
 }
 
 fn steady_state_training_step_allocates_nothing() {

@@ -255,7 +255,7 @@ fn train_epochs_matches_pre_refactor_golden() {
         momentum: 0.9,
         seed: 5,
     };
-    let losses = train_epochs(&mut net, &data, &cfg);
+    let losses = train_epochs(&mut net, &data, &cfg, &mut Workspace::new());
     let bits: Vec<u32> = losses.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
         bits,
