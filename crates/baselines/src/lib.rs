@@ -1,13 +1,13 @@
 //! The four baseline methods BayesFT is compared against in Fig. 3:
 //!
 //! * [`train_erm`] — **ERM**: plain empirical-risk minimization.
-//! * [`train_awp`] — **AWP** (Wu et al., ref. [18]): adversarial weight
+//! * [`train_awp`] — **AWP** (Wu et al., ref. \[18\]): adversarial weight
 //!   perturbation; each step computes gradients at adversarially shifted
 //!   weights.
-//! * [`train_ftna`] — **FTNA** (Liu et al., ref. [6]): replaces the softmax
+//! * [`train_ftna`] — **FTNA** (Liu et al., ref. \[6\]): replaces the softmax
 //!   head with an error-correction codebook; prediction = nearest codeword
 //!   by Hamming distance.
-//! * [`reram_v_accuracy`] — **ReRAM-V** (Chen et al., ref. [5]): per-device
+//! * [`reram_v_accuracy`] — **ReRAM-V** (Chen et al., ref. \[5\]): per-device
 //!   diagnosis and iterative weight re-programming; evaluation models the
 //!   drift that re-accumulates after the last calibration pass.
 //!

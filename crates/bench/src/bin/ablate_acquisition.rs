@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p bench --bin ablate_acquisition`
 
 use baselines::TrainConfig;
-use bayesft::{Engine, SearchSpace};
+use bayesft::Engine;
 use bayesopt::Acquisition;
 use bench::{drift_point, make_task, Scale};
 use models::{Mlp, MlpConfig};

@@ -6,11 +6,11 @@
 //!
 //! Run: `cargo run --release -p bench --bin fig1_decision_boundary`
 
-use baselines::{train_erm, TrainConfig};
+use baselines::{train_erm, OutputDecoder, TrainConfig};
 use bench::Scale;
 use datasets::moons;
 use models::{Mlp, MlpConfig};
-use nn::{Layer, Mode};
+use nn::{Layer, Mode, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{FaultInjector, LogNormalDrift};
@@ -39,8 +39,7 @@ fn render_boundary(net: &mut dyn Layer, data: &datasets::ClassificationDataset) 
         canvas.push('\n');
     }
     // Accuracy on the dataset under the same (drifted) weights.
-    let logits = net.forward(data.images(), Mode::Eval);
-    let acc = metrics::accuracy_from_logits(&logits, data.labels());
+    let acc = OutputDecoder::Softmax.accuracy(net, data, &mut Workspace::new());
     (canvas, acc)
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin fig3_detection`
 
-use bayesft::{DropoutSearchSpace, SearchSpace};
+use bayesft::DropoutSearchSpace;
 use bayesopt::{Acquisition, BayesOpt, SquaredExponential};
 use bench::detection::{drift_map, train_detector};
 use bench::Scale;

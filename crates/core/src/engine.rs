@@ -1,11 +1,12 @@
 //! The experiment engine: a fluent, trait-driven driver for Algorithm 1.
 //!
-//! [`Engine::builder`] assembles a search from pluggable parts — any
-//! [`SearchSpace`], any [`Objective`], any [`bayesopt::Acquisition`] — and
-//! [`Engine::run`] executes the alternating weight-training /
-//! Bayesian-optimization loop, fanning the Monte-Carlo drift samples of
-//! each objective evaluation over worker threads. The run returns both the
-//! trained model and a serializable [`RunReport`].
+//! [`Engine::builder`] assembles a search from its parts — a
+//! [`DropoutSearchSpace`], any [`Objective`], any
+//! [`bayesopt::Acquisition`] — and [`Engine::run`] executes the
+//! alternating weight-training / Bayesian-optimization loop, fanning the
+//! Monte-Carlo drift samples of each objective evaluation over worker
+//! threads. The run returns both the trained model and a serializable
+//! [`RunReport`].
 
 use std::time::Instant;
 
@@ -18,14 +19,16 @@ use rand_chacha::ChaCha8Rng;
 use reram::mix_seed;
 
 use crate::{
-    BayesFtError, DriftObjective, DropoutSearchSpace, EvalCtx, Objective, RunReport, SearchSpace,
-    StageTimings, TrialRecord,
+    BayesFtError, DriftObjective, DropoutSearchSpace, EvalCtx, Objective, RunReport, StageTimings,
+    TrialRecord,
 };
 
 /// Seed stream of the Bayesian-optimization candidate sampler.
 const SUGGEST_STREAM: u64 = 0x5bfd;
 /// Seed-stream offset of per-trial objective evaluations.
 const EVAL_STREAM: u64 = 0x0b5e;
+/// Candidate points each acquisition maximization scores.
+const CANDIDATES: usize = 192;
 
 /// Result of [`Engine::run`]: the trained model plus the run record.
 pub struct ExperimentResult {
@@ -47,7 +50,7 @@ impl std::fmt::Debug for ExperimentResult {
 
 /// Fluent configuration of an [`Engine`]; see [`Engine::builder`].
 pub struct ExperimentBuilder {
-    space: Option<Box<dyn SearchSpace>>,
+    space: Option<DropoutSearchSpace>,
     objective: Option<Box<dyn Objective>>,
     trials: usize,
     epochs_per_trial: usize,
@@ -57,7 +60,6 @@ pub struct ExperimentBuilder {
     max_rate: f32,
     acquisition: Acquisition,
     lengthscale: f64,
-    candidates: usize,
     seed: u64,
     parallelism: usize,
     train: TrainConfig,
@@ -76,7 +78,6 @@ impl Default for ExperimentBuilder {
             max_rate: 0.8,
             acquisition: Acquisition::PosteriorMean,
             lengthscale: 0.3,
-            candidates: 192,
             seed: 0,
             parallelism: 1,
             train: TrainConfig::default(),
@@ -85,16 +86,9 @@ impl Default for ExperimentBuilder {
 }
 
 impl ExperimentBuilder {
-    /// Sets the search space (default: [`DropoutSearchSpace`] probed from
-    /// the network at run time).
-    pub fn space(mut self, space: impl SearchSpace + 'static) -> Self {
-        self.space = Some(Box::new(space));
-        self
-    }
-
-    /// Boxed-form [`ExperimentBuilder::space`] for dynamically chosen
-    /// spaces.
-    pub fn space_boxed(mut self, space: Box<dyn SearchSpace>) -> Self {
+    /// Sets the search space (default: the per-layer
+    /// [`DropoutSearchSpace::probe`] of the network at run time).
+    pub fn space(mut self, space: DropoutSearchSpace) -> Self {
         self.space = Some(space);
         self
     }
@@ -142,7 +136,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Largest dropout rate `α = 1` maps to in the default space.
+    /// Largest dropout rate `α = 1` maps to in the default space. A space
+    /// set with [`ExperimentBuilder::space`] keeps its own
+    /// [`DropoutSearchSpace::max_rate`].
     pub fn max_rate(mut self, max_rate: f32) -> Self {
         self.max_rate = max_rate;
         self
@@ -157,12 +153,6 @@ impl ExperimentBuilder {
     /// GP kernel lengthscale over the unit cube.
     pub fn lengthscale(mut self, lengthscale: f64) -> Self {
         self.lengthscale = lengthscale;
-        self
-    }
-
-    /// How many candidate points each acquisition maximization scores.
-    pub fn candidates(mut self, candidates: usize) -> Self {
-        self.candidates = candidates;
         self
     }
 
@@ -212,11 +202,6 @@ impl ExperimentBuilder {
             )));
         }
         crate::space::check_max_rate(self.max_rate)?;
-        if self.candidates == 0 {
-            return Err(BayesFtError::InvalidConfig(
-                "need at least one acquisition candidate".into(),
-            ));
-        }
         let parallelism = if self.parallelism == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -326,8 +311,8 @@ impl Engine {
         let run_start = Instant::now();
 
         let probed;
-        let space: &dyn SearchSpace = match &cfg.space {
-            Some(space) => space.as_ref(),
+        let space = match &cfg.space {
+            Some(space) => space,
             None => {
                 probed = DropoutSearchSpace::try_probe(net.as_mut())?.max_rate(cfg.max_rate);
                 &probed
@@ -357,7 +342,7 @@ impl Engine {
             SquaredExponential::isotropic(1.0, cfg.lengthscale),
         )
         .acquisition(cfg.acquisition)
-        .candidates(cfg.candidates);
+        .candidates(CANDIDATES);
         let mut suggest_rng = ChaCha8Rng::seed_from_u64(mix_seed(cfg.seed, SUGGEST_STREAM));
 
         let mut train_ws = Workspace::new();
@@ -457,7 +442,6 @@ fn ms_since(mark: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SharedDropoutSpace;
     use models::{Mlp, MlpConfig};
 
     fn task() -> (ClassificationDataset, ClassificationDataset, Box<Mlp>) {
@@ -533,7 +517,7 @@ mod tests {
     #[test]
     fn custom_space_is_respected() {
         let (train, val, mut net) = task();
-        let space = SharedDropoutSpace::probe(net.as_mut());
+        let space = DropoutSearchSpace::shared(net.as_mut()).unwrap();
         let result = quick().space(space).run(net, &train, &val).unwrap();
         assert_eq!(result.report.dim, 1);
         assert_eq!(result.report.space, "shared_rate");
@@ -546,7 +530,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         // Space probed from a 3-dropout network, run against a 2-dropout one.
         let mut deep = Mlp::new(&MlpConfig::new(2, 2).depth(4), &mut rng);
-        let space = crate::DropoutSearchSpace::probe(&mut deep);
+        let space = DropoutSearchSpace::probe(&mut deep);
         let shallow = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(16), &mut rng));
         let err = quick().space(space).run(shallow, &train, &val).unwrap_err();
         assert!(

@@ -4,11 +4,11 @@
 //!
 //! The paper's pipeline, end to end:
 //!
-//! 1. **Search space** ([`SearchSpace`]): the paper appends a dropout layer
-//!    after every weighted layer and searches the per-layer rates
-//!    `α ∈ [0, 1]^{K−1}` (§III-B) — [`DropoutSearchSpace`]. Alternative
-//!    spaces plug into the same engine: [`SharedDropoutSpace`] (one shared
-//!    rate) and [`GroupedDropoutSpace`] (rates tied across layer groups).
+//! 1. **Search space** ([`DropoutSearchSpace`]): the paper appends a
+//!    dropout layer after every weighted layer and searches the per-layer
+//!    rates `α ∈ [0, 1]^{K−1}` (§III-B). The same type also ties layers
+//!    together: one shared rate ([`DropoutSearchSpace::shared`]) or one
+//!    rate per layer group ([`DropoutSearchSpace::grouped`]).
 //! 2. **Objective** ([`Objective`]): the drift-marginalized utility of
 //!    Eq. (3), estimated by Monte-Carlo sampling (Eq. 4) —
 //!    [`DriftObjective`], generic over any [`reram::DriftModel`]
@@ -68,5 +68,5 @@ pub use engine::{Engine, ExperimentBuilder, ExperimentResult};
 pub use error::BayesFtError;
 pub use objective::{DriftObjective, EvalCtx, Objective, ObjectiveMetric};
 pub use report::{RunReport, ScenarioMeta, StageTimings, TrialRecord};
-pub use space::{DropoutSearchSpace, GroupedDropoutSpace, SearchSpace, SharedDropoutSpace};
+pub use space::DropoutSearchSpace;
 pub use sweep::{accuracy_vs_sigma, robustness_gain, MethodCurve, SweepTable, SIGMA_GRID};

@@ -183,8 +183,10 @@ impl DriftObjective {
     ///
     /// # Errors
     ///
-    /// Returns [`BayesFtError::InvalidConfig`] for an empty spec list or
-    /// `trials == 0`, and [`BayesFtError::Fault`] if a spec fails to build.
+    /// Returns [`BayesFtError::InvalidConfig`](crate::BayesFtError::InvalidConfig)
+    /// for an empty spec list or `trials == 0`, and
+    /// [`BayesFtError::Fault`](crate::BayesFtError::Fault) if a spec fails to
+    /// build.
     pub fn from_specs(
         specs: &[reram::FaultSpec],
         trials: usize,

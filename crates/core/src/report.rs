@@ -77,7 +77,7 @@ pub struct ScenarioMeta {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Label of the search space ([`SearchSpace::label`](crate::SearchSpace::label)).
+    /// Label of the search space ([`DropoutSearchSpace::label`](crate::DropoutSearchSpace::label)).
     pub space: String,
     /// Label of the objective ([`Objective::label`](crate::Objective::label)).
     pub objective: String,

@@ -1,92 +1,11 @@
-//! Search spaces over network architecture knobs (§III-B and extensions).
-//!
-//! The paper searches the per-layer dropout rates `α ∈ [0, 1]^{K−1}`. The
-//! [`SearchSpace`] trait generalizes that: any object that can map a
-//! unit-cube coordinate vector onto a concrete network is a valid search
-//! space, and the [`Engine`](crate::Engine) is generic over it. Three
-//! implementations ship here:
-//!
-//! * [`DropoutSearchSpace`] — the paper's space: one coordinate per dropout
-//!   layer.
-//! * [`SharedDropoutSpace`] — a single coordinate driving every dropout
-//!   layer in lockstep (1-D search; the cheapest possible space and a
-//!   strong baseline when layers behave similarly).
-//! * [`GroupedDropoutSpace`] — coordinates tied across explicit groups of
-//!   dropout layers (e.g. all conv-block layers share one rate, all dense
-//!   layers another), interpolating between the two extremes above.
+//! The dropout search space (§III-B): the paper's per-layer rates
+//! `α ∈ [0, 1]^{K−1}`, and the same rates tied into one shared coordinate
+//! or into groups of layers.
 
-use models::{dropout_count, dropout_rates, set_dropout_rates};
+use models::dropout_count;
 use nn::Layer;
 
 use crate::BayesFtError;
-
-/// A mapping from unit-cube Bayesian-optimization coordinates onto a
-/// concrete network's architecture knobs.
-///
-/// Implementations must be deterministic: applying the same `alpha` twice
-/// must configure the network identically (the engine re-applies the best
-/// vector after the search).
-pub trait SearchSpace: Send + Sync {
-    /// Number of coordinates (the Bayesian-optimization dimensionality).
-    fn dim(&self) -> usize;
-
-    /// Checks that this space actually fits `network` — called once by the
-    /// engine before the search starts, so a space probed from one network
-    /// cannot silently drive a prefix of another.
-    ///
-    /// The default accepts every network (for spaces with no structural
-    /// expectations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesFtError::DimensionMismatch`] if the network's
-    /// structure does not match what the space was built for.
-    fn validate(&self, network: &mut dyn Layer) -> Result<(), BayesFtError> {
-        let _ = network;
-        Ok(())
-    }
-
-    /// Writes unit-cube coordinates into the network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesFtError::DimensionMismatch`] if `alpha.len() != dim()`.
-    fn apply(&self, network: &mut dyn Layer, alpha: &[f64]) -> Result<(), BayesFtError>;
-
-    /// Human-readable coordinate names, in order (used by reports).
-    fn names(&self) -> Vec<String>;
-
-    /// Short label identifying the space kind in a [`RunReport`](crate::RunReport).
-    fn label(&self) -> &'static str {
-        "custom"
-    }
-}
-
-/// Checks an alpha vector against a space dimension.
-fn check_dim(expected: usize, alpha: &[f64]) -> Result<(), BayesFtError> {
-    if alpha.len() != expected {
-        return Err(BayesFtError::DimensionMismatch {
-            what: "alpha",
-            expected,
-            got: alpha.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Checks that a network exposes exactly the dropout-layer count a space
-/// was probed for.
-fn check_layer_count(expected: usize, network: &mut dyn Layer) -> Result<(), BayesFtError> {
-    let got = dropout_count(network);
-    if got != expected {
-        return Err(BayesFtError::DimensionMismatch {
-            what: "network dropout-layer",
-            expected,
-            got,
-        });
-    }
-    Ok(())
-}
 
 /// Validates a `max_rate` override (shared with the engine builder).
 pub(crate) fn check_max_rate(max_rate: f32) -> Result<(), BayesFtError> {
@@ -98,38 +17,74 @@ pub(crate) fn check_max_rate(max_rate: f32) -> Result<(), BayesFtError> {
     Ok(())
 }
 
-/// The paper's search space: one coordinate per dropout layer
-/// (`α ∈ [0, 1]^{K−1}`, §III-B).
+/// Counts a network's dropout layers; a space over none is empty.
+fn nonzero_dropout_count(network: &mut dyn Layer) -> Result<usize, BayesFtError> {
+    match dropout_count(network) {
+        0 => Err(BayesFtError::EmptySearchSpace),
+        layers => Ok(layers),
+    }
+}
+
+/// A mapping from unit-cube Bayesian-optimization coordinates onto a
+/// network's dropout rates.
 ///
-/// The unit interval is scaled by `max_rate` (default 0.8) before being
-/// written into the layers: rates near 1 would zero entire layers, which
-/// both the paper's clamp-free formulation and training stability argue
-/// against.
+/// Each dropout layer (in `visit_dropout` order) is driven by one
+/// coordinate or by none; a coordinate `a` becomes the rate
+/// `clamp(a, 0, 1) · max_rate`. `max_rate` defaults to 0.8: rates near 1
+/// would zero entire layers, which both the paper's clamp-free formulation
+/// and training stability argue against. Applying the same `alpha` twice
+/// configures the network identically, so the engine can re-apply the best
+/// vector after the search.
 ///
 /// # Example
 ///
 /// ```
-/// use bayesft::{DropoutSearchSpace, SearchSpace};
-/// use models::{Mlp, MlpConfig};
+/// use bayesft::DropoutSearchSpace;
+/// use models::{dropout_rates, Mlp, MlpConfig};
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
 ///
 /// let mut rng = ChaCha8Rng::seed_from_u64(0);
-/// let mut net = Mlp::new(&MlpConfig::new(4, 2).depth(3), &mut rng);
-/// let space = DropoutSearchSpace::probe(&mut net);
-/// assert_eq!(space.dim(), 2);
-/// space.apply(&mut net, &[0.5, 1.0])?;
+/// let mut net = Mlp::new(&MlpConfig::new(4, 2).depth(5), &mut rng); // 4 dropouts
+///
+/// let per_layer = DropoutSearchSpace::probe(&mut net);
+/// assert_eq!(per_layer.dim(), 4);
+/// per_layer.apply(&mut net, &[0.5, 1.0, 0.0, 0.25])?;
+///
+/// let shared = DropoutSearchSpace::shared(&mut net)?;
+/// assert_eq!(shared.dim(), 1);
+/// shared.apply(&mut net, &[1.0])?;
+/// assert!(dropout_rates(&mut net).iter().all(|&r| (r - 0.8).abs() < 1e-6));
+///
+/// let grouped = DropoutSearchSpace::grouped(&mut net, &[vec![0, 1], vec![2, 3]])?;
+/// assert_eq!(grouped.dim(), 2);
+/// grouped.apply(&mut net, &[0.0, 1.0])?;
+/// let rates = dropout_rates(&mut net);
+/// assert!(rates[0] < 1e-6 && (rates[3] - 0.8).abs() < 1e-6);
 /// # Ok::<(), bayesft::BayesFtError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DropoutSearchSpace {
+    /// The coordinate driving each dropout layer, in `visit_dropout` order;
+    /// `None` leaves that layer's rate as it is.
+    coords: Vec<Option<usize>>,
     dim: usize,
     max_rate: f32,
+    label: &'static str,
 }
 
 impl DropoutSearchSpace {
-    /// Probes a network for its dropout layers and builds the matching
-    /// search space.
+    fn new(coords: Vec<Option<usize>>, dim: usize, label: &'static str) -> Self {
+        DropoutSearchSpace {
+            coords,
+            dim,
+            max_rate: 0.8,
+            label,
+        }
+    }
+
+    /// Probes a network for its dropout layers and builds the paper's
+    /// space: one coordinate per layer (label `per_layer`).
     ///
     /// # Panics
     ///
@@ -147,191 +102,30 @@ impl DropoutSearchSpace {
     /// Returns [`BayesFtError::EmptySearchSpace`] if the network has no
     /// dropout layers.
     pub fn try_probe(network: &mut dyn Layer) -> Result<Self, BayesFtError> {
-        let dim = dropout_count(network);
-        if dim == 0 {
-            return Err(BayesFtError::EmptySearchSpace);
-        }
-        Ok(DropoutSearchSpace { dim, max_rate: 0.8 })
+        let layers = nonzero_dropout_count(network)?;
+        Ok(Self::new(
+            (0..layers).map(Some).collect(),
+            layers,
+            "per_layer",
+        ))
     }
 
-    /// Overrides the maximum dropout rate that α = 1 maps to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rate` is outside `(0, 0.95]`.
-    pub fn max_rate(mut self, max_rate: f32) -> Self {
-        check_max_rate(max_rate).unwrap_or_else(|e| panic!("{e}"));
-        self.max_rate = max_rate;
-        self
-    }
-
-    /// Reads the network's current rates back as unit-cube coordinates.
-    pub fn read(&self, network: &mut dyn Layer) -> Vec<f64> {
-        dropout_rates(network)
-            .iter()
-            .map(|&r| (r / self.max_rate).clamp(0.0, 1.0) as f64)
-            .collect()
-    }
-}
-
-impl SearchSpace for DropoutSearchSpace {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn validate(&self, network: &mut dyn Layer) -> Result<(), BayesFtError> {
-        check_layer_count(self.dim, network)
-    }
-
-    fn apply(&self, network: &mut dyn Layer, alpha: &[f64]) -> Result<(), BayesFtError> {
-        check_dim(self.dim, alpha)?;
-        let rates: Vec<f32> = alpha
-            .iter()
-            .map(|&a| (a as f32).clamp(0.0, 1.0) * self.max_rate)
-            .collect();
-        set_dropout_rates(network, &rates);
-        Ok(())
-    }
-
-    fn names(&self) -> Vec<String> {
-        (0..self.dim).map(|i| format!("dropout[{i}]")).collect()
-    }
-
-    fn label(&self) -> &'static str {
-        "per_layer"
-    }
-}
-
-/// A one-dimensional space: a single shared rate drives every dropout
-/// layer.
-///
-/// Collapsing the paper's `K−1` coordinates to one makes the Bayesian
-/// optimization dramatically cheaper (the GP is over `[0, 1]`) at the cost
-/// of per-layer expressiveness — the right trade on homogeneous stacks or
-/// tiny trial budgets.
-///
-/// # Example
-///
-/// ```
-/// use bayesft::{SearchSpace, SharedDropoutSpace};
-/// use models::{dropout_rates, Mlp, MlpConfig};
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// let mut rng = ChaCha8Rng::seed_from_u64(0);
-/// let mut net = Mlp::new(&MlpConfig::new(4, 2).depth(4), &mut rng);
-/// let space = SharedDropoutSpace::probe(&mut net);
-/// assert_eq!(space.dim(), 1);
-/// space.apply(&mut net, &[1.0])?;
-/// let rates = dropout_rates(&mut net);
-/// assert!(rates.iter().all(|&r| (r - 0.8).abs() < 1e-6));
-/// # Ok::<(), bayesft::BayesFtError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedDropoutSpace {
-    layers: usize,
-    max_rate: f32,
-}
-
-impl SharedDropoutSpace {
-    /// Builds the shared-rate space for a network.
+    /// A one-dimensional space: a single shared rate drives every dropout
+    /// layer (label `shared_rate`). The GP then runs over `[0, 1]` — the
+    /// right trade on homogeneous stacks or tiny trial budgets.
     ///
     /// # Errors
     ///
     /// Returns [`BayesFtError::EmptySearchSpace`] if the network has no
     /// dropout layers.
-    pub fn try_probe(network: &mut dyn Layer) -> Result<Self, BayesFtError> {
-        let layers = dropout_count(network);
-        if layers == 0 {
-            return Err(BayesFtError::EmptySearchSpace);
-        }
-        Ok(SharedDropoutSpace {
-            layers,
-            max_rate: 0.8,
-        })
+    pub fn shared(network: &mut dyn Layer) -> Result<Self, BayesFtError> {
+        let layers = nonzero_dropout_count(network)?;
+        Ok(Self::new(vec![Some(0); layers], 1, "shared_rate"))
     }
 
-    /// Infallible [`SharedDropoutSpace::try_probe`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has no dropout layers.
-    pub fn probe(network: &mut dyn Layer) -> Self {
-        Self::try_probe(network).expect("network has no dropout layers")
-    }
-
-    /// Overrides the maximum dropout rate that α = 1 maps to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rate` is outside `(0, 0.95]`.
-    pub fn max_rate(mut self, max_rate: f32) -> Self {
-        check_max_rate(max_rate).unwrap_or_else(|e| panic!("{e}"));
-        self.max_rate = max_rate;
-        self
-    }
-}
-
-impl SearchSpace for SharedDropoutSpace {
-    fn dim(&self) -> usize {
-        1
-    }
-
-    fn validate(&self, network: &mut dyn Layer) -> Result<(), BayesFtError> {
-        check_layer_count(self.layers, network)
-    }
-
-    fn apply(&self, network: &mut dyn Layer, alpha: &[f64]) -> Result<(), BayesFtError> {
-        check_dim(1, alpha)?;
-        let rate = (alpha[0] as f32).clamp(0.0, 1.0) * self.max_rate;
-        set_dropout_rates(network, &vec![rate; self.layers]);
-        Ok(())
-    }
-
-    fn names(&self) -> Vec<String> {
-        vec!["dropout[shared]".to_string()]
-    }
-
-    fn label(&self) -> &'static str {
-        "shared_rate"
-    }
-}
-
-/// Coordinates tied across explicit groups of dropout layers.
-///
-/// Each group of layer indices shares one coordinate, so the search runs in
-/// `groups.len()` dimensions while still distinguishing structurally
-/// different parts of the network — the classic split being "all conv-stage
-/// dropouts" vs "all dense-stage dropouts". Layers not mentioned in any
-/// group keep whatever rate they already have.
-///
-/// # Example
-///
-/// ```
-/// use bayesft::{GroupedDropoutSpace, SearchSpace};
-/// use models::{dropout_rates, Mlp, MlpConfig};
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// let mut rng = ChaCha8Rng::seed_from_u64(0);
-/// let mut net = Mlp::new(&MlpConfig::new(4, 2).depth(5), &mut rng); // 4 dropouts
-/// let space = GroupedDropoutSpace::new(&mut net, vec![vec![0, 1], vec![2, 3]])?;
-/// assert_eq!(space.dim(), 2);
-/// space.apply(&mut net, &[0.0, 1.0])?;
-/// let rates = dropout_rates(&mut net);
-/// assert!(rates[0] < 1e-6 && (rates[3] - 0.8).abs() < 1e-6);
-/// # Ok::<(), bayesft::BayesFtError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedDropoutSpace {
-    groups: Vec<Vec<usize>>,
-    layers: usize,
-    max_rate: f32,
-}
-
-impl GroupedDropoutSpace {
-    /// Builds a grouped space over `network` with the given groups of
-    /// dropout-layer indices (in `visit_dropout` order).
+    /// Ties one coordinate to each group of dropout-layer indices (in
+    /// `visit_dropout` order; label `layer_group`). Layers not mentioned in
+    /// any group keep whatever rate they already have.
     ///
     /// # Errors
     ///
@@ -339,37 +133,33 @@ impl GroupedDropoutSpace {
     /// any group is empty, [`BayesFtError::DimensionMismatch`] if an index
     /// exceeds the network's dropout count, and
     /// [`BayesFtError::InvalidConfig`] if an index appears in two groups.
-    pub fn new(network: &mut dyn Layer, groups: Vec<Vec<usize>>) -> Result<Self, BayesFtError> {
+    pub fn grouped(network: &mut dyn Layer, groups: &[Vec<usize>]) -> Result<Self, BayesFtError> {
         let layers = dropout_count(network);
         if groups.is_empty() || groups.iter().any(Vec::is_empty) {
             return Err(BayesFtError::EmptySearchSpace);
         }
-        let mut seen = vec![false; layers];
-        for &idx in groups.iter().flatten() {
-            if idx >= layers {
-                return Err(BayesFtError::DimensionMismatch {
+        let mut coords = vec![None; layers];
+        for (g, group) in groups.iter().enumerate() {
+            for &idx in group {
+                let slot = coords.get_mut(idx).ok_or(BayesFtError::DimensionMismatch {
                     what: "group index",
                     expected: layers,
                     got: idx,
-                });
+                })?;
+                if slot.replace(g).is_some() {
+                    return Err(BayesFtError::InvalidConfig(format!(
+                        "dropout layer {idx} appears in more than one group"
+                    )));
+                }
             }
-            if seen[idx] {
-                return Err(BayesFtError::InvalidConfig(format!(
-                    "dropout layer {idx} appears in more than one group"
-                )));
-            }
-            seen[idx] = true;
         }
-        Ok(GroupedDropoutSpace {
-            groups,
-            layers,
-            max_rate: 0.8,
-        })
+        Ok(Self::new(coords, groups.len(), "layer_group"))
     }
 
-    /// Splits a network's dropout layers into `k` contiguous groups of
-    /// (as close as possible to) equal size — a structure-agnostic default
-    /// that ties neighbouring stages together.
+    /// Splits a network's dropout layers into `k` contiguous groups of (as
+    /// close as possible to) equal size — a structure-agnostic default that
+    /// ties neighbouring stages together. The earlier groups take the
+    /// remainder.
     ///
     /// # Errors
     ///
@@ -377,25 +167,17 @@ impl GroupedDropoutSpace {
     /// networks and [`BayesFtError::InvalidConfig`] if `k` is zero or
     /// exceeds the layer count.
     pub fn chunked(network: &mut dyn Layer, k: usize) -> Result<Self, BayesFtError> {
-        let layers = dropout_count(network);
-        if layers == 0 {
-            return Err(BayesFtError::EmptySearchSpace);
-        }
+        let layers = nonzero_dropout_count(network)?;
         if k == 0 || k > layers {
             return Err(BayesFtError::InvalidConfig(format!(
                 "cannot split {layers} dropout layers into {k} groups"
             )));
         }
-        let base = layers / k;
-        let extra = layers % k;
-        let mut groups = Vec::with_capacity(k);
-        let mut next = 0usize;
-        for g in 0..k {
-            let size = base + usize::from(g < extra);
-            groups.push((next..next + size).collect());
-            next += size;
-        }
-        Self::new(network, groups)
+        let (base, extra) = (layers / k, layers % k);
+        let coords = (0..k)
+            .flat_map(|g| std::iter::repeat_n(Some(g), base + usize::from(g < extra)))
+            .collect();
+        Ok(Self::new(coords, k, "layer_group"))
     }
 
     /// Overrides the maximum dropout rate that α = 1 maps to.
@@ -408,50 +190,75 @@ impl GroupedDropoutSpace {
         self.max_rate = max_rate;
         self
     }
-}
 
-impl SearchSpace for GroupedDropoutSpace {
-    fn dim(&self) -> usize {
-        self.groups.len()
+    /// Number of coordinates (the Bayesian-optimization dimensionality).
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
-    fn validate(&self, network: &mut dyn Layer) -> Result<(), BayesFtError> {
-        check_layer_count(self.layers, network)
+    /// Short label identifying the grouping in a
+    /// [`RunReport`](crate::RunReport): `per_layer`, `shared_rate` or
+    /// `layer_group`.
+    pub fn label(&self) -> &'static str {
+        self.label
     }
 
-    fn apply(&self, network: &mut dyn Layer, alpha: &[f64]) -> Result<(), BayesFtError> {
-        check_dim(self.groups.len(), alpha)?;
-        // Start from the network's current rates so ungrouped layers keep
-        // their values.
-        let mut rates = dropout_rates(network);
-        rates.resize(self.layers, 0.0);
-        for (group, &a) in self.groups.iter().zip(alpha) {
-            let rate = (a as f32).clamp(0.0, 1.0) * self.max_rate;
-            for &idx in group {
-                rates[idx] = rate;
-            }
+    /// Checks that this space fits `network` — called once by the engine
+    /// before the search starts, so a space probed from one network cannot
+    /// silently drive a prefix of another.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BayesFtError::DimensionMismatch`] if the network's
+    /// dropout-layer count differs from the one the space was built for.
+    pub fn validate(&self, network: &mut dyn Layer) -> Result<(), BayesFtError> {
+        let got = dropout_count(network);
+        if got != self.coords.len() {
+            return Err(BayesFtError::DimensionMismatch {
+                what: "network dropout-layer",
+                expected: self.coords.len(),
+                got,
+            });
         }
-        set_dropout_rates(network, &rates);
         Ok(())
     }
 
-    fn names(&self) -> Vec<String> {
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(g, members)| format!("dropout[group{g}:{members:?}]"))
-            .collect()
-    }
-
-    fn label(&self) -> &'static str {
-        "layer_group"
+    /// Writes unit-cube coordinates into the network's dropout rates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BayesFtError::DimensionMismatch`] if
+    /// `alpha.len() != dim()` and [`BayesFtError::InvalidConfig`] if a
+    /// coordinate is not finite; the network is left untouched in both
+    /// cases.
+    pub fn apply(&self, network: &mut dyn Layer, alpha: &[f64]) -> Result<(), BayesFtError> {
+        if alpha.len() != self.dim {
+            return Err(BayesFtError::DimensionMismatch {
+                what: "alpha",
+                expected: self.dim,
+                got: alpha.len(),
+            });
+        }
+        if let Some(a) = alpha.iter().find(|a| !a.is_finite()) {
+            return Err(BayesFtError::InvalidConfig(format!(
+                "search coordinates must be finite, got {a}"
+            )));
+        }
+        let mut layer = 0;
+        network.visit_dropout(&mut |d| {
+            if let Some(&Some(c)) = self.coords.get(layer) {
+                d.set_rate((alpha[c] as f32).clamp(0.0, 1.0) * self.max_rate);
+            }
+            layer += 1;
+        });
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use models::{Mlp, MlpConfig};
+    use models::{dropout_rates, set_dropout_rates, Mlp, MlpConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -472,9 +279,8 @@ mod tests {
         let space = DropoutSearchSpace::probe(&mut net);
         let alpha = vec![0.25, 0.5, 1.0];
         space.apply(&mut net, &alpha).unwrap();
-        let back = space.read(&mut net);
-        for (a, b) in alpha.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        for (a, r) in alpha.iter().zip(dropout_rates(&mut net)) {
+            assert_eq!(r, (*a as f32) * 0.8, "{a}");
         }
     }
 
@@ -483,7 +289,7 @@ mod tests {
         let mut net = mlp(3);
         let space = DropoutSearchSpace::probe(&mut net).max_rate(0.5);
         space.apply(&mut net, &[1.0, 1.0]).unwrap();
-        let rates = models::dropout_rates(&mut net);
+        let rates = dropout_rates(&mut net);
         assert!(rates.iter().all(|&r| (r - 0.5).abs() < 1e-6));
     }
 
@@ -500,6 +306,21 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn apply_rejects_non_finite_coordinates_before_writing() {
+        let mut net = mlp(3);
+        set_dropout_rates(&mut net, &[0.1, 0.1]);
+        let space = DropoutSearchSpace::probe(&mut net);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = space.apply(&mut net, &[0.5, bad]).unwrap_err();
+            assert!(
+                matches!(err, BayesFtError::InvalidConfig(_)),
+                "{bad}: {err}"
+            );
+            assert_eq!(dropout_rates(&mut net), vec![0.1, 0.1], "{bad}");
+        }
     }
 
     #[test]
@@ -525,7 +346,7 @@ mod tests {
             BayesFtError::EmptySearchSpace
         );
         assert_eq!(
-            SharedDropoutSpace::try_probe(&mut net).unwrap_err(),
+            DropoutSearchSpace::shared(&mut net).unwrap_err(),
             BayesFtError::EmptySearchSpace
         );
     }
@@ -533,10 +354,10 @@ mod tests {
     #[test]
     fn shared_space_drives_all_layers() {
         let mut net = mlp(5);
-        let space = SharedDropoutSpace::probe(&mut net);
+        let space = DropoutSearchSpace::shared(&mut net).unwrap();
         assert_eq!(space.dim(), 1);
         space.apply(&mut net, &[0.5]).unwrap();
-        let rates = models::dropout_rates(&mut net);
+        let rates = dropout_rates(&mut net);
         assert_eq!(rates.len(), 4);
         assert!(rates.iter().all(|&r| (r - 0.4).abs() < 1e-6));
     }
@@ -544,10 +365,10 @@ mod tests {
     #[test]
     fn grouped_space_ties_members_and_spares_others() {
         let mut net = mlp(5); // 4 dropout layers
-        models::set_dropout_rates(&mut net, &[0.1, 0.1, 0.1, 0.1]);
-        let space = GroupedDropoutSpace::new(&mut net, vec![vec![0, 2]]).unwrap();
+        set_dropout_rates(&mut net, &[0.1, 0.1, 0.1, 0.1]);
+        let space = DropoutSearchSpace::grouped(&mut net, &[vec![0, 2]]).unwrap();
         space.apply(&mut net, &[1.0]).unwrap();
-        let rates = models::dropout_rates(&mut net);
+        let rates = dropout_rates(&mut net);
         assert!((rates[0] - 0.8).abs() < 1e-6);
         assert!((rates[2] - 0.8).abs() < 1e-6);
         assert!((rates[1] - 0.1).abs() < 1e-6, "ungrouped layer changed");
@@ -557,37 +378,35 @@ mod tests {
     #[test]
     fn grouped_space_validates_input() {
         let mut net = mlp(4); // 3 dropout layers
-        assert!(GroupedDropoutSpace::new(&mut net, vec![]).is_err());
-        assert!(GroupedDropoutSpace::new(&mut net, vec![vec![]]).is_err());
-        assert!(GroupedDropoutSpace::new(&mut net, vec![vec![7]]).is_err());
-        assert!(GroupedDropoutSpace::new(&mut net, vec![vec![0], vec![0]]).is_err());
+        assert!(DropoutSearchSpace::grouped(&mut net, &[]).is_err());
+        assert!(DropoutSearchSpace::grouped(&mut net, &[vec![]]).is_err());
+        assert!(DropoutSearchSpace::grouped(&mut net, &[vec![7]]).is_err());
+        assert!(DropoutSearchSpace::grouped(&mut net, &[vec![0], vec![0]]).is_err());
     }
 
     #[test]
     fn chunked_covers_all_layers_evenly() {
         let mut net = mlp(6); // 5 dropout layers
-        let space = GroupedDropoutSpace::chunked(&mut net, 2).unwrap();
+        let space = DropoutSearchSpace::chunked(&mut net, 2).unwrap();
         assert_eq!(space.dim(), 2);
         space.apply(&mut net, &[1.0, 0.0]).unwrap();
-        let rates = models::dropout_rates(&mut net);
+        let rates = dropout_rates(&mut net);
         // First chunk gets 3 layers, second 2.
         assert!(rates[..3].iter().all(|&r| (r - 0.8).abs() < 1e-6));
         assert!(rates[3..].iter().all(|&r| r < 1e-6));
-        assert!(GroupedDropoutSpace::chunked(&mut net, 0).is_err());
-        assert!(GroupedDropoutSpace::chunked(&mut net, 9).is_err());
+        assert!(DropoutSearchSpace::chunked(&mut net, 0).is_err());
+        assert!(DropoutSearchSpace::chunked(&mut net, 9).is_err());
     }
 
+    /// Each grouping's report name matches its dimension.
     #[test]
     fn names_match_dimensions() {
         let mut net = mlp(4);
         let per_layer = DropoutSearchSpace::probe(&mut net);
-        assert_eq!(per_layer.names().len(), per_layer.dim());
-        let shared = SharedDropoutSpace::probe(&mut net);
-        assert_eq!(shared.names().len(), 1);
-        let grouped = GroupedDropoutSpace::chunked(&mut net, 3).unwrap();
-        assert_eq!(grouped.names().len(), 3);
-        assert_eq!(per_layer.label(), "per_layer");
-        assert_eq!(shared.label(), "shared_rate");
-        assert_eq!(grouped.label(), "layer_group");
+        let shared = DropoutSearchSpace::shared(&mut net).unwrap();
+        let grouped = DropoutSearchSpace::chunked(&mut net, 3).unwrap();
+        assert_eq!((per_layer.label(), per_layer.dim()), ("per_layer", 3));
+        assert_eq!((shared.label(), shared.dim()), ("shared_rate", 1));
+        assert_eq!((grouped.label(), grouped.dim()), ("layer_group", 3));
     }
 }

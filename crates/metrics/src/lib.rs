@@ -1,9 +1,7 @@
-//! Evaluation metrics for the BayesFT reproduction: classification accuracy
-//! and confusion matrices (Figs. 2–3), and IoU-based average precision for
-//! the object-detection experiment (Fig. 3(j)).
+//! Evaluation metrics for the BayesFT reproduction: IoU-based average
+//! precision for the object-detection experiment (Fig. 3(j)).
+//! Classification accuracy lives with the output decoders in `baselines`.
 
-mod classify;
 mod map;
 
-pub use classify::{accuracy, accuracy_from_logits, ConfusionMatrix};
 pub use map::{average_precision, mean_average_precision, Detection};

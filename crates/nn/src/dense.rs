@@ -11,7 +11,7 @@ use crate::{
 /// A fully connected layer: `y = x·W + b` with `x: [N, in]`, `W: [in, out]`.
 ///
 /// Weights use Xavier-uniform initialization as in the paper (Algorithm 1,
-/// initialization step, ref. [17]).
+/// initialization step, ref. \[17\]).
 ///
 /// # Example
 ///

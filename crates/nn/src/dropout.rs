@@ -89,7 +89,12 @@ impl Dropout {
 
     /// Updates the dropout rate (clamped to `[0, 0.95]` for stability — a
     /// rate of 1 would zero the whole layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is NaN.
     pub fn set_rate(&mut self, rate: f32) {
+        assert!(!rate.is_nan(), "dropout rate must be in [0, 1), got {rate}");
         self.rate = rate.clamp(0.0, 0.95);
     }
 
@@ -138,7 +143,7 @@ impl Layer for Dropout {
     }
 }
 
-/// Alpha dropout (Klambauer et al., ref. [9]): drops to the SELU saturation
+/// Alpha dropout (Klambauer et al., ref. \[9\]): drops to the SELU saturation
 /// value `α′` and rescales affinely so the input mean and variance are
 /// preserved.
 ///
@@ -183,7 +188,15 @@ impl AlphaDropout {
     }
 
     /// Updates the dropout rate (clamped to `[0, 0.95]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is NaN.
     pub fn set_rate(&mut self, rate: f32) {
+        assert!(
+            !rate.is_nan(),
+            "alpha dropout rate must be in [0, 1), got {rate}"
+        );
         self.rate = rate.clamp(0.0, 0.95);
     }
 
@@ -289,6 +302,18 @@ mod tests {
     #[should_panic(expected = "dropout rate must be in [0, 1)")]
     fn invalid_rate_panics() {
         let _ = Dropout::new(1.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropout rate must be in [0, 1), got NaN")]
+    fn set_rate_rejects_nan() {
+        Dropout::new(0.1, 0).set_rate(f32::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha dropout rate must be in [0, 1), got NaN")]
+    fn alpha_set_rate_rejects_nan() {
+        AlphaDropout::new(0.1, 0).set_rate(f32::NAN);
     }
 
     #[test]

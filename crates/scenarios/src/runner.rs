@@ -8,7 +8,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use baselines::TrainConfig;
-use bayesft::{DriftObjective, Engine, RunReport, SharedDropoutSpace};
+use bayesft::{DriftObjective, DropoutSearchSpace, Engine, RunReport};
 use datasets::ClassificationDataset;
 use models::{Mlp, MlpConfig};
 use nn::Layer;
@@ -665,7 +665,7 @@ impl CampaignRunner {
                 ..TrainConfig::default()
             });
         if scenario.space == SpaceKind::Shared {
-            builder = builder.space(SharedDropoutSpace::probe(net.as_mut()));
+            builder = builder.space(DropoutSearchSpace::shared(net.as_mut())?);
         }
         let result = builder.run(net, &train, &val)?;
         let mut report = result

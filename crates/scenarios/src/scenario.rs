@@ -93,10 +93,10 @@ impl Default for TaskKind {
 /// Which search space the engine explores for a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpaceKind {
-    /// The paper's per-dropout-layer space (`DropoutSearchSpace`).
+    /// The paper's per-dropout-layer space (`DropoutSearchSpace::probe`).
     #[default]
     PerLayer,
-    /// One shared rate across all dropout layers (`SharedDropoutSpace`).
+    /// One shared rate across all dropout layers (`DropoutSearchSpace::shared`).
     Shared,
 }
 

@@ -51,7 +51,7 @@ pub enum Isolation {
     InProcess,
     /// In supervised `campaign run` child processes (one per shard) —
     /// a crashed, hanging, or garbage-spewing campaign costs a retry,
-    /// never the accept loop. See [`crate::supervisor`].
+    /// never the accept loop. See the crate's `supervisor` module.
     Process,
 }
 

@@ -31,7 +31,7 @@ impl Tensor {
     }
 
     /// Xavier/Glorot uniform initialization for a weight tensor with the
-    /// given fan-in and fan-out (the paper's initialization, ref. [17]).
+    /// given fan-in and fan-out (the paper's initialization, ref. \[17\]).
     pub fn xavier_uniform(
         dims: &[usize],
         fan_in: usize,

@@ -1,15 +1,12 @@
 //! Cross-crate integration tests of the experiment engine: every
-//! `DriftModel` variant and every `SearchSpace` implementation drive one
+//! `DriftModel` variant and every dropout-space grouping drive one
 //! fast-budget search end to end, and parallel Monte-Carlo evaluation is
 //! checked to reproduce the serial run exactly.
 
 use std::sync::Arc;
 
 use baselines::TrainConfig;
-use bayesft::{
-    DriftObjective, DropoutSearchSpace, Engine, EvalCtx, ExperimentBuilder, GroupedDropoutSpace,
-    Objective, SearchSpace, SharedDropoutSpace,
-};
+use bayesft::{DriftObjective, DropoutSearchSpace, Engine, EvalCtx, ExperimentBuilder, Objective};
 use datasets::{moons, ClassificationDataset};
 use models::{Mlp, MlpConfig};
 use rand::SeedableRng;
@@ -90,36 +87,30 @@ fn engine_runs_under_every_drift_model_variant() {
 fn engine_runs_under_every_search_space_impl() {
     let (train, val) = task();
     // 4 weighted layers -> 3 dropout slots.
-    let spaces: Vec<(Box<dyn SearchSpace>, &str, usize)> = {
+    let spaces = {
         let mut probe = net(4);
-        vec![
+        [
+            (DropoutSearchSpace::probe(probe.as_mut()), "per_layer", 3),
             (
-                Box::new(DropoutSearchSpace::probe(probe.as_mut())),
-                "per_layer",
-                3,
-            ),
-            (
-                Box::new(SharedDropoutSpace::probe(probe.as_mut())),
+                DropoutSearchSpace::shared(probe.as_mut()).unwrap(),
                 "shared_rate",
                 1,
             ),
             (
-                Box::new(GroupedDropoutSpace::chunked(probe.as_mut(), 2).unwrap()),
+                DropoutSearchSpace::chunked(probe.as_mut(), 2).unwrap(),
                 "layer_group",
                 2,
             ),
         ]
     };
     for (space, label, dim) in spaces {
-        let names = space.names();
         let result = fast()
-            .space_boxed(space)
+            .space(space)
             .seed(5)
             .run(net(4), &train, &val)
             .unwrap_or_else(|e| panic!("{label}: engine failed: {e}"));
         assert_eq!(result.report.space, label);
         assert_eq!(result.report.dim, dim, "{label}");
-        assert_eq!(names.len(), dim, "{label}");
         assert_eq!(result.report.best_alpha.len(), dim, "{label}");
         assert!(result
             .report

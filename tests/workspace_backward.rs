@@ -9,7 +9,7 @@
 use baselines::{
     train_awp, train_epochs, train_erm, train_ftna, train_step, AwpConfig, Codebook, TrainConfig,
 };
-use bayesft::Engine;
+use bayesft::{DropoutSearchSpace, Engine, ExperimentResult};
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
     backward_ws_divergence, softmax_cross_entropy, Activation, Adam, AlphaDropout, AvgPool2d,
@@ -302,66 +302,123 @@ fn baseline_trainers_match_pre_refactor_goldens() {
     assert_eq!(param_digest(erm.net.as_mut()), 0xfd168402fa233fca, "erm");
 }
 
+/// One fast engine run on the golden task: seed-0 moons and a 12-wide MLP
+/// of `depth` layers, searched over the space `space` builds from the
+/// network (the default per-layer space when `None`).
+fn golden_engine_run(
+    depth: usize,
+    space: Option<fn(&mut dyn Layer) -> DropoutSearchSpace>,
+    workers: usize,
+) -> ExperimentResult {
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    let data = datasets::moons(160, 0.1, &mut rng);
+    let (train, val) = data.split(0.8, &mut rng);
+    let mut net = Box::new(Mlp::new(
+        &MlpConfig::new(2, 2).hidden(12).depth(depth),
+        &mut rng,
+    ));
+    let mut builder = Engine::builder()
+        .trials(3)
+        .epochs_per_trial(1)
+        .final_epochs(1)
+        .mc_samples(2)
+        .sigma(0.5)
+        .train(TrainConfig::fast_test())
+        .seed(19)
+        .parallelism(workers);
+    if let Some(space) = space {
+        builder = builder.space(space(net.as_mut()));
+    }
+    builder.run(net, &train, &val).expect("engine run")
+}
+
+/// Asserts a run's best objective, best α, trial objectives and final
+/// weights against golden bit patterns.
+fn assert_engine_golden(
+    result: ExperimentResult,
+    best_objective: u64,
+    best_alpha: &[u64],
+    trials: &[u64],
+    digest: u64,
+) {
+    let report = &result.report;
+    let what = format!("{} space, {} workers", report.space, report.parallelism);
+    assert_eq!(report.best_objective.to_bits(), best_objective, "{what}");
+    let alpha_bits: Vec<u64> = report.best_alpha.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(alpha_bits, best_alpha, "{what}");
+    let trial_bits: Vec<u64> = report
+        .trials
+        .iter()
+        .map(|t| t.objective.to_bits())
+        .collect();
+    assert_eq!(trial_bits, trials, "{what}");
+    let mut model = result.model;
+    assert_eq!(param_digest(model.net.as_mut()), digest, "{what}");
+}
+
 /// The full engine loop (train → Monte-Carlo eval → GP → fine-tune) on the
 /// workspace training path reproduces the pre-refactor RunReport and final
 /// weights bit for bit, serial and parallel alike.
 #[test]
 fn engine_run_matches_pre_refactor_golden_serial_and_parallel() {
-    let run = |workers: usize| {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let data = datasets::moons(160, 0.1, &mut rng);
-        let (train, val) = data.split(0.8, &mut rng);
-        let net = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(12), &mut rng));
-        Engine::builder()
-            .trials(3)
-            .epochs_per_trial(1)
-            .final_epochs(1)
-            .mc_samples(2)
-            .sigma(0.5)
-            .train(TrainConfig::fast_test())
-            .seed(19)
-            .parallelism(workers)
-            .run(net, &train, &val)
-            .expect("engine run")
-    };
-    let serial = run(1);
-    assert_eq!(
-        serial.report.best_objective.to_bits(),
-        0x3febd55560000000,
-        "best objective diverged from the pre-refactor build"
-    );
-    let alpha_bits: Vec<u64> = serial
-        .report
-        .best_alpha
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    assert_eq!(alpha_bits, vec![4600864569083755700, 4586414101153231552]);
-    let trial_bits: Vec<u64> = serial
-        .report
-        .trials
-        .iter()
-        .map(|t| t.objective.to_bits())
-        .collect();
-    assert_eq!(
-        trial_bits,
-        vec![
-            4605868869087657984,
-            4605915781404819456,
-            4606009606576013312
-        ]
-    );
-    let mut serial_model = serial.model;
-    assert_eq!(param_digest(serial_model.net.as_mut()), 0xac1559445fe9430b);
-
-    let parallel = run(4);
+    let serial = golden_engine_run(3, None, 1);
+    let parallel = golden_engine_run(3, None, 4);
     assert!(serial.report.deterministic_eq(&parallel.report));
-    let mut parallel_model = parallel.model;
-    assert_eq!(
-        param_digest(parallel_model.net.as_mut()),
-        0xac1559445fe9430b,
-        "parallel run weights diverged"
-    );
+    for result in [serial, parallel] {
+        assert_engine_golden(
+            result,
+            0x3febd55560000000,
+            &[4600864569083755700, 4586414101153231552],
+            &[
+                4605868869087657984,
+                4605915781404819456,
+                4606009606576013312,
+            ],
+            0xac1559445fe9430b,
+        );
+    }
+}
+
+/// The shared-rate and chunked-group spaces drive the same engine loop to
+/// the values the per-space implementations produced. The grouped run uses
+/// a 3-dropout MLP so that one group ties two layers: on the 2-dropout net
+/// `chunked(_, 2)` is the per-layer space pinned above.
+#[test]
+fn engine_run_pins_shared_and_grouped_spaces_serial_and_parallel() {
+    fn shared(net: &mut dyn Layer) -> DropoutSearchSpace {
+        DropoutSearchSpace::shared(net).expect("net has dropout layers")
+    }
+    fn chunked(net: &mut dyn Layer) -> DropoutSearchSpace {
+        DropoutSearchSpace::chunked(net, 2).expect("3 dropout layers split in 2")
+    }
+    for workers in [1, 4] {
+        let result = golden_engine_run(3, Some(shared), workers);
+        assert_eq!(result.report.space, "shared_rate");
+        assert_engine_golden(
+            result,
+            0x3febd55560000000,
+            &[4604145124616525652],
+            &[
+                4606009606576013312,
+                4605868869087657984,
+                4605915781404819456,
+            ],
+            0x73c70d1a8ae7c7d0,
+        );
+        let result = golden_engine_run(4, Some(chunked), workers);
+        assert_eq!(result.report.space, "layer_group");
+        assert_engine_golden(
+            result,
+            0x3fed2aaaa0000000,
+            &[4601761131702750581, 4592720951717064532],
+            &[
+                4603288681443229696,
+                4606384906187046912,
+                4606056518893174784,
+            ],
+            0x3413cf40215b10d0,
+        );
+    }
 }
 
 /// Eval-mode forwards invalidate the gradient tape (capacity retained):
