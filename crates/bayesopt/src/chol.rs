@@ -2,7 +2,10 @@
 //! matrices of GP regression.
 
 /// Lower-triangular Cholesky factor `L` with `A = L·Lᵀ`, stored row-major.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The factor owns its storage: [`Cholesky::factor`] refills it in place,
+/// so a GP refitted every trial reuses one buffer.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cholesky {
     l: Vec<f64>,
     n: usize,
@@ -23,56 +26,82 @@ impl Cholesky {
         }
     }
 
-    /// Solves `A·x = b` via forward + backward substitution.
+    /// Factors `A + jitter·I` for a symmetric `n·n` matrix `A` given
+    /// row-major (only its lower triangle is read), overwriting this
+    /// factor and reusing its storage.
+    ///
+    /// Returns `false`, leaving the factor unusable, if a non-positive
+    /// pivot is encountered; callers typically retry with more jitter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != n·n`.
+    pub fn factor(&mut self, a: &[f64], n: usize, jitter: f64) -> bool {
+        assert_eq!(a.len(), n * n, "matrix must be n·n");
+        self.n = n;
+        self.l.clear();
+        self.l.resize(n * n, 0.0);
+        let l = &mut self.l;
+        for i in 0..n {
+            for j in 0..=i {
+                let mut acc = a[i * n + j];
+                if i == j {
+                    acc += jitter;
+                }
+                for k in 0..j {
+                    acc -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if acc <= 0.0 || !acc.is_finite() {
+                        return false;
+                    }
+                    l[i * n + j] = acc.sqrt();
+                } else {
+                    l[i * n + j] = acc / l[j * n + j];
+                }
+            }
+        }
+        true
+    }
+
+    /// Solves `A·x = b` in place via forward + backward substitution:
+    /// `b` holds `x` on return.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
     // Triangular indexing: numeric loops mirror the textbook algorithm.
     #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let n = self.n;
-        // Forward: L·y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.l[i * n + j] * y[j];
-            }
-            y[i] = acc / self.l[i * n + i];
-        }
+    pub fn solve(&self, b: &mut [f64]) {
+        self.forward_solve(b);
         // Backward: Lᵀ·x = y
-        let mut x = vec![0.0; n];
+        let n = self.n;
         for i in (0..n).rev() {
-            let mut acc = y[i];
+            let mut acc = b[i];
             for j in (i + 1)..n {
-                acc -= self.l[j * n + i] * x[j];
+                acc -= self.l[j * n + i] * b[j];
             }
-            x[i] = acc / self.l[i * n + i];
+            b[i] = acc / self.l[i * n + i];
         }
-        x
     }
 
-    /// Solves only the forward system `L·y = b` (used for posterior
-    /// variance: `σ² = k** − ‖L⁻¹k*‖²`).
+    /// Solves only the forward system `L·y = b` in place, `b` holding `y`
+    /// on return (used for posterior variance: `σ² = k** − ‖L⁻¹k*‖²`).
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
     #[allow(clippy::needless_range_loop)]
-    pub fn forward_solve(&self, b: &[f64]) -> Vec<f64> {
+    pub fn forward_solve(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let n = self.n;
-        let mut y = vec![0.0; n];
         for i in 0..n {
             let mut acc = b[i];
             for j in 0..i {
-                acc -= self.l[i * n + j] * y[j];
+                acc -= self.l[i * n + j] * b[j];
             }
-            y[i] = acc / self.l[i * n + i];
+            b[i] = acc / self.l[i * n + i];
         }
-        y
     }
 
     /// Log-determinant of `A`: `2·Σ log L[i][i]`.
@@ -84,10 +113,11 @@ impl Cholesky {
     }
 }
 
-/// Factorizes a symmetric positive-definite matrix given row-major.
+/// Factorizes a symmetric positive-definite matrix given row-major into a
+/// new [`Cholesky`] (see [`Cholesky::factor`]).
 ///
 /// Returns `None` if the matrix is not positive definite (a non-positive
-/// pivot is encountered); callers typically retry with added jitter.
+/// pivot is encountered).
 ///
 /// # Panics
 ///
@@ -103,47 +133,8 @@ impl Cholesky {
 /// assert!((chol.at(0, 0) - 2.0).abs() < 1e-12);
 /// ```
 pub fn cholesky(a: &[f64], n: usize) -> Option<Cholesky> {
-    assert_eq!(a.len(), n * n, "matrix must be n·n");
-    let mut l = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut acc = a[i * n + j];
-            for k in 0..j {
-                acc -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if acc <= 0.0 || !acc.is_finite() {
-                    return None;
-                }
-                l[i * n + j] = acc.sqrt();
-            } else {
-                l[i * n + j] = acc / l[j * n + j];
-            }
-        }
-    }
-    Some(Cholesky { l, n })
-}
-
-/// Solves `A·x = b` for SPD `A`, adding exponentially growing diagonal
-/// jitter until the factorization succeeds.
-///
-/// Returns `None` only if the matrix stays indefinite after 8 jitter
-/// escalations (pathological input).
-pub fn cholesky_solve(a: &[f64], n: usize, b: &[f64]) -> Option<Vec<f64>> {
-    let mut jitter = 0.0;
-    for attempt in 0..8 {
-        let mut aj = a.to_vec();
-        if jitter > 0.0 {
-            for i in 0..n {
-                aj[i * n + i] += jitter;
-            }
-        }
-        if let Some(chol) = cholesky(&aj, n) {
-            return Some(chol.solve(b));
-        }
-        jitter = if attempt == 0 { 1e-10 } else { jitter * 100.0 };
-    }
-    None
+    let mut chol = Cholesky::default();
+    chol.factor(a, n, 0.0).then_some(chol)
 }
 
 #[cfg(test)]
@@ -170,7 +161,8 @@ mod tests {
         let a = [4.0, 2.0, 2.0, 3.0];
         let c = cholesky(&a, 2).unwrap();
         // x = [1, 2] → b = A·x = [8, 8]
-        let x = c.solve(&[8.0, 8.0]);
+        let mut x = [8.0, 8.0];
+        c.solve(&mut x);
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
@@ -181,9 +173,10 @@ mod tests {
         let a = [4.0, 2.0, 2.0, 3.0];
         let c = cholesky(&a, 2).unwrap();
         let b = [1.0, -1.0];
-        let y = c.forward_solve(&b);
+        let (mut y, mut x) = (b, b);
+        c.forward_solve(&mut y);
         let quad: f64 = y.iter().map(|v| v * v).sum();
-        let x = c.solve(&b);
+        c.solve(&mut x);
         let direct: f64 = b.iter().zip(&x).map(|(bi, xi)| bi * xi).sum();
         assert!((quad - direct).abs() < 1e-12);
     }
@@ -198,7 +191,11 @@ mod tests {
     fn jittered_solve_handles_singular() {
         // Rank-1 matrix: plain Cholesky fails, jitter rescues.
         let a = [1.0, 1.0, 1.0, 1.0];
-        let x = cholesky_solve(&a, 2, &[2.0, 2.0]).expect("jitter rescues");
+        let mut c = Cholesky::default();
+        assert!(!c.factor(&a, 2, 0.0));
+        assert!(c.factor(&a, 2, 1e-10), "jitter rescues");
+        let mut x = [2.0, 2.0];
+        c.solve(&mut x);
         // Solution of (A + εI)x = b is ≈ [1, 1].
         assert!((x[0] - 1.0).abs() < 0.1 && (x[1] - 1.0).abs() < 0.1);
     }
@@ -206,7 +203,17 @@ mod tests {
     #[test]
     fn identity_solve_is_identity() {
         let a = [1.0, 0.0, 0.0, 1.0];
-        let x = cholesky_solve(&a, 2, &[3.0, -4.0]).unwrap();
-        assert_eq!(x, vec![3.0, -4.0]);
+        let mut x = [3.0, -4.0];
+        cholesky(&a, 2).unwrap().solve(&mut x);
+        assert_eq!(x, [3.0, -4.0]);
+    }
+
+    #[test]
+    fn refactoring_a_smaller_matrix_matches_a_fresh_factor() {
+        let big = [4.0, 12.0, -16.0, 12.0, 37.0, -43.0, -16.0, -43.0, 98.0];
+        let small = [4.0, 2.0, 2.0, 3.0];
+        let mut reused = cholesky(&big, 3).unwrap();
+        assert!(reused.factor(&small, 2, 0.0));
+        assert_eq!(reused, cholesky(&small, 2).unwrap());
     }
 }

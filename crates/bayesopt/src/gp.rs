@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{cholesky, Cholesky, Kernel};
+use crate::{Cholesky, Kernel};
 
 /// Error from GP fitting or prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +53,14 @@ impl Posterior {
 
 /// A Gaussian-process regressor with a fixed kernel and observation noise.
 ///
+/// The regressor owns every buffer it computes in: each [`fit`] refills
+/// the training rows, the kernel matrix and its Cholesky factor in place,
+/// and each [`posterior`] reuses one kernel row, so refitting and scoring
+/// a search's candidates allocate nothing once the buffers have grown.
+///
+/// [`fit`]: GaussianProcess::fit
+/// [`posterior`]: GaussianProcess::posterior
+///
 /// # Example
 ///
 /// ```
@@ -60,10 +68,7 @@ impl Posterior {
 ///
 /// let kernel = SquaredExponential::isotropic(1.0, 0.3);
 /// let mut gp = GaussianProcess::new(kernel, 1e-6);
-/// gp.fit(
-///     vec![vec![0.0], vec![1.0]],
-///     vec![0.0, 1.0],
-/// )?;
+/// gp.fit([([0.0], 0.0), ([1.0], 1.0)])?;
 /// let p = gp.posterior(&[0.0])?;
 /// assert!(p.mean.abs() < 1e-3);        // interpolates
 /// assert!(p.variance < 1e-3);          // confident at data
@@ -73,10 +78,20 @@ impl Posterior {
 /// ```
 pub struct GaussianProcess<K: Kernel> {
     kernel: K,
-    noise: f64,
-    x: Vec<Vec<f64>>,
+    pub(crate) noise: f64,
+    /// Fitted observations (0 while unfitted).
+    n: usize,
+    dim: usize,
+    /// Training coordinates, `n` rows of `dim`, row-major.
+    x: Vec<f64>,
+    /// `K⁻¹(y − ȳ)`; holds the raw targets while a fit is under way.
     alpha: Vec<f64>,
-    chol: Option<Cholesky>,
+    /// The lower triangle of the noise-free kernel matrix `K`, `n·n`
+    /// row-major (the Cholesky factorization reads nothing else).
+    k: Vec<f64>,
+    chol: Cholesky,
+    /// The posterior's kernel row `k*`, forward-solved in place.
+    kstar: Vec<f64>,
     y_mean: f64,
 }
 
@@ -92,62 +107,65 @@ impl<K: Kernel> GaussianProcess<K> {
         GaussianProcess {
             kernel,
             noise,
+            n: 0,
+            dim: 0,
             x: Vec::new(),
             alpha: Vec::new(),
-            chol: None,
+            k: Vec::new(),
+            chol: Cholesky::default(),
+            kstar: Vec::new(),
             y_mean: 0.0,
         }
     }
 
-    /// Fits the GP to observations `(x, y)`. Targets are internally
-    /// centered; predictions add the mean back.
+    /// Fits the GP to `(x, y)` observations, replacing any earlier fit.
+    /// Targets are internally centered; predictions add the mean back.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::NoObservations`] for empty input,
-    /// [`GpError::DimensionMismatch`] for ragged coordinates or
-    /// `x.len() != y.len()`, and [`GpError::SingularKernel`] if the kernel
-    /// matrix cannot be factorized even with jitter escalation.
-    pub fn fit(&mut self, x: Vec<Vec<f64>>, y: Vec<f64>) -> Result<(), GpError> {
-        if x.is_empty() || y.is_empty() {
-            return Err(GpError::NoObservations);
+    /// [`GpError::DimensionMismatch`] for ragged coordinates, and
+    /// [`GpError::SingularKernel`] if the kernel matrix cannot be
+    /// factorized even with jitter escalation. A failed fit leaves the GP
+    /// unfitted.
+    pub fn fit<X: AsRef<[f64]>>(
+        &mut self,
+        data: impl IntoIterator<Item = (X, f64)>,
+    ) -> Result<(), GpError> {
+        self.n = 0;
+        self.x.clear();
+        self.alpha.clear();
+        let mut dim = None;
+        for (x, y) in data {
+            let x = x.as_ref();
+            if *dim.get_or_insert(x.len()) != x.len() {
+                return Err(GpError::DimensionMismatch);
+            }
+            self.x.extend_from_slice(x);
+            self.alpha.push(y);
         }
-        if x.len() != y.len() {
-            return Err(GpError::DimensionMismatch);
+        let (n, d) = (self.alpha.len(), dim.ok_or(GpError::NoObservations)?);
+        let y_mean = self.alpha.iter().sum::<f64>() / n as f64;
+        for v in &mut self.alpha {
+            *v -= y_mean;
         }
-        let d = x[0].len();
-        if x.iter().any(|p| p.len() != d) {
-            return Err(GpError::DimensionMismatch);
-        }
-        let n = x.len();
-        let y_mean = y.iter().sum::<f64>() / n as f64;
-        let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-        let mut k = vec![0.0f64; n * n];
+        self.k.clear();
+        self.k.resize(n * n, 0.0);
+        let row = |i: usize| &self.x[i * d..(i + 1) * d];
         for i in 0..n {
             for j in 0..=i {
-                let v = self.kernel.eval(&x[i], &x[j]);
-                k[i * n + j] = v;
-                k[j * n + i] = v;
+                self.k[i * n + j] = self.kernel.eval(row(i), row(j));
             }
         }
-        let mut jitter = self.noise.max(1e-12);
-        let mut chol = None;
-        for _ in 0..10 {
-            let mut kj = k.clone();
-            for i in 0..n {
-                kj[i * n + i] += jitter;
-            }
-            if let Some(c) = cholesky(&kj, n) {
-                chol = Some(c);
-                break;
-            }
-            jitter *= 10.0;
+        let mut jitters =
+            std::iter::successors(Some(self.noise.max(1e-12)), |j| Some(j * 10.0)).take(10);
+        if !jitters.any(|j| self.chol.factor(&self.k, n, j)) {
+            return Err(GpError::SingularKernel);
         }
-        let chol = chol.ok_or(GpError::SingularKernel)?;
-        self.alpha = chol.solve(&yc);
-        self.chol = Some(chol);
-        self.x = x;
+        self.chol.solve(&mut self.alpha);
+        self.n = n;
+        self.dim = d;
         self.y_mean = y_mean;
         Ok(())
     }
@@ -158,35 +176,33 @@ impl<K: Kernel> GaussianProcess<K> {
     ///
     /// Returns [`GpError::NotFitted`] before the first successful fit, or
     /// [`GpError::DimensionMismatch`] if `query` has the wrong dimension.
-    pub fn posterior(&self, query: &[f64]) -> Result<Posterior, GpError> {
-        let chol = self.chol.as_ref().ok_or(GpError::NotFitted)?;
-        if self.x[0].len() != query.len() {
+    pub fn posterior(&mut self, query: &[f64]) -> Result<Posterior, GpError> {
+        if self.n == 0 {
+            return Err(GpError::NotFitted);
+        }
+        if self.dim != query.len() {
             return Err(GpError::DimensionMismatch);
         }
-        let kstar: Vec<f64> = self
-            .x
-            .iter()
-            .map(|xi| self.kernel.eval(xi, query))
-            .collect();
-        let mean: f64 = kstar
-            .iter()
-            .zip(&self.alpha)
-            .map(|(k, a)| k * a)
-            .sum::<f64>()
-            + self.y_mean;
-        let v = chol.forward_solve(&kstar);
+        let d = self.dim;
+        self.kstar.clear();
+        self.kstar
+            .extend((0..self.n).map(|i| self.kernel.eval(&self.x[i * d..(i + 1) * d], query)));
+        let k_alpha = self.kstar.iter().zip(&self.alpha).map(|(k, a)| k * a);
+        let mean = k_alpha.sum::<f64>() + self.y_mean;
+        self.chol.forward_solve(&mut self.kstar);
+        let v = &self.kstar;
         let variance = (self.kernel.diag(query) - v.iter().map(|vi| vi * vi).sum::<f64>()).max(0.0);
         Ok(Posterior { mean, variance })
     }
 
     /// Number of fitted observations (0 before fitting).
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.n
     }
 
     /// Whether the GP has no observations.
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.n == 0
     }
 
     /// Log marginal likelihood of the fitted data (model-selection
@@ -196,15 +212,18 @@ impl<K: Kernel> GaussianProcess<K> {
     ///
     /// Returns [`GpError::NotFitted`] before the first successful fit.
     pub fn log_marginal_likelihood(&self) -> Result<f64, GpError> {
-        let chol = self.chol.as_ref().ok_or(GpError::NotFitted)?;
-        let n = self.x.len() as f64;
+        if self.n == 0 {
+            return Err(GpError::NotFitted);
+        }
+        let chol = &self.chol;
+        let n = self.n as f64;
         // yᵀα where y is centered: recover from alpha through K·alpha = y.
         // We stored only alpha; compute yᵀα = αᵀKα = ‖Lᵀα‖².
         let mut yta = 0.0;
-        for i in 0..self.x.len() {
+        for i in 0..self.n {
             // (Lᵀ α)_i = Σ_{j>=i} L[j][i] α_j
             let mut v = 0.0;
-            for j in i..self.x.len() {
+            for j in i..self.n {
                 v += chol.at(j, i) * self.alpha[j];
             }
             yta += v * v;
@@ -217,7 +236,7 @@ impl<K: Kernel + fmt::Debug> fmt::Debug for GaussianProcess<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GaussianProcess")
             .field("kernel", &self.kernel)
-            .field("observations", &self.x.len())
+            .field("observations", &self.n)
             .finish()
     }
 }
@@ -229,14 +248,13 @@ mod tests {
 
     fn fitted_gp() -> GaussianProcess<SquaredExponential> {
         let mut gp = GaussianProcess::new(SquaredExponential::isotropic(1.0, 0.3), 1e-8);
-        gp.fit(vec![vec![0.0], vec![0.5], vec![1.0]], vec![1.0, 0.0, 1.0])
-            .unwrap();
+        gp.fit([([0.0], 1.0), ([0.5], 0.0), ([1.0], 1.0)]).unwrap();
         gp
     }
 
     #[test]
     fn interpolates_training_points() {
-        let gp = fitted_gp();
+        let mut gp = fitted_gp();
         for (x, y) in [(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)] {
             let p = gp.posterior(&[x]).unwrap();
             assert!((p.mean - y).abs() < 1e-3, "at {x}: {} vs {y}", p.mean);
@@ -246,7 +264,7 @@ mod tests {
 
     #[test]
     fn variance_grows_away_from_data() {
-        let gp = fitted_gp();
+        let mut gp = fitted_gp();
         let near = gp.posterior(&[0.45]).unwrap().variance;
         let far = gp.posterior(&[5.0]).unwrap().variance;
         assert!(far > near);
@@ -255,7 +273,7 @@ mod tests {
 
     #[test]
     fn mean_reverts_to_data_mean_far_away() {
-        let gp = fitted_gp();
+        let mut gp = fitted_gp();
         let p = gp.posterior(&[100.0]).unwrap();
         assert!((p.mean - 2.0 / 3.0).abs() < 1e-6);
     }
@@ -263,7 +281,7 @@ mod tests {
     #[test]
     fn single_point_posterior_matches_hand_computation() {
         let mut gp = GaussianProcess::new(SquaredExponential::new(2.0, vec![1.0]), 0.0);
-        gp.fit(vec![vec![0.0]], vec![3.0]).unwrap();
+        gp.fit([([0.0], 3.0)]).unwrap();
         // At the data point: mean = y, var ≈ 0.
         let p = gp.posterior(&[0.0]).unwrap();
         assert!((p.mean - 3.0).abs() < 1e-6);
@@ -280,13 +298,16 @@ mod tests {
     fn errors_are_reported() {
         let mut gp = GaussianProcess::new(SquaredExponential::isotropic(1.0, 1.0), 1e-6);
         assert_eq!(gp.posterior(&[0.0]).unwrap_err(), GpError::NotFitted);
-        assert_eq!(gp.fit(vec![], vec![]).unwrap_err(), GpError::NoObservations);
         assert_eq!(
-            gp.fit(vec![vec![0.0], vec![0.0, 1.0]], vec![1.0, 2.0])
+            gp.fit(Vec::<([f64; 1], f64)>::new()).unwrap_err(),
+            GpError::NoObservations
+        );
+        assert_eq!(
+            gp.fit([(vec![0.0], 1.0), (vec![0.0, 1.0], 2.0)])
                 .unwrap_err(),
             GpError::DimensionMismatch
         );
-        gp.fit(vec![vec![0.0]], vec![1.0]).unwrap();
+        gp.fit([([0.0], 1.0)]).unwrap();
         assert_eq!(
             gp.posterior(&[0.0, 1.0]).unwrap_err(),
             GpError::DimensionMismatch
@@ -294,9 +315,29 @@ mod tests {
     }
 
     #[test]
+    fn refit_matches_a_fresh_fit_and_a_failed_fit_unfits() {
+        let data = [([0.2], 0.5), ([0.9], -1.0)];
+        let mut gp = fitted_gp();
+        gp.fit(data).unwrap();
+        let mut fresh = GaussianProcess::new(SquaredExponential::isotropic(1.0, 0.3), 1e-8);
+        fresh.fit(data).unwrap();
+        assert_eq!(gp.len(), 2);
+        for q in [0.0, 0.4, 3.0] {
+            assert_eq!(gp.posterior(&[q]), fresh.posterior(&[q]), "at {q}");
+        }
+        assert_eq!(
+            gp.fit([(vec![0.0], 1.0), (vec![0.0, 1.0], 2.0)])
+                .unwrap_err(),
+            GpError::DimensionMismatch
+        );
+        assert!(gp.is_empty());
+        assert_eq!(gp.posterior(&[0.0]).unwrap_err(), GpError::NotFitted);
+    }
+
+    #[test]
     fn duplicate_points_survive_via_jitter() {
         let mut gp = GaussianProcess::new(SquaredExponential::isotropic(1.0, 0.5), 1e-10);
-        gp.fit(vec![vec![0.3], vec![0.3], vec![0.7]], vec![1.0, 1.0, 2.0])
+        gp.fit([([0.3], 1.0), ([0.3], 1.0), ([0.7], 2.0)])
             .expect("jitter escalation handles duplicates");
         let p = gp.posterior(&[0.3]).unwrap();
         assert!((p.mean - 1.0).abs() < 0.05);
@@ -309,8 +350,7 @@ mod tests {
         assert!(lml.is_finite());
         // Better-fitting model should have higher LML than an absurd one.
         let mut bad = GaussianProcess::new(SquaredExponential::isotropic(1e-6, 1e-3), 1e-8);
-        bad.fit(vec![vec![0.0], vec![0.5], vec![1.0]], vec![1.0, 0.0, 1.0])
-            .unwrap();
+        bad.fit([([0.0], 1.0), ([0.5], 0.0), ([1.0], 1.0)]).unwrap();
         assert!(lml > bad.log_marginal_likelihood().unwrap());
     }
 }

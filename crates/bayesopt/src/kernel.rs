@@ -55,6 +55,7 @@ impl SquaredExponential {
     ///
     /// Panics if `k0` or `lengthscale` is not positive.
     pub fn isotropic(k0: f64, lengthscale: f64) -> Self {
+        assert!(k0 > 0.0, "kernel amplitude must be positive");
         assert!(lengthscale > 0.0, "lengthscale must be positive");
         SquaredExponential {
             k0,
@@ -156,5 +157,17 @@ mod tests {
     #[should_panic(expected = "amplitude must be positive")]
     fn zero_amplitude_panics() {
         let _ = SquaredExponential::new(0.0, vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "amplitude must be positive")]
+    fn isotropic_zero_amplitude_panics() {
+        let _ = SquaredExponential::isotropic(0.0, 0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "amplitude must be positive")]
+    fn isotropic_negative_amplitude_panics() {
+        let _ = SquaredExponential::isotropic(-1.0, 0.3);
     }
 }

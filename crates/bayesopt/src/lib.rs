@@ -42,8 +42,8 @@ mod opt;
 mod sampler;
 
 pub use acquisition::Acquisition;
-pub use chol::{cholesky, cholesky_solve, Cholesky};
+pub use chol::{cholesky, Cholesky};
 pub use gp::{GaussianProcess, GpError, Posterior};
 pub use kernel::{Kernel, Matern52, SquaredExponential};
 pub use opt::{nan_low_cmp, BayesOpt, Observation};
-pub use sampler::{latin_hypercube, uniform_candidates};
+pub use sampler::latin_hypercube;

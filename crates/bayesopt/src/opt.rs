@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 
 use rand::Rng;
 
-use crate::{latin_hypercube, uniform_candidates, Acquisition, GaussianProcess, GpError, Kernel};
+use crate::{latin_hypercube, Acquisition, GaussianProcess, GpError, Kernel};
 
 /// Total order over objective values that deterministically ranks NaN below
 /// every other value (including `-∞`), and is otherwise
@@ -53,19 +53,23 @@ pub struct Observation {
 ///
 /// `suggest` scores a fresh batch of candidate points (Latin hypercube for
 /// the first call, uniform afterwards, always including a local
-/// perturbation of the incumbent) under the acquisition function.
+/// perturbation of the incumbent) under the acquisition function. The
+/// surrogate and the candidate batch live in buffers the optimizer keeps
+/// and refills on every call, so a suggest past the space-filling phase
+/// allocates only the point it returns.
 ///
 /// See the crate-level example for end-to-end usage.
-pub struct BayesOpt<K: Kernel + Clone> {
+pub struct BayesOpt<K: Kernel> {
     dim: usize,
-    kernel: K,
     acquisition: Acquisition,
-    noise: f64,
     candidates_per_suggest: usize,
     observations: Vec<Observation>,
+    gp: GaussianProcess<K>,
+    /// The candidate batch, one row of `dim` per candidate, row-major.
+    candidates: Vec<f64>,
 }
 
-impl<K: Kernel + Clone> BayesOpt<K> {
+impl<K: Kernel> BayesOpt<K> {
     /// Creates an optimizer over `[0, 1]^dim` with the given kernel.
     ///
     /// # Panics
@@ -75,11 +79,11 @@ impl<K: Kernel + Clone> BayesOpt<K> {
         assert!(dim > 0, "search space must have at least one dimension");
         BayesOpt {
             dim,
-            kernel,
             acquisition: Acquisition::default(),
-            noise: 1e-6,
             candidates_per_suggest: 256,
             observations: Vec::new(),
+            gp: GaussianProcess::new(kernel, 1e-6),
+            candidates: Vec::new(),
         }
     }
 
@@ -90,8 +94,13 @@ impl<K: Kernel + Clone> BayesOpt<K> {
     }
 
     /// Sets the GP observation-noise variance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise` is negative.
     pub fn noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
+        assert!(noise >= 0.0, "noise variance must be non-negative");
+        self.gp.noise = noise;
         self
     }
 
@@ -135,44 +144,39 @@ impl<K: Kernel + Clone> BayesOpt<K> {
     ///
     /// Returns [`GpError::SingularKernel`] if the surrogate cannot be
     /// fitted even with jitter (duplicate-heavy degenerate histories).
-    pub fn suggest(&self, rng: &mut impl Rng) -> Result<Vec<f64>, GpError> {
-        let finite: Vec<&Observation> = self
-            .observations
-            .iter()
-            .filter(|o| o.y.is_finite())
-            .collect();
-        if finite.len() < 2 {
+    pub fn suggest(&mut self, rng: &mut impl Rng) -> Result<Vec<f64>, GpError> {
+        let finite = || self.observations.iter().filter(|o| o.y.is_finite());
+        let n_finite = finite().count();
+        if n_finite < 2 {
             let mut lhs = latin_hypercube(2, self.dim, rng);
-            return Ok(lhs.swap_remove(finite.len() % 2));
+            return Ok(lhs.swap_remove(n_finite % 2));
         }
-        let mut gp = GaussianProcess::new(self.kernel.clone(), self.noise);
         {
             let _s = telemetry::Span::enter(
                 "bayesopt.gp_fit",
                 telemetry::duration_histogram!("bayesopt_gp_fit_seconds"),
             );
-            gp.fit(
-                finite.iter().map(|o| o.x.clone()).collect(),
-                finite.iter().map(|o| o.y).collect(),
-            )?;
+            self.gp.fit(finite().map(|o| (&o.x, o.y)))?;
         }
-        let best = self
-            .best_observed()
-            .map(|(_, y)| y)
+        // NaN incumbents rank below every finite observation, so the
+        // incumbent is finite-backed whenever any finite trial exists.
+        let incumbent = incumbent(&self.observations);
+        let best = incumbent
+            .map(|o| o.y)
             .filter(|y| y.is_finite())
             .unwrap_or(f64::NEG_INFINITY);
 
-        let mut candidates = uniform_candidates(self.candidates_per_suggest, self.dim, rng);
-        // Local refinement candidates around the incumbent (NaN incumbents
-        // rank below every finite observation, so `bx` is finite-backed
-        // whenever any finite trial exists).
-        if let Some((bx, _)) = self.best_observed() {
+        let d = self.dim;
+        self.candidates.clear();
+        self.candidates
+            .extend((0..self.candidates_per_suggest * d).map(|_| rng.gen::<f64>()));
+        // Local refinement candidates around the incumbent.
+        if let Some(o) = incumbent {
             for scale in [0.05, 0.15] {
-                let mut c = bx.clone();
-                for v in &mut c {
-                    *v = (*v + scale * (rng.gen::<f64>() * 2.0 - 1.0)).clamp(0.0, 1.0);
+                for &v in &o.x {
+                    let c = (v + scale * (rng.gen::<f64>() * 2.0 - 1.0)).clamp(0.0, 1.0);
+                    self.candidates.push(c);
                 }
-                candidates.push(c);
             }
         }
 
@@ -181,16 +185,15 @@ impl<K: Kernel + Clone> BayesOpt<K> {
             telemetry::duration_histogram!("bayesopt_acquisition_seconds"),
         );
         let mut best_score = f64::NEG_INFINITY;
-        let mut best_point = candidates[0].clone();
-        for c in candidates {
-            let p = gp.posterior(&c)?;
-            let s = self.acquisition.score(&p, best);
+        let mut best_row = 0;
+        for (row, c) in self.candidates.chunks_exact(d).enumerate() {
+            let s = self.acquisition.score(&self.gp.posterior(c)?, best);
             if s > best_score {
                 best_score = s;
-                best_point = c;
+                best_row = row;
             }
         }
-        Ok(best_point)
+        Ok(self.candidates[best_row * d..(best_row + 1) * d].to_vec())
     }
 
     /// The best observation so far, if any, ranked with [`nan_low_cmp`]:
@@ -199,10 +202,7 @@ impl<K: Kernel + Clone> BayesOpt<K> {
     /// keep the latest observation, matching the historical `max_by`
     /// behavior).
     pub fn best_observed(&self) -> Option<(Vec<f64>, f64)> {
-        self.observations
-            .iter()
-            .max_by(|a, b| nan_low_cmp(a.y, b.y))
-            .map(|o| (o.x.clone(), o.y))
+        incumbent(&self.observations).map(|o| (o.x.clone(), o.y))
     }
 
     /// All recorded observations, in insertion order.
@@ -216,7 +216,12 @@ impl<K: Kernel + Clone> BayesOpt<K> {
     }
 }
 
-impl<K: Kernel + Clone + std::fmt::Debug> std::fmt::Debug for BayesOpt<K> {
+/// The observation [`BayesOpt::best_observed`] reports, borrowed.
+fn incumbent(observations: &[Observation]) -> Option<&Observation> {
+    observations.iter().max_by(|a, b| nan_low_cmp(a.y, b.y))
+}
+
+impl<K: Kernel> std::fmt::Debug for BayesOpt<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BayesOpt")
             .field("dim", &self.dim)

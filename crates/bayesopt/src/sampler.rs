@@ -2,26 +2,6 @@
 
 use rand::Rng;
 
-/// `n` points drawn uniformly from `[0, 1]^d`.
-///
-/// # Example
-///
-/// ```
-/// use bayesopt::uniform_candidates;
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// let mut rng = ChaCha8Rng::seed_from_u64(0);
-/// let pts = uniform_candidates(10, 3, &mut rng);
-/// assert_eq!(pts.len(), 10);
-/// assert!(pts.iter().flatten().all(|&v| (0.0..1.0).contains(&v)));
-/// ```
-pub fn uniform_candidates(n: usize, d: usize, rng: &mut impl Rng) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| (0..d).map(|_| rng.gen::<f64>()).collect())
-        .collect()
-}
-
 /// `n` Latin-hypercube samples in `[0, 1]^d`: each dimension is stratified
 /// into `n` equal bins, each bin used exactly once, with independent
 /// per-dimension permutations.
@@ -53,14 +33,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn uniform_fills_requested_shape() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let pts = uniform_candidates(32, 5, &mut rng);
-        assert_eq!(pts.len(), 32);
-        assert!(pts.iter().all(|p| p.len() == 5));
-    }
 
     #[test]
     fn latin_hypercube_stratifies_each_dimension() {

@@ -150,7 +150,8 @@ impl ExperimentBuilder {
         self
     }
 
-    /// GP kernel lengthscale over the unit cube.
+    /// GP kernel lengthscale over the unit cube; [`build`](Self::build)
+    /// rejects a lengthscale that is not finite and positive.
     pub fn lengthscale(mut self, lengthscale: f64) -> Self {
         self.lengthscale = lengthscale;
         self
@@ -183,7 +184,8 @@ impl ExperimentBuilder {
     /// # Errors
     ///
     /// Returns [`BayesFtError::InvalidConfig`] for zero trial budgets,
-    /// non-positive drift levels, or an out-of-range `max_rate`.
+    /// non-positive drift levels, a kernel lengthscale that is not finite
+    /// and positive, or an out-of-range `max_rate`.
     pub fn build(self) -> Result<Engine, BayesFtError> {
         if self.trials == 0 {
             return Err(BayesFtError::InvalidConfig(
@@ -199,6 +201,12 @@ impl ExperimentBuilder {
             return Err(BayesFtError::InvalidConfig(format!(
                 "sigma must be finite and >= 0, got {}",
                 self.sigma
+            )));
+        }
+        if !(self.lengthscale > 0.0 && self.lengthscale.is_finite()) {
+            return Err(BayesFtError::InvalidConfig(format!(
+                "lengthscale must be finite and > 0, got {}",
+                self.lengthscale
             )));
         }
         crate::space::check_max_rate(self.max_rate)?;
@@ -499,6 +507,15 @@ mod tests {
             Engine::builder().max_rate(0.99).build().unwrap_err(),
             BayesFtError::InvalidConfig(_)
         ));
+        for lengthscale in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    Engine::builder().lengthscale(lengthscale).build(),
+                    Err(BayesFtError::InvalidConfig(_))
+                ),
+                "lengthscale {lengthscale} accepted"
+            );
+        }
     }
 
     #[test]

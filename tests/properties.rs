@@ -90,7 +90,7 @@ proptest! {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 / ys.len() as f64]).collect();
         let mut gp = bayesopt::GaussianProcess::new(
             bayesopt::SquaredExponential::isotropic(1.0, 0.2), 1e-6);
-        gp.fit(xs, ys).unwrap();
+        gp.fit(xs.iter().zip(ys)).unwrap();
         let p = gp.posterior(&[q]).unwrap();
         prop_assert!(p.variance >= 0.0);
         prop_assert!(p.variance <= 1.0 + 1e-6, "variance {} above prior", p.variance);
