@@ -21,9 +21,27 @@ pub trait DriftModel: Send + Sync {
     /// [`monte_carlo`]: crate::monte_carlo
     fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32;
 
+    /// Replaces every element of `values` by its [`perturb`] result.
+    ///
+    /// An override must give the same bits and draw the same words from
+    /// `rng`, in element order, as calling [`perturb`] on each element.
+    /// The default does exactly that; the Gaussian models override it to
+    /// draw the words of a chunk of scalars per `fill_bytes` call.
+    ///
+    /// [`perturb`]: DriftModel::perturb
+    fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
+        for v in values {
+            *v = self.perturb(*v, rng);
+        }
+    }
+
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
+
+/// Scalars whose words a batched [`DriftModel::perturb_all`] draws per
+/// `fill_bytes` call.
+const CHUNK: usize = 32;
 
 /// One standard-normal sample via Box–Muller (object-safe RNG variant).
 pub(crate) fn normal_sample(rng: &mut dyn rand::RngCore) -> f32 {
@@ -31,9 +49,36 @@ pub(crate) fn normal_sample(rng: &mut dyn rand::RngCore) -> f32 {
 }
 
 fn standard_normal(rng: &mut dyn rand::RngCore) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
+    let w1 = rng.next_u32();
+    normal_from_words(w1, rng.next_u32())
+}
+
+/// The one Box–Muller transform, of the words `w1`, `w2` in stream order.
+/// Each word maps to a uniform exactly as `gen_range(f32::EPSILON..1.0)`
+/// and `gen_range(0.0..1.0)` map it; neither can round up to 1.
+fn normal_from_words(w1: u32, w2: u32) -> f32 {
+    let unit = |w: u32| (w >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
+    let u1 = f32::EPSILON + unit(w1) * (1.0 - f32::EPSILON);
+    let u2 = unit(w2);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// Replaces each element `v` of `values` by `f(v, z)`, where `z` is the
+/// standard normal [`standard_normal`] would draw next. The words of up
+/// to [`CHUNK`] scalars come from one `fill_bytes` call: every 8 bytes are
+/// one little-endian `next_u64`, which is two `next_u32` words, low first,
+/// for `ChaCha8Rng` and any generator built the same way.
+fn map_normals(values: &mut [f32], rng: &mut dyn rand::RngCore, f: impl Fn(f32, f32) -> f32) {
+    let mut bytes = [0u8; 8 * CHUNK];
+    for chunk in values.chunks_mut(CHUNK) {
+        let bytes = &mut bytes[..8 * chunk.len()];
+        rng.fill_bytes(bytes);
+        for (v, w) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
+            let (w1, w2) = w.split_at(4);
+            let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
+            *v = f(*v, normal_from_words(word(w1), word(w2)));
+        }
+    }
 }
 
 /// Checks that a spread-style parameter is finite and non-negative.
@@ -104,6 +149,11 @@ impl LogNormalDrift {
     pub fn sigma(&self) -> f32 {
         self.sigma
     }
+
+    /// `value` drifted by the standard normal `z`.
+    fn apply(&self, value: f32, z: f32) -> f32 {
+        value * (self.sigma * z).exp()
+    }
 }
 
 impl DriftModel for LogNormalDrift {
@@ -111,7 +161,13 @@ impl DriftModel for LogNormalDrift {
         if self.sigma == 0.0 {
             return value;
         }
-        value * (self.sigma * standard_normal(rng)).exp()
+        self.apply(value, standard_normal(rng))
+    }
+
+    fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
+        if self.sigma != 0.0 {
+            map_normals(values, rng, |v, z| self.apply(v, z));
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -147,11 +203,21 @@ impl GaussianAdditive {
         check_spread("gaussian_additive", "sigma", sigma)?;
         Ok(GaussianAdditive { sigma })
     }
+
+    /// `value` offset by the standard normal `z`.
+    fn apply(&self, value: f32, z: f32) -> f32 {
+        value + self.sigma * z
+    }
 }
 
 impl DriftModel for GaussianAdditive {
+    /// Draws two words even at σ = 0.
     fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
-        value + self.sigma * standard_normal(rng)
+        self.apply(value, standard_normal(rng))
+    }
+
+    fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
+        map_normals(values, rng, |v, z| self.apply(v, z));
     }
 
     fn name(&self) -> &'static str {
@@ -280,6 +346,11 @@ impl DeviceVariation {
         check_spread("device_variation", "sigma", sigma)?;
         Ok(DeviceVariation { sigma })
     }
+
+    /// `value` scaled by the clamped gain of the standard normal `z`.
+    fn apply(&self, value: f32, z: f32) -> f32 {
+        value * (1.0 + self.sigma * z).max(0.0)
+    }
 }
 
 impl DriftModel for DeviceVariation {
@@ -287,7 +358,13 @@ impl DriftModel for DeviceVariation {
         if self.sigma == 0.0 {
             return value;
         }
-        value * (1.0 + self.sigma * standard_normal(rng)).max(0.0)
+        self.apply(value, standard_normal(rng))
+    }
+
+    fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
+        if self.sigma != 0.0 {
+            map_normals(values, rng, |v, z| self.apply(v, z));
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -548,7 +625,7 @@ pub type CompositeDrift = CompositeFault;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn samples(model: &dyn DriftModel, value: f32, n: usize) -> Vec<f32> {
@@ -812,6 +889,106 @@ mod tests {
             max_err > 0.5,
             "expected MSB-flip scale errors, got {max_err}"
         );
+    }
+
+    /// The Box–Muller expression as it read before the word-level
+    /// helper, drawing through `gen_range`.
+    fn gen_range_normal(rng: &mut ChaCha8Rng) -> f32 {
+        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = rng.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    }
+
+    #[test]
+    fn normal_from_words_matches_the_gen_range_expression() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for _ in 0..20_000 {
+            let mut words = rng.clone();
+            let w1 = words.next_u32();
+            let z = normal_from_words(w1, words.next_u32());
+            assert_eq!(z.to_bits(), gen_range_normal(&mut rng).to_bits());
+        }
+        // The extreme words: u1 stays below 1, so ln(u1) < 0.
+        for (w1, w2) in [(0, 0), (u32::MAX, u32::MAX), (u32::MAX, 0), (0, u32::MAX)] {
+            let z = normal_from_words(w1, w2);
+            assert!(z.is_finite() && z != 0.0, "{w1:#x}, {w2:#x} -> {z}");
+        }
+    }
+
+    /// Forwards only `perturb`, so its `perturb_all` is the trait's
+    /// default.
+    struct PerScalar(Box<dyn DriftModel>);
+
+    impl DriftModel for PerScalar {
+        fn perturb(&self, value: f32, rng: &mut dyn RngCore) -> f32 {
+            self.0.perturb(value, rng)
+        }
+
+        fn name(&self) -> &'static str {
+            "per_scalar"
+        }
+    }
+
+    /// Every model in this file at spread `s`, a chain of them, and a
+    /// model that relies on the default `perturb_all`.
+    fn every_model(s: f32) -> Vec<Box<dyn DriftModel>> {
+        vec![
+            Box::new(LogNormalDrift::new(s)),
+            Box::new(GaussianAdditive::new(s)),
+            Box::new(UniformDrift::new(s)),
+            Box::new(UniformAdditive::new(s)),
+            Box::new(DeviceVariation::new(s)),
+            Box::new(StuckAtFault::new(s, s / 2.0, 1.5)),
+            Box::new(BitFlipFault::new(s, 8, 2.0)),
+            Box::new(LevelQuantization::new(16, 2.0)),
+            Box::new(CompositeFault::new(vec![
+                Box::new(LevelQuantization::new(16, 2.0)),
+                Box::new(LogNormalDrift::new(s)),
+                Box::new(GaussianAdditive::new(s)),
+                Box::new(StuckAtFault::new(s / 3.0, 0.0, 1.5)),
+            ])),
+            Box::new(PerScalar(Box::new(DeviceVariation::new(s)))),
+        ]
+    }
+
+    /// `perturb_all` gives per-scalar `perturb`'s bits and draws the same
+    /// words, for lengths around the 32-scalar chunk and from even and
+    /// odd stream positions.
+    #[test]
+    fn perturb_all_matches_per_scalar_perturb_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for s in [0.0f32, 0.3] {
+            for model in every_model(s) {
+                for len in [0usize, 1, 31, 32, 33, 257] {
+                    for drawn in [0, 1] {
+                        let values: Vec<f32> =
+                            (0..len).map(|i| (i as f32 - 100.0) / 37.0).collect();
+                        let mut rng_all = ChaCha8Rng::seed_from_u64(len as u64 + 5);
+                        for _ in 0..drawn {
+                            let _ = rng_all.next_u32();
+                        }
+                        let mut rng_one = rng_all.clone();
+                        let mut all = values.clone();
+                        model.perturb_all(&mut all, &mut rng_all);
+                        let one: Vec<f32> = values
+                            .iter()
+                            .map(|&v| model.perturb(v, &mut rng_one))
+                            .collect();
+                        let what = format!("{} at {s}, len {len}, {drawn} drawn", model.name());
+                        assert_eq!(bits(&all), bits(&one), "{what}");
+                        assert_eq!(rng_all.get_word_pos(), rng_one.get_word_pos(), "{what}");
+                        // The Monte-Carlo zero-draw shortcut relies on these
+                        // counts.
+                        let words = match model.name() {
+                            "log_normal" | "device_variation" if s == 0.0 => 0,
+                            "log_normal" | "device_variation" | "gaussian_additive" => 2 * len,
+                            _ => continue,
+                        };
+                        assert_eq!(rng_all.get_word_pos(), (drawn + words) as u128, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -233,27 +233,24 @@ impl FaultInjector {
         values.truncate(idx);
     }
 
-    /// Applies `model` to every trainable scalar of `network` in place.
+    /// Applies `model` to every trainable scalar of `network` in place,
+    /// one [`DriftModel::perturb_all`] call per parameter tensor.
     pub fn inject(network: &mut dyn Layer, model: &dyn DriftModel, rng: &mut dyn RngCore) {
-        network.visit_params(&mut |p| {
-            for v in p.value.as_mut_slice() {
-                *v = model.perturb(*v, rng);
-            }
-        });
+        network.visit_params(&mut |p| model.perturb_all(p.value.as_mut_slice(), rng));
     }
 
-    /// Fused restore + inject: writes `model.perturb(pristine, rng)` into
-    /// the live network directly from `snapshot`, in one pass and without
-    /// allocating.
+    /// Fused restore + inject: copies each pristine tensor of `snapshot`
+    /// into the live network and perturbs it there with
+    /// [`DriftModel::perturb_all`], without allocating.
     ///
     /// For a network currently holding the previous trial's drifted
     /// weights, this is equivalent to `snapshot.restore_into(network)`
     /// followed by `FaultInjector::inject(network, model, rng)` — the
     /// perturbation always sees the pristine value and consumes the RNG
-    /// stream in the same visit order — but touches every weight once per
-    /// trial instead of twice. This is what lets the Monte-Carlo drivers
-    /// skip the per-trial restore pass entirely (one restore runs after
-    /// the final trial).
+    /// stream in the same visit order — but visits the parameters once
+    /// per trial instead of twice. This is what lets the Monte-Carlo
+    /// drivers skip the per-trial restore pass entirely (one restore runs
+    /// after the final trial).
     ///
     /// # Errors
     ///
@@ -269,10 +266,9 @@ impl FaultInjector {
         snapshot.validate(network)?;
         let mut idx = 0usize;
         network.visit_params(&mut |p| {
-            let pristine = snapshot.values[idx].as_slice();
-            for (v, &p0) in p.value.as_mut_slice().iter_mut().zip(pristine) {
-                *v = model.perturb(p0, rng);
-            }
+            let live = p.value.as_mut_slice();
+            live.copy_from_slice(snapshot.values[idx].as_slice());
+            model.perturb_all(live, rng);
             idx += 1;
         });
         Ok(())
