@@ -46,7 +46,8 @@ pub(crate) fn run_epochs(
 }
 
 /// Forward, `loss` and backward on the workspace train path: leaves the
-/// batch gradients on the parameters and returns the loss.
+/// batch gradients on the parameters and returns the loss. Nothing reads
+/// the network's input gradient, so the backward skips it.
 pub(crate) fn backprop(
     net: &mut dyn Layer,
     x: &Tensor,
@@ -56,9 +57,8 @@ pub(crate) fn backprop(
     let logits = net.forward_ws(x, Mode::Train, ws);
     let out = loss(&logits, ws);
     ws.recycle(logits);
-    let grad_in = net.backward_ws(&out.grad, ws);
+    net.backward_params_ws(&out.grad, ws);
     ws.recycle(out.grad);
-    ws.recycle(grad_in);
     out.loss
 }
 
@@ -72,7 +72,7 @@ pub(crate) fn flattens(net: &dyn Layer, data: &ClassificationDataset) -> bool {
 /// the mean training loss of each epoch.
 ///
 /// Each step runs on the workspace train path — `forward_ws`, a pooled loss
-/// gradient, `backward_ws`, and an in-place optimizer — and batches are
+/// gradient, `backward_params_ws`, and an in-place optimizer — and batches are
 /// gathered into reused buffers, so after the first epoch warms them,
 /// further epochs perform zero heap allocations. Passing the same `ws` to
 /// every call (as the search engine does across trials) keeps its buffers

@@ -18,9 +18,7 @@ use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{FaultInjector, LogNormalDrift};
-use tensor::{
-    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Matmul, Tensor,
-};
+use tensor::{col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Tensor};
 
 /// Counts allocator traffic so benches can report bytes per trial.
 struct CountingAllocator;
@@ -305,6 +303,30 @@ fn bench_conv(c: &mut Criterion) {
             ws.recycle(g);
         })
     });
+    // LeNet's conv1 (1→6, 5×5, padding 2, 14×14 maps) on a batch of 32,
+    // with and without the input gradient (`Wᵀ·G` plus `col2im`): a
+    // training step never reads the network's input gradient, so it runs
+    // the second. Its own generator leaves the inputs above and below as
+    // they were.
+    let mut rng1 = ChaCha8Rng::seed_from_u64(1);
+    let mut conv1 = Conv2d::new(1, 6, 5, 1, 2, &mut rng1);
+    let digits = Tensor::randn(&[32, 1, 14, 14], 0.0, 1.0, &mut rng1);
+    let grad = Tensor::randn(&[32, 6, 14, 14], 0.0, 1.0, &mut rng1);
+    group.bench_function("lenet_conv1_train_step_b32", |b| {
+        b.iter(|| {
+            let y = conv1.forward_ws(&digits, Mode::Train, &mut ws);
+            let g = conv1.backward_ws(&grad, &mut ws);
+            ws.recycle(y);
+            ws.recycle(g);
+        })
+    });
+    group.bench_function("lenet_conv1_params_step_b32", |b| {
+        b.iter(|| {
+            let y = conv1.forward_ws(&digits, Mode::Train, &mut ws);
+            conv1.backward_params_ws(&grad, &mut ws);
+            ws.recycle(y);
+        })
+    });
     group.finish();
 
     // LeNet's first dropout (after conv1) on a batch of 32: one mask
@@ -331,12 +353,9 @@ fn bench_matmul(c: &mut Criterion) {
     for n in [32usize, 128] {
         let a = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
         let b_mat = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("square", n), &n, |b, _| {
-            b.iter(|| a.matmul(&b_mat))
-        });
-        let mut out = Tensor::zeros(&[n, n]);
+        let mut out = vec![0.0f32; n * n];
         group.bench_with_input(BenchmarkId::new("square_into", n), &n, |b, _| {
-            b.iter(|| a.matmul_into(&b_mat, &mut out))
+            b.iter(|| gemm_into(a.as_slice(), b_mat.as_slice(), &mut out, n, n, n))
         });
     }
     // Sparse lhs (stuck-at-0 faults and post-ReLU activations look like
@@ -356,19 +375,23 @@ fn bench_matmul(c: &mut Criterion) {
     )
     .unwrap();
     let b_mat = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
-    let mut out = Tensor::zeros(&[n, n]);
+    let mut out = vec![0.0f32; n * n];
     group.bench_function("square_into_sparse75", |b| {
-        b.iter(|| a_sparse.matmul_into(&b_mat, &mut out))
+        b.iter(|| gemm_into(a_sparse.as_slice(), b_mat.as_slice(), &mut out, n, n, n))
     });
-    // LeNet-5's per-sample products on 14×14 inputs: conv1 forward (nn
-    // 6×25×196), conv2 forward (nn 16×150×9, a narrow column tail), and
-    // conv1's backward dW (nt 6×196×25) and dcol (tn 25×6×196).
+    // LeNet-5's products on 14×14 inputs: conv1 forward (nn 6×25×196),
+    // conv2 forward per sample (nn 16×150×9, a narrow column tail) and
+    // per 28-sample chunk (nn 16×150×252), and conv1's backward dW (nt
+    // 6×196×25) and dcol (tn 25×6×196); then a 64→64 hidden layer of
+    // the moons MLP over its 103-row validation split (nn 103×64×64).
     type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-    let shapes: [(&str, Gemm, [usize; 3]); 4] = [
+    let shapes: [(&str, Gemm, [usize; 3]); 6] = [
         ("lenet_nn_6x25x196", gemm_into, [6, 25, 196]),
         ("lenet_nn_16x150x9", gemm_into, [16, 150, 9]),
+        ("lenet_nn_16x150x252", gemm_into, [16, 150, 252]),
         ("lenet_nt_6x196x25", gemm_nt_into, [6, 196, 25]),
         ("lenet_tn_25x6x196", gemm_tn_into, [25, 6, 196]),
+        ("mlp_nn_103x64x64", gemm_into, [103, 64, 64]),
     ];
     for (name, gemm, [m, k, n]) in shapes {
         let a = Tensor::randn(&[m * k], 0.0, 1.0, &mut rng);

@@ -21,8 +21,8 @@ pub fn stack_images(data: &DetectionDataset) -> Tensor {
 
 /// Trains a detector with plain ERM for `epochs` full-batch Adam steps.
 ///
-/// Runs on the workspace train path (`forward_ws`/`backward_ws` + in-place
-/// Adam), so the per-step layer allocations are gone; the detection loss
+/// Runs on the workspace train path (`forward_ws`/`backward_params_ws` +
+/// in-place Adam), so the per-step layer allocations are gone; the detection loss
 /// itself still builds its gradient tensor per step.
 pub fn train_detector(det: &mut TinyDetector, data: &DetectionDataset, epochs: usize, lr: f32) {
     let images = stack_images(data);
@@ -34,8 +34,7 @@ pub fn train_detector(det: &mut TinyDetector, data: &DetectionDataset, epochs: u
         let raw = det.forward_ws(&images, Mode::Train, &mut ws);
         let (_, grad) = loss_fn.loss_and_grad(&raw, data.scenes(), hw);
         ws.recycle(raw);
-        let grad_in = det.backward_ws(&grad, &mut ws);
-        ws.recycle(grad_in);
+        det.backward_params_ws(&grad, &mut ws);
         opt.step(det);
     }
 }

@@ -107,6 +107,10 @@ macro_rules! delegate_layer {
                 self.net.backward_ws(grad_out, ws)
             }
 
+            fn backward_params_ws(&mut self, grad_out: &tensor::Tensor, ws: &mut nn::Workspace) {
+                self.net.backward_params_ws(grad_out, ws);
+            }
+
             fn visit_params(&mut self, f: &mut dyn FnMut(&mut nn::Param)) {
                 self.net.visit_params(f);
             }

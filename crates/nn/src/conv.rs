@@ -54,9 +54,10 @@ fn grow(buf: &mut Vec<f32>, len: usize) {
 /// one sample's patch matrix are layer-owned buffers that grow to the
 /// largest batch once and are reused in place after that. `backward`
 /// writes each chunk's `Wᵀ·G` over its spent patch matrices, so it
-/// consumes the tape. An eval forward lowers each chunk into the start
-/// of the same tape and then invalidates it. A `backward` needs a fresh
-/// train-mode forward and panics otherwise.
+/// consumes the tape. [`Layer::backward_params_ws`] skips `Wᵀ·G` and
+/// `col2im` but consumes the tape all the same. An eval forward lowers
+/// each chunk into the start of the same tape and then invalidates it. A
+/// `backward` needs a fresh train-mode forward and panics otherwise.
 ///
 /// # Example
 ///
@@ -172,6 +173,38 @@ impl Layer for Conv2d {
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_pass(grad_out, ws, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backward_pass(grad_out, ws, false);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Conv2d {
+    /// The one backward body: accumulates `dW` and `db` and consumes the
+    /// tape; with `need_input_grad` it also computes and returns the input
+    /// gradient, chunk by chunk, as `Wᵀ·G` scattered by `col2im`.
+    fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        ws: &mut Workspace,
+        need_input_grad: bool,
+    ) -> Option<Tensor> {
         assert!(
             self.batch > 0,
             "conv2d backward without a fresh train forward (eval invalidates the tape, backward consumes it)"
@@ -185,7 +218,7 @@ impl Layer for Conv2d {
         if g > 1 {
             grow(&mut self.col, patch * ohw);
         }
-        let mut grad_in = ws.take_tensor(&[n, c, h, w]);
+        let mut grad_in = need_input_grad.then(|| ws.take_tensor(&[n, c, h, w]));
         let mut dw = ws.take(oc * patch);
         let in_len = c * h * w;
         for s0 in (0..n).step_by(g) {
@@ -205,7 +238,8 @@ impl Layer for Conv2d {
                 };
                 // dW += g · colᵀ (the product lands in scratch first, then
                 // accumulates) and db += row sums of g; g's rows are
-                // gathered into the chunk's G on the way.
+                // gathered into the chunk's G on the way when the input
+                // gradient needs it.
                 gemm_nt_into(gs, col, &mut dw, oc, ohw, patch);
                 for (gw, &d) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
                     *gw += d;
@@ -213,9 +247,14 @@ impl Layer for Conv2d {
                 for (och, gb) in self.bias.grad.as_mut_slice().iter_mut().enumerate() {
                     let row = &gs[och * ohw..][..ohw];
                     *gb += row.iter().sum::<f32>();
-                    self.mix[och * cols + s * ohw..][..ohw].copy_from_slice(row);
+                    if need_input_grad {
+                        self.mix[och * cols + s * ohw..][..ohw].copy_from_slice(row);
+                    }
                 }
             }
+            let Some(grad_in) = grad_in.as_mut() else {
+                continue;
+            };
             // The chunk's patch matrices are spent: dcol = Wᵀ · G over the
             // whole chunk overwrites them, then scatters back per image.
             gemm_tn_into(
@@ -232,19 +271,6 @@ impl Layer for Conv2d {
         self.batch = 0;
         ws.recycle_vec(dw);
         grad_in
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
@@ -687,7 +713,7 @@ mod tests {
     /// equal the per-sample step bit for bit, at batch sizes around the
     /// chunk size `g` for a 9-output (`g = 28`) and a 196-output
     /// (`g = 1`) geometry, with the tape shrinking and regrowing between
-    /// batches.
+    /// batches; so do the weight/bias gradients of `backward_params_ws`.
     #[test]
     fn chunked_conv_matches_per_sample_reference_bit_for_bit() {
         // (in, out, kernel, stride, padding, side): LeNet's conv2 on 7×7
@@ -716,8 +742,33 @@ mod tests {
                 assert_eq!(bits(grad_in.as_slice()), bits(&dx), "input grad, {label}");
                 assert_eq!(bits(conv.weight.grad.as_slice()), bits(&dw), "dW, {label}");
                 assert_eq!(bits(conv.bias.grad.as_slice()), bits(&db), "db, {label}");
+
+                // The training step's backward leaves the same gradients.
+                conv.zero_grads();
+                let _ = conv.forward(&x, Mode::Train);
+                conv.backward_params_ws(&grad_out, &mut Workspace::new());
+                assert_eq!(
+                    bits(conv.weight.grad.as_slice()),
+                    bits(&dw),
+                    "params dW, {label}"
+                );
+                assert_eq!(
+                    bits(conv.bias.grad.as_slice()),
+                    bits(&db),
+                    "params db, {label}"
+                );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward consumes it")]
+    fn conv_backward_after_params_only_backward_panics() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut conv = Conv2d::new(6, 16, 5, 1, 0, &mut rng);
+        let y = conv.forward(&Tensor::ones(&[30, 6, 7, 7]), Mode::Train);
+        conv.backward_params_ws(&Tensor::ones(y.dims()), &mut Workspace::new());
+        let _ = conv.backward(&Tensor::ones(y.dims()));
     }
 
     #[test]

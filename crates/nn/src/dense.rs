@@ -110,6 +110,37 @@ impl Layer for Dense {
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_pass(grad_out, ws, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backward_pass(grad_out, ws, false);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn name(&self) -> &'static str {
+        "dense"
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Dense {
+    /// The one backward body: accumulates `dW` and `db`; with
+    /// `need_input_grad` it also returns `dx = g·Wᵀ`.
+    fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        ws: &mut Workspace,
+        need_input_grad: bool,
+    ) -> Option<Tensor> {
         let x = self
             .input
             .as_ref()
@@ -141,6 +172,9 @@ impl Layer for Dense {
             *gb += d;
         }
         ws.recycle_vec(db);
+        if !need_input_grad {
+            return None;
+        }
         let mut dx = ws.take_tensor(&[m, k]);
         gemm_nt_into(
             grad_out.as_slice(),
@@ -150,20 +184,7 @@ impl Layer for Dense {
             n,
             k,
         );
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+        Some(dx)
     }
 }
 
@@ -214,6 +235,11 @@ mod tests {
         assert_eq!(fc.bias.grad.as_slice(), &[2.0, 2.0]);
         // dW = xᵀ g = [[4,4],[6,6]]
         assert_eq!(fc.weight.grad.as_slice(), &[4.0, 4.0, 6.0, 6.0]);
+        // The training step's backward accumulates the same gradients.
+        let _ = fc.forward(&x, Mode::Train);
+        fc.backward_params_ws(&g, &mut Workspace::new());
+        assert_eq!(fc.bias.grad.as_slice(), &[4.0, 4.0]);
+        assert_eq!(fc.weight.grad.as_slice(), &[8.0, 8.0, 12.0, 12.0]);
     }
 
     #[test]

@@ -18,7 +18,10 @@ use crate::{Mode, Param, Workspace};
 /// [`Layer::forward_ws`] and [`Layer::backward_ws`], which draw every
 /// output and scratch buffer from a reusable [`Workspace`].
 /// [`Layer::forward`] and [`Layer::backward`] are provided wrappers that
-/// run them on a fresh workspace.
+/// run them on a fresh workspace. [`Layer::backward_params_ws`] is a
+/// provided backward for callers that discard the input gradient, such as
+/// a training step; a layer overrides it only where skipping that gradient
+/// saves work, and then keeps one backward body for both.
 ///
 /// The trait is object-safe: networks are built as `Vec<Box<dyn Layer>>`
 /// ([`Sequential`]).
@@ -52,6 +55,25 @@ pub trait Layer: Send {
     ///
     /// Panics if no training-mode forward pass has been run.
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
+
+    /// [`Layer::backward_ws`] for a caller that discards the gradient
+    /// w.r.t. the input: it leaves the same parameter gradients, bit for
+    /// bit, and consumes the same tape, but returns nothing.
+    ///
+    /// The default runs [`Layer::backward_ws`] and recycles the result.
+    /// [`Conv2d`](crate::Conv2d) and [`Dense`](crate::Dense) skip their
+    /// `Wᵀ·G` products (and the convolution's `col2im` scatter);
+    /// [`Sequential`] passes the call on to its first child only: every
+    /// later child's input gradient feeds the child before it, so those
+    /// run [`Layer::backward_ws`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training-mode forward pass has been run.
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let grad_in = self.backward_ws(grad_out, ws);
+        ws.recycle(grad_in);
+    }
 
     /// [`Layer::forward_ws`] on a fresh [`Workspace`].
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
@@ -265,17 +287,19 @@ impl Layer for Sequential {
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(first) = layers.next() else {
-            return ws.take_copy(grad_out, grad_out.dims());
-        };
-        let mut g = first.backward_ws(grad_out, ws);
-        for layer in layers {
-            let g2 = layer.backward_ws(&g, ws);
-            ws.recycle(g);
-            g = g2;
+        backward_chain(&mut self.layers, grad_out, ws)
+    }
+
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        match self.layers.split_first_mut() {
+            None => {}
+            Some((first, [])) => first.backward_params_ws(grad_out, ws),
+            Some((first, rest)) => {
+                let g = backward_chain(rest, grad_out, ws);
+                first.backward_params_ws(&g, ws);
+                ws.recycle(g);
+            }
         }
-        g
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -297,6 +321,23 @@ impl Layer for Sequential {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+}
+
+/// Backpropagates through `layers` last to first, recycling each
+/// intermediate gradient, and returns the first layer's input gradient
+/// (a copy of `grad_out` for an empty chain).
+fn backward_chain(layers: &mut [Box<dyn Layer>], grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut layers = layers.iter_mut().rev();
+    let Some(last) = layers.next() else {
+        return ws.take_copy(grad_out, grad_out.dims());
+    };
+    let mut g = last.backward_ws(grad_out, ws);
+    for layer in layers {
+        let g2 = layer.backward_ws(&g, ws);
+        ws.recycle(g);
+        g = g2;
+    }
+    g
 }
 
 impl std::fmt::Debug for Sequential {

@@ -1,9 +1,9 @@
 //! `im2col`/`col2im` lowering for 2-D convolution.
 //!
 //! Convolution is lowered to a matrix product: a `[C, H, W]` image patch
-//! matrix of shape `[C·kh·kw, OH·OW]` is built by [`im2col`], multiplied by a
-//! `[OC, C·kh·kw]` weight matrix, and the backward pass scatters gradients
-//! back with [`col2im`].
+//! matrix of shape `[C·kh·kw, OH·OW]` is built by [`im2col_into`],
+//! multiplied by a `[OC, C·kh·kw]` weight matrix, and the backward pass
+//! scatters gradients back with [`col2im_into`].
 //!
 //! Both work one row segment at a time: for each kernel tap `(c, ky, kx)`
 //! and output row `oy`, the output columns whose input pixel lies inside
@@ -23,8 +23,6 @@
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
-
-use crate::Tensor;
 
 /// Static description of a 2-D convolution (or pooling) geometry.
 ///
@@ -114,23 +112,8 @@ impl Conv2dSpec {
     }
 }
 
-/// Lowers one `[C, H, W]` image to a `[C·kh·kw, OH·OW]` patch matrix.
-///
-/// # Panics
-///
-/// Panics if `image` is not rank 3 or its channel count differs from the
-/// spec.
-pub fn im2col(image: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
-    assert_eq!(image.rank(), 3, "im2col expects a [C, H, W] tensor");
-    assert_eq!(image.dims()[0], spec.in_channels, "im2col channel mismatch");
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut col = Tensor::zeros(&[spec.patch_len(), oh * ow]);
-    im2col_into(image.as_slice(), col.as_mut_slice(), spec, 1, h, w);
-    col
-}
-
-/// [`im2col`] on raw slices for `n` images, writing into a
-/// caller-provided buffer.
+/// Lowers `n` `[C, H, W]` images to a `[C·kh·kw, n·OH·OW]` patch matrix,
+/// writing into a caller-provided buffer.
 ///
 /// `src` is `n` consecutive `[C, H, W]` images (`n·C·h·w` elements);
 /// `dst` must hold `patch_len() · n·OH·OW` elements, laid out as
@@ -187,34 +170,13 @@ pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
     }
 }
 
-/// Scatters a `[C·kh·kw, OH·OW]` patch-gradient matrix back to a `[C, H, W]`
-/// image gradient (the adjoint of [`im2col`]).
+/// Scatters a `[C·kh·kw, n·OH·OW]` patch-gradient matrix back to `n`
+/// `[C, H, W]` image gradients (the adjoint of [`im2col_into`]), writing
+/// into a caller-provided buffer.
 ///
-/// # Panics
-///
-/// Panics if `col` does not have the shape implied by `spec` and the spatial
-/// size.
-pub fn col2im(col: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
-    let (oh, ow) = spec.output_hw(h, w);
-    assert_eq!(
-        col.dims(),
-        &[spec.patch_len(), oh * ow],
-        "col2im shape mismatch"
-    );
-    let mut image = Tensor::zeros(&[spec.in_channels, h, w]);
-    col2im_into(col.as_slice(), image.as_mut_slice(), spec, 1, h, w);
-    image
-}
-
-/// [`col2im`] on raw slices for `n` images, writing into a
-/// caller-provided buffer.
-///
-/// `src` is a `[C·kh·kw, n·OH·OW]` patch-gradient matrix in the
-/// [`im2col_into`] layout; `dst` (`n·C·h·w` elements, `n` consecutive
-/// images) is zeroed and then scatter-accumulated into, so recycled
-/// scratch buffers can be passed directly. This is the single scatter
-/// implementation behind the allocating wrapper, so the two stay
-/// bit-identical by construction.
+/// `src` is in the [`im2col_into`] layout; `dst` (`n·C·h·w` elements, `n`
+/// consecutive images) is zeroed and then scatter-accumulated into, so
+/// recycled scratch buffers can be passed directly.
 ///
 /// # Panics
 ///
@@ -276,42 +238,62 @@ mod tests {
         assert_eq!(spec.output_hw(4, 4), (2, 2));
     }
 
+    /// One image's patch matrix.
+    fn im2col(image: &[f32], spec: &Conv2dSpec, h: usize, w: usize) -> Vec<f32> {
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut col = vec![f32::NAN; spec.patch_len() * oh * ow];
+        im2col_into(image, &mut col, spec, 1, h, w);
+        col
+    }
+
+    /// The per-element scatter `col2im_into` must reproduce: taps in
+    /// `(c, ky, kx)` order, outputs in `(oy, ox)` order.
+    fn naive_col2im(col: &[f32], spec: &Conv2dSpec, h: usize, w: usize) -> Vec<f32> {
+        let (oh, ow) = spec.output_hw(h, w);
+        let k = spec.kernel;
+        let mut image = vec![0.0f32; spec.in_channels * h * w];
+        for (row, src) in col.chunks_exact(oh * ow).enumerate() {
+            let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
+            for (o, &v) in src.iter().enumerate() {
+                let iy = (o / ow * spec.stride + ky).checked_sub(spec.padding);
+                let ix = (o % ow * spec.stride + kx).checked_sub(spec.padding);
+                if let (Some(iy), Some(ix)) = (iy, ix) {
+                    if iy < h && ix < w {
+                        image[(c * h + iy) * w + ix] += v;
+                    }
+                }
+            }
+        }
+        image
+    }
+
     #[test]
     fn im2col_identity_kernel() {
         // A 1x1 kernel with stride 1 should reproduce the image as one row.
-        let img = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]).unwrap();
+        let img = [1.0, 2.0, 3.0, 4.0];
         let spec = Conv2dSpec::new(1, 1, 1, 1, 0);
-        let col = im2col(&img, &spec, 2, 2);
-        assert_eq!(col.dims(), &[1, 4]);
-        assert_eq!(col.as_slice(), img.as_slice());
+        assert_eq!(im2col(&img, &spec, 2, 2), img);
     }
 
     #[test]
     fn im2col_extracts_patches() {
         // 3x3 image, 2x2 kernel, stride 1: 4 patches.
-        let img = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 3, 3]).unwrap();
+        let img: Vec<f32> = (1..=9).map(|v| v as f32).collect();
         let spec = Conv2dSpec::new(1, 1, 2, 1, 0);
         let col = im2col(&img, &spec, 3, 3);
-        assert_eq!(col.dims(), &[4, 4]);
+        assert_eq!(col.len(), 4 * 4);
         // First patch (top-left) down the first column: 1, 2, 4, 5.
-        assert_eq!(col.at(&[0, 0]), 1.0);
-        assert_eq!(col.at(&[1, 0]), 2.0);
-        assert_eq!(col.at(&[2, 0]), 4.0);
-        assert_eq!(col.at(&[3, 0]), 5.0);
+        assert_eq!([col[0], col[4], col[8], col[12]], [1.0, 2.0, 4.0, 5.0]);
         // Last patch (bottom-right): 5, 6, 8, 9.
-        assert_eq!(col.at(&[0, 3]), 5.0);
-        assert_eq!(col.at(&[3, 3]), 9.0);
+        assert_eq!([col[3], col[7], col[11], col[15]], [5.0, 6.0, 8.0, 9.0]);
     }
 
     #[test]
     fn im2col_zero_pads() {
-        let img = Tensor::from_vec(vec![1.0], &[1, 1, 1]).unwrap();
         let spec = Conv2dSpec::new(1, 1, 3, 1, 1);
-        let col = im2col(&img, &spec, 1, 1);
-        assert_eq!(col.dims(), &[9, 1]);
+        let col = im2col(&[1.0], &spec, 1, 1);
         // Only the center tap sees the pixel.
-        assert_eq!(col.at(&[4, 0]), 1.0);
-        assert_eq!(col.sum(), 1.0);
+        assert_eq!(col, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -319,17 +301,13 @@ mod tests {
         let spec = Conv2dSpec::new(2, 1, 3, 2, 1);
         let (h, w) = (5, 4);
         let (oh, ow) = spec.output_hw(h, w);
-        let col = Tensor::from_vec(
-            (0..spec.patch_len() * oh * ow)
-                .map(|i| (i as f32 * 0.23).sin())
-                .collect(),
-            &[spec.patch_len(), oh * ow],
-        )
-        .unwrap();
-        let reference = col2im(&col, &spec, h, w);
+        let col: Vec<f32> = (0..spec.patch_len() * oh * ow)
+            .map(|i| (i as f32 * 0.23).sin())
+            .collect();
         let mut dst = vec![f32::NAN; 2 * h * w]; // stale garbage must vanish
-        col2im_into(col.as_slice(), &mut dst, &spec, 1, h, w);
-        assert_eq!(dst, reference.as_slice());
+        col2im_into(&col, &mut dst, &spec, 1, h, w);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dst), bits(&naive_col2im(&col, &spec, h, w)));
     }
 
     #[test]
@@ -337,31 +315,15 @@ mod tests {
         // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
         let spec = Conv2dSpec::new(2, 1, 3, 2, 1);
         let (h, w) = (5, 4);
-        let x = Tensor::from_vec(
-            (0..2 * h * w).map(|i| (i as f32 * 0.37).sin()).collect(),
-            &[2, h, w],
-        )
-        .unwrap();
+        let x: Vec<f32> = (0..2 * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
         let (oh, ow) = spec.output_hw(h, w);
-        let y = Tensor::from_vec(
-            (0..spec.patch_len() * oh * ow)
-                .map(|i| (i as f32 * 0.11).cos())
-                .collect(),
-            &[spec.patch_len(), oh * ow],
-        )
-        .unwrap();
-        let lhs: f32 = im2col(&x, &spec, h, w)
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        let rhs: f32 = x
-            .as_slice()
-            .iter()
-            .zip(col2im(&y, &spec, h, w).as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
+        let y: Vec<f32> = (0..spec.patch_len() * oh * ow)
+            .map(|i| (i as f32 * 0.11).cos())
+            .collect();
+        let mut image = vec![0.0; x.len()];
+        col2im_into(&y, &mut image, &spec, 1, h, w);
+        let dot = |u: &[f32], v: &[f32]| u.iter().zip(v).map(|(a, b)| a * b).sum::<f32>();
+        let (lhs, rhs) = (dot(&im2col(&x, &spec, h, w), &y), dot(&x, &image));
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
     }
 }

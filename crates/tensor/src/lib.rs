@@ -20,11 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use tensor::{Matmul, Tensor};
+//! use tensor::{gemm_into, Tensor};
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
 //! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
+//! let mut c = Tensor::zeros(&[2, 2]);
+//! gemm_into(a.as_slice(), b.as_slice(), c.as_mut_slice(), 2, 2, 2);
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! # Ok::<(), tensor::TensorError>(())
 //! ```
@@ -38,14 +39,11 @@ mod pool;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, col2im_into, im2col, im2col_into, Conv2dSpec};
+pub use conv::{col2im_into, im2col_into, Conv2dSpec};
 pub use error::TensorError;
-pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into, outer, Matmul};
+pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into};
 pub use ops::{argmax_row, nan_low_cmp};
-pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, max_pool2d,
-    max_pool2d_backward, max_pool2d_into, Pool2dSpec,
-};
+pub use pool::{avg_pool2d_backward_into, avg_pool2d_into, max_pool2d_into, Pool2dSpec};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 

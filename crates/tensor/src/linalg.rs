@@ -1,6 +1,6 @@
-//! Rank-2 matrix products, including the transposed variants used by
-//! backpropagation and the allocation-free `_into` variants used by the
-//! Monte-Carlo evaluation hot path.
+//! Rank-2 matrix products on raw row-major slices: `A·B`, and the
+//! transposed variants `Aᵀ·B` and `A·Bᵀ` that backpropagation needs. They
+//! write into caller-provided buffers and never allocate.
 //!
 //! # One packed microkernel
 //!
@@ -12,25 +12,45 @@
 //!   each K-chunk, the `B` values it needs are packed into a K-panel on
 //!   the stack, `NR` contiguous floats per `k` (row copies for `nn`/`tn`,
 //!   a transposing gather for `nt`; tail columns padded with zeros).
-//! - An `MR×NR` tile of `C` then lives in locals (`MR·NR = 32` floats,
-//!   eight SSE registers) while the kernel walks the panel, gathering the
-//!   tile's `MR` values of `A` per `k` from rows (`nn`/`nt`) or a column
-//!   run (`tn`). Narrow column tails get taller tiles — `1×32`, `2×16`,
-//!   `2×12`, `4×8`, `8×4` — so every tile keeps several independent
-//!   accumulator chains in flight.
+//! - An `MR×NR` tile of `C` then lives in locals while the kernel walks
+//!   the panel, gathering the tile's `MR` values of `A` per `k` from rows
+//!   (`nn`/`nt`) or a column run (`tn`).
 //! - The partial sums of a tile go back through `C` between K-chunks
 //!   (an `f32` store is exact), so the panel stays a fixed 4 KiB array
 //!   and the kernel never allocates.
+//!
+//! # Two tile tables
+//!
+//! A tile's accumulators are independent add chains, and an add has a
+//! latency of several cycles, so a tile needs about eight chains in
+//! flight to issue one vector add per cycle (Goto & van de Geijn,
+//! "Anatomy of High-Performance Matrix Multiplication", 2008). The one
+//! tile walker is compiled twice, each with its own table of `MR×NR` tile
+//! shapes by the number of columns left:
+//!
+//! - The 128-bit table: 1×32 for ≥ 32 columns, 2×16 for 13–31, 2×12 for
+//!   9–12, 4×8 for 5–8 and 8×4 below. Every tile is 32 floats, eight SSE
+//!   registers. It is the only path on targets other than x86_64 and on
+//!   x86_64 CPUs without AVX2.
+//! - The 256-bit table: 2×32 for ≥ 32 columns, 4×16 for 16–31, 8×8 for
+//!   8–15 and 8×4 below. It is compiled with AVX2 enabled and chosen at
+//!   run time when the CPU reports AVX2. Its tiles hold eight 8-lane
+//!   accumulators (64 floats): the 1×32 tile would be only four 256-bit
+//!   chains and bound by add latency. Its 8×4 tail tile is eight 4-lane
+//!   chains, as in the 128-bit table.
+//!
+//! Neither table enables `fma`: a fused multiply-add rounds once where a
+//! multiply then an add round twice, so it would change the bits.
 //!
 //! # Per-element order invariant
 //!
 //! Every output element starts at `+0.0` and adds its `a·b` terms in
 //! ascending `k`, each as a separate multiply then add — no fused
-//! multiply-add, no reassociation, no split accumulators. Blocking only
-//! changes *which* elements are in flight, never the order of additions
-//! within one element, so all three layouts, and the allocating
-//! [`Matmul`] wrappers, agree with a naive sequential triple loop down to
-//! the last ULP (NaN payloads aside, which IEEE-754 leaves unspecified).
+//! multiply-add, no reassociation, no split accumulators. Blocking and the
+//! tile table only change *which* elements are in flight, never the order
+//! of additions within one element, so all three layouts and both tables
+//! agree with a naive sequential triple loop down to the last ULP (NaN
+//! payloads aside, which IEEE-754 leaves unspecified).
 //!
 //! There is no zero-skip. With a non-finite `B`, skipping `0.0·b` would
 //! mask the NaN the product must carry — a zeroed weight or activation
@@ -40,8 +60,6 @@
 //! slower with the skip than without it.
 
 use std::array::from_fn;
-
-use crate::Tensor;
 
 /// Floats in the packed `B` K-panel (a 4 KiB stack array): an `NR`-column
 /// block packs up to `PANEL / NR` values of `k` per chunk.
@@ -59,28 +77,57 @@ struct Operands<'a> {
 }
 
 /// The kernel behind all three entry points: `C = op(A)·op(B)` with `c`
-/// fully overwritten.
-fn gemm<const A_T: bool, const B_T: bool>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if k == 0 {
+/// fully overwritten, on the widest tile table the CPU runs.
+fn gemm<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+    if ops.k == 0 {
         c.fill(0.0);
         return;
     }
-    let ops = Operands { a, b, m, k, n };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed that
+        // the running CPU supports every instruction this AVX2 build uses.
+        unsafe { gemm_avx2::<A_T, B_T>(ops, c) };
+        return;
+    }
+    gemm_portable::<A_T, B_T>(ops, c);
+}
+
+/// The 128-bit tile table (see the module docs), for any CPU.
+fn gemm_portable<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+    walk_tiles::<false, A_T, B_T>(ops, c);
+}
+
+/// The 256-bit tile table (see the module docs).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+    walk_tiles::<true, A_T, B_T>(ops, c);
+}
+
+/// Walks `C` in column blocks, each as wide as the table's tile for the
+/// remaining columns; `WIDE` picks the 256-bit table. Inlined into both
+/// entry points, so each compiles it for its own instruction set.
+#[inline(always)]
+fn walk_tiles<const WIDE: bool, const A_T: bool, const B_T: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+) {
     let mut panel = [0.0f32; PANEL];
     let mut j0 = 0;
-    while j0 < n {
-        j0 += match n - j0 {
-            32.. => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            13..=31 => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
-            9..=12 => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
-            5..=8 => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
+    while j0 < ops.n {
+        j0 += match (WIDE, ops.n - j0) {
+            (true, 32..) => column_block::<2, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            (true, 16..=31) => column_block::<4, 16, A_T, B_T>(ops, c, j0, &mut panel),
+            (true, 8..=15) => column_block::<8, 8, A_T, B_T>(ops, c, j0, &mut panel),
+            (false, 32..) => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            (false, 13..=31) => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
+            (false, 9..=12) => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
+            (false, 5..=8) => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
             _ => column_block::<8, 4, A_T, B_T>(ops, c, j0, &mut panel),
         };
     }
@@ -223,10 +270,9 @@ fn copy_row<const NR: usize>(src: &[f32], dst: &mut [f32]) {
 /// `C = A·B` on raw row-major slices: `[m, k] x [k, n] -> [m, n]`.
 ///
 /// `c` is fully overwritten, so recycled scratch buffers can be passed
-/// directly. This is the kernel behind both [`Matmul::matmul`] and
-/// [`Matmul::matmul_into`]; layers that need to run on reshaped views
-/// (e.g. a dense layer folding `[N, ...]` input to `[N, features]`) can
-/// call it without materializing a rank-2 tensor.
+/// directly. Working on slices lets layers run on reshaped views (e.g. a
+/// dense layer folding `[N, ...]` input to `[N, features]`) without
+/// materializing a rank-2 tensor.
 ///
 /// # Panics
 ///
@@ -236,7 +282,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into output length mismatch");
-    gemm::<false, false>(a, b, c, m, k, n);
+    gemm::<false, false>(Operands { a, b, m, k, n }, c);
 }
 
 /// `C = Aᵀ·B` on raw row-major slices: `[k, m] x [k, n] -> [m, n]`.
@@ -247,7 +293,7 @@ pub fn gemm_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), k * m, "gemm_tn_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_tn_into output length mismatch");
-    gemm::<true, false>(a, b, c, m, k, n);
+    gemm::<true, false>(Operands { a, b, m, k, n }, c);
 }
 
 /// `C = A·Bᵀ` on raw row-major slices: `[m, k] x [n, k] -> [m, n]`.
@@ -258,304 +304,202 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), m * k, "gemm_nt_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_into output length mismatch");
-    gemm::<false, true>(a, b, c, m, k, n);
-}
-
-/// Matrix-product operations on rank-2 tensors.
-///
-/// Implemented for [`Tensor`]; the trait exists so downstream crates can
-/// write generic code over alternative matrix backends in tests. The
-/// `_into` variants write into a caller-provided output tensor of the
-/// correct shape, allowing scratch buffers to be reused across calls; they
-/// are bit-identical to the allocating variants.
-pub trait Matmul {
-    /// `self @ other` for `[m, k] x [k, n] -> [m, n]`.
-    fn matmul(&self, other: &Self) -> Self;
-    /// `selfᵀ @ other` for `[k, m] x [k, n] -> [m, n]` without materializing
-    /// the transpose.
-    fn matmul_tn(&self, other: &Self) -> Self;
-    /// `self @ otherᵀ` for `[m, k] x [n, k] -> [m, n]` without materializing
-    /// the transpose.
-    fn matmul_nt(&self, other: &Self) -> Self;
-    /// [`Matmul::matmul`] writing into `out` (shape `[m, n]`), overwriting
-    /// its contents without allocating.
-    fn matmul_into(&self, other: &Self, out: &mut Self);
-    /// [`Matmul::matmul_tn`] writing into `out` (shape `[m, n]`).
-    fn matmul_tn_into(&self, other: &Self, out: &mut Self);
-    /// [`Matmul::matmul_nt`] writing into `out` (shape `[m, n]`).
-    fn matmul_nt_into(&self, other: &Self, out: &mut Self);
-}
-
-/// Validates rank-2 operands and returns `(m, k, n)` for the `nn` product.
-fn nn_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul lhs must be rank 2");
-    assert_eq!(b.rank(), 2, "matmul rhs must be rank 2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(
-        k,
-        k2,
-        "matmul inner dimension mismatch: {} vs {}",
-        a.shape(),
-        b.shape()
-    );
-    (m, k, n)
-}
-
-fn tn_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul_tn lhs must be rank 2");
-    assert_eq!(b.rank(), 2, "matmul_tn rhs must be rank 2");
-    let (k, m) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_tn leading dimension mismatch");
-    (m, k, n)
-}
-
-fn nt_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul_nt lhs must be rank 2");
-    assert_eq!(b.rank(), 2, "matmul_nt rhs must be rank 2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (n, k2) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_nt trailing dimension mismatch");
-    (m, k, n)
-}
-
-fn check_out(out: &Tensor, m: usize, n: usize) {
-    assert_eq!(
-        out.dims(),
-        &[m, n],
-        "matmul output shape mismatch: {} vs [{m}, {n}]",
-        out.shape()
-    );
-}
-
-impl Matmul for Tensor {
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the inner dimensions differ.
-    fn matmul(&self, other: &Tensor) -> Tensor {
-        let (m, k, n) = nn_dims(self, other);
-        let mut out = Tensor::zeros(&[m, n]);
-        gemm_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        out
-    }
-
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the shared leading
-    /// dimensions differ.
-    fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let (m, k, n) = tn_dims(self, other);
-        let mut out = Tensor::zeros(&[m, n]);
-        gemm_tn_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        out
-    }
-
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 2 or the trailing dimensions
-    /// differ.
-    fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let (m, k, n) = nt_dims(self, other);
-        let mut out = Tensor::zeros(&[m, n]);
-        gemm_nt_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        out
-    }
-
-    /// # Panics
-    ///
-    /// Panics like [`Matmul::matmul`], plus if `out` is not `[m, n]`.
-    fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k, n) = nn_dims(self, other);
-        check_out(out, m, n);
-        gemm_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-    }
-
-    /// # Panics
-    ///
-    /// Panics like [`Matmul::matmul_tn`], plus if `out` is not `[m, n]`.
-    fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k, n) = tn_dims(self, other);
-        check_out(out, m, n);
-        gemm_tn_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-    }
-
-    /// # Panics
-    ///
-    /// Panics like [`Matmul::matmul_nt`], plus if `out` is not `[m, n]`.
-    fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k, n) = nt_dims(self, other);
-        check_out(out, m, n);
-        gemm_nt_into(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-    }
-}
-
-/// Outer product of two rank-1 tensors: `[m] x [n] -> [m, n]`.
-///
-/// # Panics
-///
-/// Panics if either operand is not rank 1.
-///
-/// # Example
-///
-/// ```
-/// use tensor::{outer, Tensor};
-///
-/// let u = Tensor::from_slice(&[1.0, 2.0]);
-/// let v = Tensor::from_slice(&[3.0, 4.0]);
-/// assert_eq!(outer(&u, &v).as_slice(), &[3.0, 4.0, 6.0, 8.0]);
-/// ```
-pub fn outer(u: &Tensor, v: &Tensor) -> Tensor {
-    assert_eq!(u.rank(), 1, "outer lhs must be rank 1");
-    assert_eq!(v.rank(), 1, "outer rhs must be rank 1");
-    let (m, n) = (u.len(), v.len());
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let ui = u.as_slice()[i];
-        let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-        for (o, &vv) in row.iter_mut().zip(v.as_slice()) {
-            *o = ui * vv;
-        }
-    }
-    out
+    gemm::<false, true>(Operands { a, b, m, k, n }, c);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The sequential triple loop every kernel must reproduce bit for bit:
+    /// each element starts at `+0.0` and adds its products in ascending `k`.
+    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                c[i * n + j] = acc;
+            }
+        }
+        c
+    }
+
+    /// `rows × cols` row-major `x` stored transposed.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols)
+            .map(|i| x[(i % rows) * cols + i / rows])
+            .collect()
+    }
+
+    /// Bit patterns with every NaN mapped to one value: IEEE-754 leaves
+    /// NaN payloads and signs unspecified.
+    fn canonical_bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    type Kernel = fn(Operands<'_>, &mut [f32]);
+
+    /// One tile table's `nn`, `tn` and `nt` instantiations.
+    struct Table {
+        name: &'static str,
+        layouts: [Kernel; 3],
+    }
+
+    /// The tables this CPU can run: the portable one always, the AVX2
+    /// one where the CPU has AVX2. The dispatcher picks only the widest,
+    /// so each is called directly here.
+    fn tables() -> Vec<Table> {
+        let portable = Table {
+            name: "128-bit",
+            layouts: [
+                gemm_portable::<false, false>,
+                gemm_portable::<true, false>,
+                gemm_portable::<false, true>,
+            ],
+        };
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY (all three): the CPU reported AVX2 just above.
+            let wide = Table {
+                name: "256-bit",
+                layouts: [
+                    |ops, c| unsafe { gemm_avx2::<false, false>(ops, c) },
+                    |ops, c| unsafe { gemm_avx2::<true, false>(ops, c) },
+                    |ops, c| unsafe { gemm_avx2::<false, true>(ops, c) },
+                ],
+            };
+            return vec![portable, wide];
+        }
+        vec![portable]
+    }
+
+    /// `len` operand values: mostly finite values of mixed magnitude,
+    /// with exact zeros, `-0.0` and subnormals mixed in, plus NaN, +∞ and
+    /// −∞ at three fixed positions so most outputs stay finite.
+    fn operand(len: usize, salt: usize) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len)
+            .map(|i| match (i * 31 + salt * 17) % 23 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(1),
+                3 => -1.5e-39,
+                4 => 3.0e-20,
+                5 => -2.0e19,
+                r => ((i * 7 + salt) as f32 * 0.37).sin() * r as f32,
+            })
+            .collect();
+        for (at, bad) in [
+            (3, f32::NAN),
+            (len / 2, f32::INFINITY),
+            (len - 1, f32::NEG_INFINITY),
+        ] {
+            if at < len && !(salt + at).is_multiple_of(4) {
+                v[at] = bad;
+            }
+        }
+        v
+    }
+
+    /// Checks every table in all three layouts against [`naive`] for one
+    /// `m×k×n` product, writing into a dirty output buffer.
+    fn check(tables: &[Table], m: usize, k: usize, n: usize) {
+        let (a, b) = (operand(m * k, m + n), operand(k * n, k + 2 * n));
+        let want = canonical_bits(&naive(&a, &b, m, k, n));
+        let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+        let mut c = vec![f32::NAN; m * n];
+        for table in tables {
+            let [nn, tn, nt] = table.layouts;
+            for (layout, kernel, a, b) in
+                [("nn", nn, &a, &b), ("tn", tn, &at, &b), ("nt", nt, &a, &bt)]
+            {
+                c.fill(f32::NAN);
+                kernel(Operands { a, b, m, k, n }, &mut c);
+                assert!(
+                    canonical_bits(&c) == want,
+                    "{} {layout} {m}x{k}x{n} differs from the naive loop",
+                    table.name
+                );
+            }
+        }
+    }
+
+    /// Both tile tables, all three layouts, bit for bit against the
+    /// naive loop: every tail tile (n ≤ 40), every row tail (m ≤ 9) and
+    /// K-chunk boundaries of every tile width (k around 64 and 128), plus
+    /// the LeNet and MLP products the micro bench times.
+    #[test]
+    fn tile_tables_match_naive_triple_loop_bit_for_bit() {
+        let tables = tables();
+        for n in 1..=40 {
+            for m in 1..=9 {
+                for k in [1, 63, 64, 65, 127, 128, 129, 300] {
+                    check(&tables, m, k, n);
+                }
+            }
+        }
+        for (m, k, n) in [
+            (6, 25, 196),
+            (16, 150, 9),
+            (16, 150, 252),
+            (6, 196, 25),
+            (25, 6, 196),
+            (103, 64, 64),
+        ] {
+            check(&tables, m, k, n);
+        }
+    }
+
     #[test]
     fn matmul_matches_hand_computation() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]).unwrap();
-        let c = a.matmul(&b);
-        assert_eq!(c.dims(), &[2, 2]);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        let mut c = [0.0; 4];
+        gemm_into(&a, &b, &mut c, 2, 3, 2);
+        assert_eq!(c, [58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn identity_is_neutral() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        assert_eq!(a.matmul(&Tensor::eye(2)).as_slice(), a.as_slice());
-        assert_eq!(Tensor::eye(2).matmul(&a).as_slice(), a.as_slice());
+        let a = [1.0, 2.0, 3.0, 4.0];
+        let eye = [1.0, 0.0, 0.0, 1.0];
+        let mut c = [0.0; 4];
+        gemm_into(&a, &eye, &mut c, 2, 2, 2);
+        assert_eq!(c, a);
+        gemm_into(&eye, &a, &mut c, 2, 2, 2);
+        assert_eq!(c, a);
     }
 
     #[test]
     fn transposed_variants_agree_with_explicit_transpose() {
-        let a = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0, 4.0, -1.0], &[3, 2]).unwrap();
-        let b = Tensor::from_vec(vec![2.0, 1.0, 0.0, -1.0, 1.5, 2.5], &[3, 2]).unwrap();
-        let tn = a.matmul_tn(&b);
-        let expected = a.transposed().matmul(&b);
-        for (x, y) in tn.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        let a = [1.0, -2.0, 0.5, 3.0, 4.0, -1.0]; // [3, 2]
+        let b = [2.0, 1.0, 0.0, -1.0, 1.5, 2.5]; // [3, 2]
+        let mut tn = [0.0; 4];
+        gemm_tn_into(&a, &b, &mut tn, 2, 3, 2);
+        assert_eq!(tn.to_vec(), naive(&transpose(&a, 3, 2), &b, 2, 3, 2));
 
-        let c = Tensor::from_vec(vec![1.0, 0.0, 2.0, -1.0], &[2, 2]).unwrap();
-        let d = Tensor::from_vec(vec![2.0, 1.0, 0.0, -1.0, 1.5, 2.5], &[3, 2]).unwrap();
-        let nt = c.matmul_nt(&d);
-        let expected = c.matmul(&d.transposed());
-        for (x, y) in nt.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        let c = [1.0, 0.0, 2.0, -1.0]; // [2, 2]
+        let mut nt = [0.0; 6];
+        gemm_nt_into(&c, &b, &mut nt, 2, 2, 3);
+        assert_eq!(nt.to_vec(), naive(&c, &transpose(&b, 3, 2), 2, 2, 3));
     }
 
     #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
+    #[should_panic(expected = "rhs length mismatch")]
     fn matmul_rejects_mismatched_inner_dims() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 2]);
-        let _ = a.matmul(&b);
+        // A [2, 3] lhs against a [2, 2] rhs.
+        gemm_into(&[0.0; 6], &[0.0; 4], &mut [0.0; 4], 2, 3, 2);
     }
 
     #[test]
-    fn into_variants_are_bit_identical_to_allocating_ones() {
-        // Dimensions straddling the tile widths exercise full and tail tiles.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 9), (8, 8, 8), (7, 17, 13), (9, 300, 45)] {
-            let a = Tensor::from_vec(
-                (0..m * k)
-                    .map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.37)
-                    .collect(),
-                &[m, k],
-            )
-            .unwrap();
-            let b = Tensor::from_vec(
-                (0..k * n)
-                    .map(|i| ((i * 23 % 17) as f32 - 8.0) * 0.59)
-                    .collect(),
-                &[k, n],
-            )
-            .unwrap();
-            let mut out = Tensor::full(&[m, n], f32::NAN); // into() must fully overwrite
-            a.matmul_into(&b, &mut out);
-            assert_eq!(out.as_slice(), a.matmul(&b).as_slice(), "nn {m}x{k}x{n}");
-
-            let at = a.transposed(); // [k, m] stored transposed
-            at.matmul_tn_into(&b, &mut out);
-            assert_eq!(
-                out.as_slice(),
-                at.matmul_tn(&b).as_slice(),
-                "tn {m}x{k}x{n}"
-            );
-
-            let bt = b.transposed(); // [n, k]
-            a.matmul_nt_into(&bt, &mut out);
-            assert_eq!(
-                out.as_slice(),
-                a.matmul_nt(&bt).as_slice(),
-                "nt {m}x{k}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "output shape mismatch")]
+    #[should_panic(expected = "output length mismatch")]
     fn matmul_into_rejects_wrong_output_shape() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[3, 4]);
-        let mut out = Tensor::zeros(&[2, 3]);
-        a.matmul_into(&b, &mut out);
+        gemm_into(&[0.0; 6], &[0.0; 12], &mut [0.0; 6], 2, 3, 4);
     }
 
     /// The three variants must agree on non-finite propagation: a zero in
@@ -565,82 +509,59 @@ mod tests {
     fn zero_times_non_finite_propagates_in_all_variants() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             // a has an exact zero in the position that meets the bad value.
-            let a = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]).unwrap();
-            let b = Tensor::from_vec(vec![bad, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-            let nn = a.matmul(&b);
-            assert!(nn.as_slice()[0].is_nan(), "matmul masked 0·{bad}");
-
-            let at = a.transposed();
-            let tn = at.matmul_tn(&b);
-            assert!(tn.as_slice()[0].is_nan(), "matmul_tn masked 0·{bad}");
-
-            let bt = b.transposed();
-            let nt = a.matmul_nt(&bt);
-            assert!(nt.as_slice()[0].is_nan(), "matmul_nt masked 0·{bad}");
+            let a = [0.0, 1.0]; // [1, 2], and its own transpose
+            let b = [bad, 2.0, 3.0, 4.0]; // [2, 2]
+            let mut c = [0.0; 2];
+            gemm_into(&a, &b, &mut c, 1, 2, 2);
+            assert!(c[0].is_nan(), "gemm_into masked 0·{bad}");
+            gemm_tn_into(&a, &b, &mut c, 1, 2, 2);
+            assert!(c[0].is_nan(), "gemm_tn_into masked 0·{bad}");
+            gemm_nt_into(&a, &transpose(&b, 2, 2), &mut c, 1, 2, 2);
+            assert!(c[0].is_nan(), "gemm_nt_into masked 0·{bad}");
         }
     }
 
-    /// With a non-finite right operand the variants must agree elementwise,
-    /// NaN positions included.
+    /// With a non-finite right operand the variants must agree bit for bit,
+    /// NaN elements included.
     #[test]
     fn variants_agree_elementwise_under_non_finite_inputs() {
-        let a = Tensor::from_vec(vec![0.0, 1.0, -2.0, 0.0, 0.5, 0.0], &[2, 3]).unwrap();
-        let b =
-            Tensor::from_vec(vec![f32::NAN, 2.0, f32::INFINITY, -1.0, 0.0, 3.0], &[3, 2]).unwrap();
-        let nn = a.matmul(&b);
-        let tn = a.transposed().matmul_tn(&b);
-        let nt = a.matmul_nt(&b.transposed());
-        for ((&x, &y), &z) in nn.as_slice().iter().zip(tn.as_slice()).zip(nt.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "nn vs tn disagree");
-            assert_eq!(x.to_bits(), z.to_bits(), "nn vs nt disagree");
-        }
+        let a = [0.0, 1.0, -2.0, 0.0, 0.5, 0.0]; // [2, 3]
+        let b = [f32::NAN, 2.0, f32::INFINITY, -1.0, 0.0, 3.0]; // [3, 2]
+        let (mut nn, mut tn, mut nt) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+        gemm_into(&a, &b, &mut nn, 2, 3, 2);
+        gemm_tn_into(&transpose(&a, 2, 3), &b, &mut tn, 2, 3, 2);
+        gemm_nt_into(&a, &transpose(&b, 3, 2), &mut nt, 2, 3, 2);
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&nn), bits(&tn), "nn vs tn");
+        assert_eq!(bits(&nn), bits(&nt), "nn vs nt");
     }
 
     /// NaN/±∞ in the *left* operand flows through the product too.
     #[test]
     fn non_finite_lhs_propagates() {
-        let a = Tensor::from_vec(vec![f32::NAN, 0.0], &[1, 2]).unwrap();
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        assert!(a.matmul(&b).as_slice().iter().all(|v| v.is_nan()));
+        let mut c = [0.0; 2];
+        gemm_into(&[f32::NAN, 0.0], &[1.0, 2.0, 3.0, 4.0], &mut c, 1, 2, 2);
+        assert!(c.iter().all(|v| v.is_nan()));
     }
 
     /// A sparse left operand (every third entry zero) gives the bits of
     /// the plain sequential loop.
     #[test]
     fn sparse_lhs_matches_dense_recomputation() {
-        let a = Tensor::from_vec(
-            (0..6 * 9)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        0.0
-                    } else {
-                        (i as f32 * 0.31).sin()
-                    }
-                })
-                .collect(),
-            &[6, 9],
-        )
-        .unwrap();
-        let b = Tensor::from_vec(
-            (0..9 * 11).map(|i| (i as f32 * 0.17).cos()).collect(),
-            &[9, 11],
-        )
-        .unwrap();
-        let fast = a.matmul(&b);
-        // Dense reference: the same per-element order, zeros included.
         let (m, k, n) = (6, 9, 11);
-        let mut dense = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = a.as_slice()[i * k + kk];
-                for j in 0..n {
-                    dense[i * n + j] += aik * b.as_slice()[kk * n + j];
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    (i as f32 * 0.31).sin()
                 }
-            }
-        }
-        for (x, y) in fast.as_slice().iter().zip(&dense) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+            })
+            .collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.17).cos()).collect();
+        let mut c = vec![0.0; m * n];
+        gemm_into(&a, &b, &mut c, m, k, n);
+        assert_eq!(canonical_bits(&c), canonical_bits(&naive(&a, &b, m, k, n)));
     }
 
     #[test]
@@ -651,14 +572,5 @@ mod tests {
         let mut c = vec![f32::NAN; 8];
         gemm_into(&a, &b, &mut c, 4, 2, 2);
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn outer_product() {
-        let u = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let v = Tensor::from_slice(&[4.0, 5.0]);
-        let o = outer(&u, &v);
-        assert_eq!(o.dims(), &[3, 2]);
-        assert_eq!(o.at(&[2, 1]), 15.0);
     }
 }

@@ -3,8 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::Tensor;
-
 /// Geometry of a 2-D pooling window.
 ///
 /// # Example
@@ -53,39 +51,13 @@ impl Pool2dSpec {
     }
 }
 
-/// Max-pools a `[C, H, W]` image; returns the pooled image and the flat
-/// argmax index of each output cell (for the backward pass).
-///
-/// # Panics
-///
-/// Panics if `image` is not rank 3.
-pub fn max_pool2d(image: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec<usize>) {
-    assert_eq!(image.rank(), 3, "max_pool2d expects a [C, H, W] tensor");
-    let (c, h, w) = (image.dims()[0], image.dims()[1], image.dims()[2]);
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(&[c, oh, ow]);
-    let mut argmax = vec![0usize; c * oh * ow];
-    max_pool2d_into(
-        image.as_slice(),
-        out.as_mut_slice(),
-        spec,
-        c,
-        h,
-        w,
-        Some(&mut argmax),
-    );
-    (out, argmax)
-}
-
-/// [`max_pool2d`] on raw slices, writing into a caller-provided buffer.
+/// Max-pools one `[C, H, W]` image into a caller-provided buffer.
 ///
 /// `src` is one `[C, H, W]` image; `dst` (`C·OH·OW` elements) is fully
-/// overwritten, so recycled scratch buffers can be passed directly. Flat
-/// argmax indices are recorded when `argmax` is provided (the backward
-/// pass needs them; eval-mode pooling passes `None`). This is the single
-/// window-scan implementation behind both the allocating wrapper and the
-/// allocation-free eval path, so the two stay bit-identical by
-/// construction.
+/// overwritten, so recycled scratch buffers can be passed directly. The
+/// flat index of each output's maximum is recorded when `argmax` is
+/// provided (the backward pass scatters through them; eval-mode pooling
+/// passes `None`).
 ///
 /// # Panics
 ///
@@ -139,46 +111,10 @@ pub fn max_pool2d_into(
     }
 }
 
-/// Scatters output gradients back through a recorded max-pool.
-///
-/// `argmax` must come from the matching [`max_pool2d`] call.
-///
-/// # Panics
-///
-/// Panics if `grad_out.len() != argmax.len()`.
-pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_dims: &[usize]) -> Tensor {
-    assert_eq!(
-        grad_out.len(),
-        argmax.len(),
-        "gradient / argmax length mismatch"
-    );
-    let mut grad_in = Tensor::zeros(input_dims);
-    let gi = grad_in.as_mut_slice();
-    for (&g, &idx) in grad_out.as_slice().iter().zip(argmax) {
-        gi[idx] += g;
-    }
-    grad_in
-}
-
-/// Average-pools a `[C, H, W]` image.
-///
-/// # Panics
-///
-/// Panics if `image` is not rank 3.
-pub fn avg_pool2d(image: &Tensor, spec: &Pool2dSpec) -> Tensor {
-    assert_eq!(image.rank(), 3, "avg_pool2d expects a [C, H, W] tensor");
-    let (c, h, w) = (image.dims()[0], image.dims()[1], image.dims()[2]);
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(&[c, oh, ow]);
-    avg_pool2d_into(image.as_slice(), out.as_mut_slice(), spec, c, h, w);
-    out
-}
-
-/// [`avg_pool2d`] on raw slices, writing into a caller-provided buffer.
+/// Average-pools one `[C, H, W]` image into a caller-provided buffer.
 ///
 /// `src` is one `[C, H, W]` image; `dst` (`C·OH·OW` elements) is fully
-/// overwritten. Single window-scan implementation shared with the
-/// allocating wrapper — see [`max_pool2d_into`].
+/// overwritten.
 ///
 /// # Panics
 ///
@@ -220,29 +156,12 @@ pub fn avg_pool2d_into(
     }
 }
 
-/// Backward pass of [`avg_pool2d`]: spreads each output gradient uniformly
-/// over its window.
-///
-/// # Panics
-///
-/// Panics if `grad_out` is not rank 3 or inconsistent with `input_dims`.
-pub fn avg_pool2d_backward(grad_out: &Tensor, spec: &Pool2dSpec, input_dims: &[usize]) -> Tensor {
-    assert_eq!(grad_out.rank(), 3, "avg_pool2d_backward expects rank 3");
-    let (c, h, w) = (input_dims[0], input_dims[1], input_dims[2]);
-    let (oh, ow) = spec.output_hw(h, w);
-    assert_eq!(grad_out.dims(), &[c, oh, ow], "gradient shape mismatch");
-    let mut grad_in = Tensor::zeros(input_dims);
-    avg_pool2d_backward_into(grad_out.as_slice(), grad_in.as_mut_slice(), spec, c, h, w);
-    grad_in
-}
-
-/// [`avg_pool2d_backward`] on raw slices, writing into a caller-provided
-/// buffer.
+/// Backward pass of [`avg_pool2d_into`]: spreads each output gradient
+/// uniformly over its window, writing into a caller-provided buffer.
 ///
 /// `src` is one `[C, OH, OW]` output gradient; `dst` (`C·h·w` elements) is
 /// zeroed and then accumulated into, so recycled scratch buffers can be
-/// passed directly. Single spread implementation shared with the allocating
-/// wrapper — see [`max_pool2d_into`] for the rationale.
+/// passed directly.
 ///
 /// # Panics
 ///
@@ -288,62 +207,80 @@ pub fn avg_pool2d_backward_into(
 mod tests {
     use super::*;
 
-    #[test]
-    fn max_pool_picks_window_maxima() {
-        let img = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 5.0, 3.0, 4.0, 0.0, 1.0, 2.0, 8.0, 7.0, 0.0, 1.0, 6.0, 5.0, 2.0, 3.0,
-            ],
-            &[1, 4, 4],
-        )
-        .unwrap();
-        let (out, argmax) = max_pool2d(&img, &Pool2dSpec::new(2, 2));
-        assert_eq!(out.dims(), &[1, 2, 2]);
-        assert_eq!(out.as_slice(), &[4.0, 5.0, 8.0, 3.0]);
-        assert_eq!(argmax[0], 4); // position of 4.0 in the flat input
+    /// Max-pools one `[c, h, w]` image; returns the pooled image and the
+    /// argmax indices.
+    fn max_pool(image: &[f32], c: usize, h: usize, w: usize) -> (Vec<f32>, Vec<usize>) {
+        let spec = Pool2dSpec::new(2, 2);
+        let (oh, ow) = spec.output_hw(h, w);
+        let (mut out, mut argmax) = (vec![f32::NAN; c * oh * ow], vec![0; c * oh * ow]);
+        max_pool2d_into(image, &mut out, &spec, c, h, w, Some(&mut argmax));
+        (out, argmax)
+    }
+
+    /// Average-pools with a 2×2 window, stride 2.
+    fn avg_pool(image: &[f32], c: usize, h: usize, w: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; image.len() / 4];
+        avg_pool2d_into(image, &mut out, &Pool2dSpec::new(2, 2), c, h, w);
+        out
+    }
+
+    /// Spreads output gradients back over 2×2 windows, stride 2.
+    fn avg_backward(grad_out: &[f32], c: usize, h: usize, w: usize) -> Vec<f32> {
+        let mut grad_in = vec![f32::NAN; c * h * w];
+        avg_pool2d_backward_into(grad_out, &mut grad_in, &Pool2dSpec::new(2, 2), c, h, w);
+        grad_in
     }
 
     #[test]
+    fn max_pool_picks_window_maxima() {
+        let img = [
+            1.0, 2.0, 5.0, 3.0, 4.0, 0.0, 1.0, 2.0, 8.0, 7.0, 0.0, 1.0, 6.0, 5.0, 2.0, 3.0,
+        ];
+        let (out, argmax) = max_pool(&img, 1, 4, 4);
+        assert_eq!(out, [4.0, 5.0, 8.0, 3.0]);
+        // Positions of 4, 5, 8 and 3 in the flat input.
+        assert_eq!(argmax, [4, 2, 8, 15]);
+    }
+
+    /// The `MaxPool2d` layer's backward routes each output gradient to the
+    /// recorded index (its scatter is checked in tests/workspace_backward.rs):
+    /// indices are flat over the whole `[C, H, W]` image, and a tie goes to
+    /// the first maximum in row-major window order.
+    #[test]
     fn max_pool_backward_routes_to_argmax() {
-        let img = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]).unwrap();
-        let (_, argmax) = max_pool2d(&img, &Pool2dSpec::new(2, 2));
-        let grad_out = Tensor::from_vec(vec![10.0], &[1, 1, 1]).unwrap();
-        let grad_in = max_pool2d_backward(&grad_out, &argmax, &[1, 2, 2]);
-        assert_eq!(grad_in.as_slice(), &[0.0, 0.0, 0.0, 10.0]);
+        let img = [1.0, 2.0, 3.0, 4.0, 7.0, 5.0, 7.0, 6.0]; // [2, 2, 2]
+        let (out, argmax) = max_pool(&img, 2, 2, 2);
+        assert_eq!(out, [4.0, 7.0]);
+        assert_eq!(argmax, [3, 4]);
     }
 
     #[test]
     fn avg_pool_averages() {
-        let img = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 2, 2]).unwrap();
-        let out = avg_pool2d(&img, &Pool2dSpec::new(2, 2));
-        assert_eq!(out.as_slice(), &[4.0]);
+        assert_eq!(avg_pool(&[1.0, 3.0, 5.0, 7.0], 1, 2, 2), [4.0]);
     }
 
     #[test]
     fn avg_pool_backward_spreads_uniformly() {
-        let grad_out = Tensor::from_vec(vec![8.0], &[1, 1, 1]).unwrap();
-        let grad_in = avg_pool2d_backward(&grad_out, &Pool2dSpec::new(2, 2), &[1, 2, 2]);
-        assert_eq!(grad_in.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
+        assert_eq!(avg_backward(&[8.0], 1, 2, 2), [2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn avg_pool_backward_into_fully_overwrites_recycled_buffers() {
-        let spec = Pool2dSpec::new(2, 2);
-        let go = Tensor::from_vec((0..8).map(|v| v as f32 * 0.5).collect(), &[2, 2, 2]).unwrap();
-        let reference = avg_pool2d_backward(&go, &spec, &[2, 4, 4]);
-        let mut dst = vec![f32::NAN; 2 * 4 * 4]; // stale garbage must vanish
-        avg_pool2d_backward_into(go.as_slice(), &mut dst, &spec, 2, 4, 4);
-        assert_eq!(dst, reference.as_slice());
+        // Non-overlapping 2×2 windows: every input cell gets exactly a
+        // quarter of its window's gradient.
+        let go: Vec<f32> = (0..8).map(|v| v as f32 * 0.5).collect();
+        let grad_in = avg_backward(&go, 2, 4, 4); // starts as NaN garbage
+        for (i, &g) in grad_in.iter().enumerate() {
+            let (ch, y, x) = (i / 16, i / 4 % 4, i % 4);
+            assert_eq!(g, go[(ch * 2 + y / 2) * 2 + x / 2] * 0.25, "cell {i}");
+        }
     }
 
     #[test]
     fn pooling_gradient_conservation() {
-        // Sum of input gradients equals sum of output gradients for both pools.
-        let img = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 4, 4]).unwrap();
-        let spec = Pool2dSpec::new(2, 2);
-        let (out, argmax) = max_pool2d(&img, &spec);
-        let go = Tensor::ones(out.dims());
-        assert!((max_pool2d_backward(&go, &argmax, &[1, 4, 4]).sum() - go.sum()).abs() < 1e-6);
-        assert!((avg_pool2d_backward(&go, &spec, &[1, 4, 4]).sum() - go.sum()).abs() < 1e-6);
+        // Sum of input gradients equals sum of output gradients.
+        let go = vec![1.0; 4];
+        let total: f32 = go.iter().sum();
+        assert!((avg_backward(&go, 1, 4, 4).iter().sum::<f32>() - total).abs() < 1e-6);
     }
 }

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use tensor::{
-    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col, im2col_into, outer, Conv2dSpec,
-    Matmul, Shape, Tensor,
+    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Shape, Tensor,
 };
 
 fn small_matrix() -> impl Strategy<Value = Tensor> {
@@ -58,8 +57,9 @@ proptest! {
 
     #[test]
     fn matmul_identity_right(a in small_matrix()) {
-        let i = Tensor::eye(a.dims()[1]);
-        let out = a.matmul(&i);
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let mut out = Tensor::zeros(&[m, k]);
+        gemm_into(a.as_slice(), Tensor::eye(k).as_slice(), out.as_mut_slice(), m, k, k);
         for (x, y) in out.as_slice().iter().zip(a.as_slice()) {
             prop_assert!((x - y).abs() < 1e-5);
         }
@@ -74,9 +74,11 @@ proptest! {
             (0..k * n).map(|i| ((i as f32) + seed as f32).sin()).collect(),
             &[k, n],
         ).unwrap();
-        let tn = a.matmul_tn(&b);
-        let explicit = a.transposed().matmul(&b);
-        for (x, y) in tn.as_slice().iter().zip(explicit.as_slice()) {
+        let m = a.dims()[1];
+        let (mut tn, mut explicit) = (vec![0.0; m * n], vec![0.0; m * n]);
+        gemm_tn_into(a.as_slice(), b.as_slice(), &mut tn, m, k, n);
+        gemm_into(a.transposed().as_slice(), b.as_slice(), &mut explicit, m, k, n);
+        for (x, y) in tn.iter().zip(&explicit) {
             prop_assert!((x - y).abs() < 1e-4);
         }
     }
@@ -95,11 +97,12 @@ proptest! {
     #[test]
     fn outer_rank_one_structure(u in proptest::collection::vec(-5.0f32..5.0, 1..5),
                                 v in proptest::collection::vec(-5.0f32..5.0, 1..5)) {
-        let o = outer(&Tensor::from_slice(&u), &Tensor::from_slice(&v));
-        prop_assert_eq!(o.dims(), &[u.len(), v.len()]);
+        // A product over k = 1 is the outer product u·vᵀ.
+        let mut o = vec![f32::NAN; u.len() * v.len()];
+        gemm_into(&u, &v, &mut o, u.len(), 1, v.len());
         for (i, &ui) in u.iter().enumerate() {
             for (j, &vj) in v.iter().enumerate() {
-                prop_assert!((o.at(&[i, j]) - ui * vj).abs() < 1e-5);
+                prop_assert!((o[i * v.len() + j] - ui * vj).abs() < 1e-5);
             }
         }
     }
@@ -109,10 +112,10 @@ proptest! {
         vals in proptest::collection::vec(-3.0f32..3.0, 9)
     ) {
         // 1x1 kernel im2col is a bijection on elements.
-        let img = Tensor::from_vec(vals.clone(), &[1, 3, 3]).unwrap();
         let spec = Conv2dSpec::new(1, 1, 1, 1, 0);
-        let col = im2col(&img, &spec, 3, 3);
-        prop_assert_eq!(col.as_slice(), img.as_slice());
+        let mut col = vec![f32::NAN; 9];
+        im2col_into(&vals, &mut col, &spec, 1, 3, 3);
+        prop_assert_eq!(col, vals);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! a full SGD step — workspace forward, pooled loss gradient, workspace
 //! backward, in-place optimizer update — performs **zero** heap
 //! allocations, and whole epochs allocate nothing beyond that (allocation
-//! count independent of epoch count).
+//! count independent of epoch count). That holds for both backwards:
+//! `backward_params_ws`, which `train_step` runs and which skips the
+//! network's input gradient, and the full `backward_ws`.
 //!
 //! The real loops are held to the same bar: one `baselines::train_epochs`
 //! or `baselines::train_awp` call allocates as often at 2 epochs as at 8
@@ -517,32 +519,42 @@ fn steady_state_training_step_allocates_nothing() {
     let images = Tensor::from_vec(data, &[4, 3, 24, 24]).unwrap();
     let mut opt = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
     let mut ws = Workspace::new();
-    let det_step = |det: &mut TinyDetector, opt: &mut Sgd, ws: &mut Workspace| -> f32 {
-        let raw = det.forward_ws(&images, Mode::Train, ws);
-        let (loss, grad) = loss_fn.loss_and_grad_ws(&raw, scenes.scenes(), 24, ws);
-        ws.recycle(raw);
-        let gin = det.backward_ws(&grad, ws);
-        ws.recycle(grad);
-        ws.recycle(gin);
-        opt.step(det);
-        loss
-    };
-    for _ in 0..2 {
-        acc += det_step(&mut det, &mut opt, &mut ws);
+    // The step runs either backward: `backward_ws` (input gradient
+    // recycled) or `backward_params_ws`, which `train_detector` and
+    // `train_step` run.
+    let det_step =
+        |det: &mut TinyDetector, opt: &mut Sgd, ws: &mut Workspace, params_only: bool| -> f32 {
+            let raw = det.forward_ws(&images, Mode::Train, ws);
+            let (loss, grad) = loss_fn.loss_and_grad_ws(&raw, scenes.scenes(), 24, ws);
+            ws.recycle(raw);
+            if params_only {
+                det.backward_params_ws(&grad, ws);
+            } else {
+                let gin = det.backward_ws(&grad, ws);
+                ws.recycle(gin);
+            }
+            ws.recycle(grad);
+            opt.step(det);
+            loss
+        };
+    for params_only in [false, true] {
+        for _ in 0..2 {
+            acc += det_step(&mut det, &mut opt, &mut ws, params_only);
+        }
+        let (a0, b0) = allocs();
+        for _ in 0..4 {
+            acc += det_step(&mut det, &mut opt, &mut ws, params_only);
+        }
+        let (a1, b1) = allocs();
+        assert!(acc.is_finite());
+        assert_eq!(
+            a1 - a0,
+            0,
+            "steady-state detector train steps (params only: {params_only}) allocated {} times ({} bytes)",
+            a1 - a0,
+            b1 - b0,
+        );
     }
-    let (a0, b0) = allocs();
-    for _ in 0..4 {
-        acc += det_step(&mut det, &mut opt, &mut ws);
-    }
-    let (a1, b1) = allocs();
-    assert!(acc.is_finite());
-    assert_eq!(
-        a1 - a0,
-        0,
-        "steady-state detector train steps allocated {} times ({} bytes)",
-        a1 - a0,
-        b1 - b0,
-    );
 
     // --- Telemetry is live AND allocation-free in the steady state. ---
     // The kernels above record into these histograms on every call; if

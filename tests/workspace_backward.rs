@@ -136,6 +136,87 @@ fn whole_models_match() {
     assert_bwd_matches(&lenet, &img, "lenet5");
 }
 
+/// Every parameter gradient's bit pattern, in visit order.
+fn grad_bits(net: &mut dyn Layer) -> Vec<u32> {
+    let mut bits = Vec::new();
+    net.visit_params(&mut |p| bits.extend(p.grad.as_slice().iter().map(|v| v.to_bits())));
+    bits
+}
+
+/// `backward_params_ws` on a copy of `net` leaves the parameter gradients
+/// `backward_ws` leaves, bit for bit, over two accumulating steps on one
+/// reused workspace.
+fn assert_params_only_matches(net: &dyn Layer, x: &Tensor, what: &str) {
+    let (mut full, mut params_only) = (net.clone_box(), net.clone_box());
+    let mut ws = Workspace::new();
+    for step in 0..2 {
+        let y = full.forward_ws(x, Mode::Train, &mut ws);
+        let g = y.map(|v| (v * 1.7).sin());
+        let grad_in = full.backward_ws(&g, &mut ws);
+        ws.recycle(grad_in);
+        let y2 = params_only.forward_ws(x, Mode::Train, &mut ws);
+        params_only.backward_params_ws(&g, &mut ws);
+        assert_eq!(y.as_slice(), y2.as_slice(), "{what} step {step}: forward");
+        assert_eq!(
+            grad_bits(full.as_mut()),
+            grad_bits(params_only.as_mut()),
+            "{what} step {step}: parameter gradients"
+        );
+        ws.recycle(y);
+        ws.recycle(y2);
+    }
+}
+
+/// The input-gradient-free backward that training steps run: chains
+/// whose first child overrides it (dense, conv) or keeps the provided
+/// default (flatten, batch norm), a one-child and an empty chain, and
+/// both search models with live dropout.
+#[test]
+fn params_only_backward_matches_full_backward() {
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut rng);
+    let dense_first = Sequential::new(vec![
+        Box::new(Dense::new(8, 6, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Dropout::new(0.4, 3)),
+        Box::new(Dense::new(6, 3, &mut rng)),
+    ]);
+    assert_params_only_matches(&dense_first, &x, "dense-first sequential");
+    let default_first = Sequential::new(vec![
+        Box::new(BatchNorm::new(8)),
+        Box::new(Dense::new(8, 3, &mut rng)),
+    ]);
+    assert_params_only_matches(&default_first, &x, "batch-norm-first sequential");
+    assert_params_only_matches(&BatchNorm::new(8), &x, "batch norm alone");
+    let one = Sequential::new(vec![Box::new(Dense::new(8, 2, &mut rng))]);
+    assert_params_only_matches(&one, &x, "one-child sequential");
+    assert_params_only_matches(&Sequential::empty(), &x, "empty sequential");
+
+    let img = Tensor::randn(&[3, 2, 6, 6], 0.0, 1.0, &mut rng);
+    let flatten_first = Sequential::new(vec![
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(72, 4, &mut rng)),
+    ]);
+    assert_params_only_matches(&flatten_first, &img, "flatten-first sequential");
+    let conv_first = Sequential::new(vec![
+        Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Conv2d::new(4, 3, 3, 1, 0, &mut rng)),
+    ]);
+    assert_params_only_matches(&conv_first, &img, "conv-first sequential");
+
+    let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
+    models::set_dropout_rates(&mut lenet, &[0.3, 0.5, 0.2]);
+    let digits = Tensor::randn(&[33, 1, 14, 14], 0.0, 1.0, &mut rng);
+    assert_params_only_matches(&lenet, &digits, "lenet5");
+    let mlp = Mlp::new(
+        &MlpConfig::new(10, 3).depth(4).hidden(16).initial_rate(0.3),
+        &mut rng,
+    );
+    let rows = Tensor::randn(&[7, 10], 0.0, 1.0, &mut rng);
+    assert_params_only_matches(&mlp, &rows, "mlp");
+}
+
 /// Fresh-workspace training loop — `forward`, allocating loss,
 /// `backward`, optimizer step — the reference the reused-workspace step
 /// must reproduce bit for bit.
