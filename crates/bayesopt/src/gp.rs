@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Cholesky, Kernel};
+use crate::{Cholesky, SquaredExponential};
 
 /// Error from GP fitting or prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +76,8 @@ impl Posterior {
 /// assert!(far.variance > 0.9);         // uncertain far away
 /// # Ok::<(), bayesopt::GpError>(())
 /// ```
-pub struct GaussianProcess<K: Kernel> {
-    kernel: K,
+pub struct GaussianProcess {
+    kernel: SquaredExponential,
     pub(crate) noise: f64,
     /// Fitted observations (0 while unfitted).
     n: usize,
@@ -95,14 +95,14 @@ pub struct GaussianProcess<K: Kernel> {
     y_mean: f64,
 }
 
-impl<K: Kernel> GaussianProcess<K> {
+impl GaussianProcess {
     /// Creates an unfitted GP with the given kernel and observation-noise
     /// variance (also the base jitter).
     ///
     /// # Panics
     ///
     /// Panics if `noise` is negative.
-    pub fn new(kernel: K, noise: f64) -> Self {
+    pub fn new(kernel: SquaredExponential, noise: f64) -> Self {
         assert!(noise >= 0.0, "noise variance must be non-negative");
         GaussianProcess {
             kernel,
@@ -191,7 +191,8 @@ impl<K: Kernel> GaussianProcess<K> {
         let mean = k_alpha.sum::<f64>() + self.y_mean;
         self.chol.forward_solve(&mut self.kstar);
         let v = &self.kstar;
-        let variance = (self.kernel.diag(query) - v.iter().map(|vi| vi * vi).sum::<f64>()).max(0.0);
+        let variance =
+            (self.kernel.eval(query, query) - v.iter().map(|vi| vi * vi).sum::<f64>()).max(0.0);
         Ok(Posterior { mean, variance })
     }
 
@@ -232,7 +233,7 @@ impl<K: Kernel> GaussianProcess<K> {
     }
 }
 
-impl<K: Kernel + fmt::Debug> fmt::Debug for GaussianProcess<K> {
+impl fmt::Debug for GaussianProcess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GaussianProcess")
             .field("kernel", &self.kernel)
@@ -244,9 +245,8 @@ impl<K: Kernel + fmt::Debug> fmt::Debug for GaussianProcess<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SquaredExponential;
 
-    fn fitted_gp() -> GaussianProcess<SquaredExponential> {
+    fn fitted_gp() -> GaussianProcess {
         let mut gp = GaussianProcess::new(SquaredExponential::isotropic(1.0, 0.3), 1e-8);
         gp.fit([([0.0], 1.0), ([0.5], 0.0), ([1.0], 1.0)]).unwrap();
         gp

@@ -1,17 +1,4 @@
-//! Covariance kernels for GP regression.
-
-/// A positive-definite covariance kernel over `R^d`.
-pub trait Kernel: Send + Sync {
-    /// Covariance between two points.
-    ///
-    /// Implementations may assume `a.len() == b.len()`.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Prior variance at a point, `k(x, x)`.
-    fn diag(&self, x: &[f64]) -> f64 {
-        self.eval(x, x)
-    }
-}
+//! The covariance kernel for GP regression.
 
 /// The paper's exponential kernel (Eq. 9):
 /// `k(α₁, α₂) = k₀ · exp(−Σᵢ kᵢ (α₁ᵢ − α₂ᵢ)²)`
@@ -20,7 +7,7 @@ pub trait Kernel: Send + Sync {
 /// # Example
 ///
 /// ```
-/// use bayesopt::{Kernel, SquaredExponential};
+/// use bayesopt::SquaredExponential;
 ///
 /// let k = SquaredExponential::isotropic(2.0, 0.5);
 /// assert!((k.eval(&[0.1], &[0.1]) - 2.0).abs() < 1e-12);
@@ -70,10 +57,9 @@ impl SquaredExponential {
             self.weights[i]
         }
     }
-}
 
-impl Kernel for SquaredExponential {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+    /// Covariance between two points of the same dimension.
+    pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let mut s = 0.0;
         for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
@@ -81,37 +67,6 @@ impl Kernel for SquaredExponential {
             s += self.weight(i) * d * d;
         }
         self.k0 * (-s).exp()
-    }
-}
-
-/// Matérn-5/2 kernel — a rougher prior than the squared exponential, used
-/// in the acquisition/kernel ablation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Matern52 {
-    k0: f64,
-    lengthscale: f64,
-}
-
-impl Matern52 {
-    /// Creates the kernel with amplitude `k0` and lengthscale `ℓ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is not positive.
-    pub fn new(k0: f64, lengthscale: f64) -> Self {
-        assert!(k0 > 0.0, "kernel amplitude must be positive");
-        assert!(lengthscale > 0.0, "lengthscale must be positive");
-        Matern52 { k0, lengthscale }
-    }
-}
-
-impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let r2: f64 = a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum();
-        let r = r2.sqrt() / self.lengthscale;
-        let s5 = (5.0f64).sqrt();
-        self.k0 * (1.0 + s5 * r + 5.0 / 3.0 * r * r) * (-s5 * r).exp()
     }
 }
 
@@ -141,16 +96,6 @@ mod tests {
         let k = SquaredExponential::isotropic(1.0, 1.0);
         // weight = 0.5 per dim, two dims each at distance 1 → exp(-1)
         assert!((k.eval(&[0.0, 0.0], &[1.0, 1.0]) - (-1.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matern_is_symmetric_decreasing() {
-        let k = Matern52::new(1.0, 0.5);
-        assert!((k.eval(&[0.3], &[0.3]) - 1.0).abs() < 1e-12);
-        let near = k.eval(&[0.0], &[0.1]);
-        let far = k.eval(&[0.0], &[0.9]);
-        assert!(near > far && far > 0.0);
-        assert_eq!(k.eval(&[0.0], &[0.4]), k.eval(&[0.4], &[0.0]));
     }
 
     #[test]

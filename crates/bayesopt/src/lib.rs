@@ -2,8 +2,9 @@
 //!
 //! Implements the surrogate-model machinery of the paper's §III-B:
 //! a Gaussian-process regressor (Eqs. 5–8) with the exponential kernel of
-//! Eq. (9), and the trial-selection rule `α_{t} = argmax p(g(α) | g(α_{1:t−1}))`
-//! realized by maximizing an acquisition function over sampled candidates.
+//! Eq. (9), [`SquaredExponential`], and the trial-selection rule
+//! `α_{t} = argmax p(g(α) | g(α_{1:t−1}))` realized by maximizing an
+//! acquisition function over sampled candidates.
 //!
 //! The paper's own acquisition is the posterior mean
 //! ([`Acquisition::PosteriorMean`]); expected improvement and UCB are
@@ -44,6 +45,6 @@ mod sampler;
 pub use acquisition::Acquisition;
 pub use chol::{cholesky, Cholesky};
 pub use gp::{GaussianProcess, GpError, Posterior};
-pub use kernel::{Kernel, Matern52, SquaredExponential};
+pub use kernel::SquaredExponential;
 pub use opt::{nan_low_cmp, BayesOpt, Observation};
 pub use sampler::latin_hypercube;

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 
 use rand::Rng;
 
-use crate::{latin_hypercube, Acquisition, GaussianProcess, GpError, Kernel};
+use crate::{latin_hypercube, Acquisition, GaussianProcess, GpError, SquaredExponential};
 
 /// Total order over objective values that deterministically ranks NaN below
 /// every other value (including `-∞`), and is otherwise
@@ -59,23 +59,23 @@ pub struct Observation {
 /// allocates only the point it returns.
 ///
 /// See the crate-level example for end-to-end usage.
-pub struct BayesOpt<K: Kernel> {
+pub struct BayesOpt {
     dim: usize,
     acquisition: Acquisition,
     candidates_per_suggest: usize,
     observations: Vec<Observation>,
-    gp: GaussianProcess<K>,
+    gp: GaussianProcess,
     /// The candidate batch, one row of `dim` per candidate, row-major.
     candidates: Vec<f64>,
 }
 
-impl<K: Kernel> BayesOpt<K> {
+impl BayesOpt {
     /// Creates an optimizer over `[0, 1]^dim` with the given kernel.
     ///
     /// # Panics
     ///
     /// Panics if `dim` is zero.
-    pub fn new(dim: usize, kernel: K) -> Self {
+    pub fn new(dim: usize, kernel: SquaredExponential) -> Self {
         assert!(dim > 0, "search space must have at least one dimension");
         BayesOpt {
             dim,
@@ -221,7 +221,7 @@ fn incumbent(observations: &[Observation]) -> Option<&Observation> {
     observations.iter().max_by(|a, b| nan_low_cmp(a.y, b.y))
 }
 
-impl<K: Kernel> std::fmt::Debug for BayesOpt<K> {
+impl std::fmt::Debug for BayesOpt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BayesOpt")
             .field("dim", &self.dim)
@@ -234,7 +234,6 @@ impl<K: Kernel> std::fmt::Debug for BayesOpt<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SquaredExponential;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -1,6 +1,6 @@
 //! Width-scaled AlexNet and VGG-11 (Fig. 3(c, e)).
 
-use nn::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu, Sequential};
+use nn::{Activation, Conv2d, Dense, Dropout, Flatten, MaxPool2d, Sequential};
 use rand::Rng;
 
 use crate::delegate_layer;
@@ -13,7 +13,7 @@ fn conv_block(
     rng: &mut impl Rng,
 ) {
     layers.push(Box::new(Conv2d::new(in_ch, out_ch, 3, 1, 1, rng)));
-    layers.push(Box::new(Relu::new()));
+    layers.push(Activation::Relu.build());
     layers.push(Box::new(Dropout::new(0.0, seed)));
 }
 
@@ -57,7 +57,7 @@ impl AlexNetS {
         layers.push(Box::new(Flatten::new()));
         let flat = 64 * (hw / 8) * (hw / 8);
         layers.push(Box::new(Dense::new(flat, 96, rng)));
-        layers.push(Box::new(Relu::new()));
+        layers.push(Activation::Relu.build());
         layers.push(Box::new(Dropout::new(0.0, 0xa4)));
         layers.push(Box::new(Dense::new(96, classes, rng)));
         AlexNetS {
@@ -98,7 +98,7 @@ impl Vgg11S {
         layers.push(Box::new(Flatten::new()));
         let flat = ch * (hw / 16) * (hw / 16);
         layers.push(Box::new(Dense::new(flat, 96, rng)));
-        layers.push(Box::new(Relu::new()));
+        layers.push(Activation::Relu.build());
         layers.push(Box::new(Dropout::new(0.0, seed)));
         layers.push(Box::new(Dense::new(96, classes, rng)));
         Vgg11S {

@@ -9,7 +9,7 @@
 //! search space as the classifiers.
 
 use datasets::{BBox, Scene};
-use nn::{Conv2d, Dropout, Layer, MaxPool2d, Mode, Relu, Sequential, Workspace};
+use nn::{Activation, Conv2d, Dropout, Layer, MaxPool2d, Mode, Sequential, Workspace};
 use rand::Rng;
 use tensor::Tensor;
 
@@ -41,11 +41,11 @@ impl TinyDetector {
         assert_eq!(hw % GRID, 0, "scene size must be divisible by {GRID}");
         let net = Sequential::new(vec![
             Box::new(Conv2d::new(3, 16, 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xf1)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Conv2d::new(16, 32, 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xf2)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Conv2d::new(32, 5, 1, 1, 0, rng)),

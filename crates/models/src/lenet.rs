@@ -1,7 +1,7 @@
 //! LeNet-5 (Fig. 3(b)): the classic two-convolution network, sized for the
 //! 14×14 synthetic digit images.
 
-use nn::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu, Sequential};
+use nn::{Activation, Conv2d, Dense, Dropout, Flatten, MaxPool2d, Sequential};
 use rand::Rng;
 use tensor::Conv2dSpec;
 
@@ -49,16 +49,16 @@ impl LeNet5 {
         let flat = 16 * p2 * p2;
         let net = Sequential::new(vec![
             Box::new(Conv2d::new(in_channels, 6, 5, 1, 2, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0x1e1)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Conv2d::new(6, 16, 5, 1, 0, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0x1e2)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Flatten::new()),
             Box::new(Dense::new(flat, 48, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0x1e3)),
             Box::new(Dense::new(48, classes, rng)),
         ]);

@@ -5,7 +5,7 @@
 //! conclusion ("deeper falls steeper under drift") depends on relative
 //! depth, not absolute layer count.
 
-use nn::{Conv2d, Dense, Dropout, GlobalAvgPool, PreActBlock, Relu, Residual, Sequential};
+use nn::{Activation, Conv2d, Dense, Dropout, GlobalAvgPool, PreActBlock, Residual, Sequential};
 use rand::Rng;
 
 use crate::delegate_layer;
@@ -20,7 +20,7 @@ fn res_block(
 ) -> Residual {
     let main = Sequential::new(vec![
         Box::new(Conv2d::new(in_ch, out_ch, 3, stride, 1, rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dropout::new(0.0, seed)),
         Box::new(Conv2d::new(out_ch, out_ch, 3, 1, 1, rng)),
     ]);
@@ -43,9 +43,9 @@ fn preact_block(
     rng: &mut impl Rng,
 ) -> PreActBlock {
     let main = Sequential::new(vec![
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Conv2d::new(in_ch, out_ch, 3, stride, 1, rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dropout::new(0.0, seed)),
         Box::new(Conv2d::new(out_ch, out_ch, 3, 1, 1, rng)),
     ]);
@@ -87,7 +87,7 @@ impl ResNet18S {
         let widths = [16usize, 32, 64];
         let mut layers: Vec<Box<dyn nn::Layer>> = vec![
             Box::new(Conv2d::new(in_channels, widths[0], 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xc0)),
         ];
         let mut ch = widths[0];
@@ -96,7 +96,7 @@ impl ResNet18S {
             for block in 0..2 {
                 let stride = if stage > 0 && block == 0 { 2 } else { 1 };
                 layers.push(Box::new(res_block(ch, w, stride, seed, rng)));
-                layers.push(Box::new(Relu::new()));
+                layers.push(Activation::Relu.build());
                 ch = w;
                 seed += 1;
             }
@@ -169,7 +169,7 @@ impl PreActResNetS {
                 seed += 1;
             }
         }
-        layers.push(Box::new(Relu::new()));
+        layers.push(Activation::Relu.build());
         layers.push(Box::new(GlobalAvgPool::new()));
         layers.push(Box::new(Dropout::new(0.0, seed)));
         layers.push(Box::new(Dense::new(ch, classes, rng)));

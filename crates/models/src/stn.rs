@@ -4,7 +4,8 @@
 //! paper uses for randomized-geometry traffic-sign recognition (ref. [27]).
 
 use nn::{
-    Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Relu, Sequential, Workspace,
+    Activation, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Sequential,
+    Workspace,
 };
 use rand::Rng;
 use tensor::Tensor;
@@ -41,11 +42,11 @@ impl SpatialTransformer {
         let flat = 8 * pooled * pooled;
         let mut loc = Sequential::new(vec![
             Box::new(Conv2d::new(in_channels, 8, 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Flatten::new()),
             Box::new(Dense::new(flat, 32, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dense::new(32, 6, rng)),
         ]);
         // Identity init of the affine head: zero weight, identity bias.
@@ -261,16 +262,16 @@ impl StnClassifier {
         let net = Sequential::new(vec![
             Box::new(SpatialTransformer::new(in_channels, hw, rng)),
             Box::new(Conv2d::new(in_channels, 16, 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xe1)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Conv2d::new(16, 32, 3, 1, 1, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xe2)),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Flatten::new()),
             Box::new(Dense::new(flat, 96, rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dropout::new(0.0, 0xe3)),
             Box::new(Dense::new(96, classes, rng)),
         ]);

@@ -9,30 +9,49 @@ use crate::{
     Layer, Mode, Workspace,
 };
 
+/// Leaky ReLU's slope for negative inputs.
+const LEAKY_SLOPE: f32 = 0.01;
+/// ELU's scale `α` for negative inputs.
+const ELU_ALPHA: f32 = 1.0;
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/π)
+const GELU_K: f32 = 0.044_715;
+
 /// Selects one of the paper's four activation functions when building
 /// parameterized models (Fig. 2(d) ablation).
+///
+/// # Example
+///
+/// ```
+/// use nn::{Activation, Mode};
+/// use tensor::Tensor;
+///
+/// let mut relu = Activation::Relu.build();
+/// let y = relu.forward(&Tensor::from_slice(&[-1.0, 2.0]), Mode::Eval);
+/// assert_eq!(y.as_slice(), &[0.0, 2.0]);
+/// assert_eq!(relu.name(), "relu");
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Activation {
-    /// Rectified linear unit.
+    /// Rectified linear unit: `max(0, x)`.
     #[default]
     Relu,
-    /// Leaky ReLU with slope 0.01.
+    /// Leaky ReLU: `x` for positive inputs, `0.01·x` otherwise.
     LeakyRelu,
-    /// Exponential linear unit with `α = 1`.
+    /// Exponential linear unit: `x` for positive inputs, `α(eˣ−1)` with
+    /// `α = 1` otherwise.
     Elu,
-    /// Gaussian error linear unit (tanh approximation).
+    /// Gaussian error linear unit (tanh approximation of Hendrycks &
+    /// Gimpel).
     Gelu,
 }
 
 impl Activation {
     /// Instantiates the corresponding layer.
     pub fn build(self) -> Box<dyn Layer> {
-        match self {
-            Activation::Relu => Box::new(Relu::new()),
-            Activation::LeakyRelu => Box::new(LeakyRelu::new(0.01)),
-            Activation::Elu => Box::new(Elu::new(1.0)),
-            Activation::Gelu => Box::new(Gelu::new()),
-        }
+        Box::new(ActivationLayer {
+            kind: self,
+            input: None,
+        })
     }
 
     /// All four variants, in the order plotted in Fig. 2(d).
@@ -44,178 +63,147 @@ impl Activation {
             Activation::Gelu,
         ]
     }
-}
 
-impl std::fmt::Display for Activation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
+    /// The printed name, which is also the built layer's [`Layer::name`].
+    const fn name(self) -> &'static str {
+        match self {
             Activation::Relu => "relu",
             Activation::LeakyRelu => "leaky_relu",
             Activation::Elu => "elu",
             Activation::Gelu => "gelu",
-        };
-        write!(f, "{name}")
-    }
-}
-
-macro_rules! elementwise_activation {
-    ($(#[$doc:meta])* $name:ident, $tag:literal, $fwd:expr, $bwd:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            input: Option<Tensor>,
-            alpha: f32,
-        }
-
-        impl Layer for $name {
-            fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-                if mode == Mode::Train {
-                    cache_into(&mut self.input, input.as_slice(), input.dims());
-                } else {
-                    invalidate_cache(&mut self.input);
-                }
-                let a = self.alpha;
-                let mut out = ws.take_tensor(input.dims());
-                for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                    *o = ($fwd)(x, a);
-                }
-                out
-            }
-
-            fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-                let input = self
-                    .input
-                    .as_ref()
-                    .expect(concat!("backward called before forward on ", $tag));
-                assert!(
-                    !input.is_empty(),
-                    concat!("backward called after an eval-mode forward on ", $tag)
-                );
-                assert_eq!(input.dims(), grad_out.dims(), concat!($tag, " gradient shape"));
-                let a = self.alpha;
-                let mut out = ws.take_tensor(input.dims());
-                for ((o, &x), &g) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(input.as_slice())
-                    .zip(grad_out.as_slice())
-                {
-                    *o = g * ($bwd)(x, a);
-                }
-                out
-            }
-
-            fn name(&self) -> &'static str {
-                $tag
-            }
-
-            fn clone_box(&self) -> Box<dyn Layer> {
-                Box::new(self.clone())
-            }
-        }
-    };
-}
-
-elementwise_activation!(
-    /// Rectified linear unit: `max(0, x)`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use nn::{Layer, Mode, Relu};
-    /// use tensor::Tensor;
-    ///
-    /// let mut relu = Relu::new();
-    /// let y = relu.forward(&Tensor::from_slice(&[-1.0, 2.0]), Mode::Eval);
-    /// assert_eq!(y.as_slice(), &[0.0, 2.0]);
-    /// ```
-    Relu,
-    "relu",
-    |x: f32, _a: f32| x.max(0.0),
-    |x: f32, _a: f32| if x > 0.0 { 1.0 } else { 0.0 }
-);
-
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new() -> Self {
-        Relu {
-            input: None,
-            alpha: 0.0,
         }
     }
 }
 
-impl Default for Relu {
-    fn default() -> Self {
-        Relu::new()
+impl std::fmt::Display for Activation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
-elementwise_activation!(
-    /// Leaky ReLU: `x` for positive inputs, `αx` otherwise.
-    LeakyRelu,
-    "leaky_relu",
-    |x: f32, a: f32| if x > 0.0 { x } else { a * x },
-    |x: f32, a: f32| if x > 0.0 { 1.0 } else { a }
-);
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
 
-impl LeakyRelu {
-    /// Creates a leaky ReLU with negative-side slope `alpha`.
-    pub fn new(alpha: f32) -> Self {
-        LeakyRelu { input: None, alpha }
+fn relu_grad(x: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else {
+        0.0
     }
 }
 
-elementwise_activation!(
-    /// Exponential linear unit: `x` for positive inputs, `α(eˣ−1)` otherwise.
-    Elu,
-    "elu",
-    |x: f32, a: f32| if x > 0.0 { x } else { a * (x.exp() - 1.0) },
-    |x: f32, a: f32| if x > 0.0 { 1.0 } else { a * x.exp() }
-);
-
-impl Elu {
-    /// Creates an ELU with scale `alpha`.
-    pub fn new(alpha: f32) -> Self {
-        Elu { input: None, alpha }
+fn leaky_relu(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        LEAKY_SLOPE * x
     }
 }
 
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/π)
-const GELU_K: f32 = 0.044_715;
+fn leaky_relu_grad(x: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else {
+        LEAKY_SLOPE
+    }
+}
 
-fn gelu_fwd(x: f32) -> f32 {
+fn elu(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        ELU_ALPHA * (x.exp() - 1.0)
+    }
+}
+
+fn elu_grad(x: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else {
+        ELU_ALPHA * x.exp()
+    }
+}
+
+fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + (GELU_C * (x + GELU_K * x * x * x)).tanh())
 }
 
-fn gelu_bwd(x: f32) -> f32 {
+fn gelu_grad(x: f32) -> f32 {
     let inner = GELU_C * (x + GELU_K * x * x * x);
     let t = inner.tanh();
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_K * x * x)
 }
 
-elementwise_activation!(
-    /// Gaussian error linear unit (tanh approximation of Hendrycks & Gimpel).
-    Gelu,
-    "gelu",
-    |x: f32, _a: f32| gelu_fwd(x),
-    |x: f32, _a: f32| gelu_bwd(x)
-);
-
-impl Gelu {
-    /// Creates a GELU layer.
-    pub fn new() -> Self {
-        Gelu {
-            input: None,
-            alpha: 0.0,
-        }
+/// Writes `f(x)` into `out` element by element; one instantiation per
+/// activation keeps each loop free of the kind dispatch.
+fn map_into(out: &mut [f32], x: &[f32], f: impl Fn(f32) -> f32) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = f(x);
     }
 }
 
-impl Default for Gelu {
-    fn default() -> Self {
-        Gelu::new()
+/// Writes `g · df(x)` into `out` element by element.
+fn grad_into(out: &mut [f32], x: &[f32], g: &[f32], df: impl Fn(f32) -> f32) {
+    for ((o, &x), &g) in out.iter_mut().zip(x).zip(g) {
+        *o = g * df(x);
+    }
+}
+
+/// The layer every [`Activation`] builds; caches its training input.
+#[derive(Clone)]
+struct ActivationLayer {
+    kind: Activation,
+    input: Option<Tensor>,
+}
+
+impl Layer for ActivationLayer {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
+        if mode == Mode::Train {
+            cache_into(&mut self.input, input.as_slice(), input.dims());
+        } else {
+            invalidate_cache(&mut self.input);
+        }
+        let mut out = ws.take_tensor(input.dims());
+        let (o, x) = (out.as_mut_slice(), input.as_slice());
+        match self.kind {
+            Activation::Relu => map_into(o, x, relu),
+            Activation::LeakyRelu => map_into(o, x, leaky_relu),
+            Activation::Elu => map_into(o, x, elu),
+            Activation::Gelu => map_into(o, x, gelu),
+        }
+        out
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let name = self.kind.name();
+        let input = self
+            .input
+            .as_ref()
+            .unwrap_or_else(|| panic!("backward called before forward on {name}"));
+        assert!(
+            !input.is_empty(),
+            "backward called after an eval-mode forward on {name}"
+        );
+        assert_eq!(input.dims(), grad_out.dims(), "{name} gradient shape");
+        let mut out = ws.take_tensor(input.dims());
+        let (o, x, g) = (out.as_mut_slice(), input.as_slice(), grad_out.as_slice());
+        match self.kind {
+            Activation::Relu => grad_into(o, x, g, relu_grad),
+            Activation::LeakyRelu => grad_into(o, x, g, leaky_relu_grad),
+            Activation::Elu => grad_into(o, x, g, elu_grad),
+            Activation::Gelu => grad_into(o, x, g, gelu_grad),
+        }
+        out
+    }
+
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 
@@ -224,34 +212,39 @@ mod tests {
     use super::*;
     use crate::numeric_gradient;
 
+    fn eval(act: Activation, x: &[f32]) -> Vec<f32> {
+        act.build()
+            .forward(&Tensor::from_slice(x), Mode::Eval)
+            .as_slice()
+            .to_vec()
+    }
+
     #[test]
     fn relu_clamps_negatives() {
-        let mut relu = Relu::new();
-        let y = relu.forward(&Tensor::from_slice(&[-2.0, 0.0, 3.0]), Mode::Eval);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 3.0]);
+        assert_eq!(eval(Activation::Relu, &[-2.0, 0.0, 3.0]), [0.0, 0.0, 3.0]);
     }
 
     #[test]
     fn leaky_relu_passes_scaled_negatives() {
-        let mut l = LeakyRelu::new(0.1);
-        let y = l.forward(&Tensor::from_slice(&[-10.0, 10.0]), Mode::Eval);
-        assert_eq!(y.as_slice(), &[-1.0, 10.0]);
+        assert_eq!(
+            eval(Activation::LeakyRelu, &[-10.0, 10.0]),
+            [-10.0 * LEAKY_SLOPE, 10.0]
+        );
     }
 
     #[test]
     fn elu_is_smooth_at_negative() {
-        let mut e = Elu::new(1.0);
-        let y = e.forward(&Tensor::from_slice(&[-1.0, 1.0]), Mode::Eval);
-        assert!((y.as_slice()[0] - ((-1.0f32).exp() - 1.0)).abs() < 1e-6);
-        assert_eq!(y.as_slice()[1], 1.0);
+        let y = eval(Activation::Elu, &[-1.0, 1.0]);
+        assert!((y[0] - ((-1.0f32).exp() - 1.0)).abs() < 1e-6);
+        assert_eq!(y[1], 1.0);
     }
 
     #[test]
     fn gelu_matches_reference_values() {
         // Reference values from the tanh approximation.
-        assert!((gelu_fwd(0.0)).abs() < 1e-7);
-        assert!((gelu_fwd(1.0) - 0.8412).abs() < 1e-3);
-        assert!((gelu_fwd(-1.0) + 0.1588).abs() < 1e-3);
+        assert!((gelu(0.0)).abs() < 1e-7);
+        assert!((gelu(1.0) - 0.8412).abs() < 1e-3);
+        assert!((gelu(-1.0) + 0.1588).abs() < 1e-3);
     }
 
     #[test]
@@ -271,5 +264,8 @@ mod tests {
     fn activation_display_names() {
         assert_eq!(Activation::Relu.to_string(), "relu");
         assert_eq!(Activation::Gelu.to_string(), "gelu");
+        for act in Activation::all() {
+            assert_eq!(act.build().name(), act.to_string());
+        }
     }
 }

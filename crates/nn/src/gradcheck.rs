@@ -20,12 +20,14 @@ use crate::{Layer, Mode, Workspace};
 /// # Example
 ///
 /// ```
-/// use nn::{GradCheck, Mode, Relu};
+/// use nn::{Activation, GradCheck, Mode};
 /// use tensor::Tensor;
 ///
-/// let mut relu = Relu::new();
+/// let mut relu = Activation::Relu.build();
 /// let x = Tensor::from_slice(&[-1.0, 0.5, 2.0]);
-/// let err = GradCheck::new().mode(Mode::Train).max_input_error(&mut relu, &x);
+/// let err = GradCheck::new()
+///     .mode(Mode::Train)
+///     .max_input_error(relu.as_mut(), &x);
 /// assert!(err < 1e-2);
 /// ```
 #[derive(Debug, Clone)]

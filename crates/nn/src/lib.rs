@@ -4,9 +4,10 @@
 //! building blocks in pure Rust: a [`Layer`] trait with explicit
 //! forward/backward passes, dense and convolutional layers, the four
 //! normalization schemes and four activation functions the paper ablates
-//! (Fig. 2), standard and alpha [`Dropout`] (the architectural knob BayesFT
-//! searches over), residual and pre-activation blocks, softmax
-//! cross-entropy, and SGD/momentum/Adam optimizers.
+//! (Fig. 2; built only by [`NormKind::build`] and [`Activation::build`]),
+//! standard and alpha [`Dropout`] (the architectural knob BayesFT searches
+//! over), residual and pre-activation blocks, softmax cross-entropy, and
+//! SGD/momentum/Adam optimizers.
 //!
 //! Design notes:
 //!
@@ -29,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use nn::{Dense, Layer, Mode, Relu, Sequential};
+//! use nn::{Activation, Dense, Layer, Mode, Sequential};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //! use tensor::Tensor;
@@ -37,7 +38,7 @@
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
 //! let mut net = Sequential::new(vec![
 //!     Box::new(Dense::new(4, 8, &mut rng)),
-//!     Box::new(Relu::new()),
+//!     Activation::Relu.build(),
 //!     Box::new(Dense::new(8, 2, &mut rng)),
 //! ]);
 //! let x = Tensor::ones(&[3, 4]);
@@ -58,14 +59,14 @@ mod param;
 mod residual;
 mod workspace;
 
-pub use activation::{Activation, Elu, Gelu, LeakyRelu, Relu};
+pub use activation::Activation;
 pub use conv::{AvgPool2d, Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
 pub use dense::Dense;
 pub use dropout::{AlphaDropout, Dropout};
 pub use gradcheck::{backward_ws_divergence, numeric_gradient, GradCheck};
 pub use layer::{Identity, Layer, Sequential};
 pub use loss::{mse_loss, one_hot, softmax_cross_entropy, softmax_cross_entropy_ws, LossOutput};
-pub use norm::{BatchNorm, GroupNorm, InstanceNorm, LayerNorm, NormKind};
+pub use norm::NormKind;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{Mode, Param, ParamKind};
 pub use residual::{PreActBlock, Residual};

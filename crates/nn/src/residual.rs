@@ -175,7 +175,7 @@ impl std::fmt::Debug for PreActBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, GradCheck, Identity, Relu};
+    use crate::{Activation, Dense, GradCheck, Identity};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -194,7 +194,7 @@ mod tests {
         let mut block = Residual::new(
             Sequential::new(vec![
                 Box::new(Dense::new(3, 3, &mut rng)),
-                Box::new(Relu::new()),
+                Activation::Relu.build(),
                 Box::new(Dense::new(3, 3, &mut rng)),
             ]),
             None,

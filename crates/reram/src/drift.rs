@@ -619,9 +619,6 @@ impl DriftModel for CompositeFault {
     }
 }
 
-/// Former name of [`CompositeFault`].
-pub type CompositeDrift = CompositeFault;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -503,7 +503,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Sequential::new(vec![
             Box::new(Dense::new(3, 4, &mut rng)),
-            Box::new(nn::Relu::new()),
+            nn::Activation::Relu.build(),
             Box::new(Dense::new(4, 2, &mut rng)),
         ])
     }
@@ -769,7 +769,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(22);
             Sequential::new(vec![
                 Box::new(Dense::new(3, 5, &mut rng)),
-                Box::new(nn::Relu::new()),
+                nn::Activation::Relu.build(),
                 Box::new(Dense::new(5, 2, &mut rng)),
             ])
         };
@@ -786,7 +786,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(24);
             Sequential::new(vec![
                 Box::new(Dense::new(3, 5, &mut rng)),
-                Box::new(nn::Relu::new()),
+                nn::Activation::Relu.build(),
                 Box::new(Dense::new(5, 2, &mut rng)),
             ])
         };

@@ -67,8 +67,8 @@ mod spec;
 
 pub use crossbar::{Crossbar, CrossbarConfig, DriftReport};
 pub use drift::{
-    BitFlipFault, CompositeDrift, CompositeFault, DeviceVariation, DriftModel, GaussianAdditive,
-    LevelQuantization, LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
+    BitFlipFault, CompositeFault, DeviceVariation, DriftModel, GaussianAdditive, LevelQuantization,
+    LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
 };
 pub use error::FaultError;
 pub use inject::{mix_seed, monte_carlo, FaultInjector, McState, McStats, WeightSnapshot};

@@ -5,7 +5,7 @@
 //! fault model in the suite, and the zero-draw shortcut against a
 //! per-sample reference.
 
-use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
+use nn::{Activation, Dense, Layer, Mode, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{monte_carlo, DriftModel, FaultInjector, McState};
@@ -48,7 +48,7 @@ fn test_net(seed: u64) -> Sequential {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Sequential::new(vec![
         Box::new(Dense::new(3, 4, &mut rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dense::new(4, 2, &mut rng)),
     ])
 }
@@ -268,7 +268,7 @@ fn inject_from_rejects_mismatched_snapshot() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         Sequential::new(vec![
             Box::new(Dense::new(3, 5, &mut rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dense::new(5, 2, &mut rng)),
         ])
     };

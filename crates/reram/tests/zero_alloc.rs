@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
+use nn::{Activation, Dense, Layer, Mode, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{monte_carlo, DriftModel, FaultInjector, LogNormalDrift, McState};
@@ -62,9 +62,9 @@ fn steady_state_trial_allocates_nothing() {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = Sequential::new(vec![
         Box::new(Dense::new(16, 32, &mut rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dense::new(32, 32, &mut rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dense::new(32, 4, &mut rng)),
     ]);
     let x = Tensor::ones(&[8, 16]);

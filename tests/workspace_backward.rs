@@ -13,9 +13,8 @@ use bayesft::{DropoutSearchSpace, Engine, ExperimentResult};
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
     backward_ws_divergence, softmax_cross_entropy, Activation, Adam, AlphaDropout, AvgPool2d,
-    BatchNorm, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, GroupNorm, Identity, InstanceNorm,
-    Layer, LayerNorm, MaxPool2d, Mode, Optimizer, PreActBlock, Relu, Residual, Sequential, Sgd,
-    Workspace,
+    Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Identity, Layer, MaxPool2d, Mode, NormKind,
+    Optimizer, PreActBlock, Residual, Sequential, Sgd, Workspace,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,7 +68,7 @@ fn structural_layers_match() {
     let residual = Residual::new(
         Sequential::new(vec![
             Box::new(Dense::new(4, 4, &mut rng)),
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
         ]),
         None,
     );
@@ -83,7 +82,7 @@ fn structural_layers_match() {
 
     let preact = PreActBlock::new(
         Sequential::new(vec![
-            Box::new(Relu::new()),
+            Activation::Relu.build(),
             Box::new(Dense::new(4, 4, &mut rng)),
         ]),
         None,
@@ -107,15 +106,12 @@ fn conv_and_pooling_layers_match() {
 fn norm_layers_match() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let x2 = Tensor::randn(&[4, 6], 1.0, 2.0, &mut rng);
-    assert_bwd_matches(&BatchNorm::new(6), &x2, "batch_norm rank-2");
-    assert_bwd_matches(&LayerNorm::new(6), &x2, "layer_norm rank-2");
-    assert_bwd_matches(&InstanceNorm::new(6), &x2, "instance_norm rank-2");
-    assert_bwd_matches(&GroupNorm::new(6, 3), &x2, "group_norm rank-2");
-    let x4 = Tensor::randn(&[2, 4, 3, 3], -1.0, 1.5, &mut rng);
-    assert_bwd_matches(&BatchNorm::new(4), &x4, "batch_norm rank-4");
-    assert_bwd_matches(&LayerNorm::new(4), &x4, "layer_norm rank-4");
-    assert_bwd_matches(&InstanceNorm::new(4), &x4, "instance_norm rank-4");
-    assert_bwd_matches(&GroupNorm::new(4, 2), &x4, "group_norm rank-4");
+    let x4 = Tensor::randn(&[2, 8, 3, 3], -1.0, 1.5, &mut rng);
+    for kind in NormKind::all() {
+        assert_bwd_matches(kind.build(6).as_ref(), &x2, &format!("{kind} rank-2"));
+        // Eight channels give group norm four 2-channel groups.
+        assert_bwd_matches(kind.build(8).as_ref(), &x4, &format!("{kind} rank-4"));
+    }
 }
 
 #[test]
@@ -177,17 +173,17 @@ fn params_only_backward_matches_full_backward() {
     let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut rng);
     let dense_first = Sequential::new(vec![
         Box::new(Dense::new(8, 6, &mut rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Dropout::new(0.4, 3)),
         Box::new(Dense::new(6, 3, &mut rng)),
     ]);
     assert_params_only_matches(&dense_first, &x, "dense-first sequential");
     let default_first = Sequential::new(vec![
-        Box::new(BatchNorm::new(8)),
+        NormKind::Batch.build(8),
         Box::new(Dense::new(8, 3, &mut rng)),
     ]);
     assert_params_only_matches(&default_first, &x, "batch-norm-first sequential");
-    assert_params_only_matches(&BatchNorm::new(8), &x, "batch norm alone");
+    assert_params_only_matches(NormKind::Batch.build(8).as_ref(), &x, "batch norm alone");
     let one = Sequential::new(vec![Box::new(Dense::new(8, 2, &mut rng))]);
     assert_params_only_matches(&one, &x, "one-child sequential");
     assert_params_only_matches(&Sequential::empty(), &x, "empty sequential");
@@ -200,7 +196,7 @@ fn params_only_backward_matches_full_backward() {
     assert_params_only_matches(&flatten_first, &img, "flatten-first sequential");
     let conv_first = Sequential::new(vec![
         Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)),
-        Box::new(Relu::new()),
+        Activation::Relu.build(),
         Box::new(Conv2d::new(4, 3, 3, 1, 0, &mut rng)),
     ]);
     assert_params_only_matches(&conv_first, &img, "conv-first sequential");

@@ -57,7 +57,7 @@ fn structural_layers_match() {
     let mut residual = Residual::new(
         Sequential::new(vec![
             Box::new(Dense::new(4, 4, &mut rng)),
-            Box::new(nn::Relu::new()),
+            nn::Activation::Relu.build(),
         ]),
         None,
     );
@@ -71,7 +71,7 @@ fn structural_layers_match() {
 
     let mut preact = PreActBlock::new(
         Sequential::new(vec![
-            Box::new(nn::Relu::new()),
+            nn::Activation::Relu.build(),
             Box::new(Dense::new(4, 4, &mut rng)),
         ]),
         None,
@@ -151,7 +151,7 @@ fn train_mode_falls_back_and_keeps_backward_working() {
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     let mut net = Sequential::new(vec![
         Box::new(Dense::new(5, 8, &mut rng)),
-        Box::new(nn::Relu::new()),
+        nn::Activation::Relu.build(),
         Box::new(Dropout::new(0.4, 11)),
         Box::new(Dense::new(8, 2, &mut rng)),
     ]);
