@@ -69,22 +69,6 @@ impl Codebook {
         &self.codes[class]
     }
 
-    /// Minimum pairwise Hamming distance of the codebook.
-    pub fn min_distance(&self) -> usize {
-        let mut best = self.bits;
-        for a in 0..self.codes.len() {
-            for b in (a + 1)..self.codes.len() {
-                let d = self.codes[a]
-                    .iter()
-                    .zip(&self.codes[b])
-                    .filter(|(x, y)| x != y)
-                    .count();
-                best = best.min(d);
-            }
-        }
-        best
-    }
-
     /// Decodes one output row (logits) to the nearest class: the first
     /// codeword at minimum Hamming distance from the thresholded row.
     ///
@@ -170,9 +154,16 @@ mod tests {
         for classes in [2usize, 10, 43] {
             let cb = Codebook::hadamard(classes);
             assert!(cb.bits() > classes);
+            let min_distance = (0..classes)
+                .flat_map(|a| (a + 1..classes).map(move |b| (a, b)))
+                .map(|(a, b)| {
+                    let (p, q) = (cb.code(a), cb.code(b));
+                    p.iter().zip(q).filter(|(x, y)| x != y).count()
+                })
+                .min();
             assert_eq!(
-                cb.min_distance(),
-                cb.bits() / 2,
+                min_distance,
+                Some(cb.bits() / 2),
                 "{classes}-class codebook distance"
             );
         }

@@ -24,7 +24,7 @@ use crate::TrainedModel;
 pub struct ReRamVConfig {
     /// Crossbar device model used for re-programming passes.
     pub device: CrossbarConfig,
-    /// Number of diagnose/re-program iterations per calibration.
+    /// Number of re-program/read-back passes per calibration.
     pub iterations: usize,
     /// Fraction of the drift magnitude that re-accumulates after the last
     /// calibration (0 = calibration happens at inference time, 1 = never).
@@ -44,11 +44,12 @@ impl Default for ReRamVConfig {
 /// Monte-Carlo accuracy of a trained model under ReRAM-V compensated
 /// deployment at resistance variation `sigma`.
 ///
-/// Per trial: (1) weights drift with `LogNormal(σ)`; (2) ReRAM-V diagnoses
-/// and re-programs every parameter tensor through a [`Crossbar`] for
-/// `iterations` passes (each pass limited by programming noise and
-/// quantization); (3) residual drift `LogNormal(residual_fraction·σ)`
-/// accumulates before evaluation. Trial `t` is seeded `mix_seed(seed, t)`.
+/// Per trial: (1) weights drift with `LogNormal(σ)`; (2) ReRAM-V
+/// re-programs every parameter tensor through a [`Crossbar`] for
+/// `iterations` passes and keeps the read-back closest to the reference
+/// (each pass limited by programming noise and quantization); (3) residual
+/// drift `LogNormal(residual_fraction·σ)` accumulates before evaluation.
+/// Trial `t` is seeded `mix_seed(seed, t)`.
 ///
 /// # Panics
 ///

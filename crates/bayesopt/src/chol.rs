@@ -103,14 +103,6 @@ impl Cholesky {
             b[i] = acc / self.l[i * n + i];
         }
     }
-
-    /// Log-determinant of `A`: `2·Σ log L[i][i]`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// Factorizes a symmetric positive-definite matrix given row-major into a
@@ -153,7 +145,6 @@ mod tests {
                 assert!((c.at(i, j) - expected[i * 3 + j]).abs() < 1e-10);
             }
         }
-        assert!((c.log_det() - (36.0f64).ln()).abs() < 1e-10);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Posterior {
 /// ```
 pub struct GaussianProcess {
     kernel: SquaredExponential,
-    pub(crate) noise: f64,
+    noise: f64,
     /// Fitted observations (0 while unfitted).
     n: usize,
     dim: usize,
@@ -205,32 +205,6 @@ impl GaussianProcess {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
-
-    /// Log marginal likelihood of the fitted data (model-selection
-    /// diagnostic): `−½ yᵀα − Σ log Lᵢᵢ − n/2 log 2π`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::NotFitted`] before the first successful fit.
-    pub fn log_marginal_likelihood(&self) -> Result<f64, GpError> {
-        if self.n == 0 {
-            return Err(GpError::NotFitted);
-        }
-        let chol = &self.chol;
-        let n = self.n as f64;
-        // yᵀα where y is centered: recover from alpha through K·alpha = y.
-        // We stored only alpha; compute yᵀα = αᵀKα = ‖Lᵀα‖².
-        let mut yta = 0.0;
-        for i in 0..self.n {
-            // (Lᵀ α)_i = Σ_{j>=i} L[j][i] α_j
-            let mut v = 0.0;
-            for j in i..self.n {
-                v += chol.at(j, i) * self.alpha[j];
-            }
-            yta += v * v;
-        }
-        Ok(-0.5 * yta - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
-    }
 }
 
 impl fmt::Debug for GaussianProcess {
@@ -341,16 +315,5 @@ mod tests {
             .expect("jitter escalation handles duplicates");
         let p = gp.posterior(&[0.3]).unwrap();
         assert!((p.mean - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn log_marginal_likelihood_is_finite_and_sane() {
-        let gp = fitted_gp();
-        let lml = gp.log_marginal_likelihood().unwrap();
-        assert!(lml.is_finite());
-        // Better-fitting model should have higher LML than an absurd one.
-        let mut bad = GaussianProcess::new(SquaredExponential::isotropic(1e-6, 1e-3), 1e-8);
-        bad.fit([([0.0], 1.0), ([0.5], 0.0), ([1.0], 1.0)]).unwrap();
-        assert!(lml > bad.log_marginal_likelihood().unwrap());
     }
 }

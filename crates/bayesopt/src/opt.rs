@@ -93,17 +93,6 @@ impl BayesOpt {
         self
     }
 
-    /// Sets the GP observation-noise variance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise` is negative.
-    pub fn noise(mut self, noise: f64) -> Self {
-        assert!(noise >= 0.0, "noise variance must be non-negative");
-        self.gp.noise = noise;
-        self
-    }
-
     /// Sets how many candidates each `suggest` call scores.
     ///
     /// # Panics

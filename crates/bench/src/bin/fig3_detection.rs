@@ -30,8 +30,7 @@ fn main() {
     eprintln!("  [done] ERM detector");
 
     // BayesFT detector: the Algorithm-1 alternation with the drift-mAP
-    // objective. (The detector's typed decode methods keep this loop
-    // inline: the engine's objectives see only `&mut dyn Layer`.)
+    // objective.
     let mut bft = TinyDetector::new(24, &mut rng);
     let space = DropoutSearchSpace::probe(&mut bft);
     let epochs_per_trial = (epochs / bo_trials).max(1);

@@ -264,14 +264,6 @@ pub fn print_gains(table: &SweepTable, classes: usize) {
     println!();
 }
 
-/// Convenience: ERM-trained model for a model/task pair (used by ablation
-/// binaries).
-pub fn erm_model(kind: ModelKind, task: &Task, scale: Scale, seed: u64) -> TrainedModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let net = kind.build(task.in_channels, task.hw, task.classes, &mut rng);
-    train_erm(net, &task.train, &train_config(scale, seed))
-}
-
 /// Single-σ drift accuracy shortcut.
 pub fn drift_point(
     model: &mut TrainedModel,

@@ -58,68 +58,73 @@ impl TinyDetector {
         self.image_hw
     }
 
-    /// Grid side length (`hw / GRID`).
-    pub fn grid(&self) -> usize {
-        self.image_hw / GRID
-    }
-
-    /// Decodes raw head output for one image into `(box, score)` pairs with
-    /// objectness above `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` is not `[5, G, G]`.
-    pub fn decode(&self, raw: &Tensor, threshold: f32) -> Vec<(BBox, f32)> {
-        let g = self.grid();
-        assert_eq!(raw.dims(), &[5, g, g], "unexpected head output shape");
-        let cell = GRID as f32;
-        let size = self.image_hw as f32;
-        let mut out = Vec::new();
-        for i in 0..g {
-            for j in 0..g {
-                let score = sigmoid(raw.at(&[0, i, j]));
-                if score < threshold {
-                    continue;
-                }
-                let cx = (j as f32 + sigmoid(raw.at(&[1, i, j]))) * cell;
-                let cy = (i as f32 + sigmoid(raw.at(&[2, i, j]))) * cell;
-                let w = sigmoid(raw.at(&[3, i, j])) * size;
-                let h = sigmoid(raw.at(&[4, i, j])) * size;
-                out.push((
-                    BBox::new(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0),
-                    score,
-                ));
-            }
-        }
-        // Greedy NMS at IoU 0.4. Descending with NaN ranked last: a
-        // NaN-scored box (drift-corrupted head output) must not win the
-        // suppression contest by tie-ing against every real score.
-        out.sort_by(|a, b| tensor::nan_low_cmp(b.1, a.1));
-        let mut kept: Vec<(BBox, f32)> = Vec::new();
-        for (bbox, score) in out {
-            if kept.iter().all(|(k, _)| k.iou(&bbox) < 0.4) {
-                kept.push((bbox, score));
-            }
-        }
-        kept
-    }
-
     /// Runs inference on a batch of scene images `[N, 3, H, W]` and decodes
-    /// per-image detections.
+    /// per-image detections (see [`decode_detections`]).
     pub fn detect(&mut self, images: &Tensor, threshold: f32) -> Vec<Vec<(BBox, f32)>> {
-        let raw = self.net.forward(images, Mode::Eval);
-        let g = self.grid();
-        let n = images.dims()[0];
-        let per = 5 * g * g;
-        (0..n)
-            .map(|i| {
-                let slice =
-                    Tensor::from_vec(raw.as_slice()[i * per..(i + 1) * per].to_vec(), &[5, g, g])
-                        .expect("head slice length");
-                self.decode(&slice, threshold)
-            })
-            .collect()
+        decode_detections(
+            &self.net.forward(images, Mode::Eval),
+            self.image_hw,
+            threshold,
+        )
     }
+}
+
+/// Decodes the raw head output `[N, 5, G, G]` of a detector built for
+/// `image_hw`-pixel scenes (`G = image_hw / GRID`) into per-image
+/// `(box, score)` pairs with objectness above `threshold`, after greedy
+/// non-maximum suppression.
+///
+/// # Panics
+///
+/// Panics if `raw` is not `[N, 5, G, G]`.
+pub fn decode_detections(raw: &Tensor, image_hw: usize, threshold: f32) -> Vec<Vec<(BBox, f32)>> {
+    let g = image_hw / GRID;
+    assert!(
+        raw.rank() == 4 && raw.dims()[1..] == [5, g, g],
+        "unexpected head output shape"
+    );
+    let per = 5 * g * g;
+    (0..raw.dims()[0])
+        .map(|i| {
+            let head = &raw.as_slice()[i * per..(i + 1) * per];
+            decode_image(head, g, image_hw, threshold)
+        })
+        .collect()
+}
+
+/// [`decode_detections`] for one image's `[5, G, G]` head output.
+fn decode_image(head: &[f32], g: usize, image_hw: usize, threshold: f32) -> Vec<(BBox, f32)> {
+    let at = |c: usize, i: usize, j: usize| head[(c * g + i) * g + j];
+    let cell = GRID as f32;
+    let size = image_hw as f32;
+    let mut out = Vec::new();
+    for i in 0..g {
+        for j in 0..g {
+            let score = sigmoid(at(0, i, j));
+            if score < threshold {
+                continue;
+            }
+            let cx = (j as f32 + sigmoid(at(1, i, j))) * cell;
+            let cy = (i as f32 + sigmoid(at(2, i, j))) * cell;
+            let w = sigmoid(at(3, i, j)) * size;
+            let h = sigmoid(at(4, i, j)) * size;
+            out.push((
+                BBox::new(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0),
+                score,
+            ));
+        }
+    }
+    // Greedy NMS at IoU 0.4. Descending with NaN ranked last: a NaN-scored
+    // box (drift-corrupted head output) must not win the suppression
+    // contest by tie-ing against every real score.
+    out.sort_by(|a, b| tensor::nan_low_cmp(b.1, a.1));
+    let mut kept: Vec<(BBox, f32)> = Vec::new();
+    for (bbox, score) in out {
+        if kept.iter().all(|(k, _)| k.iou(&bbox) < 0.4) {
+            kept.push((bbox, score));
+        }
+    }
+    kept
 }
 
 delegate_layer!(TinyDetector, "tiny_detector");
@@ -145,22 +150,10 @@ impl DetectionLoss {
     /// cells. Box terms: MSE between the sigmoid-decoded offsets/sizes and
     /// the encoded ground truth, on positive cells only.
     ///
-    /// # Panics
-    ///
-    /// Panics if `raw` is not `[N, 5, G, G]` with `N == scenes.len()`.
-    pub fn loss_and_grad(&self, raw: &Tensor, scenes: &[Scene], image_hw: usize) -> (f32, Tensor) {
-        let g = image_hw / GRID;
-        let mut grad = Tensor::zeros(raw.dims());
-        let mut targets = vec![0.0f32; 5 * g * g];
-        let loss = self.loss_and_grad_impl(raw, scenes, image_hw, &mut grad, &mut targets);
-        (loss, grad)
-    }
-
-    /// [`DetectionLoss::loss_and_grad`] backed by pooled buffers: the
-    /// gradient tensor and the per-scene target scratch both come from
+    /// The gradient tensor and the per-scene target scratch both come from
     /// `ws`, so a warmed training loop computes the loss with zero heap
     /// allocations. The caller recycles the returned gradient after its
-    /// backward pass. Bit-identical to the allocating variant.
+    /// backward pass.
     ///
     /// # Panics
     ///
@@ -173,29 +166,11 @@ impl DetectionLoss {
         ws: &mut Workspace,
     ) -> (f32, Tensor) {
         let g = image_hw / GRID;
+        let n = scenes.len();
+        assert_eq!(raw.dims(), &[n, 5, g, g], "head output shape mismatch");
         let mut grad = ws.take_tensor(raw.dims());
         grad.as_mut_slice().fill(0.0); // pooled buffers carry stale data
         let mut targets = ws.take(5 * g * g);
-        let loss = self.loss_and_grad_impl(raw, scenes, image_hw, &mut grad, &mut targets);
-        ws.recycle_vec(targets);
-        (loss, grad)
-    }
-
-    /// Shared kernel: `grad` must be pre-zeroed and shaped like `raw`;
-    /// `targets` is `5 * G * G` scratch holding per-cell
-    /// `[obj, cx-frac, cy-frac, w-frac, h-frac]` rows, rebuilt per scene.
-    fn loss_and_grad_impl(
-        &self,
-        raw: &Tensor,
-        scenes: &[Scene],
-        image_hw: usize,
-        grad: &mut Tensor,
-        targets: &mut [f32],
-    ) -> f32 {
-        let g = image_hw / GRID;
-        let n = scenes.len();
-        assert_eq!(raw.dims(), &[n, 5, g, g], "head output shape mismatch");
-        assert_eq!(targets.len(), 5 * g * g, "target scratch length mismatch");
         let cell = GRID as f32;
         let size = image_hw as f32;
         let mut loss = 0.0f32;
@@ -237,7 +212,8 @@ impl DetectionLoss {
                 }
             }
         }
-        loss
+        ws.recycle_vec(targets);
+        (loss, grad)
     }
 }
 
@@ -254,22 +230,20 @@ mod tests {
         let mut det = TinyDetector::new(24, &mut rng);
         let y = det.forward(&Tensor::ones(&[2, 3, 24, 24]), Mode::Eval);
         assert_eq!(y.dims(), &[2, 5, 6, 6]);
-        assert_eq!(det.grid(), 6);
     }
 
     #[test]
     fn decode_respects_threshold_and_nms() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let det = TinyDetector::new(24, &mut rng);
-        let mut raw = Tensor::full(&[5, 6, 6], -10.0); // all objectness ~0
-        *raw.at_mut(&[0, 2, 3]) = 10.0; // one confident cell
-        *raw.at_mut(&[1, 2, 3]) = 0.0; // cx at cell center
-        *raw.at_mut(&[2, 2, 3]) = 0.0; // cy at cell center
-        *raw.at_mut(&[3, 2, 3]) = 0.0; // w = 12 px
-        *raw.at_mut(&[4, 2, 3]) = 0.0; // h = 12 px
-        let dets = det.decode(&raw, 0.5);
+        let mut raw = Tensor::full(&[1, 5, 6, 6], -10.0); // all objectness ~0
+        *raw.at_mut(&[0, 0, 2, 3]) = 10.0; // one confident cell
+        *raw.at_mut(&[0, 1, 2, 3]) = 0.0; // cx at cell center
+        *raw.at_mut(&[0, 2, 2, 3]) = 0.0; // cy at cell center
+        *raw.at_mut(&[0, 3, 2, 3]) = 0.0; // w = 12 px
+        *raw.at_mut(&[0, 4, 2, 3]) = 0.0; // h = 12 px
+        let dets = decode_detections(&raw, 24, 0.5);
         assert_eq!(dets.len(), 1);
-        let (bbox, score) = dets[0];
+        assert_eq!(dets[0].len(), 1);
+        let (bbox, score) = dets[0][0];
         assert!(score > 0.99);
         let (cx, cy) = bbox.center();
         assert!((cx - 14.0).abs() < 0.1 && (cy - 10.0).abs() < 0.1);
@@ -283,19 +257,17 @@ mod tests {
         // tied against every real detection, leaving the winner to
         // input order. With nan_low_cmp the NaN box sorts last, so the
         // overlapping real box wins suppression deterministically.
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let det = TinyDetector::new(24, &mut rng);
-        let mut raw = Tensor::full(&[5, 6, 6], -10.0);
+        let mut raw = Tensor::full(&[1, 5, 6, 6], -10.0);
         // Two adjacent confident cells decoding to overlapping boxes;
         // the earlier (scan-order) one is NaN-corrupted.
         for (cell, logit) in [(2usize, f32::NAN), (3usize, 10.0)] {
-            *raw.at_mut(&[0, 2, cell]) = logit;
-            *raw.at_mut(&[1, 2, cell]) = 0.0;
-            *raw.at_mut(&[2, 2, cell]) = 0.0;
-            *raw.at_mut(&[3, 2, cell]) = 2.0; // wide boxes → IoU > 0.4
-            *raw.at_mut(&[4, 2, cell]) = 2.0;
+            *raw.at_mut(&[0, 0, 2, cell]) = logit;
+            *raw.at_mut(&[0, 1, 2, cell]) = 0.0;
+            *raw.at_mut(&[0, 2, 2, cell]) = 0.0;
+            *raw.at_mut(&[0, 3, 2, cell]) = 2.0; // wide boxes → IoU > 0.4
+            *raw.at_mut(&[0, 4, 2, cell]) = 2.0;
         }
-        let dets = det.decode(&raw, 0.5);
+        let dets = &decode_detections(&raw, 24, 0.5)[0];
         assert_eq!(dets.len(), 1, "overlapping pair must collapse to one");
         assert!(dets[0].1 > 0.99, "the real box must win, got {}", dets[0].1);
     }
@@ -306,7 +278,9 @@ mod tests {
         let scenes = ped_scenes(2, 24, 2, &mut rng);
         let loss_fn = DetectionLoss::default();
         let raw = Tensor::randn(&[2, 5, 6, 6], 0.0, 1.0, &mut rng);
-        let (_, grad) = loss_fn.loss_and_grad(&raw, scenes.scenes(), 24);
+        let mut ws = Workspace::new();
+        let mut loss = |raw: &Tensor| loss_fn.loss_and_grad_ws(raw, scenes.scenes(), 24, &mut ws);
+        let (_, grad) = loss(&raw);
         let eps = 1e-2;
         let mut max_err = 0.0f32;
         for i in (0..raw.len()).step_by(17) {
@@ -314,21 +288,20 @@ mod tests {
             hi.as_mut_slice()[i] += eps;
             let mut lo = raw.clone();
             lo.as_mut_slice()[i] -= eps;
-            let num = (loss_fn.loss_and_grad(&hi, scenes.scenes(), 24).0
-                - loss_fn.loss_and_grad(&lo, scenes.scenes(), 24).0)
-                / (2.0 * eps);
+            let num = (loss(&hi).0 - loss(&lo).0) / (2.0 * eps);
             max_err = max_err.max((num - grad.as_slice()[i]).abs());
         }
         assert!(max_err < 1e-3, "gradient error {max_err}");
     }
 
     #[test]
-    fn workspace_loss_is_bit_identical_to_the_allocating_variant() {
+    fn dirty_workspace_loss_is_bit_identical_to_a_fresh_one() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let scenes = ped_scenes(3, 24, 2, &mut rng);
         let loss_fn = DetectionLoss::default();
         let raw = Tensor::randn(&[3, 5, 6, 6], 0.0, 1.0, &mut rng);
-        let (loss, grad) = loss_fn.loss_and_grad(&raw, scenes.scenes(), 24);
+        let (loss, grad) =
+            loss_fn.loss_and_grad_ws(&raw, scenes.scenes(), 24, &mut Workspace::new());
         let mut ws = Workspace::new();
         // Pre-dirty the pool so stale contents would surface a missing clear.
         let dirty = Tensor::full(&[3, 5, 6, 6], 7.5);
@@ -355,14 +328,16 @@ mod tests {
         }
         let images = Tensor::from_vec(data, &[4, 3, 24, 24]).unwrap();
         let mut opt = nn::Adam::new(0.01);
+        let mut ws = Workspace::new();
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..40 {
             let raw = det.forward(&images, Mode::Train);
-            let (loss, grad) = loss_fn.loss_and_grad(&raw, scenes.scenes(), 24);
+            let (loss, grad) = loss_fn.loss_and_grad_ws(&raw, scenes.scenes(), 24, &mut ws);
             first.get_or_insert(loss);
             last = loss;
             let _ = det.backward(&grad);
+            ws.recycle(grad);
             nn::Optimizer::step(&mut opt, &mut det);
         }
         assert!(last < first.unwrap(), "detector loss must decrease");

@@ -76,12 +76,6 @@ impl ModelKind {
         }
     }
 
-    /// Whether the model consumes flat `[N, D]` rows rather than image
-    /// tensors.
-    pub fn wants_flat_input(&self) -> bool {
-        matches!(self, ModelKind::Mlp)
-    }
-
     /// Label used in figure output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -126,7 +120,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         for kind in kinds {
             let mut net = kind.build(3, 16, 10, &mut rng);
-            let x = if kind.wants_flat_input() {
+            let x = if kind == ModelKind::Mlp {
                 Tensor::ones(&[2, 3 * 16 * 16])
             } else {
                 Tensor::ones(&[2, 3, 16, 16])

@@ -49,7 +49,7 @@ mod resnet;
 mod stn;
 
 pub use convnets::{AlexNetS, Vgg11S};
-pub use detector::{DetectionLoss, TinyDetector, GRID};
+pub use detector::{decode_detections, DetectionLoss, TinyDetector, GRID};
 pub use kind::ModelKind;
 pub use lenet::LeNet5;
 pub use mlp::{DropoutKind, Mlp, MlpConfig};

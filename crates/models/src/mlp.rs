@@ -166,9 +166,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for depth in [2, 3, 6, 9] {
             let mut mlp = Mlp::new(&MlpConfig::new(4, 2).depth(depth), &mut rng);
+            // Only dense weights are matrices; biases are vectors.
             let mut dense = 0;
             mlp.visit_params(&mut |p| {
-                if p.kind == nn::ParamKind::Weight {
+                if p.value.rank() == 2 {
                     dense += 1;
                 }
             });
@@ -179,14 +180,14 @@ mod tests {
     #[test]
     fn norm_variant_adds_norm_params() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut with_norm = Mlp::new(&MlpConfig::new(4, 2).norm(NormKind::Batch), &mut rng);
-        let mut norm_params = 0;
-        with_norm.visit_params(&mut |p| {
-            if matches!(p.kind, nn::ParamKind::NormGain | nn::ParamKind::NormBias) {
-                norm_params += 1;
-            }
-        });
-        assert_eq!(norm_params, 4); // 2 hidden layers × (γ, β)
+        let mut tensors = |cfg: &MlpConfig| {
+            let mut count = 0;
+            Mlp::new(cfg, &mut rng).visit_params(&mut |_| count += 1);
+            count
+        };
+        let plain = tensors(&MlpConfig::new(4, 2));
+        let with_norm = tensors(&MlpConfig::new(4, 2).norm(NormKind::Batch));
+        assert_eq!(with_norm - plain, 4); // 2 hidden layers × (γ, β)
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl SpatialTransformer {
         });
         SpatialTransformer { loc, cache: None }
     }
-
-    /// The most recent predicted affine parameters (testing hook).
-    pub fn last_theta(&self) -> Option<&Tensor> {
-        self.cache.as_ref().map(|c| &c.theta)
-    }
 }
 
 /// Zero-padded pixel fetch.

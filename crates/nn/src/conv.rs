@@ -5,7 +5,7 @@ use tensor::{
     col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Pool2dSpec, Tensor,
 };
 
-use crate::{Layer, Mode, Param, ParamKind, Workspace};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// Refreshes `dims` in place, avoiding the `to_vec` allocation when the
 /// cached extents are already current (the steady-state training case).
@@ -109,8 +109,8 @@ impl Conv2d {
         let weight = Tensor::he_normal(&[out_channels, fan_in], fan_in, rng);
         Conv2d {
             spec,
-            weight: Param::new(weight, ParamKind::Weight),
-            bias: Param::new(Tensor::zeros(&[out_channels]), ParamKind::Bias),
+            weight: Param::new(weight),
+            bias: Param::new(Tensor::zeros(&[out_channels])),
             tape: Vec::new(),
             mix: Vec::new(),
             col: Vec::new(),
@@ -383,105 +383,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling over `[N, C, H, W]`.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    spec: Pool2dSpec,
-    input_dims: Vec<usize>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with a square `window` and `stride`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `stride` is zero.
-    pub fn new(window: usize, stride: usize) -> Self {
-        AvgPool2d {
-            spec: Pool2dSpec::new(window, stride),
-            input_dims: Vec::new(),
-        }
-    }
-}
-
-impl AvgPool2d {
-    /// The window scan: pools every sample into `out`.
-    fn pool_into(&mut self, input: &Tensor, out: &mut Tensor, mode: Mode) {
-        assert_eq!(input.rank(), 4, "avg_pool2d expects [N, C, H, W] input");
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        if mode == Mode::Train {
-            cache_dims(&mut self.input_dims, input.dims());
-        } else {
-            self.input_dims.clear(); // eval invalidates the tape
-        }
-        let per_sample = c * h * w;
-        let out_per_sample = out.len() / n;
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for i in 0..n {
-            tensor::avg_pool2d_into(
-                &src[i * per_sample..(i + 1) * per_sample],
-                &mut dst[i * out_per_sample..(i + 1) * out_per_sample],
-                &self.spec,
-                c,
-                h,
-                w,
-            );
-        }
-    }
-
-    fn output_dims(&self, input: &Tensor) -> [usize; 4] {
-        let (oh, ow) = self.spec.output_hw(input.dims()[2], input.dims()[3]);
-        [input.dims()[0], input.dims()[1], oh, ow]
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        assert_eq!(input.rank(), 4, "avg_pool2d expects [N, C, H, W] input");
-        let mut out = ws.take_tensor(&self.output_dims(input));
-        self.pool_into(input, &mut out, mode);
-        out
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert!(
-            !self.input_dims.is_empty(),
-            "backward called before forward on avg_pool2d"
-        );
-        let n = self.input_dims[0];
-        let (c, h, w) = (self.input_dims[1], self.input_dims[2], self.input_dims[3]);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let per_sample = c * h * w;
-        let out_per_sample = c * oh * ow;
-        let mut grad_in = ws.take_tensor(&self.input_dims);
-        for i in 0..n {
-            tensor::avg_pool2d_backward_into(
-                &grad_out.as_slice()[i * out_per_sample..(i + 1) * out_per_sample],
-                &mut grad_in.as_mut_slice()[i * per_sample..(i + 1) * per_sample],
-                &self.spec,
-                c,
-                h,
-                w,
-            );
-        }
-        grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
 /// Global average pooling: `[N, C, H, W] -> [N, C]`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
@@ -630,8 +531,9 @@ mod tests {
     fn conv_identity_kernel_reproduces_input() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
-        conv.visit_params(&mut |p| match p.kind {
-            ParamKind::Weight => p.value = Tensor::ones(&[1, 1]),
+        // The [1, 1] kernel matrix becomes 1, the length-1 bias 0.
+        conv.visit_params(&mut |p| match p.value.rank() {
+            2 => p.value = Tensor::ones(&[1, 1]),
             _ => p.value = Tensor::zeros(&[1]),
         });
         let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 1, 3, 3]).unwrap();
@@ -802,14 +704,6 @@ mod tests {
         assert_eq!(y.as_slice(), &[4.0, 8.0]);
         let g = pool.backward(&Tensor::from_vec(vec![1.0, 1.0], &[2, 1, 1, 1]).unwrap());
         assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avg_pool_gradcheck() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut rng);
-        assert!(GradCheck::new().max_input_error(&mut pool, &x) < 1e-2);
     }
 
     #[test]

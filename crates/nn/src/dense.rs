@@ -5,7 +5,7 @@ use tensor::{gemm_into, gemm_nt_into, gemm_tn_into, Tensor};
 
 use crate::{
     layer::{cache_into, invalidate_cache},
-    Layer, Mode, Param, ParamKind, Workspace,
+    Layer, Mode, Param, Workspace,
 };
 
 /// A fully connected layer: `y = x·W + b` with `x: [N, in]`, `W: [in, out]`.
@@ -41,8 +41,8 @@ impl Dense {
         let weight =
             Tensor::xavier_uniform(&[in_features, out_features], in_features, out_features, rng);
         Dense {
-            weight: Param::new(weight, ParamKind::Weight),
-            bias: Param::new(Tensor::zeros(&[out_features]), ParamKind::Bias),
+            weight: Param::new(weight),
+            bias: Param::new(Tensor::zeros(&[out_features])),
             input: None,
             in_features,
             out_features,

@@ -236,15 +236,6 @@ impl Sequential {
         self.layers.push(layer);
     }
 
-    /// Inserts a layer at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > len`.
-    pub fn insert(&mut self, index: usize, layer: Box<dyn Layer>) {
-        self.layers.insert(index, layer);
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -258,11 +249,6 @@ impl Sequential {
     /// Immutable access to the layers.
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
-    }
-
-    /// Mutable access to the layers.
-    pub fn layers_mut(&mut self) -> &mut Vec<Box<dyn Layer>> {
-        &mut self.layers
     }
 
     /// Names of all layers in order (for summaries and tests).
@@ -367,7 +353,7 @@ mod tests {
         struct AddOne;
         impl Layer for AddOne {
             fn forward_ws(&mut self, input: &Tensor, _m: Mode, _ws: &mut Workspace) -> Tensor {
-                input.add_scalar(1.0)
+                input.map(|v| v + 1.0)
             }
             fn backward_ws(&mut self, g: &Tensor, _ws: &mut Workspace) -> Tensor {
                 g.clone()
@@ -386,11 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn sequential_insert_and_push() {
+    fn sequential_push_appends() {
         let mut net = Sequential::empty();
         assert!(net.is_empty());
         net.push(Box::new(Identity::new()));
-        net.insert(0, Box::new(Identity::new()));
+        net.push(Box::new(Identity::new()));
         assert_eq!(net.len(), 2);
     }
 }

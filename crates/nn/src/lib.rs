@@ -60,14 +60,14 @@ mod residual;
 mod workspace;
 
 pub use activation::Activation;
-pub use conv::{AvgPool2d, Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
+pub use conv::{Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
 pub use dense::Dense;
 pub use dropout::{AlphaDropout, Dropout};
 pub use gradcheck::{backward_ws_divergence, numeric_gradient, GradCheck};
 pub use layer::{Identity, Layer, Sequential};
-pub use loss::{mse_loss, one_hot, softmax_cross_entropy, softmax_cross_entropy_ws, LossOutput};
+pub use loss::{softmax_cross_entropy, softmax_cross_entropy_ws, LossOutput};
 pub use norm::NormKind;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use param::{Mode, Param, ParamKind};
+pub use param::{Mode, Param};
 pub use residual::{PreActBlock, Residual};
 pub use workspace::Workspace;

@@ -1,5 +1,4 @@
-//! Loss functions: softmax cross-entropy (classification) and mean squared
-//! error (regression heads in the detector).
+//! Softmax cross-entropy, the loss of every softmax-head trainer.
 
 use tensor::Tensor;
 
@@ -103,36 +102,6 @@ fn softmax_cross_entropy_impl(mut grad: Tensor, labels: &[usize]) -> LossOutput 
     }
 }
 
-/// Mean squared error between `pred` and `target` (same shape), averaged
-/// over all elements. Gradient is `2(pred − target)/len`.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn mse_loss(pred: &Tensor, target: &Tensor) -> LossOutput {
-    assert_eq!(pred.dims(), target.dims(), "mse shape mismatch");
-    let diff = pred.sub(target);
-    let n = pred.len().max(1) as f32;
-    LossOutput {
-        loss: diff.norm_sq() / n,
-        grad: diff.scale(2.0 / n),
-    }
-}
-
-/// One-hot encodes labels into an `[N, C]` tensor.
-///
-/// # Panics
-///
-/// Panics if any label is `>= classes`.
-pub fn one_hot(labels: &[usize], classes: usize) -> Tensor {
-    let mut t = Tensor::zeros(&[labels.len(), classes]);
-    for (i, &label) in labels.iter().enumerate() {
-        assert!(label < classes, "label {label} out of range");
-        *t.at_mut(&[i, label]) = 1.0;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,29 +171,5 @@ mod tests {
             ws.recycle(out.grad);
         }
         assert_eq!(ws.pooled_buffers(), 1);
-    }
-
-    #[test]
-    fn mse_of_equal_tensors_is_zero() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let out = mse_loss(&a, &a);
-        assert_eq!(out.loss, 0.0);
-        assert_eq!(out.grad.as_slice(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn mse_gradient_direction() {
-        let pred = Tensor::from_slice(&[2.0]);
-        let target = Tensor::from_slice(&[0.0]);
-        let out = mse_loss(&pred, &target);
-        assert_eq!(out.loss, 4.0);
-        assert_eq!(out.grad.as_slice(), &[4.0]);
-    }
-
-    #[test]
-    fn one_hot_rows() {
-        let t = one_hot(&[1, 0], 3);
-        assert_eq!(t.row(0), &[0.0, 1.0, 0.0]);
-        assert_eq!(t.row(1), &[1.0, 0.0, 0.0]);
     }
 }

@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 use tensor::Tensor;
 
-use crate::{Layer, Mode, Param, ParamKind, Workspace};
+use crate::{Layer, Mode, Param, Workspace};
 
 const EPS: f32 = 1e-5;
 /// Weight of the newest batch in batch norm's running statistics.
@@ -329,8 +329,8 @@ impl Norm {
         Norm {
             kind,
             num_features,
-            gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
-            beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
+            gamma: Param::new(Tensor::ones(&[num_features])),
+            beta: Param::new(Tensor::zeros(&[num_features])),
             running_mean: running(0.0),
             running_var: running(1.0),
             cache: NormCache::default(),

@@ -14,29 +14,15 @@ pub enum Mode {
     Eval,
 }
 
-/// What role a parameter plays; used by optimizers (weight decay skips
-/// biases/norm parameters) and by fault-injection reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ParamKind {
-    /// Multiplicative weights (dense/conv kernels).
-    Weight,
-    /// Additive biases.
-    Bias,
-    /// Normalization gain (`γ` in the paper's Eq. 2).
-    NormGain,
-    /// Normalization shift (`β` in the paper's Eq. 2).
-    NormBias,
-}
-
 /// A trainable tensor together with its accumulated gradient.
 ///
 /// # Example
 ///
 /// ```
-/// use nn::{Param, ParamKind};
+/// use nn::Param;
 /// use tensor::Tensor;
 ///
-/// let mut p = Param::new(Tensor::ones(&[2, 2]), ParamKind::Weight);
+/// let mut p = Param::new(Tensor::ones(&[2, 2]));
 /// p.grad.add_scaled(&Tensor::ones(&[2, 2]), 0.5);
 /// p.zero_grad();
 /// assert_eq!(p.grad.sum(), 0.0);
@@ -47,15 +33,13 @@ pub struct Param {
     pub value: Tensor,
     /// Gradient accumulated by the most recent backward pass(es).
     pub grad: Tensor,
-    /// Role of this parameter in its layer.
-    pub kind: ParamKind,
 }
 
 impl Param {
     /// Wraps a value tensor with a zeroed gradient of the same shape.
-    pub fn new(value: Tensor, kind: ParamKind) -> Self {
+    pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.dims());
-        Param { value, grad, kind }
+        Param { value, grad }
     }
 
     /// Resets the gradient to zero.
@@ -80,7 +64,7 @@ mod tests {
 
     #[test]
     fn new_param_has_zero_grad_same_shape() {
-        let p = Param::new(Tensor::ones(&[3, 4]), ParamKind::Weight);
+        let p = Param::new(Tensor::ones(&[3, 4]));
         assert_eq!(p.grad.dims(), &[3, 4]);
         assert_eq!(p.grad.sum(), 0.0);
         assert_eq!(p.len(), 12);
@@ -88,7 +72,7 @@ mod tests {
 
     #[test]
     fn zero_grad_clears() {
-        let mut p = Param::new(Tensor::ones(&[2]), ParamKind::Bias);
+        let mut p = Param::new(Tensor::ones(&[2]));
         p.grad = Tensor::from_slice(&[1.0, -2.0]);
         p.zero_grad();
         assert_eq!(p.grad.as_slice(), &[0.0, 0.0]);

@@ -4,17 +4,15 @@
 //! `w = s·(G⁺ − G⁻)`: positive weights program `G⁺`, negative weights
 //! program `G⁻`, and both cells sit in a bounded conductance range
 //! `[g_min, g_max]` with a finite number of programmable levels. Programming
-//! adds level-quantization error; reading adds Gaussian read noise; time
-//! and temperature drift the stored conductances multiplicatively.
+//! adds level-quantization error; reading adds Gaussian read noise.
 //!
 //! The [`ReRAM-V` baseline](https://doi.org/10.5555/3130379.3130385) (paper
-//! ref. [5]) uses [`Crossbar::diagnose`] to measure realized drift and
-//! re-programs the cells iteratively.
+//! ref. [5]) re-programs each drifted tensor with [`Crossbar::program`] and
+//! reads it back with [`Crossbar::read`], keeping the closest of several
+//! passes.
 
 use rand::RngCore;
 use tensor::Tensor;
-
-use crate::DriftModel;
 
 /// Physical configuration of a crossbar array.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,18 +57,6 @@ impl CrossbarConfig {
             read_noise: 0.0,
         }
     }
-}
-
-/// Drift diagnosis produced by comparing a crossbar read-out against
-/// reference weights.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftReport {
-    /// Mean absolute weight error.
-    pub mean_abs_error: f32,
-    /// Maximum absolute weight error.
-    pub max_abs_error: f32,
-    /// Fraction of weights whose relative error exceeds 10%.
-    pub fraction_drifted: f32,
 }
 
 /// A programmed crossbar holding one weight matrix as differential
@@ -170,67 +156,11 @@ impl Crossbar {
         }
         out
     }
-
-    /// Applies a drift model to every stored conductance (both cells of the
-    /// differential pair).
-    pub fn drift(&mut self, model: &dyn DriftModel, rng: &mut dyn RngCore) {
-        let range = self.config.g_max - self.config.g_min;
-        for g in self
-            .g_pos
-            .as_mut_slice()
-            .iter_mut()
-            .chain(self.g_neg.as_mut_slice())
-        {
-            *g = model.perturb(*g, rng).clamp(0.0, self.config.g_min + range);
-        }
-    }
-
-    /// Compares a (noiseless-as-possible) read-out against `reference`
-    /// weights and reports drift statistics — the diagnosis step of the
-    /// ReRAM-V baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` has a different shape.
-    pub fn diagnose(&self, reference: &Tensor, rng: &mut dyn RngCore) -> DriftReport {
-        assert_eq!(reference.dims(), &self.dims[..], "diagnosis shape mismatch");
-        let read = self.read(rng);
-        let mut mean_abs = 0.0f32;
-        let mut max_abs = 0.0f32;
-        let mut drifted = 0usize;
-        for (&r, &w) in read.as_slice().iter().zip(reference.as_slice()) {
-            let err = (r - w).abs();
-            mean_abs += err;
-            max_abs = max_abs.max(err);
-            if err > 0.1 * w.abs().max(1e-6) {
-                drifted += 1;
-            }
-        }
-        let n = reference.len().max(1) as f32;
-        DriftReport {
-            mean_abs_error: mean_abs / n,
-            max_abs_error: max_abs,
-            fraction_drifted: drifted as f32 / n,
-        }
-    }
-
-    /// Re-programs the crossbar towards `weights` (compensation step of
-    /// ReRAM-V). Equivalent to a fresh [`Crossbar::program`] with the same
-    /// device config.
-    pub fn reprogram(&mut self, weights: &Tensor, rng: &mut dyn RngCore) {
-        *self = Crossbar::program(weights, self.config, rng);
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &CrossbarConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogNormalDrift;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -268,42 +198,6 @@ mod tests {
                 "error {} above half-step bound",
                 (r - t).abs()
             );
-        }
-    }
-
-    #[test]
-    fn drift_degrades_readout() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let w = weights();
-        let mut xbar = Crossbar::program(&w, CrossbarConfig::ideal(), &mut rng);
-        let before = xbar.diagnose(&w, &mut rng);
-        xbar.drift(&LogNormalDrift::new(0.5), &mut rng);
-        let after = xbar.diagnose(&w, &mut rng);
-        assert!(after.mean_abs_error > before.mean_abs_error);
-        assert!(after.fraction_drifted > 0.0);
-    }
-
-    #[test]
-    fn reprogram_heals_drift() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let w = weights();
-        let mut xbar = Crossbar::program(&w, CrossbarConfig::ideal(), &mut rng);
-        xbar.drift(&LogNormalDrift::new(1.0), &mut rng);
-        xbar.reprogram(&w, &mut rng);
-        let report = xbar.diagnose(&w, &mut rng);
-        assert!(
-            report.mean_abs_error < 1e-3,
-            "reprogramming must restore weights"
-        );
-    }
-
-    #[test]
-    fn conductances_stay_in_range_under_extreme_drift() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut xbar = Crossbar::program(&weights(), CrossbarConfig::default(), &mut rng);
-        xbar.drift(&LogNormalDrift::new(3.0), &mut rng);
-        for &g in xbar.g_pos.as_slice().iter().chain(xbar.g_neg.as_slice()) {
-            assert!((0.0..=100.0).contains(&g), "conductance {g} out of range");
         }
     }
 }

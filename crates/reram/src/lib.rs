@@ -30,8 +30,8 @@
 //!   and per-worker workspaces across calls, and a fault level that draws
 //!   no randomness is scored once per worker.
 //! * [`Crossbar`] — a device-level model (differential conductance pairs,
-//!   programming noise, quantized levels, read noise) that gives the
-//!   ReRAM-V baseline something to diagnose and re-program.
+//!   programming noise, quantized levels, read noise) that the ReRAM-V
+//!   baseline re-programs drifted weights onto and reads back.
 //!
 //! # Example
 //!
@@ -65,7 +65,7 @@ mod error;
 mod inject;
 mod spec;
 
-pub use crossbar::{Crossbar, CrossbarConfig, DriftReport};
+pub use crossbar::{Crossbar, CrossbarConfig};
 pub use drift::{
     BitFlipFault, CompositeFault, DeviceVariation, DriftModel, GaussianAdditive, LevelQuantization,
     LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,

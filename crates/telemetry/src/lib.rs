@@ -440,11 +440,6 @@ pub fn finish_trace() -> std::io::Result<()> {
     }
 }
 
-/// Whether a trace sink is currently installed.
-pub fn trace_active() -> bool {
-    TRACE_ACTIVE.load(Ordering::Relaxed)
-}
-
 /// Format a bound the way Prometheus expects (`+Inf` for infinity).
 fn fmt_bound(b: f64) -> String {
     if b.is_infinite() {
@@ -584,7 +579,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("telemetry_trace_{}.json", std::process::id()));
         install_trace(&path).unwrap();
-        assert!(trace_active());
         static BOUNDS: &[f64] = &[1.0];
         let h = histogram("trace_test_seconds", BOUNDS);
         {
@@ -592,7 +586,6 @@ mod tests {
             let _inner = Span::enter("inner", h);
         }
         finish_trace().unwrap();
-        assert!(!trace_active());
 
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -5,7 +5,7 @@
 //! handful of operations deep-learning training actually needs — elementwise
 //! arithmetic with scalar and same-shape operands, 2-D matrix products (plus
 //! the transposed variants backpropagation wants), `im2col`-based 2-D
-//! convolution, max/average pooling, and axis reductions.
+//! convolution, max pooling, and reductions.
 //!
 //! The design intentionally trades generality for predictability:
 //!
@@ -43,7 +43,7 @@ pub use conv::{col2im_into, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into};
 pub use ops::{argmax_row, nan_low_cmp};
-pub use pool::{avg_pool2d_backward_into, avg_pool2d_into, max_pool2d_into, Pool2dSpec};
+pub use pool::{max_pool2d_into, Pool2dSpec};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 

@@ -1,4 +1,4 @@
-//! Elementwise arithmetic, scalar ops, broadcasting helpers and reductions.
+//! Elementwise arithmetic, scalar ops and reductions.
 
 use crate::Tensor;
 
@@ -51,16 +51,16 @@ impl Tensor {
         self.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
     }
 
-    /// Combines two same-shape tensors elementwise with `f`.
+    /// Elementwise difference.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.dims(),
             other.dims(),
-            "zip_map shape mismatch: {} vs {}",
+            "sub shape mismatch: {} vs {}",
             self.shape(),
             other.shape()
         );
@@ -68,28 +68,8 @@ impl Tensor {
         out.as_mut_slice()
             .iter_mut()
             .zip(other.as_slice())
-            .for_each(|(a, &b)| *a = f(*a, b));
+            .for_each(|(a, &b)| *a -= b);
         out
-    }
-
-    /// Elementwise sum. See [`Tensor::zip_map`] for panic conditions.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a + b)
-    }
-
-    /// Elementwise difference. See [`Tensor::zip_map`] for panic conditions.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product. See [`Tensor::zip_map`] for panic conditions.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a * b)
-    }
-
-    /// Elementwise quotient. See [`Tensor::zip_map`] for panic conditions.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a / b)
     }
 
     /// Adds `other` into `self` in place.
@@ -118,39 +98,9 @@ impl Tensor {
             .for_each(|(a, &b)| *a += scale * b);
     }
 
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
-    }
-
-    /// Multiplies every element by a scalar.
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|v| v * s)
-    }
-
     /// Multiplies every element by a scalar in place.
     pub fn scale_inplace(&mut self, s: f32) {
         self.map_inplace(|v| v * s);
-    }
-
-    /// Adds a length-`cols` bias row to every row of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not rank 2 or `bias` length differs from the
-    /// column count.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "add_row_broadcast requires a rank-2 tensor");
-        let cols = self.dims()[1];
-        assert_eq!(bias.len(), cols, "bias length must equal column count");
-        let mut out = self.clone();
-        for r in 0..self.dims()[0] {
-            let row = out.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(bias.as_slice()) {
-                *v += b;
-            }
-        }
-        out
     }
 
     /// Sum of all elements.
@@ -185,23 +135,6 @@ impl Tensor {
             .copied()
             // lint:allow(R2, reason = "documented IEEE minNum semantics: NaN elements are skipped, not ranked")
             .fold(f32::INFINITY, f32::min)
-    }
-
-    /// Sum over axis 0 of a rank-2 tensor, producing a length-`cols` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn sum_axis0(&self) -> Tensor {
-        assert_eq!(self.rank(), 2, "sum_axis0 requires a rank-2 tensor");
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut out = Tensor::zeros(&[cols]);
-        for r in 0..rows {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        out
     }
 
     /// Index of the maximum element of each row of a rank-2 tensor.
@@ -269,25 +202,21 @@ mod tests {
     fn elementwise_arithmetic() {
         let a = t22([1.0, 2.0, 3.0, 4.0]);
         let b = t22([4.0, 3.0, 2.0, 1.0]);
-        assert_eq!(a.add(&b).as_slice(), &[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(a.sub(&b).as_slice(), &[-3.0, -1.0, 1.0, 3.0]);
-        assert_eq!(a.mul(&b).as_slice(), &[4.0, 6.0, 6.0, 4.0]);
-        assert_eq!(a.div(&b).as_slice(), &[0.25, 2.0 / 3.0, 1.5, 4.0]);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn add_rejects_shape_mismatch() {
-        let a = Tensor::zeros(&[2, 2]);
-        let b = Tensor::zeros(&[4]);
-        let _ = a.add(&b);
+        let mut a = Tensor::zeros(&[2, 2]);
+        a.add_assign(&Tensor::zeros(&[4]));
     }
 
     #[test]
     fn scalar_ops() {
-        let a = t22([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0, 8.0]);
+        let mut a = t22([1.0, 2.0, 3.0, 4.0]);
+        a.scale_inplace(2.0);
+        assert_eq!(a.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
@@ -306,21 +235,6 @@ mod tests {
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.min(), 1.0);
         assert_eq!(a.norm_sq(), 30.0);
-    }
-
-    #[test]
-    fn sum_axis0_collapses_rows() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        assert_eq!(a.sum_axis0().as_slice(), &[5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn row_broadcast_adds_bias() {
-        let a = Tensor::from_vec(vec![0.0; 6], &[2, 3]).unwrap();
-        let b = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let c = a.add_row_broadcast(&b);
-        assert_eq!(c.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(c.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -32,8 +32,10 @@ proptest! {
     #[test]
     fn add_commutes(a in small_matrix()) {
         let b = a.map(|v| v * 0.5 - 1.0);
-        let ab = a.add(&b);
-        let ba = b.add(&a);
+        let mut ab = a.clone();
+        ab.add_assign(&b);
+        let mut ba = b.clone();
+        ba.add_assign(&a);
         prop_assert_eq!(ab.as_slice(), ba.as_slice());
     }
 
@@ -44,7 +46,9 @@ proptest! {
 
     #[test]
     fn scale_is_linear_in_sum(a in small_matrix(), k in -4.0f32..4.0) {
-        let scaled_sum = a.scale(k).sum();
+        let mut scaled = a.clone();
+        scaled.scale_inplace(k);
+        let scaled_sum = scaled.sum();
         prop_assert!((scaled_sum - k * a.sum()).abs() < 1e-2 * (1.0 + a.sum().abs() * k.abs()));
     }
 

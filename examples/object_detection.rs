@@ -26,10 +26,13 @@ fn train(det: &mut TinyDetector, data: &datasets::DetectionDataset, epochs: usiz
     let images = stack(data);
     let loss_fn = DetectionLoss::default();
     let mut opt = nn::Adam::new(0.01);
+    let mut ws = nn::Workspace::new();
     for e in 0..epochs {
         let raw = det.forward(&images, Mode::Train);
-        let (loss, grad) = loss_fn.loss_and_grad(&raw, data.scenes(), data.image_size());
+        let (loss, grad) =
+            loss_fn.loss_and_grad_ws(&raw, data.scenes(), data.image_size(), &mut ws);
         let _ = det.backward(&grad);
+        ws.recycle(grad);
         opt.step(det);
         if e % 20 == 0 {
             println!("  epoch {e:>3}: loss {loss:.4}");

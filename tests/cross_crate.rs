@@ -25,7 +25,7 @@ fn drift_injection_round_trips_across_model_zoo() {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     for kind in kinds {
         let mut net = kind.build(3, 16, 10, &mut rng);
-        let x = if kind.wants_flat_input() {
+        let x = if kind == ModelKind::Mlp {
             Tensor::ones(&[1, 3 * 16 * 16])
         } else {
             Tensor::ones(&[1, 3, 16, 16])

@@ -12,9 +12,9 @@ use baselines::{
 use bayesft::{DropoutSearchSpace, Engine, ExperimentResult};
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
-    backward_ws_divergence, softmax_cross_entropy, Activation, Adam, AlphaDropout, AvgPool2d,
-    Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Identity, Layer, MaxPool2d, Mode, NormKind,
-    Optimizer, PreActBlock, Residual, Sequential, Sgd, Workspace,
+    backward_ws_divergence, softmax_cross_entropy, Activation, Adam, AlphaDropout, Conv2d, Dense,
+    Dropout, Flatten, GlobalAvgPool, Identity, Layer, MaxPool2d, Mode, NormKind, Optimizer,
+    PreActBlock, Residual, Sequential, Sgd, Workspace,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -97,7 +97,6 @@ fn conv_and_pooling_layers_match() {
     assert_bwd_matches(&Conv2d::new(3, 5, 3, 1, 1, &mut rng), &x, "conv 3x3 pad");
     assert_bwd_matches(&Conv2d::new(3, 4, 3, 2, 0, &mut rng), &x, "conv strided");
     assert_bwd_matches(&MaxPool2d::new(2, 2), &x, "max_pool2d");
-    assert_bwd_matches(&AvgPool2d::new(2, 2), &x, "avg_pool2d");
     assert_bwd_matches(&GlobalAvgPool::new(), &x, "global_avg_pool");
     assert_bwd_matches(&Flatten::new(), &x, "flatten");
 }
@@ -255,17 +254,12 @@ fn optimizer_loops_are_bit_identical_and_match_pre_refactor_goldens() {
             || Box::new(Sgd::new(0.05).momentum(0.9)),
             0x5de46f1e39e9c9f5,
         ),
+        // This batch's gradient norm stays below 1, so a 1.0 bound would
+        // never clip (its digest equals sgd+momentum's); at 0.2 it does.
         (
-            "sgd+wd+clip",
-            || {
-                Box::new(
-                    Sgd::new(0.05)
-                        .momentum(0.9)
-                        .weight_decay(0.01)
-                        .clip_norm(1.0),
-                )
-            },
-            0x041f5e570e6d61da,
+            "sgd+clip",
+            || Box::new(Sgd::new(0.05).momentum(0.9).clip_norm(0.2)),
+            0xa6661ade50fc95dc,
         ),
         ("adam", || Box::new(Adam::new(0.05)), 0x2e4fb25b39dd7cb7),
     ];

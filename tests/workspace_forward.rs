@@ -5,8 +5,8 @@
 
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
-    Activation, AlphaDropout, AvgPool2d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Identity,
-    Layer, MaxPool2d, Mode, PreActBlock, Residual, Sequential, Workspace,
+    Activation, AlphaDropout, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Identity, Layer,
+    MaxPool2d, Mode, PreActBlock, Residual, Sequential, Workspace,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -86,7 +86,6 @@ fn conv_and_pooling_layers_match() {
     assert_ws_matches(&mut Conv2d::new(3, 5, 3, 1, 1, &mut rng), &x);
     assert_ws_matches(&mut Conv2d::new(3, 4, 3, 2, 0, &mut rng), &x);
     assert_ws_matches(&mut MaxPool2d::new(2, 2), &x);
-    assert_ws_matches(&mut AvgPool2d::new(2, 2), &x);
     assert_ws_matches(&mut GlobalAvgPool::new(), &x);
     assert_ws_matches(&mut Flatten::new(), &x);
 }
