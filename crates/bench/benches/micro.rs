@@ -9,15 +9,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use baselines::train_step;
 use bayesft::{EvalCtx, Objective};
-use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, record_metric, BenchmarkId, Criterion,
+};
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{FaultInjector, LogNormalDrift};
+use reram::{DeviceVariation, DriftModel, FaultInjector, GaussianAdditive, LogNormalDrift};
 use tensor::{col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Tensor};
 
 /// Counts allocator traffic so benches can report bytes per trial.
@@ -95,6 +98,42 @@ fn bench_drift_injection(c: &mut Criterion) {
         snapshot.restore_into(&mut net).unwrap();
     }
     group.finish();
+
+    // `perturb_all` alone on the scalars of a 196-64x3-10 MLP (21,578),
+    // each pass from a pristine copy as `inject_from` does; ns per scalar,
+    // the copy included.
+    const SCALARS: usize = 196 * 64 + 64 + 2 * (64 * 64 + 64) + 64 * 10 + 10;
+    let pristine: Vec<f32> = (0..SCALARS)
+        .map(|i| ((i % 97) as f32 - 48.0) / 64.0)
+        .collect();
+    let models: [(&str, Box<dyn DriftModel>); 3] = [
+        ("lognormal", Box::new(LogNormalDrift::new(0.6))),
+        ("gaussian", Box::new(GaussianAdditive::new(0.15))),
+        ("devvar", Box::new(DeviceVariation::new(0.15))),
+    ];
+    let passes = samples(200);
+    for (name, model) in models {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut values = pristine.clone();
+        let mut pass = |values: &mut Vec<f32>| {
+            values.copy_from_slice(&pristine);
+            model.perturb_all(values, &mut rng);
+            black_box(&*values);
+        };
+        for _ in 0..2 {
+            pass(&mut values);
+        }
+        let start = Instant::now();
+        for _ in 0..passes {
+            pass(&mut values);
+        }
+        let ns = start.elapsed().as_nanos() as f64 / (passes * SCALARS) as f64;
+        record_metric(
+            format!("drift_injection/perturb_all/{name}"),
+            ns,
+            "ns/scalar",
+        );
+    }
 }
 
 /// The steady-state Monte-Carlo trial (the paper's Eq. 4 inner loop):

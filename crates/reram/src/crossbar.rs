@@ -134,7 +134,7 @@ impl Crossbar {
             target
         };
         if config.program_noise > 0.0 {
-            g += range * config.program_noise * super::drift::normal_sample(rng);
+            g += range * config.program_noise * super::drift::standard_normal(rng);
         }
         g.clamp(0.0, range)
     }
@@ -150,7 +150,7 @@ impl Crossbar {
         {
             let mut diff = gp - gn;
             if self.config.read_noise > 0.0 {
-                diff += range * self.config.read_noise * super::drift::normal_sample(rng);
+                diff += range * self.config.read_noise * super::drift::standard_normal(rng);
             }
             *o = self.scale * diff;
         }

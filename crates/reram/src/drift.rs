@@ -25,8 +25,16 @@ pub trait DriftModel: Send + Sync {
     ///
     /// An override must give the same bits and draw the same words from
     /// `rng`, in element order, as calling [`perturb`] on each element.
-    /// The default does exactly that; the Gaussian models override it to
-    /// draw the words of a chunk of scalars per `fill_bytes` call.
+    /// The default does exactly that. The Gaussian models override it:
+    /// they draw the words of 32 scalars per `fill_bytes` call and, on
+    /// x86-64 with the GNU C library, AVX2 and FMA, turn them into normals
+    /// (and [`LogNormalDrift`] into its `e^λ` factors) four lanes at a
+    /// time. That kernel replays, operation for operation, the `*_fma`
+    /// builds of `logf`, `cosf` and `expf` that glibc itself picks on such
+    /// a CPU, so every lane has the scalar call's bits. Tests check the
+    /// normal for every value either of its two 24-bit uniforms can take
+    /// and `expf` for every input on its fast path; a probe against the C
+    /// library, once per process, turns the kernel off if it disagrees.
     ///
     /// [`perturb`]: DriftModel::perturb
     fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
@@ -44,11 +52,7 @@ pub trait DriftModel: Send + Sync {
 const CHUNK: usize = 32;
 
 /// One standard-normal sample via Box–Muller (object-safe RNG variant).
-pub(crate) fn normal_sample(rng: &mut dyn rand::RngCore) -> f32 {
-    standard_normal(rng)
-}
-
-fn standard_normal(rng: &mut dyn rand::RngCore) -> f32 {
+pub(crate) fn standard_normal(rng: &mut dyn rand::RngCore) -> f32 {
     let w1 = rng.next_u32();
     normal_from_words(w1, rng.next_u32())
 }
@@ -56,28 +60,62 @@ fn standard_normal(rng: &mut dyn rand::RngCore) -> f32 {
 /// The one Box–Muller transform, of the words `w1`, `w2` in stream order.
 /// Each word maps to a uniform exactly as `gen_range(f32::EPSILON..1.0)`
 /// and `gen_range(0.0..1.0)` map it; neither can round up to 1.
-fn normal_from_words(w1: u32, w2: u32) -> f32 {
+pub(crate) fn normal_from_words(w1: u32, w2: u32) -> f32 {
     let unit = |w: u32| (w >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
     let u1 = f32::EPSILON + unit(w1) * (1.0 - f32::EPSILON);
     let u2 = unit(w2);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
-/// Replaces each element `v` of `values` by `f(v, z)`, where `z` is the
-/// standard normal [`standard_normal`] would draw next. The words of up
-/// to [`CHUNK`] scalars come from one `fill_bytes` call: every 8 bytes are
-/// one little-endian `next_u64`, which is two `next_u32` words, low first,
-/// for `ChaCha8Rng` and any generator built the same way.
-fn map_normals(values: &mut [f32], rng: &mut dyn rand::RngCore, f: impl Fn(f32, f32) -> f32) {
+/// Calls `f(values, z)` on each chunk of up to [`CHUNK`] elements of
+/// `values`, where `z[i]` is the standard normal [`standard_normal`]
+/// would draw next. The words of a chunk come from one `fill_bytes` call:
+/// every 8 bytes are one little-endian `next_u64`, which is two
+/// `next_u32` words, low first, for `ChaCha8Rng` and any generator built
+/// the same way.
+///
+/// On x86-64 with the GNU C library, AVX2 and FMA (the CPUs on which
+/// glibc picks its `*_fma` builds of `logf` and `cosf`), the normals come
+/// from a four-lane copy of those builds, with the scalar expression's own
+/// `f32` steps in between, so every normal has [`normal_from_words`]'s
+/// bits. The normal is the `f32` product of a factor of `w1` alone and a
+/// factor of `w2` alone, each a function of 24 bits, so tests that check
+/// both factors on all 2²⁴ inputs check every word pair. A probe against
+/// the C library, once per process, turns the copy off if it disagrees
+/// (an older glibc); elsewhere, or then, the scalar transform runs.
+fn map_normals(
+    values: &mut [f32],
+    rng: &mut dyn rand::RngCore,
+    mut f: impl FnMut(&mut [f32], &[f32]),
+) {
     let mut bytes = [0u8; 8 * CHUNK];
+    let mut z = [0.0f32; CHUNK];
     for chunk in values.chunks_mut(CHUNK) {
-        let bytes = &mut bytes[..8 * chunk.len()];
+        let (bytes, z) = (&mut bytes[..8 * chunk.len()], &mut z[..chunk.len()]);
         rng.fill_bytes(bytes);
-        for (v, w) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
-            let (w1, w2) = w.split_at(4);
-            let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
-            *v = f(*v, normal_from_words(word(w1), word(w2)));
-        }
+        fill_normals(bytes, z);
+        f(chunk, z);
+    }
+}
+
+/// Fills `z[i]` with [`normal_from_words`] of the `i`-th 8-byte word pair
+/// of `bytes`.
+fn fill_normals(bytes: &[u8], z: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+    if crate::vmath::normals(bytes, z) {
+        return;
+    }
+    for (z, w) in z.iter_mut().zip(bytes.chunks_exact(8)) {
+        let (w1, w2) = w.split_at(4);
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
+        *z = normal_from_words(word(w1), word(w2));
+    }
+}
+
+/// Replaces each `values[i]` by `f(values[i], z[i])`.
+fn apply_each(values: &mut [f32], z: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (v, &z) in values.iter_mut().zip(z) {
+        *v = f(*v, z);
     }
 }
 
@@ -154,6 +192,18 @@ impl LogNormalDrift {
     fn apply(&self, value: f32, z: f32) -> f32 {
         value * (self.sigma * z).exp()
     }
+
+    /// [`LogNormalDrift::apply`] on each value and its normal. Where
+    /// `map_normals` runs its four-lane `logf` and `cosf`, a copy of
+    /// glibc's `expf` runs beside them, with scalar `f32::exp` for the
+    /// lanes outside its fast path (`|σz| ≥ 88`).
+    fn apply_all(&self, values: &mut [f32], z: &[f32]) {
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        if crate::vmath::scale_by_exp(values, self.sigma, z) {
+            return;
+        }
+        apply_each(values, z, |v, z| self.apply(v, z));
+    }
 }
 
 impl DriftModel for LogNormalDrift {
@@ -166,7 +216,7 @@ impl DriftModel for LogNormalDrift {
 
     fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
         if self.sigma != 0.0 {
-            map_normals(values, rng, |v, z| self.apply(v, z));
+            map_normals(values, rng, |values, z| self.apply_all(values, z));
         }
     }
 
@@ -217,7 +267,9 @@ impl DriftModel for GaussianAdditive {
     }
 
     fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
-        map_normals(values, rng, |v, z| self.apply(v, z));
+        map_normals(values, rng, |values, z| {
+            apply_each(values, z, |v, z| self.apply(v, z));
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -363,7 +415,9 @@ impl DriftModel for DeviceVariation {
 
     fn perturb_all(&self, values: &mut [f32], rng: &mut dyn rand::RngCore) {
         if self.sigma != 0.0 {
-            map_normals(values, rng, |v, z| self.apply(v, z));
+            map_normals(values, rng, |values, z| {
+                apply_each(values, z, |v, z| self.apply(v, z));
+            });
         }
     }
 
@@ -927,39 +981,58 @@ mod tests {
     }
 
     /// Every model in this file at spread `s`, a chain of them, and a
-    /// model that relies on the default `perturb_all`.
+    /// model that relies on the default `perturb_all`. Probabilities are
+    /// `s` capped at 0.5.
     fn every_model(s: f32) -> Vec<Box<dyn DriftModel>> {
+        let p = s.min(0.5);
         vec![
             Box::new(LogNormalDrift::new(s)),
             Box::new(GaussianAdditive::new(s)),
             Box::new(UniformDrift::new(s)),
             Box::new(UniformAdditive::new(s)),
             Box::new(DeviceVariation::new(s)),
-            Box::new(StuckAtFault::new(s, s / 2.0, 1.5)),
-            Box::new(BitFlipFault::new(s, 8, 2.0)),
+            Box::new(StuckAtFault::new(p, p / 2.0, 1.5)),
+            Box::new(BitFlipFault::new(p, 8, 2.0)),
             Box::new(LevelQuantization::new(16, 2.0)),
             Box::new(CompositeFault::new(vec![
                 Box::new(LevelQuantization::new(16, 2.0)),
                 Box::new(LogNormalDrift::new(s)),
                 Box::new(GaussianAdditive::new(s)),
-                Box::new(StuckAtFault::new(s / 3.0, 0.0, 1.5)),
+                Box::new(StuckAtFault::new(p / 3.0, 0.0, 1.5)),
             ])),
             Box::new(PerScalar(Box::new(DeviceVariation::new(s)))),
         ]
     }
 
     /// `perturb_all` gives per-scalar `perturb`'s bits and draws the same
-    /// words, for lengths around the 32-scalar chunk and from even and
-    /// odd stream positions.
+    /// words: for lengths around the four-lane kernel step and the
+    /// 32-scalar chunk, from even and odd stream positions, at a spread
+    /// (σ = 40) where some log-normal factors overflow to ∞ or underflow
+    /// to 0, and with ±0, subnormal, ±∞ and NaN weights among the values.
     #[test]
     fn perturb_all_matches_per_scalar_perturb_bit_for_bit() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for s in [0.0f32, 0.3] {
+        let special = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-39,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let lens = (0usize..=9).chain([31, 32, 33, 35, 257, 258]);
+        let (mut overflowed, mut underflowed) = (false, false);
+        for s in [0.0f32, 0.3, 40.0] {
             for model in every_model(s) {
-                for len in [0usize, 1, 31, 32, 33, 257] {
+                for len in lens.clone() {
                     for drawn in [0, 1] {
-                        let values: Vec<f32> =
-                            (0..len).map(|i| (i as f32 - 100.0) / 37.0).collect();
+                        let values: Vec<f32> = (0..len)
+                            .map(|i| match i % 5 {
+                                3 => special[(i / 5) % special.len()],
+                                _ => (i as f32 - 100.0) / 37.0,
+                            })
+                            .collect();
                         let mut rng_all = ChaCha8Rng::seed_from_u64(len as u64 + 5);
                         for _ in 0..drawn {
                             let _ = rng_all.next_u32();
@@ -974,6 +1047,14 @@ mod tests {
                         let what = format!("{} at {s}, len {len}, {drawn} drawn", model.name());
                         assert_eq!(bits(&all), bits(&one), "{what}");
                         assert_eq!(rng_all.get_word_pos(), rng_one.get_word_pos(), "{what}");
+                        if model.name() == "log_normal" {
+                            for (v, d) in values.iter().zip(&all) {
+                                if v.is_normal() {
+                                    overflowed |= d.is_infinite();
+                                    underflowed |= *d == 0.0;
+                                }
+                            }
+                        }
                         // The Monte-Carlo zero-draw shortcut relies on these
                         // counts.
                         let words = match model.name() {
@@ -986,6 +1067,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            overflowed && underflowed,
+            "σ = 40 must push some e^λ past the f32 range"
+        );
     }
 
     #[test]

@@ -64,6 +64,8 @@ mod drift;
 mod error;
 mod inject;
 mod spec;
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+mod vmath;
 
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use drift::{
