@@ -5,7 +5,8 @@
 //!
 //! Set `BENCH_QUICK=1` for CI-sized sample counts, and `CRITERION_JSON=
 //! path.json` to dump every measurement (including the bytes-allocated
-//! gauges) as a JSON artifact.
+//! gauges) as a JSON artifact. A name filter runs only the benches and
+//! gauges whose id contains it: `cargo bench -p bench -- matmul`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +19,7 @@ use criterion::{
 };
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use reram::{DeviceVariation, DriftModel, FaultInjector, GaussianAdditive, LogNormalDrift};
 use tensor::{col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Tensor};
@@ -113,6 +114,10 @@ fn bench_drift_injection(c: &mut Criterion) {
     ];
     let passes = samples(200);
     for (name, model) in models {
+        let id = format!("drift_injection/perturb_all/{name}");
+        if !criterion::is_selected(&id) {
+            continue;
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut values = pristine.clone();
         let mut pass = |values: &mut Vec<f32>| {
@@ -128,11 +133,34 @@ fn bench_drift_injection(c: &mut Criterion) {
             pass(&mut values);
         }
         let ns = start.elapsed().as_nanos() as f64 / (passes * SCALARS) as f64;
-        record_metric(
-            format!("drift_injection/perturb_all/{name}"),
-            ns,
-            "ns/scalar",
-        );
+        record_metric(id, ns, "ns/scalar");
+    }
+
+    // The generator's share of a pass: the same words drawn as
+    // `perturb_all` draws them, 256 bytes (32 scalars' worth) per
+    // `fill_bytes` call through `dyn RngCore`; ns per 8 bytes, which is
+    // ns per scalar of the passes above.
+    let id = "drift_injection/chacha8_fill_bytes";
+    if criterion::is_selected(id) {
+        let mut chacha = ChaCha8Rng::seed_from_u64(1);
+        let rng: &mut dyn RngCore = &mut chacha;
+        let mut bytes = [0u8; 256];
+        let calls = SCALARS.div_ceil(32);
+        let mut pass = || {
+            for _ in 0..calls {
+                rng.fill_bytes(&mut bytes);
+                black_box(&bytes);
+            }
+        };
+        for _ in 0..2 {
+            pass();
+        }
+        let start = Instant::now();
+        for _ in 0..passes {
+            pass();
+        }
+        let ns = start.elapsed().as_nanos() as f64 / (passes * calls * 32) as f64;
+        record_metric(id, ns, "ns/8 bytes");
     }
 }
 

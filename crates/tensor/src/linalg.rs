@@ -16,17 +16,17 @@
 //!   the panel, gathering the tile's `MR` values of `A` per `k` from rows
 //!   (`nn`/`nt`) or a column run (`tn`).
 //! - The partial sums of a tile go back through `C` between K-chunks
-//!   (an `f32` store is exact), so the panel stays a fixed 4 KiB array
+//!   (an `f32` store is exact), so the panel stays a fixed 8 KiB array
 //!   and the kernel never allocates.
 //!
-//! # Two tile tables
+//! # Three tile tables
 //!
 //! A tile's accumulators are independent add chains, and an add has a
 //! latency of several cycles, so a tile needs about eight chains in
 //! flight to issue one vector add per cycle (Goto & van de Geijn,
 //! "Anatomy of High-Performance Matrix Multiplication", 2008). The one
-//! tile walker is compiled twice, each with its own table of `MR×NR` tile
-//! shapes by the number of columns left:
+//! tile walker is compiled three times, each with its own table of `MR×NR`
+//! tile shapes by the number of columns left:
 //!
 //! - The 128-bit table: 1×32 for ≥ 32 columns, 2×16 for 13–31, 2×12 for
 //!   9–12, 4×8 for 5–8 and 8×4 below. Every tile is 32 floats, eight SSE
@@ -38,9 +38,17 @@
 //!   accumulators (64 floats): the 1×32 tile would be only four 256-bit
 //!   chains and bound by add latency. Its 8×4 tail tile is eight 4-lane
 //!   chains, as in the 128-bit table.
+//! - The 512-bit table: 2×64 for ≥ 64 columns and 4×32 for 32–63, each
+//!   eight 16-lane accumulators (128 floats), then the 256-bit table's
+//!   4×16, 8×8 and 8×4 below 32. It is compiled with AVX-512F enabled and
+//!   chosen before the 256-bit table when the CPU reports AVX-512F. It has
+//!   no 8×16 tile (eight one-register rows) for 16–31 columns: tried in
+//!   place of the 4×16 tile, it made LeNet's 6×196×25 `nt` product about
+//!   three times slower on an AVX-512 Xeon.
 //!
-//! Neither table enables `fma`: a fused multiply-add rounds once where a
-//! multiply then an add round twice, so it would change the bits.
+//! No table enables `fma`, and no tile adds with one: a fused
+//! multiply-add rounds once where a multiply then an add round twice, so
+//! it would change the bits.
 //!
 //! # Per-element order invariant
 //!
@@ -48,7 +56,7 @@
 //! ascending `k`, each as a separate multiply then add — no fused
 //! multiply-add, no reassociation, no split accumulators. Blocking and the
 //! tile table only change *which* elements are in flight, never the order
-//! of additions within one element, so all three layouts and both tables
+//! of additions within one element, so all three layouts and all three tables
 //! agree with a naive sequential triple loop down to the last ULP (NaN
 //! payloads aside, which IEEE-754 leaves unspecified).
 //!
@@ -61,9 +69,11 @@
 
 use std::array::from_fn;
 
-/// Floats in the packed `B` K-panel (a 4 KiB stack array): an `NR`-column
-/// block packs up to `PANEL / NR` values of `k` per chunk.
-const PANEL: usize = 1024;
+/// Floats in the packed `B` K-panel (an 8 KiB stack array): an `NR`-column
+/// block packs up to `PANEL / NR` values of `k` per chunk, so the 512-bit
+/// table's 64-column blocks carry their partial sums through `C` once per
+/// 32 values of `k`.
+const PANEL: usize = 2048;
 
 /// One product's operands: `A` is `[m, k]` (`[k, m]` when `A_T`), `B` is
 /// `[k, n]` (`[n, k]` when `B_T`), and the result is `[m, n]`.
@@ -84,6 +94,15 @@ fn gemm<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `is_x86_feature_detected!("avx512f")` just confirmed
+        // AVX-512F, and every CPU with AVX-512F also has the AVX2 and FMA
+        // that enabling it implies, so the CPU runs every instruction this
+        // build uses.
+        unsafe { gemm_avx512::<A_T, B_T>(ops, c) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed that
         // the running CPU supports every instruction this AVX2 build uses.
@@ -95,7 +114,7 @@ fn gemm<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
 
 /// The 128-bit tile table (see the module docs), for any CPU.
 fn gemm_portable<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
-    walk_tiles::<false, A_T, B_T>(ops, c);
+    walk_tiles::<128, A_T, B_T>(ops, c);
 }
 
 /// The 256-bit tile table (see the module docs).
@@ -106,28 +125,39 @@ fn gemm_portable<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_avx2<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
-    walk_tiles::<true, A_T, B_T>(ops, c);
+    walk_tiles::<256, A_T, B_T>(ops, c);
+}
+
+/// The 512-bit tile table (see the module docs).
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+    walk_tiles::<512, A_T, B_T>(ops, c);
 }
 
 /// Walks `C` in column blocks, each as wide as the table's tile for the
-/// remaining columns; `WIDE` picks the 256-bit table. Inlined into both
-/// entry points, so each compiles it for its own instruction set.
+/// remaining columns; `BITS` (128, 256 or 512) picks the table. Inlined
+/// into every entry point, so each compiles it for its own instruction
+/// set.
 #[inline(always)]
-fn walk_tiles<const WIDE: bool, const A_T: bool, const B_T: bool>(
-    ops: Operands<'_>,
-    c: &mut [f32],
-) {
+fn walk_tiles<const BITS: u32, const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
     let mut panel = [0.0f32; PANEL];
     let mut j0 = 0;
     while j0 < ops.n {
-        j0 += match (WIDE, ops.n - j0) {
-            (true, 32..) => column_block::<2, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            (true, 16..=31) => column_block::<4, 16, A_T, B_T>(ops, c, j0, &mut panel),
-            (true, 8..=15) => column_block::<8, 8, A_T, B_T>(ops, c, j0, &mut panel),
-            (false, 32..) => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            (false, 13..=31) => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
-            (false, 9..=12) => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
-            (false, 5..=8) => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
+        j0 += match (BITS, ops.n - j0) {
+            (512, 64..) => column_block::<2, 64, A_T, B_T>(ops, c, j0, &mut panel),
+            (512, 32..=63) => column_block::<4, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            (256, 32..) => column_block::<2, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            (256 | 512, 16..=31) => column_block::<4, 16, A_T, B_T>(ops, c, j0, &mut panel),
+            (256 | 512, 8..=15) => column_block::<8, 8, A_T, B_T>(ops, c, j0, &mut panel),
+            (128, 32..) => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
+            (128, 13..=31) => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
+            (128, 9..=12) => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
+            (128, 5..=8) => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
             _ => column_block::<8, 4, A_T, B_T>(ops, c, j0, &mut panel),
         };
     }
@@ -352,31 +382,44 @@ mod tests {
     }
 
     /// The tables this CPU can run: the portable one always, the AVX2
-    /// one where the CPU has AVX2. The dispatcher picks only the widest,
-    /// so each is called directly here.
+    /// one where the CPU has AVX2 and the AVX-512F one where it has
+    /// AVX-512F. The dispatcher picks only the widest, so each is called
+    /// directly here.
     fn tables() -> Vec<Table> {
-        let portable = Table {
+        #[allow(unused_mut)]
+        let mut tables = vec![Table {
             name: "128-bit",
             layouts: [
                 gemm_portable::<false, false>,
                 gemm_portable::<true, false>,
                 gemm_portable::<false, true>,
             ],
-        };
+        }];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY (all three): the CPU reported AVX2 just above.
-            let wide = Table {
+            tables.push(Table {
                 name: "256-bit",
                 layouts: [
                     |ops, c| unsafe { gemm_avx2::<false, false>(ops, c) },
                     |ops, c| unsafe { gemm_avx2::<true, false>(ops, c) },
                     |ops, c| unsafe { gemm_avx2::<false, true>(ops, c) },
                 ],
-            };
-            return vec![portable, wide];
+            });
         }
-        vec![portable]
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY (all three): the CPU reported AVX-512F just above.
+            tables.push(Table {
+                name: "512-bit",
+                layouts: [
+                    |ops, c| unsafe { gemm_avx512::<false, false>(ops, c) },
+                    |ops, c| unsafe { gemm_avx512::<true, false>(ops, c) },
+                    |ops, c| unsafe { gemm_avx512::<false, true>(ops, c) },
+                ],
+            });
+        }
+        tables
     }
 
     /// `len` operand values: mostly finite values of mixed magnitude,
@@ -429,17 +472,45 @@ mod tests {
         }
     }
 
-    /// Both tile tables, all three layouts, bit for bit against the
+    /// Every tile table, all three layouts, bit for bit against the
     /// naive loop: every tail tile (n ≤ 40), every row tail (m ≤ 9) and
-    /// K-chunk boundaries of every tile width (k around 64 and 128), plus
-    /// the LeNet and MLP products the micro bench times.
+    /// the K-chunk boundary of every tile width; the 512-bit table's 2×64
+    /// and 4×32 blocks followed by every 1–15-column tail; plus the LeNet
+    /// and MLP products the micro bench times.
     #[test]
     fn tile_tables_match_naive_triple_loop_bit_for_bit() {
         let tables = tables();
+        // An NR-column block packs `PANEL / NR` values of k per K-chunk,
+        // and its partial sums go through C from the second chunk on. k
+        // runs one below, at and one above the chunks of NR = 32 and 16,
+        // and k = 300 crosses the chunks of NR = 12 and of NR = 8.
+        let (kc32, kc16) = (PANEL / 32, PANEL / 16);
         for n in 1..=40 {
             for m in 1..=9 {
-                for k in [1, 63, 64, 65, 127, 128, 129, 300] {
+                for k in [1, kc32 - 1, kc32, kc32 + 1, kc16 - 1, kc16, kc16 + 1, 300] {
                     check(&tables, m, k, n);
+                }
+            }
+        }
+        // The 8×4 tail tile's chunk (NR = 4), on the widths that reach it.
+        for n in 1..=8 {
+            for m in 1..=9 {
+                for k in [PANEL / 4, PANEL / 4 + 1] {
+                    check(&tables, m, k, n);
+                }
+            }
+        }
+        // 4×32 (n 32–47), 2×64 (64–79), 2×64 then 4×32 (96–111) and
+        // 2×64 twice (128–143), each then the 0–15-column tail, around
+        // the K-chunks of NR = 64 (`PANEL / 64` values of k) and of
+        // NR = 32 (twice that).
+        let kc = PANEL / 64;
+        for base in [32, 64, 96, 128] {
+            for n in base..base + 16 {
+                for m in [1, 2, 3, 4, 5, 7] {
+                    for k in [1, kc - 1, kc, kc + 1, 2 * kc + 1, 3 * kc + 5] {
+                        check(&tables, m, k, n);
+                    }
                 }
             }
         }
