@@ -190,28 +190,27 @@ fn bench_mc_trial(c: &mut Criterion) {
 
     // Allocator traffic per steady-state trial, outside the timing loop:
     // warm the workspace, then measure the steady state.
-    let trials = 32u64;
-    let mut ws = Workspace::new();
-    for t in 0..2 {
-        let mut rng = ChaCha8Rng::seed_from_u64(t);
-        FaultInjector::inject_from(&snapshot, &mut net, &drift, &mut rng).unwrap();
-        let y = net.forward_ws(&x, Mode::Eval, &mut ws);
-        ws.recycle(y);
+    let id = "mc_trial/fused_bytes_per_trial";
+    if criterion::is_selected(id) {
+        let trials = 32u64;
+        let mut ws = Workspace::new();
+        for t in 0..2 {
+            let mut rng = ChaCha8Rng::seed_from_u64(t);
+            FaultInjector::inject_from(&snapshot, &mut net, &drift, &mut rng).unwrap();
+            let y = net.forward_ws(&x, Mode::Eval, &mut ws);
+            ws.recycle(y);
+        }
+        let before = BYTES.load(Ordering::SeqCst);
+        for t in 0..trials {
+            let mut rng = ChaCha8Rng::seed_from_u64(t);
+            FaultInjector::inject_from(&snapshot, &mut net, &drift, &mut rng).unwrap();
+            let y = net.forward_ws(&x, Mode::Eval, &mut ws);
+            let _ = y.sum();
+            ws.recycle(y);
+        }
+        let fused_bytes = BYTES.load(Ordering::SeqCst) - before;
+        record_metric(id, fused_bytes as f64 / trials as f64, "bytes/iter");
     }
-    let before = BYTES.load(Ordering::SeqCst);
-    for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(t);
-        FaultInjector::inject_from(&snapshot, &mut net, &drift, &mut rng).unwrap();
-        let y = net.forward_ws(&x, Mode::Eval, &mut ws);
-        let _ = y.sum();
-        ws.recycle(y);
-    }
-    let fused_bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "mc_trial/fused_bytes_per_trial",
-        fused_bytes as f64 / trials as f64,
-        "bytes/iter",
-    );
     snapshot.restore_into(&mut net).unwrap();
 }
 
@@ -235,21 +234,20 @@ fn bench_train_step(c: &mut Criterion) {
 
     // Allocator traffic per steady-state step, outside the timing loop:
     // warm the workspace and caches, then measure the steady state.
-    let steps = 32u64;
-    let mut ws = Workspace::new();
-    for _ in 0..3 {
-        let _ = train_step(&mut net, &x, &labels, &mut opt, &mut ws);
+    let id = "train_step/workspace_bytes_per_step";
+    if criterion::is_selected(id) {
+        let steps = 32u64;
+        let mut ws = Workspace::new();
+        for _ in 0..3 {
+            let _ = train_step(&mut net, &x, &labels, &mut opt, &mut ws);
+        }
+        let before = BYTES.load(Ordering::SeqCst);
+        for _ in 0..steps {
+            let _ = train_step(&mut net, &x, &labels, &mut opt, &mut ws);
+        }
+        let ws_bytes = BYTES.load(Ordering::SeqCst) - before;
+        record_metric(id, ws_bytes as f64 / steps as f64, "bytes/iter");
     }
-    let before = BYTES.load(Ordering::SeqCst);
-    for _ in 0..steps {
-        let _ = train_step(&mut net, &x, &labels, &mut opt, &mut ws);
-    }
-    let ws_bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "train_step/workspace_bytes_per_step",
-        ws_bytes as f64 / steps as f64,
-        "bytes/iter",
-    );
 
     // Conv training step: LeNet through the same pair of loops.
     let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
@@ -324,16 +322,16 @@ fn bench_gp(c: &mut Criterion) {
     // Allocator traffic per warm suggest, outside the timing loop: the GP
     // and the candidate batch reuse their buffers, so only the returned
     // point is new.
-    let calls = 32u64;
-    let before = BYTES.load(Ordering::SeqCst);
-    for _ in 0..calls {
-        let _ = bo.suggest(&mut rng).unwrap();
+    let id = "gaussian_process/suggest_16obs_4d_bytes";
+    if criterion::is_selected(id) {
+        let calls = 32u64;
+        let before = BYTES.load(Ordering::SeqCst);
+        for _ in 0..calls {
+            let _ = bo.suggest(&mut rng).unwrap();
+        }
+        let bytes = BYTES.load(Ordering::SeqCst) - before;
+        record_metric(id, bytes as f64 / calls as f64, "bytes/iter");
     }
-    record_metric(
-        "gaussian_process/suggest_16obs_4d_bytes",
-        (BYTES.load(Ordering::SeqCst) - before) as f64 / calls as f64,
-        "bytes/iter",
-    );
 }
 
 fn bench_conv(c: &mut Criterion) {
@@ -517,6 +515,13 @@ fn bench_campaign(c: &mut Criterion) {
 
     // Store round-trip on precomputed outcomes, measured once: fsync'd
     // appends + tolerant load + atomic compaction, no engine time.
+    let ids = [
+        "campaign/persist_load_compact_ms",
+        "campaign/records_persisted",
+    ];
+    if !ids.iter().any(|id| criterion::is_selected(id)) {
+        return;
+    }
     let outcomes: Vec<_> = CampaignRunner::new()
         .run_campaign(&campaign)
         .into_iter()
@@ -531,16 +536,8 @@ fn bench_campaign(c: &mut Criterion) {
     }
     let records = store.load().expect("bench store loads");
     store.compact().expect("bench store compacts");
-    record_metric(
-        "campaign/persist_load_compact_ms",
-        start.elapsed().as_secs_f64() * 1e3,
-        "ms",
-    );
-    record_metric(
-        "campaign/records_persisted",
-        records.len() as f64,
-        "records",
-    );
+    record_metric(ids[0], start.elapsed().as_secs_f64() * 1e3, "ms");
+    record_metric(ids[1], records.len() as f64, "records");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -572,6 +569,10 @@ fn bench_telemetry(c: &mut Criterion) {
 
     // Steady-state allocator traffic: recording must be allocation-free
     // (registration above was the only allocating step).
+    let id = "telemetry/bytes_per_instrumented_op";
+    if !criterion::is_selected(id) {
+        return;
+    }
     let iters = 4096u64;
     let before = BYTES.load(Ordering::SeqCst);
     for _ in 0..iters {
@@ -580,11 +581,7 @@ fn bench_telemetry(c: &mut Criterion) {
         let _s = telemetry::Span::enter("bench.span", hist);
     }
     let bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "telemetry/bytes_per_instrumented_op",
-        bytes as f64 / iters as f64,
-        "bytes/iter",
-    );
+    record_metric(id, bytes as f64 / iters as f64, "bytes/iter");
 }
 
 criterion_group!(

@@ -16,7 +16,7 @@
 //!   the panel, gathering the tile's `MR` values of `A` per `k` from rows
 //!   (`nn`/`nt`) or a column run (`tn`).
 //! - The partial sums of a tile go back through `C` between K-chunks
-//!   (an `f32` store is exact), so the panel stays a fixed 8 KiB array
+//!   (an `f32` store is exact), so the panel stays a fixed 4 KiB array
 //!   and the kernel never allocates.
 //!
 //! # Three tile tables
@@ -69,11 +69,9 @@
 
 use std::array::from_fn;
 
-/// Floats in the packed `B` K-panel (an 8 KiB stack array): an `NR`-column
-/// block packs up to `PANEL / NR` values of `k` per chunk, so the 512-bit
-/// table's 64-column blocks carry their partial sums through `C` once per
-/// 32 values of `k`.
-const PANEL: usize = 2048;
+/// Floats in the packed `B` K-panel (a 4 KiB stack array): an `NR`-column
+/// block packs up to `PANEL / NR` values of `k` per chunk.
+const PANEL: usize = 1024;
 
 /// One product's operands: `A` is `[m, k]` (`[k, m]` when `A_T`), `B` is
 /// `[k, n]` (`[n, k]` when `B_T`), and the result is `[m, n]`.
@@ -482,12 +480,16 @@ mod tests {
         let tables = tables();
         // An NR-column block packs `PANEL / NR` values of k per K-chunk,
         // and its partial sums go through C from the second chunk on. k
-        // runs one below, at and one above the chunks of NR = 32 and 16,
-        // and k = 300 crosses the chunks of NR = 12 and of NR = 8.
-        let (kc32, kc16) = (PANEL / 32, PANEL / 16);
+        // runs one below, at and one above the chunks of NR = 32, 16 and
+        // 8, and k = 300 crosses the chunk of NR = 12 three times.
+        let mut ks = vec![1, 300];
+        for nr in [32, 16, 8] {
+            let kc = PANEL / nr;
+            ks.extend([kc - 1, kc, kc + 1]);
+        }
         for n in 1..=40 {
             for m in 1..=9 {
-                for k in [1, kc32 - 1, kc32, kc32 + 1, kc16 - 1, kc16, kc16 + 1, 300] {
+                for &k in &ks {
                     check(&tables, m, k, n);
                 }
             }
