@@ -10,12 +10,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::Duration;
 
 use baselines::train_step;
 use bayesft::{EvalCtx, Objective};
 use criterion::{
-    black_box, criterion_group, criterion_main, record_metric, BenchmarkId, Criterion,
+    black_box, criterion_group, criterion_main, record_metric, time_window, BenchmarkGroup,
+    BenchmarkId, Criterion,
 };
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
@@ -65,9 +66,22 @@ fn samples(full: usize) -> usize {
     }
 }
 
+/// How long each bench and hand-timed gauge keeps running once it has run
+/// its sample count.
+fn window() -> Duration {
+    Duration::from_millis(if quick() { 10 } else { 100 })
+}
+
+/// A bench group whose benches run at least `samples(full)` iterations,
+/// over at least [`window`].
+fn sized_group<'a>(c: &'a mut Criterion, name: &str, full: usize) -> BenchmarkGroup<'a> {
+    let mut group = c.benchmark_group(name);
+    group.sample_size(samples(full)).measurement_time(window());
+    group
+}
+
 fn bench_drift_injection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("drift_injection");
-    group.sample_size(samples(20));
+    let mut group = sized_group(c, "drift_injection", 20);
     for depth in [3usize, 9] {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(depth).hidden(64), &mut rng);
@@ -112,7 +126,7 @@ fn bench_drift_injection(c: &mut Criterion) {
         ("gaussian", Box::new(GaussianAdditive::new(0.15))),
         ("devvar", Box::new(DeviceVariation::new(0.15))),
     ];
-    let passes = samples(200);
+    let passes = samples(200) as u64;
     for (name, model) in models {
         let id = format!("drift_injection/perturb_all/{name}");
         if !criterion::is_selected(&id) {
@@ -128,11 +142,8 @@ fn bench_drift_injection(c: &mut Criterion) {
         for _ in 0..2 {
             pass(&mut values);
         }
-        let start = Instant::now();
-        for _ in 0..passes {
-            pass(&mut values);
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (passes * SCALARS) as f64;
+        let (passes, elapsed) = time_window(window(), passes, || pass(&mut values));
+        let ns = elapsed.as_nanos() as f64 / (passes as usize * SCALARS) as f64;
         record_metric(id, ns, "ns/scalar");
     }
 
@@ -155,11 +166,8 @@ fn bench_drift_injection(c: &mut Criterion) {
         for _ in 0..2 {
             pass();
         }
-        let start = Instant::now();
-        for _ in 0..passes {
-            pass();
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (passes * calls * 32) as f64;
+        let (passes, elapsed) = time_window(window(), passes, pass);
+        let ns = elapsed.as_nanos() as f64 / (passes as usize * calls * 32) as f64;
         record_metric(id, ns, "ns/8 bytes");
     }
 }
@@ -173,8 +181,7 @@ fn bench_mc_trial(c: &mut Criterion) {
     let snapshot = FaultInjector::snapshot(&mut net);
     let drift = LogNormalDrift::new(0.6);
 
-    let mut group = c.benchmark_group("mc_trial");
-    group.sample_size(samples(40));
+    let mut group = sized_group(c, "mc_trial", 40);
     let mut ws = Workspace::new();
     group.bench_function("fused_inject_forward_ws", |b| {
         b.iter(|| {
@@ -223,8 +230,7 @@ fn bench_train_step(c: &mut Criterion) {
     let x = Tensor::randn(&[16, 196], 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
 
-    let mut group = c.benchmark_group("train_step");
-    group.sample_size(samples(40));
+    let mut group = sized_group(c, "train_step", 40);
     let mut opt = Sgd::new(0.01).momentum(0.9).clip_norm(5.0);
     let mut ws = Workspace::new();
     group.bench_function("workspace_forward_backward", |b| {
@@ -253,8 +259,7 @@ fn bench_train_step(c: &mut Criterion) {
     let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
     let img = Tensor::randn(&[8, 1, 14, 14], 0.0, 1.0, &mut rng);
     let img_labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
-    let mut group = c.benchmark_group("train_step_lenet");
-    group.sample_size(samples(20));
+    let mut group = sized_group(c, "train_step_lenet", 20);
     let mut opt = Sgd::new(0.01).momentum(0.9).clip_norm(5.0);
     let mut ws = Workspace::new();
     group.bench_function("workspace_forward_backward", |b| {
@@ -264,8 +269,7 @@ fn bench_train_step(c: &mut Criterion) {
 }
 
 fn bench_mc_objective(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mc_objective");
-    group.sample_size(samples(10));
+    let mut group = sized_group(c, "mc_objective", 10);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let data = datasets::digits(8, &mut rng);
     let mut net = Mlp::new(&MlpConfig::new(196, 10).hidden(48), &mut rng);
@@ -290,8 +294,7 @@ fn bench_mc_objective(c: &mut Criterion) {
 }
 
 fn bench_gp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gaussian_process");
-    group.sample_size(samples(30));
+    let mut group = sized_group(c, "gaussian_process", 30);
     for n in [8usize, 32] {
         let x: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![(i as f64 * 0.37).sin().abs(), (i as f64 * 0.73).cos().abs()])
@@ -335,8 +338,7 @@ fn bench_gp(c: &mut Criterion) {
 }
 
 fn bench_conv(c: &mut Criterion) {
-    let mut group = c.benchmark_group("conv_forward_backward");
-    group.sample_size(samples(20));
+    let mut group = sized_group(c, "conv_forward_backward", 20);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = LeNet5::new(1, 14, 10, &mut rng);
     let x = Tensor::randn(&[8, 1, 14, 14], 0.0, 1.0, &mut rng);
@@ -396,8 +398,7 @@ fn bench_conv(c: &mut Criterion) {
 
     // LeNet's first dropout (after conv1) on a batch of 32: one mask
     // word per activation, mask and output written in one pass.
-    let mut group = c.benchmark_group("dropout_train_b32_6x14x14");
-    group.sample_size(samples(20));
+    let mut group = sized_group(c, "dropout_train_b32_6x14x14", 20);
     let acts = Tensor::randn(&[32, 6, 14, 14], 0.0, 1.0, &mut rng);
     for rate in [0.1f32, 0.5] {
         let mut drop = Dropout::new(rate, 7);
@@ -412,8 +413,7 @@ fn bench_conv(c: &mut Criterion) {
 }
 
 fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    group.sample_size(samples(30));
+    let mut group = sized_group(c, "matmul", 30);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     for n in [32usize, 128] {
         let a = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
@@ -502,8 +502,7 @@ fn bench_campaign(c: &mut Criterion) {
             })
             .collect(),
     );
-    let mut group = c.benchmark_group("campaign");
-    group.sample_size(samples(10));
+    let mut group = sized_group(c, "campaign", 10);
     for shards in [1usize, 2] {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &n| {
             // A fresh runner per iteration: the memo cache would otherwise
@@ -550,8 +549,7 @@ fn bench_telemetry(c: &mut Criterion) {
     let counter = telemetry::static_counter!("bench_telemetry_ops_total");
     let hist = telemetry::duration_histogram!("bench_telemetry_seconds");
 
-    let mut group = c.benchmark_group("telemetry");
-    group.sample_size(samples(40));
+    let mut group = sized_group(c, "telemetry", 40);
     group.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
     group.bench_function("histogram_observe", |b| b.iter(|| hist.observe(1.25e-4)));
     group.bench_function("timer_start_drop", |b| {

@@ -29,9 +29,10 @@ pub trait DriftModel: Send + Sync {
     /// they draw the words of 32 scalars per `fill_bytes` call and, on
     /// x86-64 with the GNU C library, AVX2 and FMA, turn them into normals
     /// (and [`LogNormalDrift`] into its `e^λ` factors) four lanes at a
-    /// time. That kernel replays, operation for operation, the `*_fma`
-    /// builds of `logf`, `cosf` and `expf` that glibc itself picks on such
-    /// a CPU, so every lane has the scalar call's bits. Tests check the
+    /// time, or eight where the CPU also reports AVX-512F. That kernel
+    /// replays, operation for operation, the `*_fma` builds of `logf`,
+    /// `cosf` and `expf` that glibc itself picks on such a CPU, so every
+    /// lane has the scalar call's bits. Tests check the
     /// normal for every value either of its two 24-bit uniforms can take
     /// and `expf` for every input on its fast path; a probe against the C
     /// library, once per process, turns the kernel off if it disagrees.
@@ -76,9 +77,9 @@ pub(crate) fn normal_from_words(w1: u32, w2: u32) -> f32 {
 ///
 /// On x86-64 with the GNU C library, AVX2 and FMA (the CPUs on which
 /// glibc picks its `*_fma` builds of `logf` and `cosf`), the normals come
-/// from a four-lane copy of those builds, with the scalar expression's own
-/// `f32` steps in between, so every normal has [`normal_from_words`]'s
-/// bits. The normal is the `f32` product of a factor of `w1` alone and a
+/// from a copy of those builds that runs four lanes, or eight where the
+/// CPU also reports AVX-512F, with the scalar expression's own `f32` steps
+/// in between, so every normal has [`normal_from_words`]'s bits. The normal is the `f32` product of a factor of `w1` alone and a
 /// factor of `w2` alone, each a function of 24 bits, so tests that check
 /// both factors on all 2²⁴ inputs check every word pair. A probe against
 /// the C library, once per process, turns the copy off if it disagrees
@@ -194,9 +195,10 @@ impl LogNormalDrift {
     }
 
     /// [`LogNormalDrift::apply`] on each value and its normal. Where
-    /// `map_normals` runs its four-lane `logf` and `cosf`, a copy of
-    /// glibc's `expf` runs beside them, with scalar `f32::exp` for the
-    /// lanes outside its fast path (`|σz| ≥ 88`).
+    /// `map_normals` runs its copies of `logf` and `cosf`, a copy of
+    /// glibc's `expf` runs beside them at the same width (four lanes, or
+    /// eight with AVX-512F), with scalar `f32::exp` for the lanes outside
+    /// its fast path (`|σz| ≥ 88`).
     fn apply_all(&self, values: &mut [f32], z: &[f32]) {
         #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
         if crate::vmath::scale_by_exp(values, self.sigma, z) {
@@ -1005,8 +1007,8 @@ mod tests {
     }
 
     /// `perturb_all` gives per-scalar `perturb`'s bits and draws the same
-    /// words: for lengths around the four-lane kernel step and the
-    /// 32-scalar chunk, from even and odd stream positions, at a spread
+    /// words: for lengths around the four- and eight-lane kernel steps and
+    /// the 32-scalar chunk, from even and odd stream positions, at a spread
     /// (σ = 40) where some log-normal factors overflow to ∞ or underflow
     /// to 0, and with ±0, subnormal, ±∞ and NaN weights among the values.
     #[test]
@@ -1021,7 +1023,7 @@ mod tests {
             f32::NEG_INFINITY,
             f32::NAN,
         ];
-        let lens = (0usize..=9).chain([31, 32, 33, 35, 257, 258]);
+        let lens = (0usize..=9).chain([15, 16, 17, 31, 32, 33, 35, 39, 40, 41, 257, 258]);
         let (mut overflowed, mut underflowed) = (false, false);
         for s in [0.0f32, 0.3, 40.0] {
             for model in every_model(s) {

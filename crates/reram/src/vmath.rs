@@ -1,5 +1,5 @@
-//! Four-lane AVX2+FMA copies of glibc's `logf`, `cosf` and `expf`, for the
-//! Box–Muller normals and log-normal factors the drift models draw.
+//! Four- and eight-lane copies of glibc's `logf`, `cosf` and `expf`, for
+//! the Box–Muller normals and log-normal factors the drift models draw.
 //!
 //! On x86-64, glibc (2.28 and later) resolves `logf`, `cosf` and `expf`
 //! through ifuncs that pick their `*_fma` builds when the CPU has both
@@ -7,34 +7,41 @@
 //! (`math/logf.c`, `math/cosf.c` with `math/sincosf.h`, `math/expf.c`,
 //! and their `*_data.c` tables): a fixed sequence of double-precision
 //! operations over small tables, compiled with every `a·b + c` contracted
-//! to one FMA. The functions below replay those sequences operation for
-//! operation on four lanes, with the tables' bits as hex literals, so each
-//! lane returns the bits the scalar call returns. Between the three calls
-//! the lanes run the scalar expressions' own `f32` operations, each
-//! rounded on its own (no `f32` FMA).
+//! to one FMA. The bodies below replay those sequences operation for
+//! operation, with the tables' bits as hex literals, so each lane returns
+//! the bits the scalar call returns. Between the three calls the lanes run
+//! the scalar expressions' own `f32` operations, each rounded on its own
+//! (no `f32` FMA).
+//!
+//! There are two bodies of the same sequence. [`avx2`] runs four lanes,
+//! its `f64` steps in 256-bit registers, and gathers its table entries
+//! from memory. [`avx512`] runs eight, its `f64` steps in 512-bit
+//! registers, and keeps the tables in registers: the 16-entry `logf`
+//! tables are two registers each, read with one two-source permute, and
+//! the 32-entry `expf` table is four, read with two permutes and a
+//! blend. Each lane's operations are the same in both, so they give the
+//! same bits.
 //!
 //! Every uniform uses only the top 24 bits of its word, and the normal is
 //! the `f32` product of a factor of the first word, `sqrt(-2·ln u1)`, and
 //! a factor of the second, `cos(2π·u2)`. The tests run each factor over
-//! all 2²⁴ values its word can give, against the scalar
-//! `normal_from_words`, which proves the kernel's normal for every word
-//! pair; an ignored test sweeps `expf` over every `f32` below 88 in
-//! magnitude.
+//! all 2²⁴ values its word can give, through every body the CPU runs,
+//! against the scalar `normal_from_words`, which proves each body's normal
+//! for every word pair; an ignored test sweeps `expf` over every `f32`
+//! below 88 in magnitude.
 //!
-//! [`normals`] and [`scale_by_exp`] run the kernel only where glibc picks
-//! the builds it copies: x86-64 with the GNU C library, AVX2 and FMA.
-//! Once per process a probe also checks a fixed set of inputs against the
-//! scalar calls and turns the kernel off if any differs (an older glibc,
-//! or a libm of another origin). Where the kernel is off, both return
-//! `false` and the caller runs the scalar code.
+//! [`normals`] and [`scale_by_exp`] run a body only where glibc picks the
+//! builds it copies: x86-64 with the GNU C library, AVX2 and FMA. They
+//! take the eight-lane body where the CPU also reports AVX-512F, and the
+//! four-lane one otherwise. Once per process a probe also checks a fixed
+//! set of inputs against the scalar calls, through the four-lane body and
+//! then the eight-lane one, and drops every body from the first that
+//! differs on (an older glibc, or a libm of another origin). Where no
+//! body is left, both return `false` and the caller runs the scalar code.
 
-use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
 use crate::drift::normal_from_words;
-
-/// Scalars per kernel step.
-const LANES: usize = 4;
 
 // `logf` (optimized-routines math/logf.c): x = 2^k·z with z in
 // [OFF, 2·OFF) split into 16 subintervals, each with a centre c near z;
@@ -43,39 +50,43 @@ const LANES: usize = 4;
 /// `asuint(0x1.66p-1f)`, the bottom of the reduced range.
 const LOGF_OFF: i32 = 0x3f33_0000;
 
-/// `(1/c, ln c)` of each subinterval, interleaved (`__logf_data.tab`).
-static LOGF_TABLE: [u64; 32] = [
+/// `1/c` of each subinterval (`__logf_data.tab[i].invc`).
+static LOGF_INVC: [u64; 16] = [
     0x3ff661ec79f8f3be,
-    0xbfd57bf7808caade,
     0x3ff571ed4aaf883d,
-    0xbfd2bef0a7c06ddb,
     0x3ff49539f0f010b0,
-    0xbfd01eae7f513a67,
     0x3ff3c995b0b80385,
-    0xbfcb31d8a68224e9,
     0x3ff30d190c8864a5,
-    0xbfc6574f0ac07758,
     0x3ff25e227b0b8ea0,
-    0xbfc1aa2bc79c8100,
     0x3ff1bb4a4a1a343f,
-    0xbfba4e76ce8c0e5e,
     0x3ff12358f08ae5ba,
-    0xbfb1973c5a611ccc,
     0x3ff0953f419900a7,
-    0xbfa252f438e10c1e,
     0x3ff0000000000000,
-    0x0000000000000000,
     0x3fee608cfd9a47ac,
-    0x3faaa5aa5df25984,
     0x3feca4b31f026aa0,
-    0x3fbc5e53aa362eb4,
     0x3feb2036576afce6,
-    0x3fc526e57720db08,
     0x3fe9c2d163a1aa2d,
-    0x3fcbc2860d224770,
     0x3fe886e6037841ed,
-    0x3fd1058bc8a07ee1,
     0x3fe767dcf5534862,
+];
+
+/// `ln c` of each subinterval (`__logf_data.tab[i].logc`).
+static LOGF_LOGC: [u64; 16] = [
+    0xbfd57bf7808caade,
+    0xbfd2bef0a7c06ddb,
+    0xbfd01eae7f513a67,
+    0xbfcb31d8a68224e9,
+    0xbfc6574f0ac07758,
+    0xbfc1aa2bc79c8100,
+    0xbfba4e76ce8c0e5e,
+    0xbfb1973c5a611ccc,
+    0xbfa252f438e10c1e,
+    0x0000000000000000,
+    0x3faaa5aa5df25984,
+    0x3fbc5e53aa362eb4,
+    0x3fc526e57720db08,
+    0x3fcbc2860d224770,
+    0x3fd1058bc8a07ee1,
     0x3fd4043057b6ee09,
 ];
 
@@ -183,11 +194,11 @@ const EXPF_SLOW_TOP: i32 = 0x42b;
 /// Panics if `words` is not 8 bytes per element of `z`.
 pub(crate) fn normals(words: &[u8], z: &mut [f32]) -> bool {
     assert_eq!(words.len(), 8 * z.len(), "one word pair per normal");
-    if !enabled() {
+    let Some(body) = kernel() else {
         return false;
-    }
-    // SAFETY: `enabled` returned true only after detecting AVX2 and FMA.
-    unsafe { normals_avx2(words, z) };
+    };
+    // SAFETY: `kernel` picks only a body whose features the CPU reported.
+    unsafe { body.normals(words, z) };
     true
 }
 
@@ -200,283 +211,612 @@ pub(crate) fn normals(words: &[u8], z: &mut [f32]) -> bool {
 /// Panics if `values` and `z` differ in length.
 pub(crate) fn scale_by_exp(values: &mut [f32], sigma: f32, z: &[f32]) -> bool {
     assert_eq!(values.len(), z.len(), "one normal per value");
-    if !enabled() {
+    let Some(body) = kernel() else {
         return false;
-    }
-    // SAFETY: `enabled` returned true only after detecting AVX2 and FMA.
-    unsafe { scale_by_exp_avx2(values, sigma, z) };
+    };
+    // SAFETY: `kernel` picks only a body whose features the CPU reported.
+    unsafe { body.scale_by_exp(values, sigma, z) };
     true
 }
 
-/// Whether the kernel runs in this process: the CPU has AVX2 and FMA,
-/// and the kernel agrees with the scalar calls on the probe set. Decided
-/// on the first call.
-fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-            // SAFETY: the CPU reported AVX2 and FMA just above.
-            && unsafe { agrees_with_libm() }
+/// One copy of the three functions, by lane count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Body {
+    /// Four lanes: AVX2 and FMA.
+    Avx2,
+    /// Eight lanes: AVX-512F as well.
+    Avx512,
+}
+
+impl Body {
+    /// The bodies the CPU has the features of, narrowest first.
+    fn supported() -> impl Iterator<Item = Body> {
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        let avx512 = avx2 && is_x86_feature_detected!("avx512f");
+        [(Body::Avx2, avx2), (Body::Avx512, avx512)]
+            .into_iter()
+            .filter_map(|(body, runs)| runs.then_some(body))
+    }
+
+    /// [`normals`] on this body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have the body's features ([`Body::supported`]).
+    unsafe fn normals(self, words: &[u8], z: &mut [f32]) {
+        // SAFETY: the caller guarantees the body's features.
+        unsafe {
+            match self {
+                Body::Avx2 => avx2::normals(words, z),
+                Body::Avx512 => avx512::normals(words, z),
+            }
+        }
+    }
+
+    /// [`scale_by_exp`] on this body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have the body's features ([`Body::supported`]).
+    unsafe fn scale_by_exp(self, values: &mut [f32], sigma: f32, z: &[f32]) {
+        // SAFETY: the caller guarantees the body's features.
+        unsafe {
+            match self {
+                Body::Avx2 => avx2::scale_by_exp(values, sigma, z),
+                Body::Avx512 => avx512::scale_by_exp(values, sigma, z),
+            }
+        }
+    }
+}
+
+/// The body [`normals`] and [`scale_by_exp`] run in this process, if any:
+/// the widest the CPU supports such that it and every narrower one agree
+/// with the scalar calls on the [`Probe`]. Decided on the first call.
+fn kernel() -> Option<Body> {
+    static KERNEL: OnceLock<Option<Body>> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        let probe = Probe::new();
+        Body::supported()
+            // SAFETY: `supported` lists only bodies whose features the CPU
+            // reported.
+            .take_while(|&body| unsafe { probe.agrees(body) })
+            .last()
     })
 }
 
-/// Whether the kernel gives the scalar calls' bits on 64 normals and on
-/// their log-normal factors at two spreads, one of which sends some lanes
-/// past `expf`'s fast path. The word pairs are fixed: (0, 0) and
-/// (`u32::MAX`, `u32::MAX`) for the ends of both uniforms, (0, 0x100) for
-/// `cosf`'s tiny path, then a 64-bit LCG stream for the rest.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn agrees_with_libm() -> bool {
-    const PROBES: usize = 64;
-    let mut words = [0u8; 8 * PROBES];
-    let mut state = 0x853c_49e6_748f_ea9b_u64;
-    for pair in words.chunks_exact_mut(8).skip(3) {
-        state = state
-            .wrapping_mul(0x5851_f42d_4c95_7f2d)
-            .wrapping_add(0x1405_7b7e_f767_814f);
-        pair.copy_from_slice(&state.to_le_bytes());
-    }
-    words[8..16].fill(0xff);
-    words[20..24].copy_from_slice(&0x100u32.to_le_bytes());
-    let mut z = [0.0f32; PROBES];
-    // SAFETY: the caller guarantees AVX2 and FMA.
-    unsafe { normals_avx2(&words, &mut z) };
-    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
-    let normals_agree = z.iter().zip(words.chunks_exact(8)).all(|(z, pair)| {
-        z.to_bits() == normal_from_words(word(&pair[..4]), word(&pair[4..])).to_bits()
-    });
-    normals_agree
-        && [0.7f32, 19.0].iter().all(|&sigma| {
-            let mut scaled = [1.5f32; PROBES];
-            // SAFETY: the caller guarantees AVX2 and FMA.
-            unsafe { scale_by_exp_avx2(&mut scaled, sigma, &z) };
-            scaled
-                .iter()
-                .zip(&z)
-                .all(|(v, &z)| v.to_bits() == (1.5 * (sigma * z).exp()).to_bits())
-        })
+/// Word pairs in the probe.
+const PROBES: usize = 64;
+
+/// The probe set and the scalar calls' answers on it, computed once for
+/// every body: 64 normals and their log-normal factors of 1.5 at two
+/// spreads, one of which sends some lanes past `expf`'s fast path. The
+/// word pairs are fixed: (0, 0) and (`u32::MAX`, `u32::MAX`) for the ends
+/// of both uniforms, (0, 0x100) for `cosf`'s tiny path, then a 64-bit LCG
+/// stream for the rest.
+struct Probe {
+    words: [u8; 8 * PROBES],
+    normals: [f32; PROBES],
+    /// `(sigma, 1.5 · e^(sigma·z))` for each normal `z`.
+    scaled: [(f32, [f32; PROBES]); 2],
 }
 
-/// [`normals`] on the kernel.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn normals_avx2(words: &[u8], z: &mut [f32]) {
-    let mut pairs = words.chunks_exact(8 * LANES);
-    let mut out = z.chunks_exact_mut(LANES);
-    for (pairs, z) in (&mut pairs).zip(&mut out) {
-        let pairs: &[u8; 8 * LANES] = pairs.try_into().expect("four word pairs");
-        z.copy_from_slice(&store(normal(pairs)));
-    }
-    let z = out.into_remainder();
-    if !z.is_empty() {
-        // The tail's missing pairs read as zero words; their lanes are
-        // dropped.
-        let mut padded = [0u8; 8 * LANES];
-        padded[..8 * z.len()].copy_from_slice(pairs.remainder());
-        z.copy_from_slice(&store(normal(&padded))[..z.len()]);
-    }
-}
-
-/// [`scale_by_exp`] on the kernel.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scale_by_exp_avx2(values: &mut [f32], sigma: f32, z: &[f32]) {
-    let sigma = _mm_set1_ps(sigma);
-    let mut vs = values.chunks_exact_mut(LANES);
-    let mut zs = z.chunks_exact(LANES);
-    for (v, z) in (&mut vs).zip(&mut zs) {
-        let scaled = scale(load(v), _mm_mul_ps(sigma, load(z)));
-        v.copy_from_slice(&store(scaled));
-    }
-    let v = vs.into_remainder();
-    if !v.is_empty() {
-        let (mut vp, mut zp) = ([0.0f32; LANES], [0.0f32; LANES]);
-        vp[..v.len()].copy_from_slice(v);
-        zp[..v.len()].copy_from_slice(zs.remainder());
-        let scaled = scale(load(&vp), _mm_mul_ps(sigma, load(&zp)));
-        v.copy_from_slice(&store(scaled)[..v.len()]);
-    }
-}
-
-/// Four lanes from the first four floats of `v`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn load(v: &[f32]) -> __m128 {
-    assert!(v.len() >= LANES, "a full lane group");
-    // SAFETY: `v` holds at least four floats (checked above); an unaligned
-    // load has no other requirement.
-    unsafe { _mm_loadu_ps(v.as_ptr()) }
-}
-
-/// The four lanes of `v`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn store(v: __m128) -> [f32; LANES] {
-    let mut out = [0.0f32; LANES];
-    // SAFETY: `out` holds four floats; an unaligned store has no other
-    // requirement.
-    unsafe { _mm_storeu_ps(out.as_mut_ptr(), v) };
-    out
-}
-
-/// `normal_from_words(w1, w2)` of four 8-byte word pairs.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn normal(pairs: &[u8; 8 * LANES]) -> __m128 {
-    // SAFETY: `pairs` holds 32 bytes; an unaligned load has no other
-    // requirement.
-    let w = unsafe { _mm256_loadu_si256(pairs.as_ptr().cast()) };
-    // Each pair's first word to the low half, its second to the high one.
-    let w = _mm256_permutevar8x32_epi32(w, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
-    let (w1, w2) = (_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
-    let u1 = _mm_add_ps(
-        _mm_set1_ps(f32::EPSILON),
-        _mm_mul_ps(unit(w1), _mm_set1_ps(1.0 - f32::EPSILON)),
-    );
-    let radius = _mm_sqrt_ps(_mm_mul_ps(_mm_set1_ps(-2.0), logf(u1)));
-    let angle = _mm_mul_ps(_mm_set1_ps(2.0 * std::f32::consts::PI), unit(w2));
-    _mm_mul_ps(radius, cosf(angle))
-}
-
-/// `(w >> 8) as f32 * 2^-24`, the uniform in [0, 1) of each word.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn unit(w: __m128i) -> __m128 {
-    _mm_mul_ps(
-        _mm_cvtepi32_ps(_mm_srli_epi32::<8>(w)),
-        _mm_set1_ps(1.0 / (1u32 << 24) as f32),
-    )
-}
-
-/// `v * a.exp()` per lane: `expf`'s fast path, and scalar `f32::exp` for
-/// the lanes that leave it.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn scale(v: __m128, a: __m128) -> __m128 {
-    let top = _mm_srli_epi32::<20>(_mm_and_si128(_mm_castps_si128(a), _mm_set1_epi32(i32::MAX)));
-    let slow = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(
-        top,
-        _mm_set1_epi32(EXPF_SLOW_TOP - 1),
-    )));
-    let mut e = expf(a);
-    if slow != 0 {
-        let (a, mut lanes) = (store(a), store(e));
-        for (i, (e, a)) in lanes.iter_mut().zip(a).enumerate() {
-            if slow & (1 << i) != 0 {
-                *e = a.exp();
-            }
+impl Probe {
+    fn new() -> Probe {
+        let mut words = [0u8; 8 * PROBES];
+        let mut state = 0x853c_49e6_748f_ea9b_u64;
+        for pair in words.chunks_exact_mut(8).skip(3) {
+            state = state
+                .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                .wrapping_add(0x1405_7b7e_f767_814f);
+            pair.copy_from_slice(&state.to_le_bytes());
         }
-        e = load(&lanes);
+        words[8..16].fill(0xff);
+        words[20..24].copy_from_slice(&0x100u32.to_le_bytes());
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte word"));
+        let mut pairs = words.chunks_exact(8);
+        let normals: [f32; PROBES] = std::array::from_fn(|_| {
+            let pair = pairs.next().expect("one pair per normal");
+            normal_from_words(word(&pair[..4]), word(&pair[4..]))
+        });
+        let scaled = [0.7f32, 19.0].map(|sigma| (sigma, normals.map(|z| 1.5 * (sigma * z).exp())));
+        Probe {
+            words,
+            normals,
+            scaled,
+        }
     }
-    _mm_mul_ps(v, e)
+
+    /// Whether `body` gives the scalar calls' bits on the probe set.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have the body's features ([`Body::supported`]).
+    unsafe fn agrees(&self, body: Body) -> bool {
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
+        let mut z = [0.0f32; PROBES];
+        // SAFETY: the caller guarantees the body's features.
+        unsafe { body.normals(&self.words, &mut z) };
+        same(&z, &self.normals)
+            && self.scaled.iter().all(|(sigma, want)| {
+                let mut scaled = [1.5f32; PROBES];
+                // SAFETY: the caller guarantees the body's features.
+                unsafe { body.scale_by_exp(&mut scaled, *sigma, &self.normals) };
+                same(&scaled, want)
+            })
+    }
 }
 
-/// `logf` of four positive normal floats below 1 (every `u1` is one).
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn logf(x: __m128) -> __m128 {
-    let ix = _mm_castps_si128(x);
-    let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(LOGF_OFF));
-    let i = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(15));
-    let k = _mm_srai_epi32::<23>(tmp);
-    let iz = _mm_sub_epi32(
-        ix,
-        _mm_and_si128(tmp, _mm_set1_epi32(0xff80_0000_u32 as i32)),
-    );
-    let entry = _mm_slli_epi32::<1>(i);
-    let table = LOGF_TABLE.as_ptr().cast::<f64>();
-    // SAFETY: `i` is masked to 0..16, so `2i` and `2i + 1` index the
-    // 32-entry table.
-    let (invc, logc) = unsafe {
-        (
-            _mm256_i32gather_pd::<8>(table, entry),
-            _mm256_i32gather_pd::<8>(table.add(1), entry),
-        )
+/// The four-lane body: `f64` steps in 256-bit registers, table entries
+/// gathered from memory.
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    use super::{
+        COSF_C, COSF_S, EXP2F_TABLE, EXPF_C, EXPF_INV_LN2_N, EXPF_SHIFT, EXPF_SLOW_TOP, HPI,
+        HPI_INV, LN2, LOGF_A, LOGF_INVC, LOGF_LOGC, LOGF_OFF,
     };
-    let z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
-    let r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
-    let y0 = _mm256_fmadd_pd(_mm256_cvtepi32_pd(k), _mm256_set1_pd(LN2), logc);
-    let r2 = _mm256_mul_pd(r, r);
-    let y = _mm256_fmadd_pd(r, _mm256_set1_pd(LOGF_A[1]), _mm256_set1_pd(LOGF_A[2]));
-    let y = _mm256_fmadd_pd(r2, _mm256_set1_pd(LOGF_A[0]), y);
-    let y = _mm256_fmadd_pd(r2, y, _mm256_add_pd(y0, r));
-    _mm256_cvtpd_ps(y)
+
+    /// Scalars per step.
+    const LANES: usize = 4;
+
+    /// [`super::normals`] on four lanes.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn normals(words: &[u8], z: &mut [f32]) {
+        let mut pairs = words.chunks_exact(8 * LANES);
+        let mut out = z.chunks_exact_mut(LANES);
+        for (pairs, z) in (&mut pairs).zip(&mut out) {
+            let pairs: &[u8; 8 * LANES] = pairs.try_into().expect("four word pairs");
+            z.copy_from_slice(&store(normal(pairs)));
+        }
+        let z = out.into_remainder();
+        if !z.is_empty() {
+            // The tail's missing pairs read as zero words; their lanes are
+            // dropped.
+            let mut padded = [0u8; 8 * LANES];
+            padded[..8 * z.len()].copy_from_slice(pairs.remainder());
+            z.copy_from_slice(&store(normal(&padded))[..z.len()]);
+        }
+    }
+
+    /// [`super::scale_by_exp`] on four lanes.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn scale_by_exp(values: &mut [f32], sigma: f32, z: &[f32]) {
+        let sigma = _mm_set1_ps(sigma);
+        let mut vs = values.chunks_exact_mut(LANES);
+        let mut zs = z.chunks_exact(LANES);
+        for (v, z) in (&mut vs).zip(&mut zs) {
+            let scaled = scale(load(v), _mm_mul_ps(sigma, load(z)));
+            v.copy_from_slice(&store(scaled));
+        }
+        let v = vs.into_remainder();
+        if !v.is_empty() {
+            let (mut vp, mut zp) = ([0.0f32; LANES], [0.0f32; LANES]);
+            vp[..v.len()].copy_from_slice(v);
+            zp[..v.len()].copy_from_slice(zs.remainder());
+            let scaled = scale(load(&vp), _mm_mul_ps(sigma, load(&zp)));
+            v.copy_from_slice(&store(scaled)[..v.len()]);
+        }
+    }
+
+    /// Four lanes from the first four floats of `v`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn load(v: &[f32]) -> __m128 {
+        assert!(v.len() >= LANES, "a full lane group");
+        // SAFETY: `v` holds at least four floats (checked above); an
+        // unaligned load has no other requirement.
+        unsafe { _mm_loadu_ps(v.as_ptr()) }
+    }
+
+    /// The four lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn store(v: __m128) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        // SAFETY: `out` holds four floats; an unaligned store has no other
+        // requirement.
+        unsafe { _mm_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// `normal_from_words(w1, w2)` of four 8-byte word pairs.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn normal(pairs: &[u8; 8 * LANES]) -> __m128 {
+        // SAFETY: `pairs` holds 32 bytes; an unaligned load has no other
+        // requirement.
+        let w = unsafe { _mm256_loadu_si256(pairs.as_ptr().cast()) };
+        // Each pair's first word to the low half, its second to the high one.
+        let w = _mm256_permutevar8x32_epi32(w, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+        let (w1, w2) = (_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+        let u1 = _mm_add_ps(
+            _mm_set1_ps(f32::EPSILON),
+            _mm_mul_ps(unit(w1), _mm_set1_ps(1.0 - f32::EPSILON)),
+        );
+        let radius = _mm_sqrt_ps(_mm_mul_ps(_mm_set1_ps(-2.0), logf(u1)));
+        let angle = _mm_mul_ps(_mm_set1_ps(2.0 * std::f32::consts::PI), unit(w2));
+        _mm_mul_ps(radius, cosf(angle))
+    }
+
+    /// `(w >> 8) as f32 * 2^-24`, the uniform in [0, 1) of each word.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn unit(w: __m128i) -> __m128 {
+        _mm_mul_ps(
+            _mm_cvtepi32_ps(_mm_srli_epi32::<8>(w)),
+            _mm_set1_ps(1.0 / (1u32 << 24) as f32),
+        )
+    }
+
+    /// `v * a.exp()` per lane: `expf`'s fast path, and scalar `f32::exp`
+    /// for the lanes that leave it.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn scale(v: __m128, a: __m128) -> __m128 {
+        let top =
+            _mm_srli_epi32::<20>(_mm_and_si128(_mm_castps_si128(a), _mm_set1_epi32(i32::MAX)));
+        let slow = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(
+            top,
+            _mm_set1_epi32(EXPF_SLOW_TOP - 1),
+        )));
+        let mut e = expf(a);
+        if slow != 0 {
+            let (a, mut lanes) = (store(a), store(e));
+            for (i, (e, a)) in lanes.iter_mut().zip(a).enumerate() {
+                if slow & (1 << i) != 0 {
+                    *e = a.exp();
+                }
+            }
+            e = load(&lanes);
+        }
+        _mm_mul_ps(v, e)
+    }
+
+    /// `logf` of four positive normal floats below 1 (every `u1` is one).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn logf(x: __m128) -> __m128 {
+        let ix = _mm_castps_si128(x);
+        let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(LOGF_OFF));
+        let i = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(15));
+        let k = _mm_srai_epi32::<23>(tmp);
+        let iz = _mm_sub_epi32(
+            ix,
+            _mm_and_si128(tmp, _mm_set1_epi32(0xff80_0000_u32 as i32)),
+        );
+        // SAFETY: `i` is masked to 0..16, the tables' length.
+        let (invc, logc) = unsafe {
+            (
+                _mm256_i32gather_pd::<8>(LOGF_INVC.as_ptr().cast(), i),
+                _mm256_i32gather_pd::<8>(LOGF_LOGC.as_ptr().cast(), i),
+            )
+        };
+        let z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
+        let r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
+        let y0 = _mm256_fmadd_pd(_mm256_cvtepi32_pd(k), _mm256_set1_pd(LN2), logc);
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(r, _mm256_set1_pd(LOGF_A[1]), _mm256_set1_pd(LOGF_A[2]));
+        let y = _mm256_fmadd_pd(r2, _mm256_set1_pd(LOGF_A[0]), y);
+        let y = _mm256_fmadd_pd(r2, y, _mm256_add_pd(y0, r));
+        _mm256_cvtpd_ps(y)
+    }
+
+    /// `cosf` of four floats in [0, 120), as glibc's three paths. Below
+    /// 0.75 (top-12 bits under `asuint(π/4)`'s) glibc runs the cosine
+    /// polynomial on `x` itself; `reduce_fast` gives n = 0 and
+    /// r = x − 0·π/2 = x exactly there, so the quadrant path covers it.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn cosf(y: __m128) -> __m128 {
+        let top = _mm_srli_epi32::<20>(_mm_castps_si128(y));
+        let x = _mm256_cvtps_pd(y);
+        // reduce_fast: n = ((i32)(x·hpi_inv) + 2^23) >> 24, r = x − n·π/2.
+        let n = _mm256_cvttpd_epi32(_mm256_mul_pd(x, _mm256_set1_pd(HPI_INV)));
+        let n = _mm_srai_epi32::<24>(_mm_add_epi32(n, _mm_set1_epi32(0x80_0000)));
+        let r = _mm256_fnmadd_pd(_mm256_cvtepi32_pd(n), _mm256_set1_pd(HPI), x);
+        let r2 = _mm256_mul_pd(r, r);
+        // sinf_poly's cosine branch.
+        let r4 = _mm256_mul_pd(r2, r2);
+        let c1 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_C[1]), _mm256_set1_pd(COSF_C[0]));
+        let c2 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_C[4]), _mm256_set1_pd(COSF_C[3]));
+        let r6 = _mm256_mul_pd(r2, r4);
+        let c = _mm256_fmadd_pd(r4, _mm256_set1_pd(COSF_C[2]), c1);
+        let cos = _mm256_cvtpd_ps(_mm256_fmadd_pd(r6, c2, c));
+        // Its sine branch.
+        let s1 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_S[2]), _mm256_set1_pd(COSF_S[1]));
+        let r3 = _mm256_mul_pd(r2, r);
+        let r7 = _mm256_mul_pd(r2, r3);
+        let s = _mm256_fmadd_pd(r3, _mm256_set1_pd(COSF_S[0]), r);
+        let sin = _mm256_cvtpd_ps(_mm256_fmadd_pd(r7, s1, s));
+        // Odd quadrants take the sine, even ones the cosine. glibc negates
+        // quadrant 1's sine through the sign of r and quadrant 2's cosine
+        // through the second table's negated coefficients. Every step is
+        // odd in those signs, so flipping the sign bit of the rounded
+        // result gives the same bits; bit 1 of n + 1 is set exactly for
+        // n ≡ 1, 2 (mod 4).
+        let v = _mm_blendv_ps(cos, sin, _mm_castsi128_ps(_mm_slli_epi32::<31>(n)));
+        let negative = _mm_slli_epi32::<30>(_mm_add_epi32(n, _mm_set1_epi32(1)));
+        let negative = _mm_and_si128(negative, _mm_set1_epi32(i32::MIN));
+        let v = _mm_xor_ps(v, _mm_castsi128_ps(negative));
+        let tiny = _mm_cmplt_epi32(top, _mm_set1_epi32(0x398));
+        _mm_blendv_ps(v, _mm_set1_ps(1.0), _mm_castsi128_ps(tiny))
+    }
+
+    /// `expf`'s fast path on four floats; lanes with `|x| ≥ 88` or not
+    /// finite give unspecified values.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn expf(x: __m128) -> __m128 {
+        let xd = _mm256_cvtps_pd(x);
+        let kd = _mm256_fmadd_pd(
+            _mm256_set1_pd(EXPF_INV_LN2_N),
+            xd,
+            _mm256_set1_pd(EXPF_SHIFT),
+        );
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, _mm256_set1_pd(EXPF_SHIFT));
+        let r = _mm256_fmsub_pd(_mm256_set1_pd(EXPF_INV_LN2_N), xd, kd);
+        let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        // SAFETY: `index` is masked to 0..32, the table's length.
+        let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TABLE.as_ptr().cast(), index) };
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let z = _mm256_fmadd_pd(r, _mm256_set1_pd(EXPF_C[0]), _mm256_set1_pd(EXPF_C[1]));
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(r, _mm256_set1_pd(EXPF_C[2]), _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, r2, y);
+        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    }
 }
 
-/// `cosf` of four floats in [0, 120), as glibc's three paths. Below 0.75
-/// (top-12 bits under `asuint(π/4)`'s) glibc runs the cosine polynomial
-/// on `x` itself; `reduce_fast` gives n = 0 and r = x − 0·π/2 = x exactly
-/// there, so the quadrant path covers it.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn cosf(y: __m128) -> __m128 {
-    let top = _mm_srli_epi32::<20>(_mm_castps_si128(y));
-    let x = _mm256_cvtps_pd(y);
-    // reduce_fast: n = ((i32)(x·hpi_inv) + 2^23) >> 24, r = x − n·π/2.
-    let n = _mm256_cvttpd_epi32(_mm256_mul_pd(x, _mm256_set1_pd(HPI_INV)));
-    let n = _mm_srai_epi32::<24>(_mm_add_epi32(n, _mm_set1_epi32(0x80_0000)));
-    let r = _mm256_fnmadd_pd(_mm256_cvtepi32_pd(n), _mm256_set1_pd(HPI), x);
-    let r2 = _mm256_mul_pd(r, r);
-    // sinf_poly's cosine branch.
-    let r4 = _mm256_mul_pd(r2, r2);
-    let c1 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_C[1]), _mm256_set1_pd(COSF_C[0]));
-    let c2 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_C[4]), _mm256_set1_pd(COSF_C[3]));
-    let r6 = _mm256_mul_pd(r2, r4);
-    let c = _mm256_fmadd_pd(r4, _mm256_set1_pd(COSF_C[2]), c1);
-    let cos = _mm256_cvtpd_ps(_mm256_fmadd_pd(r6, c2, c));
-    // Its sine branch.
-    let s1 = _mm256_fmadd_pd(r2, _mm256_set1_pd(COSF_S[2]), _mm256_set1_pd(COSF_S[1]));
-    let r3 = _mm256_mul_pd(r2, r);
-    let r7 = _mm256_mul_pd(r2, r3);
-    let s = _mm256_fmadd_pd(r3, _mm256_set1_pd(COSF_S[0]), r);
-    let sin = _mm256_cvtpd_ps(_mm256_fmadd_pd(r7, s1, s));
-    // Odd quadrants take the sine, even ones the cosine. glibc negates
-    // quadrant 1's sine through the sign of r and quadrant 2's cosine
-    // through the second table's negated coefficients. Every step is odd
-    // in those signs, so flipping the sign bit of the rounded result gives
-    // the same bits; bit 1 of n + 1 is set exactly for n ≡ 1, 2 (mod 4).
-    let v = _mm_blendv_ps(cos, sin, _mm_castsi128_ps(_mm_slli_epi32::<31>(n)));
-    let negative = _mm_slli_epi32::<30>(_mm_add_epi32(n, _mm_set1_epi32(1)));
-    let negative = _mm_and_si128(negative, _mm_set1_epi32(i32::MIN));
-    let v = _mm_xor_ps(v, _mm_castsi128_ps(negative));
-    let tiny = _mm_cmplt_epi32(top, _mm_set1_epi32(0x398));
-    _mm_blendv_ps(v, _mm_set1_ps(1.0), _mm_castsi128_ps(tiny))
-}
+/// The eight-lane body: `f64` steps in 512-bit registers, tables in
+/// registers. Each function is [`avx2`]'s, operation for operation, with
+/// the `f32` and `i32` steps in 256-bit registers.
+mod avx512 {
+    use std::arch::x86_64::*;
 
-/// `expf`'s fast path on four floats; lanes with `|x| ≥ 88` or not
-/// finite give unspecified values.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn expf(x: __m128) -> __m128 {
-    let xd = _mm256_cvtps_pd(x);
-    let kd = _mm256_fmadd_pd(
-        _mm256_set1_pd(EXPF_INV_LN2_N),
-        xd,
-        _mm256_set1_pd(EXPF_SHIFT),
-    );
-    let ki = _mm256_castpd_si256(kd);
-    let kd = _mm256_sub_pd(kd, _mm256_set1_pd(EXPF_SHIFT));
-    let r = _mm256_fmsub_pd(_mm256_set1_pd(EXPF_INV_LN2_N), xd, kd);
-    let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
-    // SAFETY: `index` is masked to 0..32, the table's length.
-    let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TABLE.as_ptr().cast(), index) };
-    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-    let z = _mm256_fmadd_pd(r, _mm256_set1_pd(EXPF_C[0]), _mm256_set1_pd(EXPF_C[1]));
-    let r2 = _mm256_mul_pd(r, r);
-    let y = _mm256_fmadd_pd(r, _mm256_set1_pd(EXPF_C[2]), _mm256_set1_pd(1.0));
-    let y = _mm256_fmadd_pd(z, r2, y);
-    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    use super::{
+        COSF_C, COSF_S, EXP2F_TABLE, EXPF_C, EXPF_INV_LN2_N, EXPF_SHIFT, EXPF_SLOW_TOP, HPI,
+        HPI_INV, LN2, LOGF_A, LOGF_INVC, LOGF_LOGC, LOGF_OFF,
+    };
+
+    /// Scalars per step.
+    const LANES: usize = 8;
+
+    /// [`super::normals`] on eight lanes.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn normals(words: &[u8], z: &mut [f32]) {
+        let mut pairs = words.chunks_exact(8 * LANES);
+        let mut out = z.chunks_exact_mut(LANES);
+        for (pairs, z) in (&mut pairs).zip(&mut out) {
+            let pairs: &[u8; 8 * LANES] = pairs.try_into().expect("eight word pairs");
+            z.copy_from_slice(&store(normal(pairs)));
+        }
+        let z = out.into_remainder();
+        if !z.is_empty() {
+            // The tail's missing pairs read as zero words; their lanes are
+            // dropped.
+            let mut padded = [0u8; 8 * LANES];
+            padded[..8 * z.len()].copy_from_slice(pairs.remainder());
+            z.copy_from_slice(&store(normal(&padded))[..z.len()]);
+        }
+    }
+
+    /// [`super::scale_by_exp`] on eight lanes.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn scale_by_exp(values: &mut [f32], sigma: f32, z: &[f32]) {
+        let sigma = _mm256_set1_ps(sigma);
+        let mut vs = values.chunks_exact_mut(LANES);
+        let mut zs = z.chunks_exact(LANES);
+        for (v, z) in (&mut vs).zip(&mut zs) {
+            let scaled = scale(load(v), _mm256_mul_ps(sigma, load(z)));
+            v.copy_from_slice(&store(scaled));
+        }
+        let v = vs.into_remainder();
+        if !v.is_empty() {
+            let (mut vp, mut zp) = ([0.0f32; LANES], [0.0f32; LANES]);
+            vp[..v.len()].copy_from_slice(v);
+            zp[..v.len()].copy_from_slice(zs.remainder());
+            let scaled = scale(load(&vp), _mm256_mul_ps(sigma, load(&zp)));
+            v.copy_from_slice(&store(scaled)[..v.len()]);
+        }
+    }
+
+    /// Eight lanes from the first eight floats of `v`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn load(v: &[f32]) -> __m256 {
+        assert!(v.len() >= LANES, "a full lane group");
+        // SAFETY: `v` holds at least eight floats (checked above); an
+        // unaligned load has no other requirement.
+        unsafe { _mm256_loadu_ps(v.as_ptr()) }
+    }
+
+    /// The eight lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn store(v: __m256) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        // SAFETY: `out` holds eight floats; an unaligned store has no other
+        // requirement.
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// Entries `8q..8q + 8` of `table`, as one register.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn entries(table: &[u64], q: usize) -> __m512i {
+        let entries = &table[8 * q..8 * q + 8];
+        // SAFETY: `entries` is 64 bytes; an unaligned load has no other
+        // requirement.
+        unsafe { _mm512_loadu_si512(entries.as_ptr().cast()) }
+    }
+
+    /// `table[i]` for each index lane of `i` (only its low four bits are
+    /// read), with the 16-entry table in two registers.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn lookup16(table: &[u64; 16], i: __m512i) -> __m512d {
+        let half = |q| _mm512_castsi512_pd(entries(table, q));
+        _mm512_permutex2var_pd(half(0), i, half(1))
+    }
+
+    /// `normal_from_words(w1, w2)` of eight 8-byte word pairs.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn normal(pairs: &[u8; 8 * LANES]) -> __m256 {
+        // SAFETY: `pairs` holds 64 bytes; an unaligned load has no other
+        // requirement.
+        let w = unsafe { _mm512_loadu_si512(pairs.as_ptr().cast()) };
+        // Each pair's first word to the low half, its second to the high one.
+        let w = _mm512_permutexvar_epi32(
+            _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15),
+            w,
+        );
+        let (w1, w2) = (_mm512_castsi512_si256(w), _mm512_extracti64x4_epi64::<1>(w));
+        let u1 = _mm256_add_ps(
+            _mm256_set1_ps(f32::EPSILON),
+            _mm256_mul_ps(unit(w1), _mm256_set1_ps(1.0 - f32::EPSILON)),
+        );
+        let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), logf(u1)));
+        let angle = _mm256_mul_ps(_mm256_set1_ps(2.0 * std::f32::consts::PI), unit(w2));
+        _mm256_mul_ps(radius, cosf(angle))
+    }
+
+    /// `(w >> 8) as f32 * 2^-24`, the uniform in [0, 1) of each word.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn unit(w: __m256i) -> __m256 {
+        _mm256_mul_ps(
+            _mm256_cvtepi32_ps(_mm256_srli_epi32::<8>(w)),
+            _mm256_set1_ps(1.0 / (1u32 << 24) as f32),
+        )
+    }
+
+    /// `v * a.exp()` per lane: `expf`'s fast path, and scalar `f32::exp`
+    /// for the lanes that leave it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn scale(v: __m256, a: __m256) -> __m256 {
+        let magnitude = _mm256_and_si256(_mm256_castps_si256(a), _mm256_set1_epi32(i32::MAX));
+        let top = _mm256_srli_epi32::<20>(magnitude);
+        let slow = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
+            top,
+            _mm256_set1_epi32(EXPF_SLOW_TOP - 1),
+        )));
+        let mut e = expf(a);
+        if slow != 0 {
+            let (a, mut lanes) = (store(a), store(e));
+            for (i, (e, a)) in lanes.iter_mut().zip(a).enumerate() {
+                if slow & (1 << i) != 0 {
+                    *e = a.exp();
+                }
+            }
+            e = load(&lanes);
+        }
+        _mm256_mul_ps(v, e)
+    }
+
+    /// `logf` of eight positive normal floats below 1.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn logf(x: __m256) -> __m256 {
+        let ix = _mm256_castps_si256(x);
+        let tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(LOGF_OFF));
+        let i = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), _mm256_set1_epi32(15));
+        let k = _mm256_srai_epi32::<23>(tmp);
+        let iz = _mm256_sub_epi32(
+            ix,
+            _mm256_and_si256(tmp, _mm256_set1_epi32(0xff80_0000_u32 as i32)),
+        );
+        let i = _mm512_cvtepu32_epi64(i);
+        let (invc, logc) = (lookup16(&LOGF_INVC, i), lookup16(&LOGF_LOGC, i));
+        let z = _mm512_cvtps_pd(_mm256_castsi256_ps(iz));
+        let r = _mm512_fmadd_pd(z, invc, _mm512_set1_pd(-1.0));
+        let y0 = _mm512_fmadd_pd(_mm512_cvtepi32_pd(k), _mm512_set1_pd(LN2), logc);
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(r, _mm512_set1_pd(LOGF_A[1]), _mm512_set1_pd(LOGF_A[2]));
+        let y = _mm512_fmadd_pd(r2, _mm512_set1_pd(LOGF_A[0]), y);
+        let y = _mm512_fmadd_pd(r2, y, _mm512_add_pd(y0, r));
+        _mm512_cvtpd_ps(y)
+    }
+
+    /// `cosf` of eight floats in [0, 120), as [`super::avx2`]'s.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn cosf(y: __m256) -> __m256 {
+        let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(y));
+        let x = _mm512_cvtps_pd(y);
+        let n = _mm512_cvttpd_epi32(_mm512_mul_pd(x, _mm512_set1_pd(HPI_INV)));
+        let n = _mm256_srai_epi32::<24>(_mm256_add_epi32(n, _mm256_set1_epi32(0x80_0000)));
+        let r = _mm512_fnmadd_pd(_mm512_cvtepi32_pd(n), _mm512_set1_pd(HPI), x);
+        let r2 = _mm512_mul_pd(r, r);
+        let r4 = _mm512_mul_pd(r2, r2);
+        let c1 = _mm512_fmadd_pd(r2, _mm512_set1_pd(COSF_C[1]), _mm512_set1_pd(COSF_C[0]));
+        let c2 = _mm512_fmadd_pd(r2, _mm512_set1_pd(COSF_C[4]), _mm512_set1_pd(COSF_C[3]));
+        let r6 = _mm512_mul_pd(r2, r4);
+        let c = _mm512_fmadd_pd(r4, _mm512_set1_pd(COSF_C[2]), c1);
+        let cos = _mm512_cvtpd_ps(_mm512_fmadd_pd(r6, c2, c));
+        let s1 = _mm512_fmadd_pd(r2, _mm512_set1_pd(COSF_S[2]), _mm512_set1_pd(COSF_S[1]));
+        let r3 = _mm512_mul_pd(r2, r);
+        let r7 = _mm512_mul_pd(r2, r3);
+        let s = _mm512_fmadd_pd(r3, _mm512_set1_pd(COSF_S[0]), r);
+        let sin = _mm512_cvtpd_ps(_mm512_fmadd_pd(r7, s1, s));
+        let v = _mm256_blendv_ps(cos, sin, _mm256_castsi256_ps(_mm256_slli_epi32::<31>(n)));
+        let negative = _mm256_slli_epi32::<30>(_mm256_add_epi32(n, _mm256_set1_epi32(1)));
+        let negative = _mm256_and_si256(negative, _mm256_set1_epi32(i32::MIN));
+        let v = _mm256_xor_ps(v, _mm256_castsi256_ps(negative));
+        let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x398), top);
+        _mm256_blendv_ps(v, _mm256_set1_ps(1.0), _mm256_castsi256_ps(tiny))
+    }
+
+    /// `expf`'s fast path on eight floats; lanes with `|x| ≥ 88` or not
+    /// finite give unspecified values.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn expf(x: __m256) -> __m256 {
+        let xd = _mm512_cvtps_pd(x);
+        let kd = _mm512_fmadd_pd(
+            _mm512_set1_pd(EXPF_INV_LN2_N),
+            xd,
+            _mm512_set1_pd(EXPF_SHIFT),
+        );
+        let ki = _mm512_castpd_si512(kd);
+        let kd = _mm512_sub_pd(kd, _mm512_set1_pd(EXPF_SHIFT));
+        let r = _mm512_fmsub_pd(_mm512_set1_pd(EXPF_INV_LN2_N), xd, kd);
+        // `EXP2F_TABLE[ki & 31]`: each permute reads the low four bits of
+        // `ki` over one half of the table, and bit 4 picks the half.
+        let half = |q| {
+            _mm512_permutex2var_epi64(entries(&EXP2F_TABLE, q), ki, entries(&EXP2F_TABLE, q + 1))
+        };
+        let t = _mm512_mask_blend_epi64(
+            _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)),
+            half(0),
+            half(2),
+        );
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let z = _mm512_fmadd_pd(r, _mm512_set1_pd(EXPF_C[0]), _mm512_set1_pd(EXPF_C[1]));
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(r, _mm512_set1_pd(EXPF_C[2]), _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(z, r2, y);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    }
 }
 
 #[cfg(test)]
@@ -488,20 +828,39 @@ mod tests {
     /// alone.
     const UNIT_RADIUS: u32 = 0x9b45_9700;
 
-    /// Whether the kernel runs here; the tests below prove what runs, so
-    /// they have nothing to check where it does not.
-    fn kernel_runs() -> bool {
-        let runs = enabled();
-        if !runs {
+    /// The bodies to check on this host: every body the CPU supports,
+    /// where the kernel runs at all (else this libm is not the one the
+    /// bodies copy, and there is nothing to check). Prints what is not
+    /// checked.
+    fn bodies() -> Vec<Body> {
+        if kernel().is_none() {
             eprintln!("AVX2+FMA kernel off on this host: nothing to check");
+            return Vec::new();
         }
-        runs
+        let bodies: Vec<Body> = Body::supported().collect();
+        if !bodies.contains(&Body::Avx512) {
+            eprintln!("eight-lane body not checked: the CPU does not report AVX-512F");
+        }
+        bodies
     }
 
-    /// Runs the kernel on the word pair `pair(k << 8)` for every 24-bit
+    /// The process runs the widest body the CPU supports: the probe also
+    /// passes for the eight-lane body where the four-lane one passes.
+    #[test]
+    fn kernel_is_the_widest_supported_body() {
+        if kernel().is_some() {
+            assert_eq!(kernel(), Body::supported().last());
+        }
+    }
+
+    /// Runs every body on the word pair `pair(k << 8)` for every 24-bit
     /// `k`, against the scalar [`normal_from_words`].
     fn sweep(pair: impl Fn(u32) -> (u32, u32)) {
         const BATCH: usize = 1 << 12;
+        let bodies = bodies();
+        if bodies.is_empty() {
+            return;
+        }
         let mut words = vec![0u8; 8 * BATCH];
         let mut z = vec![0.0f32; BATCH];
         for start in (0..1u32 << 24).step_by(BATCH) {
@@ -512,15 +871,20 @@ mod tests {
                 bytes[..4].copy_from_slice(&w1.to_le_bytes());
                 bytes[4..].copy_from_slice(&w2.to_le_bytes());
             }
-            // SAFETY: `kernel_runs` confirmed AVX2 and FMA.
-            unsafe { normals_avx2(&words, &mut z) };
-            for (z, &(w1, w2)) in z.iter().zip(&pairs) {
-                let want = normal_from_words(w1, w2);
-                assert_eq!(
-                    z.to_bits(),
-                    want.to_bits(),
-                    "words {w1:#x}, {w2:#x}: {z} vs {want}"
-                );
+            let want: Vec<f32> = pairs
+                .iter()
+                .map(|&(w1, w2)| normal_from_words(w1, w2))
+                .collect();
+            for &body in &bodies {
+                // SAFETY: `bodies` lists only bodies the CPU supports.
+                unsafe { body.normals(&words, &mut z) };
+                for ((z, want), &(w1, w2)) in z.iter().zip(&want).zip(&pairs) {
+                    assert_eq!(
+                        z.to_bits(),
+                        want.to_bits(),
+                        "{body:?}, words {w1:#x}, {w2:#x}: {z} vs {want}"
+                    );
+                }
             }
         }
     }
@@ -529,9 +893,7 @@ mod tests {
     /// radius factor `sqrt(-2·ln u1)`: this checks `logf` on every `u1`.
     #[test]
     fn radius_factor_matches_libm_for_every_first_word() {
-        if kernel_runs() {
-            sweep(|w| (w, 0));
-        }
+        sweep(|w| (w, 0));
     }
 
     /// With a unit radius the normal is the angle factor `cos(2π·u2)`:
@@ -541,29 +903,34 @@ mod tests {
     #[test]
     fn angle_factor_matches_libm_for_every_second_word() {
         assert_eq!(normal_from_words(UNIT_RADIUS, 0), 1.0);
-        if kernel_runs() {
-            sweep(|w| (UNIT_RADIUS, w));
-        }
+        sweep(|w| (UNIT_RADIUS, w));
     }
 
-    /// `1 · e^a` through [`scale`], fast path and scalar fall-back, against
-    /// `f32::exp` on every `a` in `bits`.
+    /// `1 · e^(1·a)` through every body's `scale_by_exp`, fast path and
+    /// scalar fall-back, against `f32::exp` on every `a` in `bits`.
     fn check_exp(bits: impl Iterator<Item = u32>) {
+        const BATCH: usize = 1 << 12;
+        let bodies = bodies();
+        if bodies.is_empty() {
+            return;
+        }
         let mut bits = bits.peekable();
+        let mut e = Vec::with_capacity(BATCH);
         while bits.peek().is_some() {
-            let mut a = [0.0f32; LANES];
-            for (a, b) in a.iter_mut().zip(&mut bits) {
-                *a = f32::from_bits(b);
-            }
-            // SAFETY: `kernel_runs` confirmed AVX2 and FMA.
-            let e = unsafe { store(scale(_mm_set1_ps(1.0), load(&a))) };
-            for (e, a) in e.iter().zip(a) {
-                let want = 1.0 * a.exp();
-                assert_eq!(
-                    e.to_bits(),
-                    want.to_bits(),
-                    "exp({a:e}) = {want:e}, kernel {e:e}"
-                );
+            let a: Vec<f32> = bits.by_ref().take(BATCH).map(f32::from_bits).collect();
+            let want: Vec<f32> = a.iter().map(|&a| 1.0 * (1.0 * a).exp()).collect();
+            for &body in &bodies {
+                e.clear();
+                e.resize(a.len(), 1.0);
+                // SAFETY: `bodies` lists only bodies the CPU supports.
+                unsafe { body.scale_by_exp(&mut e, 1.0, &a) };
+                for ((e, want), a) in e.iter().zip(&want).zip(&a) {
+                    assert_eq!(
+                        e.to_bits(),
+                        want.to_bits(),
+                        "{body:?}: exp({a:e}) = {want:e}, kernel {e:e}"
+                    );
+                }
             }
         }
     }
@@ -572,23 +939,19 @@ mod tests {
     /// signs, ±∞ and NaNs.
     #[test]
     fn exp_matches_libm_on_a_stride_of_all_bit_patterns() {
-        if kernel_runs() {
-            check_exp(
-                (0..=u32::MAX)
-                    .step_by(997)
-                    .chain([0x7f80_0000, 0xff80_0000, 0x42b0_0000]),
-            );
-        }
+        check_exp(
+            (0..=u32::MAX)
+                .step_by(997)
+                .chain([0x7f80_0000, 0xff80_0000, 0x42b0_0000]),
+        );
     }
 
     /// Every `f32` on `expf`'s fast path, |x| < 88: about 2.2·10⁹ values,
-    /// about half a minute in release.
+    /// about half a minute per body in release.
     #[test]
     #[ignore = "exhaustive: about 2.2e9 expf calls, run in release"]
     fn exp_matches_libm_on_every_fast_path_input() {
-        if kernel_runs() {
-            let below_88 = 0..0x42b0_0000u32;
-            check_exp(below_88.clone().chain(below_88.map(|b| b | 0x8000_0000)));
-        }
+        let below_88 = 0..0x42b0_0000u32;
+        check_exp(below_88.clone().chain(below_88.map(|b| b | 0x8000_0000)));
     }
 }
