@@ -1,4 +1,4 @@
-//! AWP: adversarial weight perturbation (Wu et al., ref. [18]).
+//! AWP: adversarial weight perturbation (Wu et al., ref. \[18\]).
 //!
 //! Each step climbs the loss in weight space before computing the update
 //! gradient: `δ = γ·‖w‖·g/‖g‖` per parameter tensor, gradients are taken at

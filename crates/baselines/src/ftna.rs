@@ -1,5 +1,5 @@
 //! FTNA: fault-tolerant neural architecture via error-correction-code
-//! outputs (Liu et al., ref. [6]).
+//! outputs (Liu et al., ref. \[6\]).
 //!
 //! Instead of class logits, the network emits a binary codeword; each class
 //! owns a row of a Hadamard codebook, and prediction picks the row with the

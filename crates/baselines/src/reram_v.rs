@@ -1,5 +1,5 @@
 //! ReRAM-V: per-device diagnosis and iterative weight re-programming
-//! (Chen et al., ref. [5]).
+//! (Chen et al., ref. \[5\]).
 //!
 //! The method assumes each deployed crossbar can be read back, compared
 //! against reference weights, and re-programmed. Compensation is imperfect

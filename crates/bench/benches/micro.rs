@@ -23,7 +23,10 @@ use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use reram::{DeviceVariation, DriftModel, FaultInjector, GaussianAdditive, LogNormalDrift};
-use tensor::{col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Tensor};
+use tensor::{
+    col2im_into, gemm_into, gemm_nt_acc_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec,
+    Tensor,
+};
 
 /// Counts allocator traffic so benches can report bytes per trial.
 struct CountingAllocator;
@@ -446,16 +449,20 @@ fn bench_matmul(c: &mut Criterion) {
     });
     // LeNet-5's products on 14×14 inputs: conv1 forward (nn 6×25×196),
     // conv2 forward per sample (nn 16×150×9, a narrow column tail) and
-    // per 28-sample chunk (nn 16×150×252), and conv1's backward dW (nt
-    // 6×196×25) and dcol (tn 25×6×196); then a 64→64 hidden layer of
-    // the moons MLP over its 103-row validation split (nn 103×64×64).
+    // per 28-sample chunk (nn 16×150×252), conv1's backward dW (nt
+    // 6×196×25) and dcol (tn 25×6×196), conv2's dW per sample (nt
+    // 16×9×150) and dcol per chunk (tn 150×16×252); then a 64→64 hidden
+    // layer of the moons MLP over its 103-row validation split (nn
+    // 103×64×64).
     type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-    let shapes: [(&str, Gemm, [usize; 3]); 6] = [
+    let shapes: [(&str, Gemm, [usize; 3]); 8] = [
         ("lenet_nn_6x25x196", gemm_into, [6, 25, 196]),
         ("lenet_nn_16x150x9", gemm_into, [16, 150, 9]),
         ("lenet_nn_16x150x252", gemm_into, [16, 150, 252]),
         ("lenet_nt_6x196x25", gemm_nt_into, [6, 196, 25]),
         ("lenet_tn_25x6x196", gemm_tn_into, [25, 6, 196]),
+        ("lenet_nt_16x9x150", gemm_nt_into, [16, 9, 150]),
+        ("lenet_tn_150x16x252", gemm_tn_into, [150, 16, 252]),
         ("mlp_nn_103x64x64", gemm_into, [103, 64, 64]),
     ];
     for (name, gemm, [m, k, n]) in shapes {
@@ -466,17 +473,40 @@ fn bench_matmul(c: &mut Criterion) {
             b.iter(|| gemm(a.as_slice(), b_mat.as_slice(), &mut out, m, k, n))
         });
     }
-    // conv1's lowering and its adjoint: a 5×5 kernel, padding 2, on 14×14.
-    let spec = Conv2dSpec::new(1, 6, 5, 1, 2);
-    let image = Tensor::randn(&[14 * 14], 0.0, 1.0, &mut rng);
-    let mut cols = vec![0.0f32; spec.patch_len() * 14 * 14];
-    group.bench_function("lenet_im2col_14x14", |b| {
-        b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, 1, 14, 14))
-    });
-    let mut grad = vec![0.0f32; 14 * 14];
-    group.bench_function("lenet_col2im_14x14", |b| {
-        b.iter(|| col2im_into(&cols, &mut grad, &spec, 1, 14, 14))
-    });
+    // The conv layers' dW as one accumulating product per chunk, one
+    // segment per sample: conv1's single sample (nt 6×196×25) and conv2's
+    // 28-sample chunk (nt 16×(28·9)×150).
+    for (name, [m, seg, segments, n]) in [
+        ("lenet_nt_acc_6x196x25", [6, 196, 1, 25]),
+        ("lenet_nt_acc_16x28x9x150", [16, 9, 28, 150]),
+    ] {
+        let k = seg * segments;
+        let a = Tensor::randn(&[m * k], 0.0, 1.0, &mut rng);
+        let b_mat = Tensor::randn(&[n * k], 0.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(name, |b| {
+            b.iter(|| gemm_nt_acc_into(a.as_slice(), b_mat.as_slice(), &mut out, m, k, n, segments))
+        });
+    }
+    // conv1's lowering and its adjoint (a 5×5 kernel, padding 2, on one
+    // 14×14 digit), then conv2's (5×5, no padding, on a 28-sample chunk
+    // of 6×7×7 maps).
+    for (name, spec, n, side) in [
+        ("14x14", Conv2dSpec::new(1, 6, 5, 1, 2), 1, 14),
+        ("28x6x7x7", Conv2dSpec::new(6, 16, 5, 1, 0), 28, 7),
+    ] {
+        let (oh, ow) = spec.output_hw(side, side);
+        let len = n * spec.in_channels * side * side;
+        let image = Tensor::randn(&[len], 0.0, 1.0, &mut rng);
+        let mut cols = vec![0.0f32; spec.patch_len() * n * oh * ow];
+        group.bench_function(format!("lenet_im2col_{name}"), |b| {
+            b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, n, side, side))
+        });
+        let mut grad = vec![0.0f32; len];
+        group.bench_function(format!("lenet_col2im_{name}"), |b| {
+            b.iter(|| col2im_into(&cols, &mut grad, &spec, n, side, side))
+        });
+    }
     group.finish();
 }
 

@@ -8,10 +8,10 @@
 //!
 //! | paper dataset | stand-in | structure |
 //! |---|---|---|
-//! | scikit-learn binary toy (Fig. 1) | [`moons`] | 2-D two-class interleaved half-moons |
-//! | MNIST | [`digits`] | 10 glyph classes, 1×14×14, jittered bitmap font |
-//! | CIFAR-10 | [`shapes`] | 10 textured-shape classes, 3×16×16 |
-//! | GTSRB | [`signs`] | 43 sign classes (shape × color × glyph), 3×16×16 |
+//! | scikit-learn binary toy (Fig. 1) | [`moons()`] | 2-D two-class interleaved half-moons |
+//! | MNIST | [`digits()`] | 10 glyph classes, 1×14×14, jittered bitmap font |
+//! | CIFAR-10 | [`shapes()`] | 10 textured-shape classes, 3×16×16 |
+//! | GTSRB | [`signs()`] | 43 sign classes (shape × color × glyph), 3×16×16 |
 //! | PennFudanPed | [`ped_scenes`] | detection scenes with boxed "pedestrians" |
 //!
 //! Every generator takes an explicit RNG, so datasets are reproducible from

@@ -1,7 +1,7 @@
 //! Spatial-transformer classifier (Fig. 3(i)): a localization network
 //! predicts an affine transform, the input is bilinearly resampled through
 //! it, and a CNN classifies the canonicalized image — the architecture the
-//! paper uses for randomized-geometry traffic-sign recognition (ref. [27]).
+//! paper uses for randomized-geometry traffic-sign recognition (ref. \[27\]).
 
 use nn::{
     Activation, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Sequential,

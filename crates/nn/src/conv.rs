@@ -2,7 +2,8 @@
 
 use rand::Rng;
 use tensor::{
-    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Pool2dSpec, Tensor,
+    col2im_into, gemm_into, gemm_nt_acc_into, gemm_tn_into, im2col_into, Conv2dSpec, Pool2dSpec,
+    Tensor,
 };
 
 use crate::{Layer, Mode, Param, Workspace};
@@ -45,14 +46,15 @@ fn grow(buf: &mut Vec<f32>, len: usize) {
 /// and the forward product `W·cols` and the backward `Wᵀ·G` are one gemm
 /// per chunk. The gemm kernel adds every output element's terms in
 /// ascending `k` whatever the column count, so a chunked step computes
-/// the same bits as a per-sample one. `dW` stays one `grad·colᵀ`
-/// product per sample, accumulated in sample order, so its sums are
-/// unchanged too.
+/// the same bits as a per-sample one. `dW` is one accumulating product
+/// per chunk, `dW += Σ_s G_s·col_sᵀ` with one segment per sample: each
+/// sample's product is rounded on its own and added into `dW` in sample
+/// order, as a `grad·colᵀ` product per sample would be.
 ///
-/// The chunks' patch matrices form the layer's `backward` tape. It, the
-/// chunk's gemm output (reused as the gathered output gradient `G`) and
-/// one sample's patch matrix are layer-owned buffers that grow to the
-/// largest batch once and are reused in place after that. `backward`
+/// The chunks' patch matrices form the layer's `backward` tape. It and
+/// the chunk's gemm output (reused as the gathered output gradient `G`)
+/// are layer-owned buffers that grow to the largest batch once and are
+/// reused in place after that. `backward`
 /// writes each chunk's `Wᵀ·G` over its spent patch matrices, so it
 /// consumes the tape. [`Layer::backward_params_ws`] skips `Wᵀ·G` and
 /// `col2im` but consumes the tape all the same. An eval forward lowers
@@ -79,12 +81,9 @@ pub struct Conv2d {
     bias: Param,
     /// Patch matrices, chunk after chunk: `[patch, g·OH·OW]` each.
     tape: Vec<f32>,
-    /// One chunk's `W·cols` (forward) or gathered `G` (backward):
-    /// `[OC, g·OH·OW]`.
+    /// One chunk's `W·cols` (forward) or gathered output gradient `G`
+    /// (backward): `[OC, g·OH·OW]`.
     mix: Vec<f32>,
-    /// One sample's patch matrix, copied out of a multi-sample chunk
-    /// for its `dW` product: `[patch, OH·OW]`.
-    col: Vec<f32>,
     input_hw: (usize, usize),
     batch: usize,
 }
@@ -113,7 +112,6 @@ impl Conv2d {
             bias: Param::new(Tensor::zeros(&[out_channels])),
             tape: Vec::new(),
             mix: Vec::new(),
-            col: Vec::new(),
             input_hw: (0, 0),
             batch: 0,
         }
@@ -215,61 +213,37 @@ impl Conv2d {
         let (patch, ohw) = (self.spec.patch_len(), oh * ow);
         assert_eq!(grad_out.dims(), &[n, oc, oh, ow], "conv2d gradient shape");
         let g = samples_per_chunk(ohw).min(n);
-        if g > 1 {
-            grow(&mut self.col, patch * ohw);
-        }
         let mut grad_in = need_input_grad.then(|| ws.take_tensor(&[n, c, h, w]));
-        let mut dw = ws.take(oc * patch);
         let in_len = c * h * w;
         for s0 in (0..n).step_by(g) {
             let gc = g.min(n - s0);
             let cols = gc * ohw;
             let chunk = &mut self.tape[s0 * patch * ohw..][..patch * cols];
-            for s in 0..gc {
-                let gs = &grad_out.as_slice()[(s0 + s) * oc * ohw..][..oc * ohw];
-                let col = if gc == 1 {
-                    &*chunk
-                } else {
-                    let rows = chunk.chunks_exact(cols);
-                    for (dst, src) in self.col.chunks_exact_mut(ohw).zip(rows) {
-                        dst.copy_from_slice(&src[s * ohw..][..ohw]);
-                    }
-                    &self.col[..patch * ohw]
-                };
-                // dW += g · colᵀ (the product lands in scratch first, then
-                // accumulates) and db += row sums of g; g's rows are
-                // gathered into the chunk's G on the way when the input
-                // gradient needs it.
-                gemm_nt_into(gs, col, &mut dw, oc, ohw, patch);
-                for (gw, &d) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
-                    *gw += d;
-                }
-                for (och, gb) in self.bias.grad.as_mut_slice().iter_mut().enumerate() {
-                    let row = &gs[och * ohw..][..ohw];
+            let mix = &mut self.mix[..oc * cols];
+            // Gather the chunk's G (sample s's map `och` into columns
+            // `s·ohw..` of row `och`) and add db += row sums of g in
+            // sample order.
+            let grads = &grad_out.as_slice()[s0 * oc * ohw..][..gc * oc * ohw];
+            for (s, gs) in grads.chunks_exact(oc * ohw).enumerate() {
+                let biases = self.bias.grad.as_mut_slice().iter_mut();
+                for (och, (gb, row)) in biases.zip(gs.chunks_exact(ohw)).enumerate() {
                     *gb += row.iter().sum::<f32>();
-                    if need_input_grad {
-                        self.mix[och * cols + s * ohw..][..ohw].copy_from_slice(row);
-                    }
+                    mix[och * cols + s * ohw..][..ohw].copy_from_slice(row);
                 }
             }
+            // dW += G_s · col_sᵀ for each sample s of the chunk in turn.
+            let dw = self.weight.grad.as_mut_slice();
+            gemm_nt_acc_into(mix, chunk, dw, oc, cols, patch, gc);
             let Some(grad_in) = grad_in.as_mut() else {
                 continue;
             };
             // The chunk's patch matrices are spent: dcol = Wᵀ · G over the
             // whole chunk overwrites them, then scatters back per image.
-            gemm_tn_into(
-                self.weight.value.as_slice(),
-                &self.mix[..oc * cols],
-                chunk,
-                patch,
-                oc,
-                cols,
-            );
+            gemm_tn_into(self.weight.value.as_slice(), mix, chunk, patch, oc, cols);
             let images = &mut grad_in.as_mut_slice()[s0 * in_len..][..gc * in_len];
             col2im_into(chunk, images, &self.spec, gc, h, w);
         }
         self.batch = 0;
-        ws.recycle_vec(dw);
         grad_in
     }
 }
@@ -518,6 +492,7 @@ mod tests {
     use crate::GradCheck;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use tensor::gemm_nt_into;
 
     #[test]
     fn conv_output_shape() {
@@ -613,14 +588,23 @@ mod tests {
 
     /// Chunked train and eval forwards, weight/bias/input gradients all
     /// equal the per-sample step bit for bit, at batch sizes around the
-    /// chunk size `g` for a 9-output (`g = 28`) and a 196-output
-    /// (`g = 1`) geometry, with the tape shrinking and regrowing between
-    /// batches; so do the weight/bias gradients of `backward_params_ws`.
+    /// chunk size `g` for a 9-output (`g = 28`), a 196-output (`g = 1`)
+    /// and three 64-output (`g = 4`) geometries, with the tape shrinking
+    /// and regrowing between batches; so do the weight/bias gradients of
+    /// `backward_params_ws`.
     #[test]
     fn chunked_conv_matches_per_sample_reference_bit_for_bit() {
         // (in, out, kernel, stride, padding, side): LeNet's conv2 on 7×7
-        // maps (3×3 outputs) and conv1 on 14×14 digits (14×14 outputs).
-        for (c, oc, k, stride, pad, side) in [(6, 16, 5, 1, 0, 7), (1, 6, 5, 1, 2, 14)] {
+        // maps (3×3 outputs) and conv1 on 14×14 digits (14×14 outputs);
+        // then the Fig. 3 ResNets' downsampling 3×3 conv and 1×1 shortcut
+        // (stride 2, 16×16 → 8×8) and a padded 3×3 conv on 8×8 maps.
+        for (c, oc, k, stride, pad, side) in [
+            (6, 16, 5, 1, 0, 7),
+            (1, 6, 5, 1, 2, 14),
+            (8, 16, 3, 2, 1, 16),
+            (8, 16, 1, 2, 0, 16),
+            (16, 16, 3, 1, 1, 8),
+        ] {
             let mut rng = ChaCha8Rng::seed_from_u64(11);
             let mut conv = Conv2d::new(c, oc, k, stride, pad, &mut rng);
             conv.bias.value = Tensor::randn(&[oc], 0.0, 1.0, &mut rng);

@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use rand::Rng;
-use tensor::{gemm_into, gemm_nt_into, gemm_tn_into, Tensor};
+use tensor::{gemm_into, gemm_nt_into, gemm_tn_acc_into, Tensor};
 
 use crate::{
     layer::{cache_into, invalidate_cache},
@@ -151,15 +151,10 @@ impl Dense {
         );
         let (m, k, n) = (x.dims()[0], self.in_features, self.out_features);
         assert_eq!(grad_out.dims(), &[m, n], "dense gradient shape");
-        // dW = xᵀ·g, db = Σ_rows g, dx = g·Wᵀ — each partial product lands
-        // in workspace scratch first, then accumulates into the grads (the
-        // same two-step arithmetic as the old `add_assign(matmul_*)` form).
-        let mut dw = ws.take(k * n);
-        gemm_tn_into(x.as_slice(), grad_out.as_slice(), &mut dw, k, m, n);
-        for (gw, &d) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
-            *gw += d;
-        }
-        ws.recycle_vec(dw);
+        // dW += xᵀ·g (rounded on its own, then added), db += Σ_rows g
+        // (summed in scratch, then added), dx = g·Wᵀ.
+        let dw = self.weight.grad.as_mut_slice();
+        gemm_tn_acc_into(x.as_slice(), grad_out.as_slice(), dw, k, m, n, 1);
         let mut db = ws.take(n);
         db.fill(0.0);
         for r in 0..m {

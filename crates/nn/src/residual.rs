@@ -1,4 +1,4 @@
-//! Residual and pre-activation residual blocks (He et al., refs [23], [26]),
+//! Residual and pre-activation residual blocks (He et al., refs \[23\], \[26\]),
 //! used by the ResNet-18 and PreAct-ResNet model families of Fig. 3(d, f–h).
 
 use tensor::Tensor;

@@ -7,7 +7,7 @@
 //! adds level-quantization error; reading adds Gaussian read noise.
 //!
 //! The [`ReRAM-V` baseline](https://doi.org/10.5555/3130379.3130385) (paper
-//! ref. [5]) re-programs each drifted tensor with [`Crossbar::program`] and
+//! ref. \[5\]) re-programs each drifted tensor with [`Crossbar::program`] and
 //! reads it back with [`Crossbar::read`], keeping the closest of several
 //! passes.
 

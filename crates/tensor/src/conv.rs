@@ -5,13 +5,26 @@
 //! multiplied by a `[OC, C·kh·kw]` weight matrix, and the backward pass
 //! scatters gradients back with [`col2im_into`].
 //!
-//! Both work one row segment at a time: for each kernel tap `(c, ky, kx)`
-//! and output row `oy`, the output columns whose input pixel lies inside
-//! the image form one contiguous range, computed once. With stride 1 that
-//! range is a single slice copy (`im2col`) or a single add loop
-//! (`col2im`); padding columns are filled with zeros. `col2im` visits taps
-//! in the same `(c, ky, kx)` order as a per-element scatter, so every
-//! image element accumulates its contributions in ascending `(ky, kx)`.
+//! With stride 1, both go through a zero-padded copy of each
+//! `(sample, channel)` plane, `(H + 2p)×(W + 2p)` floats in a stack array
+//! of [`PLANE`] floats (padding 0 uses the plane itself). Every output row
+//! of a kernel tap `(ky, kx)` is then a plain run of `OW` floats of that
+//! copy, with no bounds to clip and no zeros to fill: `im2col` copies the
+//! runs out and `col2im` adds them into a zeroed copy, visiting the taps
+//! in ascending `(ky, kx)`, then copies its interior back. Runs of up to
+//! 16 floats (LeNet's 3- and 14-wide rows among them) are copied with
+//! the width fixed at compile time, a few register moves where a
+//! `memcpy` call per run cost more than the run.
+//!
+//! Other strides, and stride-1 planes whose padded copy would not fit,
+//! work one row segment at a time: for each kernel tap `(c, ky, kx)` and
+//! output row `oy`, the output columns whose input pixel lies inside the
+//! image form one contiguous range, computed once; padding columns are
+//! filled with zeros.
+//!
+//! Either way `col2im` adds each image element's contributions in
+//! ascending `(ky, kx)`, the order of a per-element scatter over taps in
+//! `(c, ky, kx)` order, so every path computes the same bits.
 //!
 //! Both take a sample count `n`: `n` images lower side by side into one
 //! `[C·kh·kw, n·OH·OW]` matrix (sample `s` owns columns
@@ -23,6 +36,10 @@
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
+
+/// Floats in the stack copy of one zero-padded plane (8 KiB): the
+/// stride-1 lowering takes its padded path while `(H + 2p)·(W + 2p)` fits.
+const PLANE: usize = 2048;
 
 /// Static description of a 2-D convolution (or pooling) geometry.
 ///
@@ -127,7 +144,6 @@ impl Conv2dSpec {
 pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_im2col_seconds"));
     let (oh, ow) = spec.output_hw(h, w);
-    let k = spec.kernel;
     let image = spec.in_channels * h * w;
     assert_eq!(src.len(), n * image, "im2col_into image length mismatch");
     assert_eq!(
@@ -135,10 +151,107 @@ pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
         spec.patch_len() * n * oh * ow,
         "im2col_into output length mismatch"
     );
-    let ncols = oh * ow;
     if n == 0 {
         return;
     }
+    if padded_fits(spec, h, w) {
+        im2col_padded(src, dst, spec, n, h, w);
+    } else {
+        im2col_segments(src, dst, spec, n, h, w);
+    }
+}
+
+/// Whether a stride-1 lowering's zero-padded plane fits in [`PLANE`]
+/// floats (padding 0 needs no copy).
+fn padded_fits(spec: &Conv2dSpec, h: usize, w: usize) -> bool {
+    let pad = spec.padding;
+    spec.stride == 1 && (pad == 0 || (h + 2 * pad) * (w + 2 * pad) <= PLANE)
+}
+
+/// Calls `$f::<W>(args)` with `W = $ow` for runs of 1–16 floats, whose
+/// copies and add loops then compile to a few fixed-size moves instead of
+/// a call per run, and with `W = 0` (the width read at run time)
+/// otherwise.
+macro_rules! by_run_width {
+    ($ow:expr, $f:ident($($arg:expr),*)) => {
+        match $ow {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            9 => $f::<9>($($arg),*),
+            10 => $f::<10>($($arg),*),
+            11 => $f::<11>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            13 => $f::<13>($($arg),*),
+            14 => $f::<14>($($arg),*),
+            15 => $f::<15>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            _ => $f::<0>($($arg),*),
+        }
+    };
+}
+
+/// The stride-1 `im2col` through a padded copy of each plane.
+fn im2col_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (c, k, pad) = (spec.in_channels, spec.kernel, spec.padding);
+    let (ohw, pw) = (oh * ow, w + 2 * pad);
+    let mut buf = [0.0f32; PLANE];
+    for s in 0..n {
+        for ch in 0..c {
+            let plane = &src[(s * c + ch) * h * w..][..h * w];
+            let (padded, pw) = if pad == 0 {
+                (plane, w)
+            } else {
+                // Only the interior is written, so the border stays zero.
+                for y in 0..h {
+                    buf[(y + pad) * pw + pad..][..w].copy_from_slice(&plane[y * w..][..w]);
+                }
+                (&buf[..], pw)
+            };
+            for tap in 0..k * k {
+                let (ky, kx) = (tap / k, tap % k);
+                let seg = &mut dst[((ch * k * k + tap) * n + s) * ohw..][..ohw];
+                let from = &padded[ky * pw + kx..];
+                by_run_width!(ow, copy_runs(seg, from, pw, ow));
+            }
+        }
+    }
+}
+
+/// Copies the runs of `ow` floats that start `pw` apart in `from` to the
+/// consecutive runs of `seg` (`W` is `ow`, or 0).
+#[inline(always)]
+fn copy_runs<const W: usize>(seg: &mut [f32], from: &[f32], pw: usize, ow: usize) {
+    let ow = if W == 0 { ow } else { W };
+    for (oy, run) in seg.chunks_exact_mut(ow).enumerate() {
+        run.copy_from_slice(&from[oy * pw..][..ow]);
+    }
+}
+
+/// Adds the consecutive runs of `ow` floats of `seg` into the runs that
+/// start `pw` apart in `into` (`W` is `ow`, or 0).
+#[inline(always)]
+fn add_runs<const W: usize>(seg: &[f32], into: &mut [f32], pw: usize, ow: usize) {
+    let ow = if W == 0 { ow } else { W };
+    for (oy, run) in seg.chunks_exact(ow).enumerate() {
+        for (d, &v) in into[oy * pw..][..ow].iter_mut().zip(run) {
+            *d += v;
+        }
+    }
+}
+
+/// The general `im2col`, one clipped row segment at a time.
+fn im2col_segments(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let image = spec.in_channels * h * w;
+    let ncols = oh * ow;
     for (row, dst_row) in dst.chunks_exact_mut(n * ncols).enumerate() {
         let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
         let ys = spec.valid_outputs(ky, h, oh);
@@ -184,7 +297,6 @@ pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
 pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_col2im_seconds"));
     let (oh, ow) = spec.output_hw(h, w);
-    let k = spec.kernel;
     let image = spec.in_channels * h * w;
     assert_eq!(
         src.len(),
@@ -192,11 +304,55 @@ pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
         "col2im_into patch matrix length mismatch"
     );
     assert_eq!(dst.len(), n * image, "col2im_into image length mismatch");
-    dst.fill(0.0);
-    let ncols = oh * ow;
     if n == 0 {
         return;
     }
+    if padded_fits(spec, h, w) {
+        col2im_padded(src, dst, spec, n, h, w);
+    } else {
+        col2im_segments(src, dst, spec, n, h, w);
+    }
+}
+
+/// The stride-1 `col2im`: each plane's taps add, in ascending `(ky, kx)`,
+/// into a zeroed padded copy (the plane itself with padding 0), whose
+/// interior is then copied out.
+fn col2im_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (c, k, pad) = (spec.in_channels, spec.kernel, spec.padding);
+    let (ohw, pw) = (oh * ow, w + 2 * pad);
+    let mut buf = [0.0f32; PLANE];
+    for s in 0..n {
+        for ch in 0..c {
+            let plane = &mut dst[(s * c + ch) * h * w..][..h * w];
+            let (padded, pw) = if pad == 0 {
+                (&mut *plane, w)
+            } else {
+                (&mut buf[..(h + 2 * pad) * pw], pw)
+            };
+            padded.fill(0.0);
+            for tap in 0..k * k {
+                let (ky, kx) = (tap / k, tap % k);
+                let seg = &src[((ch * k * k + tap) * n + s) * ohw..][..ohw];
+                let into = &mut padded[ky * pw + kx..];
+                by_run_width!(ow, add_runs(seg, into, pw, ow));
+            }
+            if pad > 0 {
+                for y in 0..h {
+                    plane[y * w..][..w].copy_from_slice(&buf[(y + pad) * pw + pad..][..w]);
+                }
+            }
+        }
+    }
+}
+
+/// The general `col2im`, one clipped row segment at a time.
+fn col2im_segments(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let image = spec.in_channels * h * w;
+    let ncols = oh * ow;
+    dst.fill(0.0);
     for (row, src_row) in src.chunks_exact(n * ncols).enumerate() {
         let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
         let xs = spec.valid_outputs(kx, w, ow);
@@ -294,6 +450,24 @@ mod tests {
         let col = im2col(&[1.0], &spec, 1, 1);
         // Only the center tap sees the pixel.
         assert_eq!(col, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// The padded path's limit sits where the stride-1 proptest around
+    /// it expects: a `(h + 2p)×(w + 2p)` plane of exactly `PLANE` floats
+    /// (32×64 or 64×32) fits, one more padded row does not; padding 0
+    /// needs no copy, and other strides never take the path.
+    #[test]
+    fn padded_path_limit_is_one_plane_of_plane_floats() {
+        assert_eq!(PLANE, 2048);
+        for pad in 1..3 {
+            let spec = Conv2dSpec::new(1, 1, 3, 1, pad);
+            for pw in [32, 64] {
+                assert!(padded_fits(&spec, PLANE / pw - 2 * pad, pw - 2 * pad));
+                assert!(!padded_fits(&spec, PLANE / pw + 1 - 2 * pad, pw - 2 * pad));
+            }
+        }
+        assert!(padded_fits(&Conv2dSpec::new(1, 1, 3, 1, 0), 100, 100));
+        assert!(!padded_fits(&Conv2dSpec::new(1, 1, 3, 2, 1), 4, 4));
     }
 
     #[test]

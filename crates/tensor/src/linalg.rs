@@ -11,7 +11,8 @@
 //! - `C` is cut into column blocks of `NR` columns. For each block and
 //!   each K-chunk, the `B` values it needs are packed into a K-panel on
 //!   the stack, `NR` contiguous floats per `k` (row copies for `nn`/`tn`,
-//!   a transposing gather for `nt`; tail columns padded with zeros).
+//!   a transposing gather for `nt`, four rows at a time as SSE 4×4
+//!   transposes on x86_64; tail columns padded with zeros).
 //! - An `MR×NR` tile of `C` then lives in locals while the kernel walks
 //!   the panel, gathering the tile's `MR` values of `A` per `k` from rows
 //!   (`nn`/`nt`) or a column run (`tn`).
@@ -66,6 +67,26 @@
 //! so a skip has to be gated on a finiteness scan of `B`; with that scan
 //! included, the search over post-ReLU activations (about half zeros) ran
 //! slower with the skip than without it.
+//!
+//! # The accumulating mode
+//!
+//! [`gemm_nt_acc_into`] and [`gemm_tn_acc_into`] compute
+//! `C += Σ_s A_s·B_s` over `segments` equal runs of `k`, for weight
+//! gradients summed over samples (a convolution chunk's samples, one
+//! segment each) or over a batch (a dense layer, one segment). They are a
+//! const-generic mode of the same tile walker, with one rounding rule on
+//! top of the invariant above: each segment's sum of each element starts
+//! at `+0.0` and adds its terms in ascending `k`, and is then added into
+//! `C` once, segment after segment. That is the bits of a `gemm_*_into`
+//! per segment into scratch, each followed by an add loop, without the
+//! scratch, the copies of strided operands, or the second pass.
+//!
+//! A K-chunk never crosses a segment end. Between the K-chunks of one
+//! segment a tile's partial sums wait in a second 4 KiB stack array (an
+//! `f32` store is exact), since `C` holds the earlier segments' sum; that
+//! array holds `PANEL / NR` rows, so such segments walk the rows in bands
+//! of that many. Every row tile of a column block shares one `B` pack per
+//! K-chunk of each segment (per band).
 
 use std::array::from_fn;
 
@@ -74,7 +95,9 @@ use std::array::from_fn;
 const PANEL: usize = 1024;
 
 /// One product's operands: `A` is `[m, k]` (`[k, m]` when `A_T`), `B` is
-/// `[k, n]` (`[n, k]` when `B_T`), and the result is `[m, n]`.
+/// `[k, n]` (`[n, k]` when `B_T`), and the result is `[m, n]`. The `k`
+/// range is cut into segments of `seg` values (`seg = k` outside the
+/// accumulating mode).
 #[derive(Clone, Copy)]
 struct Operands<'a> {
     a: &'a [f32],
@@ -82,13 +105,20 @@ struct Operands<'a> {
     m: usize,
     k: usize,
     n: usize,
+    seg: usize,
 }
 
-/// The kernel behind all three entry points: `C = op(A)·op(B)` with `c`
-/// fully overwritten, on the widest tile table the CPU runs.
-fn gemm<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+/// The kernel behind every entry point, on the widest tile table the CPU
+/// runs: `C = op(A)·op(B)` with `c` fully overwritten, or with `ACC`,
+/// `C += ` each segment's product in turn.
+fn gemm<const A_T: bool, const B_T: bool, const ACC: bool>(ops: Operands<'_>, c: &mut [f32]) {
     if ops.k == 0 {
-        c.fill(0.0);
+        // An empty sum is `+0.0`, and the accumulating mode still adds it.
+        if ACC {
+            c.iter_mut().for_each(|v| *v += 0.0);
+        } else {
+            c.fill(0.0);
+        }
         return;
     }
     #[cfg(target_arch = "x86_64")]
@@ -97,22 +127,25 @@ fn gemm<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
         // AVX-512F, and every CPU with AVX-512F also has the AVX2 and FMA
         // that enabling it implies, so the CPU runs every instruction this
         // build uses.
-        unsafe { gemm_avx512::<A_T, B_T>(ops, c) };
+        unsafe { gemm_avx512::<A_T, B_T, ACC>(ops, c) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed that
         // the running CPU supports every instruction this AVX2 build uses.
-        unsafe { gemm_avx2::<A_T, B_T>(ops, c) };
+        unsafe { gemm_avx2::<A_T, B_T, ACC>(ops, c) };
         return;
     }
-    gemm_portable::<A_T, B_T>(ops, c);
+    gemm_portable::<A_T, B_T, ACC>(ops, c);
 }
 
 /// The 128-bit tile table (see the module docs), for any CPU.
-fn gemm_portable<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
-    walk_tiles::<128, A_T, B_T>(ops, c);
+fn gemm_portable<const A_T: bool, const B_T: bool, const ACC: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+) {
+    walk_tiles::<128, A_T, B_T, ACC>(ops, c);
 }
 
 /// The 256-bit tile table (see the module docs).
@@ -122,8 +155,11 @@ fn gemm_portable<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_avx2<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
-    walk_tiles::<256, A_T, B_T>(ops, c);
+unsafe fn gemm_avx2<const A_T: bool, const B_T: bool, const ACC: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+) {
+    walk_tiles::<256, A_T, B_T, ACC>(ops, c);
 }
 
 /// The 512-bit tile table (see the module docs).
@@ -133,8 +169,11 @@ unsafe fn gemm_avx2<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut
 /// The running CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemm_avx512<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
-    walk_tiles::<512, A_T, B_T>(ops, c);
+unsafe fn gemm_avx512<const A_T: bool, const B_T: bool, const ACC: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+) {
+    walk_tiles::<512, A_T, B_T, ACC>(ops, c);
 }
 
 /// Walks `C` in column blocks, each as wide as the table's tile for the
@@ -142,60 +181,109 @@ unsafe fn gemm_avx512<const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &m
 /// into every entry point, so each compiles it for its own instruction
 /// set.
 #[inline(always)]
-fn walk_tiles<const BITS: u32, const A_T: bool, const B_T: bool>(ops: Operands<'_>, c: &mut [f32]) {
+fn walk_tiles<const BITS: u32, const A_T: bool, const B_T: bool, const ACC: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+) {
     let mut panel = [0.0f32; PANEL];
+    let mut part = [0.0f32; PANEL];
     let mut j0 = 0;
     while j0 < ops.n {
+        let bufs = (&mut panel, &mut part);
         j0 += match (BITS, ops.n - j0) {
-            (512, 64..) => column_block::<2, 64, A_T, B_T>(ops, c, j0, &mut panel),
-            (512, 32..=63) => column_block::<4, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            (256, 32..) => column_block::<2, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            (256 | 512, 16..=31) => column_block::<4, 16, A_T, B_T>(ops, c, j0, &mut panel),
-            (256 | 512, 8..=15) => column_block::<8, 8, A_T, B_T>(ops, c, j0, &mut panel),
-            (128, 32..) => column_block::<1, 32, A_T, B_T>(ops, c, j0, &mut panel),
-            (128, 13..=31) => column_block::<2, 16, A_T, B_T>(ops, c, j0, &mut panel),
-            (128, 9..=12) => column_block::<2, 12, A_T, B_T>(ops, c, j0, &mut panel),
-            (128, 5..=8) => column_block::<4, 8, A_T, B_T>(ops, c, j0, &mut panel),
-            _ => column_block::<8, 4, A_T, B_T>(ops, c, j0, &mut panel),
+            (512, 64..) => column_block::<2, 64, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (512, 32..=63) => column_block::<4, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (256, 32..) => column_block::<2, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (256 | 512, 16..=31) => column_block::<4, 16, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (256 | 512, 8..=15) => column_block::<8, 8, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (128, 32..) => column_block::<1, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (128, 13..=31) => column_block::<2, 16, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (128, 9..=12) => column_block::<2, 12, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (128, 5..=8) => column_block::<4, 8, A_T, B_T, ACC>(ops, c, j0, bufs),
+            _ => column_block::<8, 4, A_T, B_T, ACC>(ops, c, j0, bufs),
         };
     }
 }
 
 /// Computes columns `j0..j0 + NR` of `C` (clipped to `n`), one K-chunk
-/// at a time, and returns `NR`.
+/// at a time, and returns `NR`. A K-chunk never crosses a segment end.
+///
+/// Between the K-chunks of one segment a tile's partial sums wait in `C`,
+/// or with `ACC` in `part` (`C` still holds the earlier segments' sum
+/// there). `part` holds `PANEL / NR` rows, so a segment longer than one
+/// K-chunk walks the rows in bands of that many, packing `B` once per
+/// band; otherwise every row tile shares one pack per K-chunk.
 #[inline(always)]
-fn column_block<const MR: usize, const NR: usize, const A_T: bool, const B_T: bool>(
+fn column_block<
+    const MR: usize,
+    const NR: usize,
+    const A_T: bool,
+    const B_T: bool,
+    const ACC: bool,
+>(
     ops: Operands<'_>,
     c: &mut [f32],
     j0: usize,
-    panel: &mut [f32; PANEL],
+    (panel, part): (&mut [f32; PANEL], &mut [f32; PANEL]),
 ) -> usize {
-    let Operands { m, k, n, .. } = ops;
+    let Operands { m, k, n, seg, .. } = ops;
     let nr = NR.min(n - j0);
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = (PANEL / NR).min(k - k0);
-        let bp = &mut panel[..kc * NR];
-        pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
-        let bp = &*bp;
-        let mut i0 = 0;
-        while i0 < m {
-            // A row tail repeats its last row; the copies are never stored.
-            let mr = MR.min(m - i0);
-            let rows: [usize; MR] = from_fn(|r| i0 + r.min(mr - 1));
-            let mut acc = [[0.0f32; NR]; MR];
-            if k0 > 0 {
-                for (tile_row, &i) in acc.iter_mut().zip(&rows).take(mr) {
-                    copy_row::<NR>(&c[i * n + j0..][..nr], &mut tile_row[..nr]);
+    let depth = PANEL / NR;
+    // Rows per band: all of them unless partial sums must be parked.
+    let band = if ACC && seg > depth {
+        depth / MR * MR
+    } else {
+        m.max(1)
+    };
+    let bands = if ACC { m.div_ceil(band) } else { 1 };
+    for b0 in (0..bands).map(|b| b * band) {
+        let b1 = if ACC { m.min(b0 + band) } else { m };
+        let mut k0 = 0;
+        while k0 < k {
+            let (start, end) = if ACC {
+                (k0 % seg == 0, (k0 / seg + 1) * seg)
+            } else {
+                (k0 == 0, k)
+            };
+            let kc = depth.min(end - k0);
+            let bp = &mut panel[..kc * NR];
+            pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
+            let bp = &*bp;
+            let mut i0 = b0;
+            while i0 < b1 {
+                // A row tail repeats its last row; the copies are never
+                // stored.
+                let mr = MR.min(b1 - i0);
+                let rows: [usize; MR] = from_fn(|r| i0 + r.min(mr - 1));
+                let mut acc = [[0.0f32; NR]; MR];
+                let parked = |i: usize| (i - b0) * NR;
+                if !start {
+                    for (tile_row, &i) in acc.iter_mut().zip(&rows).take(mr) {
+                        let saved = if ACC {
+                            &part[parked(i)..][..nr]
+                        } else {
+                            &c[i * n + j0..][..nr]
+                        };
+                        copy_row::<NR>(saved, &mut tile_row[..nr]);
+                    }
                 }
+                microkernel::<MR, NR, A_T>(ops, &rows, k0, bp, &mut acc);
+                for (tile_row, &i) in acc.iter().zip(&rows).take(mr) {
+                    let tile_row = &tile_row[..nr];
+                    if !ACC {
+                        copy_row::<NR>(tile_row, &mut c[i * n + j0..][..nr]);
+                    } else if k0 + kc == end {
+                        for (d, &v) in c[i * n + j0..][..nr].iter_mut().zip(tile_row) {
+                            *d += v;
+                        }
+                    } else {
+                        copy_row::<NR>(tile_row, &mut part[parked(i)..][..nr]);
+                    }
+                }
+                i0 += MR;
             }
-            microkernel::<MR, NR, A_T>(ops, &rows, k0, bp, &mut acc);
-            for (tile_row, &i) in acc.iter().zip(&rows).take(mr) {
-                copy_row::<NR>(&tile_row[..nr], &mut c[i * n + j0..][..nr]);
-            }
-            i0 += MR;
+            k0 += kc;
         }
-        k0 += kc;
     }
     NR
 }
@@ -218,8 +306,23 @@ fn pack_b<const NR: usize, const B_T: bool>(
         if nr < NR {
             bp.fill(0.0);
         }
-        for (jj, src) in b[j0 * k..].chunks(k).take(nr).enumerate() {
-            for (dst, &v) in bp.chunks_exact_mut(NR).zip(&src[k0..k0 + kc]) {
+        let run = |jj: usize| &b[(j0 + jj) * k + k0..][..kc];
+        // Columns in fours as SSE transposes on x86_64, the rest one by one.
+        let fours = if cfg!(target_arch = "x86_64") {
+            nr / 4
+        } else {
+            0
+        };
+        #[cfg(target_arch = "x86_64")]
+        for jj in (0..fours).map(|q| 4 * q) {
+            transpose_runs4(
+                [run(jj), run(jj + 1), run(jj + 2), run(jj + 3)],
+                &mut bp[jj..],
+                NR,
+            );
+        }
+        for jj in 4 * fours..nr {
+            for (dst, &v) in bp.chunks_exact_mut(NR).zip(run(jj)) {
                 dst[jj] = v;
             }
         }
@@ -232,6 +335,45 @@ fn pack_b<const NR: usize, const B_T: bool>(
                     *d = if jj < nr { src[j0 + jj] } else { 0.0 };
                 }
             }
+        }
+    }
+}
+
+/// Writes `runs[q][kk]` to `dst[kk·stride + q]`: four equal runs of `B`
+/// into four adjacent panel columns, four values of `k` at a time as one
+/// SSE 4×4 transpose (SSE is part of every x86_64 CPU), which stores a
+/// panel row's four values at once.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn transpose_runs4(runs: [&[f32]; 4], dst: &mut [f32], stride: usize) {
+    use std::arch::x86_64::{
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    };
+    let len = runs[0].len();
+    let mut kk = 0;
+    while kk + 4 <= len {
+        // SAFETY: every x86_64 CPU has SSE, and each load and store below
+        // touches exactly the four floats of a slice bounds-checked to
+        // that length.
+        unsafe {
+            let [r0, r1, r2, r3] = runs.map(|run| _mm_loadu_ps(run[kk..kk + 4].as_ptr()));
+            let (lo01, lo23) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+            let (hi01, hi23) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+            let columns = [
+                _mm_movelh_ps(lo01, lo23),
+                _mm_movehl_ps(lo23, lo01),
+                _mm_movelh_ps(hi01, hi23),
+                _mm_movehl_ps(hi23, hi01),
+            ];
+            for (x, v) in columns.into_iter().enumerate() {
+                _mm_storeu_ps(dst[(kk + x) * stride..][..4].as_mut_ptr(), v);
+            }
+        }
+        kk += 4;
+    }
+    for kk in kk..len {
+        for (q, run) in runs.iter().enumerate() {
+            dst[kk * stride + q] = run[kk];
         }
     }
 }
@@ -310,7 +452,17 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into output length mismatch");
-    gemm::<false, false>(Operands { a, b, m, k, n }, c);
+    gemm::<false, false, false>(
+        Operands {
+            a,
+            b,
+            m,
+            k,
+            n,
+            seg: k,
+        },
+        c,
+    );
 }
 
 /// `C = Aᵀ·B` on raw row-major slices: `[k, m] x [k, n] -> [m, n]`.
@@ -321,7 +473,17 @@ pub fn gemm_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), k * m, "gemm_tn_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_tn_into output length mismatch");
-    gemm::<true, false>(Operands { a, b, m, k, n }, c);
+    gemm::<true, false, false>(
+        Operands {
+            a,
+            b,
+            m,
+            k,
+            n,
+            seg: k,
+        },
+        c,
+    );
 }
 
 /// `C = A·Bᵀ` on raw row-major slices: `[m, k] x [n, k] -> [m, n]`.
@@ -332,7 +494,77 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), m * k, "gemm_nt_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_into output length mismatch");
-    gemm::<false, true>(Operands { a, b, m, k, n }, c);
+    gemm::<false, true, false>(
+        Operands {
+            a,
+            b,
+            m,
+            k,
+            n,
+            seg: k,
+        },
+        c,
+    );
+}
+
+/// `C += Σ_s A_s·B_sᵀ` on raw row-major slices, for `A` `[m, k]` and `B`
+/// `[n, k]` cut into `segments` equal runs of `k` (`A_s` and `B_s` are
+/// columns `s·k/segments ..` of each), so a row of `B` strides over every
+/// segment.
+///
+/// Each segment's product is rounded as [`gemm_nt_into`] rounds it and
+/// then added into `c`, segment after segment: the bits of a
+/// `gemm_nt_into` per segment into scratch, each followed by an add loop.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with `m`, `k`, `n`, or `segments` is
+/// zero or does not divide `k`.
+pub fn gemm_nt_acc_into(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    segments: usize,
+) {
+    let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
+    assert_eq!(a.len(), m * k, "gemm_nt_acc_into lhs length mismatch");
+    assert_eq!(b.len(), n * k, "gemm_nt_acc_into rhs length mismatch");
+    assert_eq!(c.len(), m * n, "gemm_nt_acc_into output length mismatch");
+    let seg = segment_len(k, segments);
+    gemm::<false, true, true>(Operands { a, b, m, k, n, seg }, c);
+}
+
+/// `C += Σ_s A_sᵀ·B_s` on raw row-major slices, for `A` `[k, m]` and `B`
+/// `[k, n]` cut into `segments` equal runs of rows.
+///
+/// See [`gemm_nt_acc_into`] for the rounding and panic behaviour.
+pub fn gemm_tn_acc_into(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    segments: usize,
+) {
+    let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
+    assert_eq!(a.len(), k * m, "gemm_tn_acc_into lhs length mismatch");
+    assert_eq!(b.len(), k * n, "gemm_tn_acc_into rhs length mismatch");
+    assert_eq!(c.len(), m * n, "gemm_tn_acc_into output length mismatch");
+    let seg = segment_len(k, segments);
+    gemm::<true, false, true>(Operands { a, b, m, k, n, seg }, c);
+}
+
+/// The length of each of `segments` equal runs of `k`.
+fn segment_len(k: usize, segments: usize) -> usize {
+    assert!(
+        segments > 0 && k.is_multiple_of(segments),
+        "{segments} segments do not divide k = {k}"
+    );
+    k / segments
 }
 
 #[cfg(test)]
@@ -373,48 +605,55 @@ mod tests {
 
     type Kernel = fn(Operands<'_>, &mut [f32]);
 
-    /// One tile table's `nn`, `tn` and `nt` instantiations.
+    /// One tile table's `nn`, `tn` and `nt` instantiations, overwriting
+    /// and accumulating.
     struct Table {
         name: &'static str,
         layouts: [Kernel; 3],
+        accumulating: [Kernel; 3],
+    }
+
+    /// A tile table's three layouts in one mode, each a plain `fn`.
+    macro_rules! layouts {
+        ($kernel:ident, $acc:literal) => {
+            [
+                |ops, c| unsafe { $kernel::<false, false, $acc>(ops, c) },
+                |ops, c| unsafe { $kernel::<true, false, $acc>(ops, c) },
+                |ops, c| unsafe { $kernel::<false, true, $acc>(ops, c) },
+            ]
+        };
     }
 
     /// The tables this CPU can run: the portable one always, the AVX2
     /// one where the CPU has AVX2 and the AVX-512F one where it has
     /// AVX-512F. The dispatcher picks only the widest, so each is called
     /// directly here.
+    ///
+    /// SAFETY (every `unsafe` the macro writes): the portable kernel is a
+    /// safe `fn`, and each wider table is pushed only after the CPU
+    /// reported its feature just above.
+    #[allow(unused_unsafe)]
     fn tables() -> Vec<Table> {
         #[allow(unused_mut)]
         let mut tables = vec![Table {
             name: "128-bit",
-            layouts: [
-                gemm_portable::<false, false>,
-                gemm_portable::<true, false>,
-                gemm_portable::<false, true>,
-            ],
+            layouts: layouts!(gemm_portable, false),
+            accumulating: layouts!(gemm_portable, true),
         }];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY (all three): the CPU reported AVX2 just above.
             tables.push(Table {
                 name: "256-bit",
-                layouts: [
-                    |ops, c| unsafe { gemm_avx2::<false, false>(ops, c) },
-                    |ops, c| unsafe { gemm_avx2::<true, false>(ops, c) },
-                    |ops, c| unsafe { gemm_avx2::<false, true>(ops, c) },
-                ],
+                layouts: layouts!(gemm_avx2, false),
+                accumulating: layouts!(gemm_avx2, true),
             });
         }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY (all three): the CPU reported AVX-512F just above.
             tables.push(Table {
                 name: "512-bit",
-                layouts: [
-                    |ops, c| unsafe { gemm_avx512::<false, false>(ops, c) },
-                    |ops, c| unsafe { gemm_avx512::<true, false>(ops, c) },
-                    |ops, c| unsafe { gemm_avx512::<false, true>(ops, c) },
-                ],
+                layouts: layouts!(gemm_avx512, false),
+                accumulating: layouts!(gemm_avx512, true),
             });
         }
         tables
@@ -438,7 +677,7 @@ mod tests {
         for (at, bad) in [
             (3, f32::NAN),
             (len / 2, f32::INFINITY),
-            (len - 1, f32::NEG_INFINITY),
+            (len.saturating_sub(1), f32::NEG_INFINITY),
         ] {
             if at < len && !(salt + at).is_multiple_of(4) {
                 v[at] = bad;
@@ -460,7 +699,17 @@ mod tests {
                 [("nn", nn, &a, &b), ("tn", tn, &at, &b), ("nt", nt, &a, &bt)]
             {
                 c.fill(f32::NAN);
-                kernel(Operands { a, b, m, k, n }, &mut c);
+                kernel(
+                    Operands {
+                        a,
+                        b,
+                        m,
+                        k,
+                        n,
+                        seg: k,
+                    },
+                    &mut c,
+                );
                 assert!(
                     canonical_bits(&c) == want,
                     "{} {layout} {m}x{k}x{n} differs from the naive loop",
@@ -526,6 +775,117 @@ mod tests {
         ] {
             check(&tables, m, k, n);
         }
+    }
+
+    /// `rows × cols` row-major `x`'s columns `c0..c0 + len`, as a
+    /// `rows × len` matrix.
+    fn columns(x: &[f32], rows: usize, cols: usize, c0: usize, len: usize) -> Vec<f32> {
+        (0..rows)
+            .flat_map(|r| &x[r * cols + c0..][..len])
+            .copied()
+            .collect()
+    }
+
+    /// Checks every table's accumulating mode, in all three layouts,
+    /// against a `gemm_into` per segment followed by an add loop, both
+    /// starting from the same dirty `C` (non-finite values, `-0.0` and
+    /// subnormals included).
+    fn check_accumulating(tables: &[Table], m: usize, seg: usize, segments: usize, n: usize) {
+        let k = seg * segments;
+        let (a, b) = (operand(m * k, m + n + seg), operand(k * n, k + 2 * n));
+        let dirty = operand(m * n, 3 * m + n);
+        let mut want = dirty.clone();
+        let mut part = vec![0.0f32; m * n];
+        for s in 0..segments {
+            let a_s = columns(&a, m, k, s * seg, seg);
+            gemm_into(&a_s, &b[s * seg * n..][..seg * n], &mut part, m, seg, n);
+            for (w, &p) in want.iter_mut().zip(&part) {
+                *w += p;
+            }
+        }
+        let want = canonical_bits(&want);
+        let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+        let mut c = dirty.clone();
+        for table in tables {
+            let [nn, tn, nt] = table.accumulating;
+            for (layout, kernel, a, b) in
+                [("nn", nn, &a, &b), ("tn", tn, &at, &b), ("nt", nt, &a, &bt)]
+            {
+                c.copy_from_slice(&dirty);
+                kernel(Operands { a, b, m, k, n, seg }, &mut c);
+                assert!(
+                    canonical_bits(&c) == want,
+                    "{} {layout} {m}x({segments}x{seg})x{n} accumulating differs from a gemm per segment",
+                    table.name
+                );
+            }
+        }
+    }
+
+    /// Every tile table's accumulating mode, all three layouts, bit for
+    /// bit against a product per segment plus an add: segment lengths
+    /// around the K-chunk of every tile width (NR = 64, 32, 16, 8, 4) on
+    /// every tail tile, one segment and several; row counts past the band
+    /// of parked partial sums for each width; and the LeNet conv2 and
+    /// conv1 `dW` products.
+    #[test]
+    fn accumulating_mode_matches_a_product_per_segment_bit_for_bit() {
+        let tables = tables();
+        let mut segs = vec![1, 2, 9];
+        for nr in [64, 32, 16, 8, 4] {
+            let kc = PANEL / nr;
+            segs.extend([kc - 1, kc, kc + 1]);
+        }
+        for n in (1..=40).chain([64, 70, 100]) {
+            for m in [1, 3, 6] {
+                for &seg in &segs {
+                    for segments in [1, 3] {
+                        check_accumulating(&tables, m, seg, segments, n);
+                    }
+                }
+            }
+        }
+        // Segments one above the K-chunk park their partial sums in bands
+        // of `PANEL / NR` rows; one row past a band opens a second band.
+        for (n, nr) in [
+            (70, 64),
+            (40, 32),
+            (20, 16),
+            (13, 16),
+            (10, 12),
+            (8, 8),
+            (4, 4),
+        ] {
+            let kc = PANEL / nr;
+            check_accumulating(&tables, kc + 1, kc + 1, 2, n);
+        }
+        for (m, seg, segments, n) in [(16, 9, 28, 150), (6, 196, 1, 25), (0, 5, 2, 7)] {
+            check_accumulating(&tables, m, seg, segments, n);
+        }
+    }
+
+    /// An empty product adds `+0.0`, as a zero-length `gemm_*_into` into
+    /// scratch plus an add loop would: `-0.0` becomes `+0.0` and nothing
+    /// else changes.
+    #[test]
+    fn accumulating_an_empty_product_adds_positive_zero() {
+        let mut c = [-0.0, 1.5, f32::NEG_INFINITY];
+        gemm_nt_acc_into(&[], &[], &mut c, 1, 0, 3, 2);
+        assert_eq!(
+            c.map(f32::to_bits),
+            [0.0f32, 1.5, f32::NEG_INFINITY].map(f32::to_bits)
+        );
+        gemm_tn_acc_into(&[], &[], &mut c, 3, 0, 1, 1);
+        assert_eq!(
+            c.map(f32::to_bits),
+            [0.0f32, 1.5, f32::NEG_INFINITY].map(f32::to_bits)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "segments do not divide k")]
+    fn accumulating_rejects_uneven_segments() {
+        gemm_nt_acc_into(&[0.0; 5], &[0.0; 5], &mut [0.0; 1], 1, 5, 1, 2);
     }
 
     #[test]

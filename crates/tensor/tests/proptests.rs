@@ -297,6 +297,54 @@ proptest! {
         prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&naive_col2im(&cols, &spec, h, w)));
     }
 
+    /// Stride-1 lowerings whose zero-padded plane (`(h + 2p)·(w + 2p)`
+    /// floats) fills the 2048-float stack copy exactly, or overflows it by
+    /// one padded row and so takes the general path, equal the
+    /// per-element loops bit for bit, batched as well. `conv.rs`'s unit
+    /// tests pin which side of the limit each size lands on.
+    #[test]
+    fn stride_one_lowering_matches_per_element_loops_around_the_plane_limit(
+        geometry in (1usize..3, 1usize..6, 1usize..3),
+        wide in 0usize..2,
+        over in 0usize..2,
+        n in 1usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (channels, kernel, padding) = geometry;
+        let spec = Conv2dSpec::new(channels, 1, kernel, 1, padding);
+        let padded_width = 32 << wide;
+        let (h, w) = (2048 / padded_width + over - 2 * padding, padded_width - 2 * padding);
+        let (oh, ow) = spec.output_hw(h, w);
+        let (image_len, ncols, patch) = (channels * h * w, oh * ow, spec.patch_len());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let images: Vec<f32> = (0..n * image_len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let cols: Vec<f32> = (0..patch * n * ncols)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect();
+
+        let mut want_cols = vec![0.0f32; patch * n * ncols];
+        let mut want_images = Vec::with_capacity(n * image_len);
+        for s in 0..n {
+            let one = naive_im2col(&images[s * image_len..][..image_len], &spec, h, w);
+            let mut sample_cols = Vec::with_capacity(patch * ncols);
+            for row in 0..patch {
+                let at = row * n * ncols + s * ncols;
+                want_cols[at..at + ncols].copy_from_slice(&one[row * ncols..][..ncols]);
+                sample_cols.extend_from_slice(&cols[at..at + ncols]);
+            }
+            want_images.extend(naive_col2im(&sample_cols, &spec, h, w));
+        }
+
+        let mut col_buf = vec![f32::NAN; patch * n * ncols];
+        im2col_into(&images, &mut col_buf, &spec, n, h, w);
+        prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&want_cols));
+
+        let mut image_buf = vec![f32::NAN; n * image_len];
+        col2im_into(&cols, &mut image_buf, &spec, n, h, w);
+        prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&want_images));
+    }
+
     /// `n` images lowered side by side equal `n` per-sample lowerings bit
     /// for bit (sample `s` in columns `s·OH·OW..` of every row), and the
     /// batched scatter equals `n` per-sample scatters, into dirty buffers.
