@@ -154,7 +154,7 @@ impl Dense {
         // dW += xᵀ·g (rounded on its own, then added), db += Σ_rows g
         // (summed in scratch, then added), dx = g·Wᵀ.
         let dw = self.weight.grad.as_mut_slice();
-        gemm_tn_acc_into(x.as_slice(), grad_out.as_slice(), dw, k, m, n, 1);
+        gemm_tn_acc_into(x.as_slice(), grad_out.as_slice(), dw, k, m, n);
         let mut db = ws.take(n);
         db.fill(0.0);
         for r in 0..m {

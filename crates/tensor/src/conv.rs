@@ -11,10 +11,9 @@
 //! of a kernel tap `(ky, kx)` is then a plain run of `OW` floats of that
 //! copy, with no bounds to clip and no zeros to fill: `im2col` copies the
 //! runs out and `col2im` adds them into a zeroed copy, visiting the taps
-//! in ascending `(ky, kx)`, then copies its interior back. Runs of up to
-//! 16 floats (LeNet's 3- and 14-wide rows among them) are copied with
-//! the width fixed at compile time, a few register moves where a
-//! `memcpy` call per run cost more than the run.
+//! in ascending `(ky, kx)`, then copies its interior back. LeNet's 3- and
+//! 14-wide runs are copied with the width fixed at compile time, a few
+//! register moves where a `memcpy` call per run cost more than the run.
 //!
 //! Other strides, and stride-1 planes whose padded copy would not fit,
 //! work one row segment at a time: for each kernel tap `(c, ky, kx)` and
@@ -168,29 +167,16 @@ fn padded_fits(spec: &Conv2dSpec, h: usize, w: usize) -> bool {
     spec.stride == 1 && (pad == 0 || (h + 2 * pad) * (w + 2 * pad) <= PLANE)
 }
 
-/// Calls `$f::<W>(args)` with `W = $ow` for runs of 1–16 floats, whose
-/// copies and add loops then compile to a few fixed-size moves instead of
-/// a call per run, and with `W = 0` (the width read at run time)
-/// otherwise.
+/// Calls `$f::<W>(args)` with `W = $ow` for LeNet's 3- and 14-float
+/// rows, whose copies and add loops then compile to a few fixed-size
+/// moves instead of a call per run, and with `W = 0` (the width read at
+/// run time) otherwise. Only these two widths were measured to gain;
+/// each width added here is one more copy of both loops.
 macro_rules! by_run_width {
     ($ow:expr, $f:ident($($arg:expr),*)) => {
         match $ow {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
             3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
-            8 => $f::<8>($($arg),*),
-            9 => $f::<9>($($arg),*),
-            10 => $f::<10>($($arg),*),
-            11 => $f::<11>($($arg),*),
-            12 => $f::<12>($($arg),*),
-            13 => $f::<13>($($arg),*),
             14 => $f::<14>($($arg),*),
-            15 => $f::<15>($($arg),*),
-            16 => $f::<16>($($arg),*),
             _ => $f::<0>($($arg),*),
         }
     };
@@ -271,12 +257,8 @@ fn im2col_segments(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
                 let ix0 = xs.start * spec.stride + kx - spec.padding;
                 let src_row = &plane[iy * w..][ix0..w];
                 let seg = &mut seg[xs.start..xs.end];
-                if spec.stride == 1 {
-                    seg.copy_from_slice(&src_row[..seg.len()]);
-                } else {
-                    for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(spec.stride)) {
-                        *d = v;
-                    }
+                for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(spec.stride)) {
+                    *d = v;
                 }
             }
         }
@@ -366,14 +348,8 @@ fn col2im_segments(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
                 let iy = oy * spec.stride + ky - spec.padding;
                 let seg = &src_seg[oy * ow..][xs.start..xs.end];
                 let dst_row = &mut plane[iy * w..][ix0..w];
-                if spec.stride == 1 {
-                    for (d, &v) in dst_row.iter_mut().zip(seg) {
-                        *d += v;
-                    }
-                } else {
-                    for (d, &v) in dst_row.iter_mut().step_by(spec.stride).zip(seg) {
-                        *d += v;
-                    }
+                for (d, &v) in dst_row.iter_mut().step_by(spec.stride).zip(seg) {
+                    *d += v;
                 }
             }
         }

@@ -70,25 +70,27 @@
 //!
 //! # The accumulating mode
 //!
-//! [`gemm_nt_acc_into`] and [`gemm_tn_acc_into`] compute
-//! `C += Σ_s A_s·B_s` over `segments` equal runs of `k`, for weight
-//! gradients summed over samples (a convolution chunk's samples, one
-//! segment each) or over a batch (a dense layer, one segment). They are a
-//! const-generic mode of the same tile walker, with one rounding rule on
-//! top of the invariant above: each segment's sum of each element starts
-//! at `+0.0` and adds its terms in ascending `k`, and is then added into
-//! `C` once, segment after segment. That is the bits of a `gemm_*_into`
-//! per segment into scratch, each followed by an add loop, without the
-//! scratch, the copies of strided operands, or the second pass.
+//! [`gemm_nt_acc_into`] computes `C += Σ_s A_s·B_sᵀ` over `segments`
+//! equal runs of `k`, for a convolution chunk's weight gradient (one
+//! segment per sample); [`gemm_tn_acc_into`] computes `C += Aᵀ·B`, one
+//! segment, for a dense layer's. They are a const-generic mode of the
+//! same tile walker, with one rounding rule on top of the invariant
+//! above: each segment's sum of each element starts at `+0.0` and adds
+//! its terms in ascending `k`, and is then added into `C` once, segment
+//! after segment. That is the bits of a `gemm_*_into` per segment into
+//! scratch, each followed by an add loop, without the scratch, the copies
+//! of strided operands, or the second pass.
 //!
 //! A K-chunk never crosses a segment end. Between the K-chunks of one
 //! segment a tile's partial sums wait in a second 4 KiB stack array (an
 //! `f32` store is exact), since `C` holds the earlier segments' sum; that
 //! array holds `PANEL / NR` rows, so such segments walk the rows in bands
 //! of that many. Every row tile of a column block shares one `B` pack per
-//! K-chunk of each segment (per band).
+//! K-chunk of each segment (per band). The overwriting mode keeps its
+//! own K-chunk loop over all rows, so the mode adds no work to it.
 
 use std::array::from_fn;
+use std::ops::Range;
 
 /// Floats in the packed `B` K-panel (a 4 KiB stack array): an `NR`-column
 /// block packs up to `PANEL / NR` values of `k` per chunk.
@@ -206,10 +208,11 @@ fn walk_tiles<const BITS: u32, const A_T: bool, const B_T: bool, const ACC: bool
 }
 
 /// Computes columns `j0..j0 + NR` of `C` (clipped to `n`), one K-chunk
-/// at a time, and returns `NR`. A K-chunk never crosses a segment end.
+/// at a time, and returns `NR`.
 ///
-/// Between the K-chunks of one segment a tile's partial sums wait in `C`,
-/// or with `ACC` in `part` (`C` still holds the earlier segments' sum
+/// Between the K-chunks of a product a tile's partial sums wait in `C`.
+/// With `ACC`, a K-chunk never crosses a segment end, and partial sums
+/// wait in `part` instead (`C` still holds the earlier segments' sum
 /// there). `part` holds `PANEL / NR` rows, so a segment longer than one
 /// K-chunk walks the rows in bands of that many, packing `B` once per
 /// band; otherwise every row tile shares one pack per K-chunk.
@@ -229,63 +232,91 @@ fn column_block<
     let Operands { m, k, n, seg, .. } = ops;
     let nr = NR.min(n - j0);
     let depth = PANEL / NR;
+    if !ACC {
+        let mut k0 = 0;
+        while k0 < k {
+            let kc = depth.min(k - k0);
+            let bp = &mut panel[..kc * NR];
+            pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
+            row_tiles::<MR, NR, A_T, false>(ops, c, part, bp, (j0, k0), 0..m, (k0 == 0, false));
+            k0 += kc;
+        }
+        return NR;
+    }
     // Rows per band: all of them unless partial sums must be parked.
-    let band = if ACC && seg > depth {
+    let band = if seg > depth {
         depth / MR * MR
     } else {
         m.max(1)
     };
-    let bands = if ACC { m.div_ceil(band) } else { 1 };
-    for b0 in (0..bands).map(|b| b * band) {
-        let b1 = if ACC { m.min(b0 + band) } else { m };
-        let mut k0 = 0;
-        while k0 < k {
-            let (start, end) = if ACC {
-                (k0 % seg == 0, (k0 / seg + 1) * seg)
-            } else {
-                (k0 == 0, k)
-            };
-            let kc = depth.min(end - k0);
-            let bp = &mut panel[..kc * NR];
-            pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
-            let bp = &*bp;
-            let mut i0 = b0;
-            while i0 < b1 {
-                // A row tail repeats its last row; the copies are never
-                // stored.
-                let mr = MR.min(b1 - i0);
-                let rows: [usize; MR] = from_fn(|r| i0 + r.min(mr - 1));
-                let mut acc = [[0.0f32; NR]; MR];
-                let parked = |i: usize| (i - b0) * NR;
-                if !start {
-                    for (tile_row, &i) in acc.iter_mut().zip(&rows).take(mr) {
-                        let saved = if ACC {
-                            &part[parked(i)..][..nr]
-                        } else {
-                            &c[i * n + j0..][..nr]
-                        };
-                        copy_row::<NR>(saved, &mut tile_row[..nr]);
-                    }
-                }
-                microkernel::<MR, NR, A_T>(ops, &rows, k0, bp, &mut acc);
-                for (tile_row, &i) in acc.iter().zip(&rows).take(mr) {
-                    let tile_row = &tile_row[..nr];
-                    if !ACC {
-                        copy_row::<NR>(tile_row, &mut c[i * n + j0..][..nr]);
-                    } else if k0 + kc == end {
-                        for (d, &v) in c[i * n + j0..][..nr].iter_mut().zip(tile_row) {
-                            *d += v;
-                        }
-                    } else {
-                        copy_row::<NR>(tile_row, &mut part[parked(i)..][..nr]);
-                    }
-                }
-                i0 += MR;
+    for b0 in (0..m).step_by(band) {
+        for s0 in (0..k).step_by(seg) {
+            let mut k0 = s0;
+            while k0 < s0 + seg {
+                let kc = depth.min(s0 + seg - k0);
+                let bp = &mut panel[..kc * NR];
+                pack_b::<NR, B_T>(ops, bp, k0, j0, nr);
+                let (first, last) = (k0 == s0, k0 + kc == s0 + seg);
+                let rows = b0..m.min(b0 + band);
+                row_tiles::<MR, NR, A_T, true>(ops, c, part, bp, (j0, k0), rows, (first, last));
+                k0 += kc;
             }
-            k0 += kc;
         }
     }
     NR
+}
+
+/// Runs the `MR`-row tiles of `rows` over the packed K-chunk `bp` that
+/// starts at `k0`, for columns `j0..j0 + NR` of `C` (clipped to `n`).
+///
+/// A tile starts at zero on a product's (with `ACC`, a segment's) `first`
+/// chunk and otherwise from its partial sums. It then stores its sums
+/// back to `C`, or with `ACC` parks them in `part` (indexed from the
+/// first of `rows`) until the segment's `last` chunk adds them into `C`.
+#[inline(always)]
+fn row_tiles<const MR: usize, const NR: usize, const A_T: bool, const ACC: bool>(
+    ops: Operands<'_>,
+    c: &mut [f32],
+    part: &mut [f32; PANEL],
+    bp: &[f32],
+    (j0, k0): (usize, usize),
+    rows: Range<usize>,
+    (first, last): (bool, bool),
+) {
+    let n = ops.n;
+    let nr = NR.min(n - j0);
+    let parked = |i: usize| (i - rows.start) * NR;
+    let mut i0 = rows.start;
+    while i0 < rows.end {
+        // A row tail repeats its last row; the copies are never stored.
+        let mr = MR.min(rows.end - i0);
+        let tile: [usize; MR] = from_fn(|r| i0 + r.min(mr - 1));
+        let mut acc = [[0.0f32; NR]; MR];
+        if !first {
+            for (tile_row, &i) in acc.iter_mut().zip(&tile).take(mr) {
+                let saved = if ACC {
+                    &part[parked(i)..][..nr]
+                } else {
+                    &c[i * n + j0..][..nr]
+                };
+                copy_row::<NR>(saved, &mut tile_row[..nr]);
+            }
+        }
+        microkernel::<MR, NR, A_T>(ops, &tile, k0, bp, &mut acc);
+        for (tile_row, &i) in acc.iter().zip(&tile).take(mr) {
+            let tile_row = &tile_row[..nr];
+            if !ACC {
+                copy_row::<NR>(tile_row, &mut c[i * n + j0..][..nr]);
+            } else if last {
+                for (d, &v) in c[i * n + j0..][..nr].iter_mut().zip(tile_row) {
+                    *d += v;
+                }
+            } else {
+                copy_row::<NR>(tile_row, &mut part[parked(i)..][..nr]);
+            }
+        }
+        i0 += MR;
+    }
 }
 
 /// Packs `B[k0 .. k0 + kc, j0 .. j0 + nr]` into `bp` as `kc` runs of `NR`
@@ -533,38 +564,39 @@ pub fn gemm_nt_acc_into(
     assert_eq!(a.len(), m * k, "gemm_nt_acc_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_acc_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_acc_into output length mismatch");
-    let seg = segment_len(k, segments);
-    gemm::<false, true, true>(Operands { a, b, m, k, n, seg }, c);
-}
-
-/// `C += Σ_s A_sᵀ·B_s` on raw row-major slices, for `A` `[k, m]` and `B`
-/// `[k, n]` cut into `segments` equal runs of rows.
-///
-/// See [`gemm_nt_acc_into`] for the rounding and panic behaviour.
-pub fn gemm_tn_acc_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    segments: usize,
-) {
-    let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
-    assert_eq!(a.len(), k * m, "gemm_tn_acc_into lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_tn_acc_into rhs length mismatch");
-    assert_eq!(c.len(), m * n, "gemm_tn_acc_into output length mismatch");
-    let seg = segment_len(k, segments);
-    gemm::<true, false, true>(Operands { a, b, m, k, n, seg }, c);
-}
-
-/// The length of each of `segments` equal runs of `k`.
-fn segment_len(k: usize, segments: usize) -> usize {
     assert!(
         segments > 0 && k.is_multiple_of(segments),
         "{segments} segments do not divide k = {k}"
     );
-    k / segments
+    let seg = k / segments;
+    gemm::<false, true, true>(Operands { a, b, m, k, n, seg }, c);
+}
+
+/// `C += Aᵀ·B` on raw row-major slices: `[k, m] x [k, n] -> [m, n]`.
+///
+/// The product is rounded as [`gemm_tn_into`] rounds it and then added
+/// into `c`: the bits of a `gemm_tn_into` into scratch followed by an add
+/// loop.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with `m`, `k`, `n`.
+pub fn gemm_tn_acc_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
+    assert_eq!(a.len(), k * m, "gemm_tn_acc_into lhs length mismatch");
+    assert_eq!(b.len(), k * n, "gemm_tn_acc_into rhs length mismatch");
+    assert_eq!(c.len(), m * n, "gemm_tn_acc_into output length mismatch");
+    gemm::<true, false, true>(
+        Operands {
+            a,
+            b,
+            m,
+            k,
+            n,
+            seg: k,
+        },
+        c,
+    );
 }
 
 #[cfg(test)]
@@ -875,7 +907,7 @@ mod tests {
             c.map(f32::to_bits),
             [0.0f32, 1.5, f32::NEG_INFINITY].map(f32::to_bits)
         );
-        gemm_tn_acc_into(&[], &[], &mut c, 3, 0, 1, 1);
+        gemm_tn_acc_into(&[], &[], &mut c, 3, 0, 1);
         assert_eq!(
             c.map(f32::to_bits),
             [0.0f32, 1.5, f32::NEG_INFINITY].map(f32::to_bits)
