@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical kernels under
 //! every figure: drift injection, the fused Monte-Carlo trial hot path
 //! (latency *and* bytes allocated), Monte-Carlo objective evaluation,
-//! GP fit + suggest (latency and bytes per suggest), convolution forward/backward, and matmul kernels.
+//! GP fit + suggest (latency and bytes per suggest), convolution forward/backward, max-pooling, and matmul kernels.
 //!
 //! Set `BENCH_QUICK=1` for CI-sized sample counts, and `CRITERION_JSON=
 //! path.json` to dump every measurement (including the bytes-allocated
@@ -19,7 +19,7 @@ use criterion::{
     BenchmarkId, Criterion,
 };
 use models::{LeNet5, Mlp, MlpConfig};
-use nn::{Conv2d, Dropout, Layer, Mode, Sgd, Workspace};
+use nn::{Conv2d, Dropout, Layer, MaxPool2d, Mode, Sgd, Workspace};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use reram::{DeviceVariation, DriftModel, FaultInjector, GaussianAdditive, LogNormalDrift};
@@ -415,6 +415,52 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
+/// LeNet's two max-pools on a batch of 32: pool1 (6×14×14 → 7×7) forward
+/// in training (recording the argmax tape) and in eval, and its backward;
+/// pool2 (16×3×3 → 1×1) forward in training. The inputs are ReLU outputs,
+/// so about half are exact zeros and ties are common.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = sized_group(c, "pool", 40);
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let mut ws = Workspace::new();
+    let relu = |dims: &[usize], rng: &mut ChaCha8Rng| {
+        Tensor::randn(dims, 0.0, 1.0, rng).map(|v| v.max(0.0))
+    };
+    let mut pool1 = MaxPool2d::new(2, 2);
+    let maps = relu(&[32, 6, 14, 14], &mut rng);
+    let grad = Tensor::randn(&[32, 6, 7, 7], 0.0, 1.0, &mut rng);
+    group.bench_function("lenet_pool1_b32/train", |b| {
+        b.iter(|| {
+            let y = pool1.forward_ws(&maps, Mode::Train, &mut ws);
+            ws.recycle(y);
+        })
+    });
+    group.bench_function("lenet_pool1_b32/eval", |b| {
+        b.iter(|| {
+            let y = pool1.forward_ws(&maps, Mode::Eval, &mut ws);
+            ws.recycle(y);
+        })
+    });
+    // The backward reads the tape of the train forward before it.
+    let y = pool1.forward_ws(&maps, Mode::Train, &mut ws);
+    ws.recycle(y);
+    group.bench_function("lenet_pool1_b32/backward", |b| {
+        b.iter(|| {
+            let g = pool1.backward_ws(&grad, &mut ws);
+            ws.recycle(g);
+        })
+    });
+    let mut pool2 = MaxPool2d::new(2, 2);
+    let maps = relu(&[32, 16, 3, 3], &mut rng);
+    group.bench_function("lenet_pool2_b32/train", |b| {
+        b.iter(|| {
+            let y = pool2.forward_ws(&maps, Mode::Train, &mut ws);
+            ws.recycle(y);
+        })
+    });
+    group.finish();
+}
+
 fn bench_matmul(c: &mut Criterion) {
     let mut group = sized_group(c, "matmul", 30);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -620,6 +666,7 @@ criterion_group!(
     bench_mc_objective,
     bench_gp,
     bench_conv,
+    bench_pool,
     bench_matmul,
     bench_campaign,
     bench_telemetry

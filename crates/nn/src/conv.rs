@@ -255,11 +255,20 @@ impl std::fmt::Debug for Conv2d {
 }
 
 /// Max pooling over `[N, C, H, W]`.
+///
+/// A forward pools all `N·C` planes of the batch in one
+/// [`tensor::max_pool2d_into`] call: the first maximum in row-major window
+/// order wins, a tie keeps the earlier element and NaN never wins. A
+/// train-mode forward records where each output's maximum sits inside its
+/// window, one byte per output, in a layer-owned tape that grows to the
+/// largest batch once; `backward` scatters the output gradient through it
+/// ([`tensor::max_pool2d_backward_into`]). An eval forward records nothing
+/// and invalidates the tape, and `backward` then panics.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     spec: Pool2dSpec,
-    /// Sample-local argmax index of every train-mode output, `n·C·OH·OW`.
-    argmax: Vec<usize>,
+    /// Window offset of every train-mode output's maximum, `N·C·OH·OW`.
+    argmax: Vec<u8>,
     input_dims: Vec<usize>,
 }
 
@@ -278,73 +287,42 @@ impl MaxPool2d {
     }
 }
 
-impl MaxPool2d {
-    /// The shared window scan: pools every sample into `out`, recording
-    /// argmax indices into the persistent tape (grown once, reused across
-    /// steps) when training.
-    fn pool_into(&mut self, input: &Tensor, out: &mut Tensor, mode: Mode) {
-        assert_eq!(input.rank(), 4, "max_pool2d expects [N, C, H, W] input");
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
+impl Layer for MaxPool2d {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
+        let &[n, c, h, w] = input.dims() else {
+            panic!("max_pool2d expects [N, C, H, W] input")
+        };
         let (oh, ow) = self.spec.output_hw(h, w);
-        let per_sample = c * h * w;
-        let out_per_sample = c * oh * ow;
-        if mode == Mode::Train {
+        let mut out = ws.take_tensor(&[n, c, oh, ow]);
+        let argmax = if mode == Mode::Train {
             cache_dims(&mut self.input_dims, input.dims());
-            self.argmax.resize(n * out_per_sample, 0);
+            self.argmax.resize(out.len(), 0);
+            Some(self.argmax.as_mut_slice())
         } else {
             // Eval invalidates the tape (capacity retained): a stray
             // backward fails loudly instead of using stale state.
             self.input_dims.clear();
-        }
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for i in 0..n {
-            let src_seg = &src[i * per_sample..(i + 1) * per_sample];
-            let dst_seg = &mut dst[i * out_per_sample..(i + 1) * out_per_sample];
-            // Eval never backpropagates: skip the argmax bookkeeping.
-            let argmax = (mode == Mode::Train)
-                .then(|| &mut self.argmax[i * out_per_sample..(i + 1) * out_per_sample]);
-            tensor::max_pool2d_into(src_seg, dst_seg, &self.spec, c, h, w, argmax);
-        }
-    }
-
-    fn output_dims(&self, input: &Tensor) -> [usize; 4] {
-        let (oh, ow) = self.spec.output_hw(input.dims()[2], input.dims()[3]);
-        [input.dims()[0], input.dims()[1], oh, ow]
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        assert_eq!(input.rank(), 4, "max_pool2d expects [N, C, H, W] input");
-        let mut out = ws.take_tensor(&self.output_dims(input));
-        self.pool_into(input, &mut out, mode);
+            None
+        };
+        let (src, dst) = (input.as_slice(), out.as_mut_slice());
+        tensor::max_pool2d_into(src, dst, &self.spec, n * c, h, w, argmax);
         out
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert!(
-            !self.input_dims.is_empty(),
-            "backward called before a training-mode forward on max_pool2d (eval invalidates the tape)"
-        );
-        let n = self.input_dims[0];
-        let per_sample: usize = self.input_dims[1..].iter().product();
-        let out_per_sample = grad_out.len() / n;
+        let &[n, c, h, w] = self.input_dims.as_slice() else {
+            panic!("backward called before a training-mode forward on max_pool2d (eval invalidates the tape)")
+        };
         let mut grad_in = ws.take_tensor(&self.input_dims);
-        grad_in.as_mut_slice().fill(0.0);
-        for i in 0..n {
-            let g = &grad_out.as_slice()[i * out_per_sample..(i + 1) * out_per_sample];
-            let gi = &mut grad_in.as_mut_slice()[i * per_sample..(i + 1) * per_sample];
-            let argmax = &self.argmax[i * out_per_sample..(i + 1) * out_per_sample];
-            for (&gv, &idx) in g.iter().zip(argmax) {
-                gi[idx] += gv;
-            }
-        }
+        tensor::max_pool2d_backward_into(
+            grad_out.as_slice(),
+            &self.argmax,
+            grad_in.as_mut_slice(),
+            &self.spec,
+            n * c,
+            h,
+            w,
+        );
         grad_in
     }
 
@@ -686,8 +664,12 @@ mod tests {
         // Train mode: backward needs the argmax tape (eval skips it).
         let y = pool.forward(&x, Mode::Train);
         assert_eq!(y.as_slice(), &[4.0, 8.0]);
-        let g = pool.backward(&Tensor::from_vec(vec![1.0, 1.0], &[2, 1, 1, 1]).unwrap());
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
+        // A `-0.0` gradient lands as `+0.0`, as zero-fill-then-add gives.
+        let g = pool.backward(&Tensor::from_vec(vec![-0.0, 1.0], &[2, 1, 1, 1]).unwrap());
+        assert_eq!(
+            bits(g.as_slice()),
+            bits(&[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use conv::{col2im_into, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use linalg::{gemm_into, gemm_nt_acc_into, gemm_nt_into, gemm_tn_acc_into, gemm_tn_into};
 pub use ops::{argmax_row, nan_low_cmp};
-pub use pool::{max_pool2d_into, Pool2dSpec};
+pub use pool::{max_pool2d_backward_into, max_pool2d_into, Pool2dSpec};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 
