@@ -45,7 +45,6 @@ fn main() {
             .mc_samples(t)
             .sigma(0.6)
             .acquisition(Acquisition::PosteriorMean)
-            .lengthscale(0.3)
             .train(bench::train_config(scale, 17))
             .seed(17)
             .max_rate(0.8)

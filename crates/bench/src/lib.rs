@@ -1,9 +1,21 @@
 //! Shared harness for the figure-regeneration binaries.
 //!
 //! Every `fig*` binary in `src/bin/` reproduces one table/figure of the
-//! paper (see DESIGN.md's experiment index). This library holds the pieces
-//! they share: task construction, the five-method comparison runner, and
-//! ASCII rendering helpers.
+//! paper, and each `ablate_*` binary one study beyond it:
+//!
+//! | binary | experiment |
+//! |---|---|
+//! | `fig1_decision_boundary` | Fig. 1: an MLP's decision boundary on two-moons as drift grows |
+//! | `fig2_ablation` | Fig. 2: dropout, normalization, depth and activation ablations |
+//! | `fig3_compare` | Fig. 3(a–i): ERM, FTNA, ReRAM-V, AWP and BayesFT per model and task |
+//! | `fig3_detection` | Fig. 3(j): detection mAP under drift, ERM vs BayesFT |
+//! | `fig4_detection_vis` | Fig. 4: detections under growing drift, rendered as ASCII |
+//! | `ablate_acquisition` | the search's acquisition rule against random search |
+//! | `ablate_drift_models` | a search under log-normal drift, scored under other fault models |
+//! | `ablate_mc_samples` | the Monte-Carlo sample count `T` of the Eq. (4) estimator |
+//!
+//! This library holds the pieces they share: task construction, the
+//! five-method comparison runner, and ASCII rendering helpers.
 //!
 //! Budgets: set the environment variable `BENCH_QUICK=1` to shrink every
 //! experiment to a smoke-test budget (useful in CI); the default budget is

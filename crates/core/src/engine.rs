@@ -29,6 +29,8 @@ const SUGGEST_STREAM: u64 = 0x5bfd;
 const EVAL_STREAM: u64 = 0x0b5e;
 /// Candidate points each acquisition maximization scores.
 const CANDIDATES: usize = 192;
+/// GP kernel lengthscale over the unit cube.
+const LENGTHSCALE: f64 = 0.3;
 
 /// Result of [`Engine::run`]: the trained model plus the run record.
 pub struct ExperimentResult {
@@ -59,7 +61,6 @@ pub struct ExperimentBuilder {
     sigma: f32,
     max_rate: f32,
     acquisition: Acquisition,
-    lengthscale: f64,
     seed: u64,
     parallelism: usize,
     train: TrainConfig,
@@ -77,7 +78,6 @@ impl Default for ExperimentBuilder {
             sigma: 0.6,
             max_rate: 0.8,
             acquisition: Acquisition::PosteriorMean,
-            lengthscale: 0.3,
             seed: 0,
             parallelism: 1,
             train: TrainConfig::default(),
@@ -150,13 +150,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// GP kernel lengthscale over the unit cube; [`build`](Self::build)
-    /// rejects a lengthscale that is not finite and positive.
-    pub fn lengthscale(mut self, lengthscale: f64) -> Self {
-        self.lengthscale = lengthscale;
-        self
-    }
-
     /// Master seed of the run.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -183,9 +176,8 @@ impl ExperimentBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BayesFtError::InvalidConfig`] for zero trial budgets,
-    /// non-positive drift levels, a kernel lengthscale that is not finite
-    /// and positive, or an out-of-range `max_rate`.
+    /// Returns [`BayesFtError::InvalidConfig`] for zero trial budgets, a
+    /// negative or non-finite drift level, or an out-of-range `max_rate`.
     pub fn build(self) -> Result<Engine, BayesFtError> {
         if self.trials == 0 {
             return Err(BayesFtError::InvalidConfig(
@@ -201,12 +193,6 @@ impl ExperimentBuilder {
             return Err(BayesFtError::InvalidConfig(format!(
                 "sigma must be finite and >= 0, got {}",
                 self.sigma
-            )));
-        }
-        if !(self.lengthscale > 0.0 && self.lengthscale.is_finite()) {
-            return Err(BayesFtError::InvalidConfig(format!(
-                "lengthscale must be finite and > 0, got {}",
-                self.lengthscale
             )));
         }
         crate::space::check_max_rate(self.max_rate)?;
@@ -345,12 +331,9 @@ impl Engine {
             epochs: cfg.epochs_per_trial,
             ..cfg.train.clone()
         };
-        let mut bo = BayesOpt::new(
-            space.dim(),
-            SquaredExponential::isotropic(1.0, cfg.lengthscale),
-        )
-        .acquisition(cfg.acquisition)
-        .candidates(CANDIDATES);
+        let mut bo = BayesOpt::new(space.dim(), SquaredExponential::isotropic(1.0, LENGTHSCALE))
+            .acquisition(cfg.acquisition)
+            .candidates(CANDIDATES);
         let mut suggest_rng = ChaCha8Rng::seed_from_u64(mix_seed(cfg.seed, SUGGEST_STREAM));
 
         let mut train_ws = Workspace::new();
@@ -507,15 +490,6 @@ mod tests {
             Engine::builder().max_rate(0.99).build().unwrap_err(),
             BayesFtError::InvalidConfig(_)
         ));
-        for lengthscale in [0.0, -0.3, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    Engine::builder().lengthscale(lengthscale).build(),
-                    Err(BayesFtError::InvalidConfig(_))
-                ),
-                "lengthscale {lengthscale} accepted"
-            );
-        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!
 //! The `-S` suffix marks width/depth-scaled variants: block structure and
 //! family ordering (18 < 50 < 152) match the originals, absolute parameter
-//! counts do not (see DESIGN.md for the substitution rationale).
+//! counts do not. The substitution keeps what the paper compares (how each
+//! architecture family tolerates weight drift, against the same family
+//! trained by ERM) while the 14×14 and 16×16 synthetic stand-ins for its
+//! image datasets let every Fig. 3 panel train on a CPU.
 //!
 //! # Example
 //!

@@ -20,13 +20,13 @@
 //!   (an `f32` store is exact), so the panel stays a fixed 4 KiB array
 //!   and the kernel never allocates.
 //!
-//! # Three tile tables
+//! # Two tile tables
 //!
 //! A tile's accumulators are independent add chains, and an add has a
 //! latency of several cycles, so a tile needs about eight chains in
 //! flight to issue one vector add per cycle (Goto & van de Geijn,
 //! "Anatomy of High-Performance Matrix Multiplication", 2008). The one
-//! tile walker is compiled three times, each with its own table of `MR×NR`
+//! tile walker is compiled twice, each with its own table of `MR×NR`
 //! tile shapes by the number of columns left:
 //!
 //! - The 128-bit table: 1×32 for ≥ 32 columns, 2×16 for 13–31, 2×12 for
@@ -35,17 +35,18 @@
 //!   x86_64 CPUs without AVX2.
 //! - The 256-bit table: 2×32 for ≥ 32 columns, 4×16 for 16–31, 8×8 for
 //!   8–15 and 8×4 below. It is compiled with AVX2 enabled and chosen at
-//!   run time when the CPU reports AVX2. Its tiles hold eight 8-lane
-//!   accumulators (64 floats): the 1×32 tile would be only four 256-bit
-//!   chains and bound by add latency. Its 8×4 tail tile is eight 4-lane
-//!   chains, as in the 128-bit table.
-//! - The 512-bit table: 2×64 for ≥ 64 columns and 4×32 for 32–63, each
-//!   eight 16-lane accumulators (128 floats), then the 256-bit table's
-//!   4×16, 8×8 and 8×4 below 32. It is compiled with AVX-512F enabled and
-//!   chosen before the 256-bit table when the CPU reports AVX-512F. It has
-//!   no 8×16 tile (eight one-register rows) for 16–31 columns: tried in
-//!   place of the 4×16 tile, it made LeNet's 6×196×25 `nt` product about
-//!   three times slower on an AVX-512 Xeon.
+//!   run time when the CPU reports AVX2, AVX-512F CPUs included. Its tiles
+//!   hold eight 8-lane accumulators (64 floats): the 1×32 tile would be
+//!   only four 256-bit chains and bound by add latency. Its 8×4 tail tile
+//!   is eight 4-lane chains, as in the 128-bit table.
+//!
+//! A third table, compiled with AVX-512F (2×64 and 4×32 tiles of eight
+//! 16-lane accumulators from 32 columns on), lost to the 256-bit one end to
+//! end on an AVX-512F Xeon: with it off, a benchmark run of the MLP
+//! search went 0.0646 → 0.0633 s (won 9 of 10 pairs), of the LeNet search
+//! 0.1936 → 0.1875 s (won 10 of 10), and the campaign tied (0.0884 →
+//! 0.0875 s, won 12 of 20), with the same bits. So it was retired: the
+//! 256-bit table's 2×32 tile already keeps eight add chains in flight.
 //!
 //! No table enables `fma`, and no tile adds with one: a fused
 //! multiply-add rounds once where a multiply then an add round twice, so
@@ -57,7 +58,7 @@
 //! ascending `k`, each as a separate multiply then add — no fused
 //! multiply-add, no reassociation, no split accumulators. Blocking and the
 //! tile table only change *which* elements are in flight, never the order
-//! of additions within one element, so all three layouts and all three tables
+//! of additions within one element, so all three layouts and both tables
 //! agree with a naive sequential triple loop down to the last ULP (NaN
 //! payloads aside, which IEEE-754 leaves unspecified).
 //!
@@ -124,15 +125,6 @@ fn gemm<const A_T: bool, const B_T: bool, const ACC: bool>(ops: Operands<'_>, c:
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: `is_x86_feature_detected!("avx512f")` just confirmed
-        // AVX-512F, and every CPU with AVX-512F also has the AVX2 and FMA
-        // that enabling it implies, so the CPU runs every instruction this
-        // build uses.
-        unsafe { gemm_avx512::<A_T, B_T, ACC>(ops, c) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed that
         // the running CPU supports every instruction this AVX2 build uses.
@@ -164,22 +156,8 @@ unsafe fn gemm_avx2<const A_T: bool, const B_T: bool, const ACC: bool>(
     walk_tiles::<256, A_T, B_T, ACC>(ops, c);
 }
 
-/// The 512-bit tile table (see the module docs).
-///
-/// # Safety
-///
-/// The running CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_avx512<const A_T: bool, const B_T: bool, const ACC: bool>(
-    ops: Operands<'_>,
-    c: &mut [f32],
-) {
-    walk_tiles::<512, A_T, B_T, ACC>(ops, c);
-}
-
 /// Walks `C` in column blocks, each as wide as the table's tile for the
-/// remaining columns; `BITS` (128, 256 or 512) picks the table. Inlined
+/// remaining columns; `BITS` (128 or 256) picks the table. Inlined
 /// into every entry point, so each compiles it for its own instruction
 /// set.
 #[inline(always)]
@@ -193,11 +171,9 @@ fn walk_tiles<const BITS: u32, const A_T: bool, const B_T: bool, const ACC: bool
     while j0 < ops.n {
         let bufs = (&mut panel, &mut part);
         j0 += match (BITS, ops.n - j0) {
-            (512, 64..) => column_block::<2, 64, A_T, B_T, ACC>(ops, c, j0, bufs),
-            (512, 32..=63) => column_block::<4, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
             (256, 32..) => column_block::<2, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
-            (256 | 512, 16..=31) => column_block::<4, 16, A_T, B_T, ACC>(ops, c, j0, bufs),
-            (256 | 512, 8..=15) => column_block::<8, 8, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (256, 16..=31) => column_block::<4, 16, A_T, B_T, ACC>(ops, c, j0, bufs),
+            (256, 8..=15) => column_block::<8, 8, A_T, B_T, ACC>(ops, c, j0, bufs),
             (128, 32..) => column_block::<1, 32, A_T, B_T, ACC>(ops, c, j0, bufs),
             (128, 13..=31) => column_block::<2, 16, A_T, B_T, ACC>(ops, c, j0, bufs),
             (128, 9..=12) => column_block::<2, 12, A_T, B_T, ACC>(ops, c, j0, bufs),
@@ -656,14 +632,13 @@ mod tests {
         };
     }
 
-    /// The tables this CPU can run: the portable one always, the AVX2
-    /// one where the CPU has AVX2 and the AVX-512F one where it has
-    /// AVX-512F. The dispatcher picks only the widest, so each is called
-    /// directly here.
+    /// The tables this CPU can run: the portable one always, and the AVX2
+    /// one where the CPU has AVX2. The dispatcher picks only the wider,
+    /// so each is called directly here.
     ///
     /// SAFETY (every `unsafe` the macro writes): the portable kernel is a
-    /// safe `fn`, and each wider table is pushed only after the CPU
-    /// reported its feature just above.
+    /// safe `fn`, and the AVX2 table is pushed only after the CPU
+    /// reported AVX2 just above.
     #[allow(unused_unsafe)]
     fn tables() -> Vec<Table> {
         #[allow(unused_mut)]
@@ -678,14 +653,6 @@ mod tests {
                 name: "256-bit",
                 layouts: layouts!(gemm_avx2, false),
                 accumulating: layouts!(gemm_avx2, true),
-            });
-        }
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            tables.push(Table {
-                name: "512-bit",
-                layouts: layouts!(gemm_avx512, false),
-                accumulating: layouts!(gemm_avx512, true),
             });
         }
         tables
@@ -753,9 +720,9 @@ mod tests {
 
     /// Every tile table, all three layouts, bit for bit against the
     /// naive loop: every tail tile (n ≤ 40), every row tail (m ≤ 9) and
-    /// the K-chunk boundary of every tile width; the 512-bit table's 2×64
-    /// and 4×32 blocks followed by every 1–15-column tail; plus the LeNet
-    /// and MLP products the micro bench times.
+    /// the K-chunk boundary of every tile width; one to four 32-column
+    /// blocks followed by every 0–15-column tail; plus the LeNet and MLP
+    /// products the micro bench times.
     #[test]
     fn tile_tables_match_naive_triple_loop_bit_for_bit() {
         let tables = tables();
@@ -783,15 +750,14 @@ mod tests {
                 }
             }
         }
-        // 4×32 (n 32–47), 2×64 (64–79), 2×64 then 4×32 (96–111) and
-        // 2×64 twice (128–143), each then the 0–15-column tail, around
-        // the K-chunks of NR = 64 (`PANEL / 64` values of k) and of
-        // NR = 32 (twice that).
-        let kc = PANEL / 64;
+        // One to four 32-column blocks (n 32–47, 64–79, 96–111 and
+        // 128–143), each then the 0–15-column tail, around the K-chunk of
+        // NR = 32 (`PANEL / 32` values of k) and past it.
+        let kc = PANEL / 32;
         for base in [32, 64, 96, 128] {
             for n in base..base + 16 {
                 for m in [1, 2, 3, 4, 5, 7] {
-                    for k in [1, kc - 1, kc, kc + 1, 2 * kc + 1, 3 * kc + 5] {
+                    for k in [1, kc - 1, kc, kc + 1, 2 * kc + 5] {
                         check(&tables, m, k, n);
                     }
                 }
@@ -856,7 +822,7 @@ mod tests {
 
     /// Every tile table's accumulating mode, all three layouts, bit for
     /// bit against a product per segment plus an add: segment lengths
-    /// around the K-chunk of every tile width (NR = 64, 32, 16, 8, 4) on
+    /// around the K-chunk of every tile width (NR = 32, 16, 12, 8, 4) on
     /// every tail tile, one segment and several; row counts past the band
     /// of parked partial sums for each width; and the LeNet conv2 and
     /// conv1 `dW` products.
@@ -864,7 +830,7 @@ mod tests {
     fn accumulating_mode_matches_a_product_per_segment_bit_for_bit() {
         let tables = tables();
         let mut segs = vec![1, 2, 9];
-        for nr in [64, 32, 16, 8, 4] {
+        for nr in [32, 16, 12, 8, 4] {
             let kc = PANEL / nr;
             segs.extend([kc - 1, kc, kc + 1]);
         }
@@ -879,15 +845,7 @@ mod tests {
         }
         // Segments one above the K-chunk park their partial sums in bands
         // of `PANEL / NR` rows; one row past a band opens a second band.
-        for (n, nr) in [
-            (70, 64),
-            (40, 32),
-            (20, 16),
-            (13, 16),
-            (10, 12),
-            (8, 8),
-            (4, 4),
-        ] {
+        for (n, nr) in [(40, 32), (20, 16), (13, 16), (10, 12), (8, 8), (4, 4)] {
             let kc = PANEL / nr;
             check_accumulating(&tables, kc + 1, kc + 1, 2, n);
         }

@@ -34,9 +34,13 @@
 //! same selects in the same order, so they compute the same bits. The
 //! sixteen-lane body packs consecutive output rows side by side, so rows
 //! narrower than sixteen windows (LeNet's are 7 and 1) still fill its
-//! lanes. On the same CPUs the backward writes each window's four
-//! gradients sixteen windows at a time. Every other geometry, and the
-//! backward on other CPUs, runs one scalar loop over the same rule.
+//! lanes. Every other geometry runs one scalar loop over the same rule.
+//!
+//! The backward is one scalar loop for every geometry and CPU. A
+//! sixteen-lane backward that wrote each window's four gradients at once
+//! tied with it end to end: on an AVX-512F Xeon a LeNet benchmark run
+//! took 0.1887 s with it and 0.1890 s without (the loop won 3 of 8
+//! pairs), so it was retired.
 
 use serde::{Deserialize, Serialize};
 
@@ -178,13 +182,7 @@ pub fn max_pool2d_backward_into(
         grad_out.len(),
         "max_pool2d argmax length mismatch"
     );
-    if spec.is_two_by_two() {
-        // SAFETY: `widest` picks only a body whose features the CPU
-        // reported, and the lengths were checked above.
-        unsafe { Body::widest().unpool(grad_out, argmax, grad_in, [planes, h, w]) };
-    } else {
-        scatter(grad_out, argmax, grad_in, spec, [planes, h, w]);
-    }
+    scatter(grad_out, argmax, grad_in, spec, [planes, h, w]);
 }
 
 /// One step of a window scan: `x`, at window offset `k`, replaces the
@@ -229,8 +227,8 @@ fn scan(
     }
 }
 
-/// The backward for any geometry: zeroes `grad_in`, then adds each
-/// output's gradient at its recorded element, in output order.
+/// The backward: zeroes `grad_in`, then adds each output's gradient at
+/// its recorded element, in output order.
 fn scatter(
     grad_out: &[f32],
     argmax: &[u8],
@@ -258,7 +256,7 @@ fn scatter(
     }
 }
 
-/// The 2×2, stride-2 kernels' bodies, narrowest first.
+/// The 2×2, stride-2 forward's bodies, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Body {
     /// Scalar selects, for any CPU.
@@ -278,7 +276,8 @@ impl Body {
         std::iter::once(Body::Portable).chain(wide)
     }
 
-    /// The widest body the CPU runs: the one the entry points dispatch to.
+    /// The widest body the CPU runs: the one [`max_pool2d_into`] dispatches
+    /// to.
     fn widest() -> Body {
         Body::supported().last().unwrap_or(Body::Portable)
     }
@@ -303,28 +302,6 @@ impl Body {
             // SAFETY: the caller guarantees AVX-512F and the lengths.
             #[cfg(target_arch = "x86_64")]
             Body::Avx512 => unsafe { avx512::pool::<TAPE>(src, dst, tape, geometry) },
-        }
-    }
-
-    /// [`max_pool2d_backward_into`] for 2×2 windows at stride 2.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must have the body's features ([`Body::supported`]),
-    /// `grad_in` must hold `planes·h·w` floats, and `grad_out` and
-    /// `argmax` one value for each of the `planes·⌊h/2⌋·⌊w/2⌋` windows.
-    unsafe fn unpool(
-        self,
-        grad_out: &[f32],
-        argmax: &[u8],
-        grad_in: &mut [f32],
-        geometry: [usize; 3],
-    ) {
-        match self {
-            Body::Portable => scatter(grad_out, argmax, grad_in, &Pool2dSpec::new(2, 2), geometry),
-            // SAFETY: the caller guarantees AVX-512F and the lengths.
-            #[cfg(target_arch = "x86_64")]
-            Body::Avx512 => unsafe { avx512::unpool(grad_out, argmax, grad_in, geometry) },
         }
     }
 }
@@ -358,14 +335,13 @@ fn portable<const TAPE: bool>(
     }
 }
 
-/// The sixteen-lane kernels. A step handles up to sixteen consecutive
+/// The sixteen-lane forward. A step handles up to sixteen consecutive
 /// windows, one lane each: a few whole output rows side by side when rows
 /// have at most sixteen windows, else sixteen windows of one row. Each
 /// of a step's rows is a run of floats in each of its two input rows, and
 /// `Walk` places the runs in a pair of registers per input row (32 lanes,
-/// two per window): the forward loads the runs and permutes the
-/// pairs into a window's four elements, and the backward permutes the
-/// four gradients back into runs and stores them.
+/// two per window): the kernel loads the runs and permutes the pairs into
+/// a window's four elements.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
@@ -405,11 +381,6 @@ mod avx512 {
         start: [usize; LANES],
         /// The lane of each window's left element (its right one is next).
         left: __m512i,
-        /// For each lane of the pair, `m + 16·side`: the window `m` it
-        /// holds and whether it is the right element (the inverse of
-        /// `left`, as [`_mm512_permutex2var_ps`] indices into two
-        /// registers of windows).
-        inverse: [__m512i; 2],
     }
 
     impl Walk {
@@ -421,21 +392,16 @@ mod avx512 {
             let per_register = LANES / (2 * width);
             let rows = (2 * per_register).max(1);
             let mut start = [0; LANES];
-            let (mut left, mut inverse) = ([0i32; LANES], [0i32; 2 * LANES]);
+            let mut left = [0i32; LANES];
             for (j, s) in start[..rows].iter_mut().enumerate() {
                 *s = match per_register {
                     0 => 0,
                     p => LANES * (j / p) + 2 * width * (j % p),
                 };
                 for x in 0..width {
-                    let m = j * width + x;
-                    left[m] = (*s + 2 * x) as i32;
-                    inverse[*s + 2 * x] = m as i32;
-                    inverse[*s + 2 * x + 1] = (m + LANES) as i32;
+                    left[j * width + x] = (*s + 2 * x) as i32;
                 }
             }
-            // SAFETY: each array holds the sixteen `i32`s loaded.
-            let load = |v: &[i32]| unsafe { _mm512_loadu_si512(v.as_ptr().cast()) };
             Walk {
                 geometry,
                 // Output rows are evenly spaced through the whole batch
@@ -444,8 +410,8 @@ mod avx512 {
                 stride: if h / 2 == 1 { h * w } else { 2 * w },
                 rows,
                 start,
-                left: load(&left),
-                inverse: [load(&inverse[..LANES]), load(&inverse[LANES..])],
+                // SAFETY: `left` holds the sixteen `i32`s loaded.
+                left: unsafe { _mm512_loadu_si512(left.as_ptr().cast()) },
             }
         }
 
@@ -553,70 +519,6 @@ mod avx512 {
             }
         });
     }
-
-    /// [`super::Body::unpool`] on sixteen lanes: writes every window's
-    /// four gradients, `0.0 + g` at the recorded element and `+0.0` at the
-    /// other three, after zeroing the input gradient if an odd row or
-    /// column belongs to no window.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU must support AVX-512F, and the lengths must be as
-    /// [`super::Body::unpool`] requires.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn unpool(
-        grad_out: &[f32],
-        argmax: &[u8],
-        grad_in: &mut [f32],
-        geometry: [usize; 3],
-    ) {
-        let [_, h, w] = geometry;
-        if h % 2 == 1 || w % 2 == 1 {
-            grad_in.fill(0.0);
-        }
-        let walk = Walk::new(geometry);
-        walk.steps(|step| {
-            let n = step.rows * step.len;
-            let g = &grad_out[step.out..][..n];
-            // SAFETY: a masked load reads only its mask's lanes, the `n`
-            // floats of `g`.
-            let g = unsafe { _mm512_maskz_loadu_ps(lanes(n), g.as_ptr()) };
-            let g = _mm512_add_ps(_mm512_setzero_ps(), g);
-            let mut bytes = [0u8; LANES];
-            let bytes = match argmax[step.out..].first_chunk::<LANES>() {
-                Some(full) => full,
-                None => {
-                    bytes[..n].copy_from_slice(&argmax[step.out..][..n]);
-                    &bytes
-                }
-            };
-            // SAFETY: `bytes` holds the sixteen bytes loaded.
-            let offsets = _mm512_cvtepu8_epi32(unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) });
-            let [a, b, c, d] = [0, 1, 2, 3].map(|k| {
-                let picked = _mm512_cmpeq_epi32_mask(offsets, _mm512_set1_epi32(k));
-                _mm512_maskz_mov_ps(picked, g)
-            });
-            let top = walk.inverse.map(|idx| _mm512_permutex2var_ps(a, idx, b));
-            let bottom = walk.inverse.map(|idx| _mm512_permutex2var_ps(c, idx, d));
-            let region = &mut grad_in[step.top..][..walk.extent(&step)];
-            for j in 0..step.rows {
-                // The pair's lane `start + i` writes element `i` of row
-                // `j`'s run.
-                let run = region.as_mut_ptr().wrapping_add(j * walk.stride);
-                let base = run.wrapping_sub(walk.start[j]);
-                for (half, mask) in walk.masks(j, step.len).into_iter().enumerate() {
-                    let at = base.wrapping_add(half * LANES);
-                    // SAFETY: a masked store writes only its mask's lanes,
-                    // here the row's runs in its two input rows, which lie
-                    // in `region`.
-                    unsafe {
-                        _mm512_mask_storeu_ps(at, mask, top[half]);
-                        _mm512_mask_storeu_ps(at.wrapping_add(w), mask, bottom[half]);
-                    }
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -711,9 +613,9 @@ mod tests {
     }
 
     /// Checks the dispatched entry point and, for 2×2 windows at stride
-    /// 2, every body the CPU runs, with and without a tape, into dirty
-    /// buffers against the oracle; then the backward against the old
-    /// zero-fill-and-scatter through the oracle's flat indices.
+    /// 2, every forward body the CPU runs, with and without a tape, into
+    /// dirty buffers against the oracle; then the backward against the
+    /// old zero-fill-and-scatter through the oracle's flat indices.
     fn check(spec: Pool2dSpec, planes: usize, h: usize, w: usize, seed: u64) {
         let src = values(planes * h * w, seed);
         let (want, want_idx) = oracle(&src, &spec, planes, h, w);
@@ -754,18 +656,6 @@ mod tests {
         let mut grad_in = vec![f32::NAN; src.len()];
         max_pool2d_backward_into(&grad, &tape, &mut grad_in, &spec, planes, h, w);
         assert_eq!(bits(&grad_in), bits(&want_grad), "backward, {label}");
-        if spec == Pool2dSpec::new(2, 2) {
-            for body in Body::supported() {
-                grad_in.fill(f32::NAN);
-                // SAFETY: as above.
-                unsafe { body.unpool(&grad, &tape, &mut grad_in, [planes, h, w]) };
-                assert_eq!(
-                    bits(&grad_in),
-                    bits(&want_grad),
-                    "{body:?} backward, {label}"
-                );
-            }
-        }
     }
 
     /// Every 2×2 body against the oracle on every odd and even plane size

@@ -112,7 +112,6 @@ fn bayesft_search_improves_drift_robustness_on_moons() {
         .mc_samples(6)
         .sigma(0.8)
         .acquisition(Acquisition::PosteriorMean)
-        .lengthscale(0.3)
         .train(quick_cfg())
         .seed(0)
         .max_rate(0.8)
