@@ -8,7 +8,7 @@
 //! `preact50-shapes` (3g), `preact152-shapes` (3h), `stn-signs` (3i),
 //! or `all`.
 
-use bench::{compare_methods, make_task, print_gains, Scale};
+use bench::{compare_methods, make_task, Scale};
 use models::ModelKind;
 
 fn panel(name: &str) -> Option<(ModelKind, &'static str, bool)> {
@@ -49,8 +49,6 @@ fn run(name: &str, scale: Scale) {
     let task = make_task(task_name, scale, 11);
     let table = compare_methods(kind, &task, scale, include_ftna);
     println!("{table}");
-    print_gains(&table, task.classes);
-    println!();
 }
 
 fn main() {

@@ -257,25 +257,6 @@ pub fn compare_methods(
     table
 }
 
-/// Prints the robustness-gain footer (the "10–100×" headline numbers).
-pub fn print_gains(table: &SweepTable, classes: usize) {
-    let curves = table.curves();
-    let (Some(bft), Some(erm)) = (
-        curves.iter().find(|c| c.method == "BayesFT"),
-        curves.iter().find(|c| c.method == "ERM"),
-    ) else {
-        return;
-    };
-    print!("robustness gain vs ERM (chance-adjusted):");
-    for sigma in [0.9f32, 1.2, 1.5] {
-        match bayesft::robustness_gain(bft, erm, sigma, classes) {
-            Some(g) => print!("  σ={sigma}: {g:.1}x"),
-            None => print!("  σ={sigma}: >100x (ERM at chance)"),
-        }
-    }
-    println!();
-}
-
 /// Single-σ drift accuracy shortcut.
 pub fn drift_point(
     model: &mut TrainedModel,

@@ -20,10 +20,9 @@
 //!    [`bayesopt::Acquisition`]). Independent Monte-Carlo drift samples
 //!    fan out over worker threads (`parallelism(n)`) with bit-identical
 //!    results to the serial path.
-//! 4. **Reporting** ([`RunReport`], [`accuracy_vs_sigma`], [`SweepTable`],
-//!    [`robustness_gain`]): a JSON-serializable run record plus the
-//!    accuracy-vs-σ curves of Figs. 2–3 and the "BayesFT is 10–100× more
-//!    robust" headline ratios.
+//! 4. **Reporting** ([`RunReport`], [`accuracy_vs_sigma`], [`SweepTable`]):
+//!    a JSON-serializable run record plus the accuracy-vs-σ curves of
+//!    Figs. 2–3.
 //!
 //! Errors from every stage surface as the unified [`BayesFtError`].
 //!
@@ -69,4 +68,4 @@ pub use error::BayesFtError;
 pub use objective::{DriftObjective, EvalCtx, Objective, ObjectiveMetric};
 pub use report::{RunReport, ScenarioMeta, StageTimings, TrialRecord};
 pub use space::DropoutSearchSpace;
-pub use sweep::{accuracy_vs_sigma, robustness_gain, MethodCurve, SweepTable, SIGMA_GRID};
+pub use sweep::{accuracy_vs_sigma, MethodCurve, SweepTable, SIGMA_GRID};

@@ -1,5 +1,4 @@
-//! Robustness sweeps: the accuracy-vs-σ curves of Figs. 2–3 and the
-//! headline robustness ratios.
+//! Robustness sweeps: the accuracy-vs-σ curves of Figs. 2–3.
 
 use baselines::TrainedModel;
 use datasets::ClassificationDataset;
@@ -61,17 +60,6 @@ impl MethodCurve {
                 .collect(),
         }
     }
-
-    /// Mean accuracy at the grid point nearest to `sigma`.
-    pub fn at(&self, sigma: f32) -> Option<f32> {
-        // total_cmp: a NaN distance (NaN grid point or query) sorts above
-        // every finite distance, so it deterministically loses the argmin
-        // instead of tying arbitrarily via partial_cmp.
-        self.points
-            .iter()
-            .min_by(|a, b| (a.0 - sigma).abs().total_cmp(&(b.0 - sigma).abs()))
-            .map(|p| p.1)
-    }
 }
 
 /// A printable figure: several method curves over one σ grid.
@@ -98,16 +86,6 @@ impl SweepTable {
     pub fn push(&mut self, curve: MethodCurve) {
         self.curves.push(curve);
     }
-
-    /// The collected curves.
-    pub fn curves(&self) -> &[MethodCurve] {
-        &self.curves
-    }
-
-    /// The figure title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
 }
 
 impl std::fmt::Display for SweepTable {
@@ -129,29 +107,6 @@ impl std::fmt::Display for SweepTable {
             writeln!(f)?;
         }
         Ok(())
-    }
-}
-
-/// Robustness gain of `method` over `baseline` at `sigma`: the accuracy
-/// ratio after subtracting chance level (`1/classes`). This is the
-/// quantity behind the paper's "10–100×" claim — at large σ the baseline
-/// collapses to chance while BayesFT retains most of its accuracy.
-///
-/// Returns `None` if either curve lacks the grid point or the baseline is
-/// at/below chance (ratio undefined — the gain is effectively unbounded).
-pub fn robustness_gain(
-    method: &MethodCurve,
-    baseline: &MethodCurve,
-    sigma: f32,
-    classes: usize,
-) -> Option<f32> {
-    let chance = 1.0 / classes.max(1) as f32;
-    let m = method.at(sigma)? - chance;
-    let b = baseline.at(sigma)? - chance;
-    if b <= 0.0 {
-        None
-    } else {
-        Some(m / b)
     }
 }
 
@@ -223,26 +178,6 @@ mod tests {
         let text = table.to_string();
         assert!(text.contains("erm") && text.contains("bayesft"));
         assert!(text.contains("90.0"));
-    }
-
-    #[test]
-    fn robustness_gain_math() {
-        let bayes = fake_curve("bayesft", &[0.9, 0.8]);
-        let erm = fake_curve("erm", &[0.9, 0.55]);
-        // At σ=0.3 with 2 classes: (0.8−0.5)/(0.55−0.5) = 6×.
-        let gain = robustness_gain(&bayes, &erm, 0.3, 2).unwrap();
-        assert!((gain - 6.0).abs() < 0.1, "gain {gain}");
-        // Baseline at chance → unbounded gain → None.
-        let collapsed = fake_curve("erm", &[0.9, 0.5]);
-        assert!(robustness_gain(&bayes, &collapsed, 0.3, 2).is_none());
-    }
-
-    #[test]
-    fn curve_at_picks_nearest_grid_point() {
-        let c = fake_curve("m", &[0.9, 0.8, 0.7]);
-        assert_eq!(c.at(0.0), Some(0.9));
-        assert_eq!(c.at(0.29), Some(0.8));
-        assert_eq!(c.at(10.0), Some(0.7));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl TinyDetector {
         TinyDetector { net, image_hw: hw }
     }
 
-    /// Image side length this detector was built for.
-    pub fn image_hw(&self) -> usize {
-        self.image_hw
-    }
-
     /// Runs inference on a batch of scene images `[N, 3, H, W]` and decodes
     /// per-image detections (see [`decode_detections`]).
     pub fn detect(&mut self, images: &Tensor, threshold: f32) -> Vec<Vec<(BBox, f32)>> {

@@ -49,21 +49,6 @@ impl Dense {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// The weight matrix (for inspection in tests/reports).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
     /// Folds `[N, ...]` input to `[N', in]` (a pure length computation —
     /// the raw gemm runs over slices, no reshape copy).
     fn fold_batch(&self, input: &Tensor) -> usize {

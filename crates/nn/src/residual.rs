@@ -35,11 +35,6 @@ impl Residual {
     pub fn new(main: Sequential, shortcut: Option<Sequential>) -> Self {
         Residual { main, shortcut }
     }
-
-    /// The main branch (for dropout-insertion hooks).
-    pub fn main_mut(&mut self) -> &mut Sequential {
-        &mut self.main
-    }
 }
 
 impl Layer for Residual {
@@ -132,11 +127,6 @@ impl PreActBlock {
         PreActBlock {
             inner: Residual::new(main, shortcut),
         }
-    }
-
-    /// The main branch (for dropout-insertion hooks).
-    pub fn main_mut(&mut self) -> &mut Sequential {
-        self.inner.main_mut()
     }
 }
 

@@ -73,8 +73,8 @@ impl WeightSnapshot {
     ///
     /// A structural mismatch is detected **before** any parameter is
     /// written, so on error the network is left exactly as it was — a
-    /// malformed snapshot (e.g. loaded from a stale weight file by a
-    /// campaign scenario) cannot half-restore a model.
+    /// snapshot taken from a differently shaped network cannot
+    /// half-restore a model.
     ///
     /// # Errors
     ///
@@ -111,85 +111,6 @@ impl WeightSnapshot {
     /// The captured parameter tensors, in visit order.
     pub fn tensors(&self) -> &[Tensor] {
         &self.values
-    }
-
-    /// Serializes the snapshot to a writer in a simple self-describing
-    /// little-endian binary format (magic, tensor count, then per tensor:
-    /// rank, dims, f32 data). A `&mut` reference can be passed as the
-    /// writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(b"BFTW")?;
-        w.write_all(&(self.values.len() as u64).to_le_bytes())?;
-        for t in &self.values {
-            w.write_all(&(t.rank() as u64).to_le_bytes())?;
-            for &d in t.dims() {
-                w.write_all(&(d as u64).to_le_bytes())?;
-            }
-            for &v in t.as_slice() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserializes a snapshot previously produced by
-    /// [`WeightSnapshot::write_to`]. A `&mut` reference can be passed as
-    /// the reader.
-    ///
-    /// Buffers grow as values arrive rather than trusting the header's
-    /// counts, so a corrupt or hostile header fails with an error instead
-    /// of a multi-terabyte allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a bad magic header, an implausible rank or
-    /// an element count that overflows `usize`, and `UnexpectedEof` on a
-    /// truncated stream.
-    pub fn read_from<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"BFTW" {
-            return Err(Error::new(ErrorKind::InvalidData, "bad weight-file magic"));
-        }
-        let mut u64buf = [0u8; 8];
-        r.read_exact(&mut u64buf)?;
-        let count = u64::from_le_bytes(u64buf);
-        let mut values = Vec::new();
-        for _ in 0..count {
-            r.read_exact(&mut u64buf)?;
-            let rank = u64::from_le_bytes(u64buf) as usize;
-            if rank > 8 {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    "implausible tensor rank",
-                ));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                r.read_exact(&mut u64buf)?;
-                dims.push(u64::from_le_bytes(u64buf) as usize);
-            }
-            let len = dims
-                .iter()
-                .try_fold(1usize, |n, &d| n.checked_mul(d))
-                .ok_or_else(|| Error::new(ErrorKind::InvalidData, "tensor size overflows"))?;
-            let mut data = Vec::new();
-            let mut f32buf = [0u8; 4];
-            for _ in 0..len {
-                r.read_exact(&mut f32buf)?;
-                data.push(f32::from_le_bytes(f32buf));
-            }
-            values.push(
-                Tensor::from_vec(data, &dims)
-                    .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?,
-            );
-        }
-        Ok(WeightSnapshot { values })
     }
 }
 
@@ -691,57 +612,6 @@ mod tests {
     #[should_panic(expected = "at least one trial")]
     fn empty_mc_panics() {
         let _ = McStats::from_values(vec![]);
-    }
-
-    #[test]
-    fn snapshot_binary_round_trip() {
-        let mut net = test_net(9);
-        let snap = FaultInjector::snapshot(&mut net);
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        let loaded = WeightSnapshot::read_from(buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), snap.len());
-        for (a, b) in snap.tensors().iter().zip(loaded.tensors()) {
-            assert_eq!(a.dims(), b.dims());
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        // Loaded snapshot can restore the network (deployment round trip).
-        loaded.restore_into(&mut net).unwrap();
-    }
-
-    #[test]
-    fn snapshot_read_rejects_garbage() {
-        assert!(WeightSnapshot::read_from(&b"NOPE1234"[..]).is_err());
-        assert!(WeightSnapshot::read_from(&b"BF"[..]).is_err()); // truncated
-    }
-
-    /// A header claiming 2^40 tensors used to be preallocated up front and
-    /// abort the process; now the stream simply runs out.
-    #[test]
-    fn snapshot_read_survives_huge_tensor_count() {
-        let mut buf = b"BFTW".to_vec();
-        buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = WeightSnapshot::read_from(buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
-    }
-
-    /// One tensor of dims [2^20, 2^20] (2^40 elements) with no data, and
-    /// one whose dims overflow `usize` when multiplied.
-    #[test]
-    fn snapshot_read_survives_huge_tensor_dims() {
-        let header = |dims: &[u64]| {
-            let mut buf = b"BFTW".to_vec();
-            buf.extend_from_slice(&1u64.to_le_bytes());
-            buf.extend_from_slice(&(dims.len() as u64).to_le_bytes());
-            for d in dims {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-            buf
-        };
-        let err = WeightSnapshot::read_from(header(&[1 << 20, 1 << 20]).as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
-        let err = WeightSnapshot::read_from(header(&[1 << 40, 1 << 40]).as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

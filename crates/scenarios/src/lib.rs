@@ -54,7 +54,9 @@ mod scenario;
 mod store;
 
 pub use error::CampaignError;
-pub use runner::{CampaignReport, CampaignRunner, RunControl, ScenarioOutcome, ScenarioRun};
+pub use runner::{
+    effective_shards, CampaignReport, CampaignRunner, RunControl, ScenarioOutcome, ScenarioRun,
+};
 pub use scenario::{Campaign, Scenario, SpaceKind, TaskKind};
 pub use store::{
     CompactionSummary, CompareGroup, MergeSummary, ResultStore, StoreLock, StoredRecord,

@@ -688,10 +688,11 @@ impl CampaignRunner {
     }
 }
 
-/// Resolves the shard request against the machine and the campaign: `0`
+/// Resolves a shard request against the machine and the campaign: `0`
 /// means one shard per core, and a campaign never spins up more shards
-/// than it has scenarios.
-fn effective_shards(requested: usize, total: usize) -> usize {
+/// than it has scenarios. [`CampaignRunner::shards`] and the campaign
+/// service's per-job worker-process count both follow this rule.
+pub fn effective_shards(requested: usize, total: usize) -> usize {
     let shards = if requested == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

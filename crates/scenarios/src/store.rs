@@ -301,7 +301,6 @@ impl ResultStore {
     pub fn append(&self, campaign: &str, outcome: &ScenarioOutcome) -> Result<(), CampaignError> {
         let _t = telemetry::Timer::start(telemetry::duration_histogram!("store_append_seconds"));
         telemetry::static_counter!("store_appends_total").inc();
-        let _lock = self.lock()?;
         let mut line = Value::object();
         line.insert("campaign", campaign);
         line.insert("scenario", outcome.scenario.name.as_str());
@@ -325,16 +324,7 @@ impl ResultStore {
         line.insert("report", outcome.report.to_json());
         let mut text = serde_json::to_string(&line);
         text.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(text.as_bytes())?;
-        {
-            let _t = telemetry::Timer::start(telemetry::duration_histogram!("store_fsync_seconds"));
-            file.sync_data()?;
-        }
-        Ok(())
+        self.write_locked(&text)
     }
 
     /// Appends already-serialized records — e.g. a per-job worker store
@@ -355,21 +345,26 @@ impl ResultStore {
             return Ok(());
         }
         telemetry::static_counter!("store_appends_total").add(records.len() as u64);
-        let _lock = self.lock()?;
         let mut text = String::new();
         for record in records {
             text.push_str(&serde_json::to_string(record));
             text.push('\n');
         }
+        self.write_locked(&text)
+    }
+
+    /// The one append path under both writers: takes the store lock,
+    /// creates the file if needed, and puts `text` down in a single
+    /// `write` followed by a timed fsync.
+    fn write_locked(&self, text: &str) -> Result<(), CampaignError> {
+        let _lock = self.lock()?;
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         file.write_all(text.as_bytes())?;
-        {
-            let _t = telemetry::Timer::start(telemetry::duration_histogram!("store_fsync_seconds"));
-            file.sync_data()?;
-        }
+        let _t = telemetry::Timer::start(telemetry::duration_histogram!("store_fsync_seconds"));
+        file.sync_data()?;
         Ok(())
     }
 

@@ -57,7 +57,7 @@ use std::time::Duration;
 use scenarios::{Campaign, CampaignRunner, ResultStore, RunControl, ScenarioRun};
 use serde_json::Value;
 use serve::fault::{FaultInjector, FaultMode};
-use serve::protocol::DEFAULT_ADDR;
+use serve::protocol::{report_event, scenario_event, warning_event, DEFAULT_ADDR};
 use serve::{Client, Daemon, Isolation, ServeConfig};
 
 const DEFAULT_STORE: &str = "campaign_results.jsonl";
@@ -336,25 +336,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     }
     if events {
         for warning in &report.warnings {
-            let mut event = Value::object();
-            event.insert("event", "warning");
-            event.insert("message", warning.as_str());
-            emit_event(&event);
+            emit_event(&warning_event(warning));
         }
-        // The terminal report line is the supervisor's completion
-        // marker: its presence distinguishes "finished (with or without
-        // scenario failures)" from "crashed mid-campaign".
-        let mut event = Value::object();
-        event.insert("event", "report");
-        event.insert("total", report.total);
-        event.insert("completed", report.completed);
-        event.insert("failed", report.failed);
-        event.insert("cache_served", report.cache_served);
-        event.insert("store_served", report.store_served);
-        event.insert("skipped", report.skipped);
-        event.insert("cancelled", report.cancelled);
-        event.insert("wall_ms", report.wall_ms);
-        emit_event(&event);
+        emit_event(&report_event(&report));
         return Ok(if report.failed > 0 {
             ExitCode::FAILURE
         } else {
@@ -440,30 +424,6 @@ fn emit_event(event: &Value) {
     let mut out = std::io::stdout();
     let _ = out.write_all(line.as_bytes());
     let _ = out.flush();
-}
-
-/// One finished scenario in the daemon's `watch` event shape (minus the
-/// `job` field, which the supervisor adds when forwarding).
-fn scenario_event(run: &ScenarioRun) -> Value {
-    let mut event = Value::object();
-    event.insert("event", "scenario");
-    event.insert("name", run.name.as_str());
-    event.insert("index", run.index);
-    event.insert("total", run.total);
-    match &run.result {
-        Ok(outcome) => {
-            event.insert("ok", true);
-            event.insert("from_cache", outcome.from_cache);
-            event.insert("from_store", outcome.from_store);
-            event.insert("best_objective", outcome.report.best_objective);
-            event.insert("wall_ms", outcome.wall_ms);
-        }
-        Err(e) => {
-            event.insert("ok", false);
-            event.insert("error", e.to_string());
-        }
-    }
-    event
 }
 
 fn print_progress_line(run: &ScenarioRun) {

@@ -10,12 +10,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use scenarios::{
-    Campaign, CampaignError, CampaignReport, CampaignRunner, ResultStore, RunControl, ScenarioRun,
-};
+use scenarios::{Campaign, CampaignError, CampaignRunner, ResultStore, RunControl, ScenarioRun};
 use serde_json::Value;
 
-use crate::protocol::{backoff_refusal, err_response, ok_response, refusal, Request};
+use crate::protocol::{
+    backoff_refusal, done_event, err_response, ok_response, ping_event, refusal, report_counters,
+    scenario_event, state_event, warning_event, with_job, Request,
+};
 use crate::supervisor;
 
 /// How long idle waits (worker queue, watcher events, accept loop,
@@ -192,15 +193,34 @@ pub(crate) struct Job {
     pub(crate) submitted: Instant,
 }
 
+impl Job {
+    /// Records one event, stamped with this job's id.
+    pub(crate) fn push(&mut self, event: Value) {
+        self.events.push(with_job(event, &self.id));
+    }
+
+    /// The one transition into a terminal state, made under the state
+    /// lock: sets `state` and `error`, clears the worker PIDs, records the
+    /// `done` event (its counters from the caller) and observes the
+    /// submission-to-terminal latency in `daemon_job_seconds`. A job that
+    /// is already terminal is left as it is, so each job reports one
+    /// `done` event and one latency.
+    pub(crate) fn finish(&mut self, state: JobState, error: Option<String>, counters: Value) {
+        if self.state.terminal() {
+            return;
+        }
+        self.state = state;
+        self.worker_pids.clear();
+        self.push(done_event(state, counters, error.as_deref()));
+        self.error = error;
+        telemetry::duration_histogram!("daemon_job_seconds")
+            .observe_duration(self.submitted.elapsed());
+    }
+}
+
 /// Publish the current queue depth; call after every queue mutation.
 fn sync_queue_depth(st: &DaemonState) {
     telemetry::static_gauge!("daemon_queue_depth").set(st.queue.len() as i64);
-}
-
-/// Record a job's submission-to-terminal latency. Call exactly once, at
-/// the transition into a terminal state.
-pub(crate) fn observe_job_terminal(job: &Job) {
-    telemetry::duration_histogram!("daemon_job_seconds").observe_duration(job.submitted.elapsed());
 }
 
 pub(crate) struct DaemonState {
@@ -209,6 +229,16 @@ pub(crate) struct DaemonState {
     pub(crate) queue: VecDeque<usize>,
     /// Warnings from store priming at startup (crash-tail truncation).
     startup_warnings: Vec<String>,
+}
+
+impl DaemonState {
+    /// How many jobs a worker is executing.
+    fn running(&self) -> usize {
+        self.jobs
+            .iter()
+            .filter(|j| j.state == JobState::Running)
+            .count()
+    }
 }
 
 /// Lock order: `state` is a leaf — workers release it before entering
@@ -422,19 +452,11 @@ pub(crate) fn begin_job(shared: &Shared, ix: usize) -> Option<(Campaign, Arc<Ato
         // A cancel can land between dequeue and here; honor it before
         // spending compute.
         if job.cancel.load(Ordering::SeqCst) {
-            job.state = JobState::Cancelled;
-            observe_job_terminal(job);
-            let event = done_event(&job.id, JobState::Cancelled);
-            job.events.push(event);
+            job.finish(JobState::Cancelled, None, Value::object());
             None
         } else {
             job.state = JobState::Running;
-            let mut event = Value::object();
-            event.insert("event", "state");
-            event.insert("job", job.id.as_str());
-            event.insert("state", JobState::Running.as_str());
-            event.insert("total", job.campaign.scenarios.len());
-            job.events.push(event);
+            job.push(state_event(JobState::Running, job.campaign.scenarios.len()));
             Some((
                 job.campaign.clone(),
                 Arc::clone(&job.cancel),
@@ -448,31 +470,12 @@ pub(crate) fn begin_job(shared: &Shared, ix: usize) -> Option<(Campaign, Arc<Ato
 
 /// Executes one dequeued job through the shared runner, streaming events.
 fn run_job(shared: &Shared, ix: usize) {
-    let Some((campaign, cancel, id)) = begin_job(shared, ix) else {
+    let Some((campaign, cancel, _)) = begin_job(shared, ix) else {
         return;
     };
 
     let observer = |run: &ScenarioRun| {
-        let mut event = Value::object();
-        event.insert("event", "scenario");
-        event.insert("job", id.as_str());
-        event.insert("name", run.name.as_str());
-        event.insert("index", run.index);
-        event.insert("total", run.total);
-        match &run.result {
-            Ok(outcome) => {
-                event.insert("ok", true);
-                event.insert("from_cache", outcome.from_cache);
-                event.insert("from_store", outcome.from_store);
-                event.insert("best_objective", outcome.report.best_objective);
-                event.insert("wall_ms", outcome.wall_ms);
-            }
-            Err(e) => {
-                event.insert("ok", false);
-                event.insert("error", e.to_string());
-            }
-        }
-        lock_state(shared).jobs[ix].events.push(event);
+        lock_state(shared).jobs[ix].push(scenario_event(run));
         shared.event_cv.notify_all();
     };
     let ctl = RunControl {
@@ -488,32 +491,18 @@ fn run_job(shared: &Shared, ix: usize) {
     match result {
         Ok(report) => {
             for warning in &report.warnings {
-                let mut event = Value::object();
-                event.insert("event", "warning");
-                event.insert("job", job.id.as_str());
-                event.insert("message", warning.as_str());
-                job.events.push(event);
+                job.push(warning_event(warning));
             }
-            job.state = if report.cancelled {
+            let state = if report.cancelled {
                 JobState::Cancelled
             } else if report.failed > 0 {
                 JobState::Failed
             } else {
                 JobState::Done
             };
-            let mut event = done_event(&job.id, job.state);
-            report_counters(&mut event, &report);
-            job.events.push(event);
-            observe_job_terminal(job);
+            job.finish(state, None, report_counters(&report));
         }
-        Err(e) => {
-            job.state = JobState::Failed;
-            job.error = Some(e.to_string());
-            let mut event = done_event(&job.id, JobState::Failed);
-            event.insert("error", e.to_string());
-            job.events.push(event);
-            observe_job_terminal(job);
-        }
+        Err(e) => job.finish(JobState::Failed, Some(e.to_string()), Value::object()),
     }
     drop(st);
     shared.event_cv.notify_all();
@@ -522,30 +511,6 @@ fn run_job(shared: &Shared, ix: usize) {
 pub(crate) fn lock_state(shared: &Shared) -> MutexGuard<'_, DaemonState> {
     // lint:allow(R3, reason = "poison means another thread already panicked mid-update; aborting beats serving torn state")
     shared.state.lock().expect("daemon state poisoned")
-}
-
-pub(crate) fn done_event(id: &str, state: JobState) -> Value {
-    let mut event = Value::object();
-    event.insert("event", "done");
-    event.insert("job", id);
-    event.insert("state", state.as_str());
-    event
-}
-
-/// Flattens the campaign report's accounting into a `done` event.
-fn report_counters(event: &mut Value, report: &CampaignReport) {
-    event.insert("total", report.total);
-    event.insert("completed", report.completed);
-    event.insert("failed", report.failed);
-    event.insert("cache_served", report.cache_served);
-    event.insert("store_served", report.store_served);
-    event.insert("skipped", report.skipped);
-    event.insert("cancelled", report.cancelled);
-    event.insert("wall_ms", report.wall_ms);
-    event.insert(
-        "shard_wall_ms",
-        Value::Array(report.shard_wall_ms.iter().map(|&ms| ms.into()).collect()),
-    );
 }
 
 /// Outcome of reading one request line from a connection.
@@ -684,13 +649,7 @@ fn handle_request(shared: &Shared, request: Request) -> Value {
             let mut response = ok_response();
             response.insert("service", "campaign");
             response.insert("queued", st.queue.len());
-            response.insert(
-                "running",
-                st.jobs
-                    .iter()
-                    .filter(|j| j.state == JobState::Running)
-                    .count(),
-            );
+            response.insert("running", st.running());
             response
         }
         Request::Submit { campaign } => submit(shared, &campaign),
@@ -723,12 +682,7 @@ fn retry_after_ms(shared: &Shared, st: &DaemonState) -> u64 {
     } else {
         DEFAULT_JOB_MS
     };
-    let running = st
-        .jobs
-        .iter()
-        .filter(|j| j.state == JobState::Running)
-        .count();
-    let ahead = (st.queue.len() + running + 1) as f64;
+    let ahead = (st.queue.len() + st.running() + 1) as f64;
     let workers = shared.config.workers.max(1) as f64;
     (avg_ms * ahead / workers).clamp(MIN_RETRY_AFTER_MS, MAX_RETRY_AFTER_MS) as u64
 }
@@ -761,26 +715,23 @@ fn submit(shared: &Shared, campaign: &Value) -> Value {
     }
     let ix = st.jobs.len();
     let id = format!("job-{}", ix + 1);
-    let mut event = Value::object();
-    event.insert("event", "state");
-    event.insert("job", id.as_str());
-    event.insert("state", JobState::Queued.as_str());
-    event.insert("total", campaign.scenarios.len());
     let mut response = ok_response();
     response.insert("job", id.as_str());
     response.insert("position", st.queue.len());
     response.insert("scenarios", campaign.scenarios.len());
-    st.jobs.push(Job {
+    let mut job = Job {
         id,
         campaign,
         state: JobState::Queued,
         cancel: Arc::new(AtomicBool::new(false)),
-        events: vec![event],
+        events: Vec::new(),
         error: None,
         attempts: 0,
         worker_pids: Vec::new(),
         submitted: Instant::now(),
-    });
+    };
+    job.push(state_event(JobState::Queued, job.campaign.scenarios.len()));
+    st.jobs.push(job);
     st.queue.push_back(ix);
     telemetry::static_counter!("daemon_jobs_submitted_total").inc();
     sync_queue_depth(&st);
@@ -828,13 +779,7 @@ fn status(shared: &Shared, job: Option<&str>) -> Value {
                 Value::Array(st.jobs.iter().map(job_summary).collect()),
             );
             response.insert("queued", st.queue.len());
-            response.insert(
-                "running",
-                st.jobs
-                    .iter()
-                    .filter(|j| j.state == JobState::Running)
-                    .count(),
-            );
+            response.insert("running", st.running());
             response.insert(
                 "warnings",
                 Value::Array(
@@ -867,11 +812,7 @@ fn cancel(shared: &Shared, id: &str) -> Value {
         // Never reaches a worker: finalize it here.
         st.queue.retain(|&queued| queued != ix);
         sync_queue_depth(&st);
-        let job = &mut st.jobs[ix];
-        job.state = JobState::Cancelled;
-        observe_job_terminal(job);
-        let event = done_event(&job.id, JobState::Cancelled);
-        job.events.push(event);
+        st.jobs[ix].finish(JobState::Cancelled, None, Value::object());
     }
     let new_state = st.jobs[ix].state;
     drop(st);
@@ -891,17 +832,10 @@ fn shutdown(shared: &Shared) -> Value {
     while let Some(ix) = st.queue.pop_front() {
         let job = &mut st.jobs[ix];
         job.cancel.store(true, Ordering::SeqCst);
-        job.state = JobState::Cancelled;
-        observe_job_terminal(job);
-        let event = done_event(&job.id, JobState::Cancelled);
-        job.events.push(event);
+        job.finish(JobState::Cancelled, None, Value::object());
     }
     sync_queue_depth(&st);
-    let draining = st
-        .jobs
-        .iter()
-        .filter(|j| j.state == JobState::Running)
-        .count();
+    let draining = st.running();
     drop(st);
     shared.job_cv.notify_all();
     shared.event_cv.notify_all();
@@ -961,10 +895,7 @@ fn watch_job(writer: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Resu
             }
         };
         if ping {
-            let mut event = Value::object();
-            event.insert("event", "ping");
-            event.insert("job", id);
-            send(writer, &event)?;
+            send(writer, &with_job(ping_event(), id))?;
         }
         for event in &batch {
             send(writer, event)?;
@@ -973,5 +904,41 @@ fn watch_job(writer: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Resu
         if finished {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A queued job that a worker has already dequeued can be cancelled by
+    /// the client and then claimed by the worker: both finish it, and the
+    /// second call must change nothing.
+    #[test]
+    fn a_job_finishes_once() {
+        let latency = telemetry::duration_histogram!("daemon_job_seconds");
+        let observed = latency.count();
+        let mut job = Job {
+            id: "job-1".into(),
+            campaign: Campaign::new("c", Vec::new()),
+            state: JobState::Queued,
+            cancel: Arc::default(),
+            events: Vec::new(),
+            error: None,
+            attempts: 0,
+            worker_pids: vec![7],
+            submitted: Instant::now(),
+        };
+        job.finish(JobState::Cancelled, None, Value::object());
+        job.finish(JobState::Failed, Some("late".into()), Value::object());
+        assert_eq!(job.state, JobState::Cancelled);
+        assert_eq!(job.error, None);
+        assert!(job.worker_pids.is_empty());
+        assert_eq!(job.events.len(), 1);
+        assert_eq!(
+            job.events[0].get("state").and_then(Value::as_str),
+            Some("cancelled")
+        );
+        assert_eq!(latency.count(), observed + 1);
     }
 }

@@ -35,14 +35,12 @@ use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use scenarios::ResultStore;
+use scenarios::{effective_shards, ResultStore};
 use serde_json::Value;
 
-use crate::daemon::{
-    begin_job, done_event, lock_state, observe_job_terminal, JobState, ServeConfig, Shared,
-    IDLE_TICK,
-};
+use crate::daemon::{begin_job, lock_state, JobState, ServeConfig, Shared, IDLE_TICK};
 use crate::fault;
+use crate::protocol::{retry_event, warning_event};
 
 /// How many trailing stderr lines of a crashed child survive into its
 /// crash description (and from there into events and `status` errors).
@@ -86,6 +84,27 @@ struct ShardCtx<'a> {
     deadline: Option<Instant>,
 }
 
+impl ShardCtx<'_> {
+    /// Whether the shard must stop now, and why: a cancelled job or a
+    /// daemon shutdown means cancelled, a passed deadline means timed out.
+    fn stop(&self) -> Option<Stop> {
+        if self.cancel.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst) {
+            Some(Stop::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(Stop::TimedOut)
+        } else {
+            None
+        }
+    }
+}
+
+/// Why a shard stopped before its worker finished.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    Cancelled,
+    TimedOut,
+}
+
 /// Terminal outcome of one shard's supervision (after retries).
 enum ShardEnd {
     /// The child printed its final `report` line — protocol-complete
@@ -94,31 +113,7 @@ enum ShardEnd {
     Reported(Value),
     /// Crashes exhausted the retry budget, or spawning failed outright.
     Exhausted(String),
-    TimedOut,
-    Cancelled,
-}
-
-/// Outcome of a single child attempt.
-enum Attempt {
-    Reported(Value),
-    Crashed(String),
-    TimedOut,
-    Cancelled,
-    SpawnFailed(String),
-}
-
-/// Why the backoff sleep ended.
-enum Wait {
-    Completed,
-    Cancelled,
-    DeadlineHit,
-}
-
-/// Why the supervisor killed a live child.
-#[derive(Clone, Copy)]
-enum Kill {
-    Cancel,
-    Deadline,
+    Stopped(Stop),
 }
 
 /// Executes one dequeued job in supervised worker processes — the
@@ -129,7 +124,7 @@ pub(crate) fn run_job(shared: &Shared, ix: usize) {
         return;
     };
     let started = Instant::now();
-    let shard_count = effective_shards(&shared.config, campaign.scenarios.len());
+    let shard_count = effective_shards(shared.config.shards, campaign.scenarios.len());
     let paths = job_paths(&shared.config.store, &id, shard_count);
     // Scrub leftovers a previous daemon's identically-numbered job may
     // have kept (failed jobs keep their shard stores on purpose).
@@ -167,8 +162,8 @@ pub(crate) fn run_job(shared: &Shared, ix: usize) {
             .collect()
     });
 
-    // Aggregate by severity: a cancel outranks a timeout outranks a
-    // crash; only an all-Reported job consults the reports themselves.
+    // The most severe shard end wins; only an all-Reported job consults
+    // the reports themselves.
     let mut state = JobState::Done;
     let mut errors: Vec<String> = Vec::new();
     let mut reports: Vec<Value> = Vec::new();
@@ -176,17 +171,11 @@ pub(crate) fn run_job(shared: &Shared, ix: usize) {
         match end {
             ShardEnd::Reported(report) => reports.push(report),
             ShardEnd::Exhausted(e) => {
-                if severity(JobState::Failed) > severity(state) {
-                    state = JobState::Failed;
-                }
+                escalate(&mut state, JobState::Failed);
                 errors.push(e);
             }
-            ShardEnd::TimedOut => {
-                if severity(JobState::TimedOut) > severity(state) {
-                    state = JobState::TimedOut;
-                }
-            }
-            ShardEnd::Cancelled => state = JobState::Cancelled,
+            ShardEnd::Stopped(Stop::Cancelled) => escalate(&mut state, JobState::Cancelled),
+            ShardEnd::Stopped(Stop::TimedOut) => escalate(&mut state, JobState::TimedOut),
         }
     }
     if state == JobState::Done && sum_u64(&reports, "failed") > 0 {
@@ -195,10 +184,8 @@ pub(crate) fn run_job(shared: &Shared, ix: usize) {
 
     // Persist whatever exists — a completed job's full result set or a
     // failed/killed job's fsynced prefix — into the daemon store.
-    if let Err(e) = merge_job_stores(shared, ix, &id, &paths) {
-        if severity(JobState::Failed) > severity(state) {
-            state = JobState::Failed;
-        }
+    if let Err(e) = merge_job_stores(shared, ix, &paths) {
+        escalate(&mut state, JobState::Failed);
         errors.push(e);
     }
 
@@ -214,13 +201,17 @@ pub(crate) fn run_job(shared: &Shared, ix: usize) {
     finalize(shared, ix, state, error, &reports, ms_since(started));
 }
 
-/// Rank for aggregation: higher wins when shards disagree.
-fn severity(state: JobState) -> u8 {
-    match state {
+/// Raises `state` to `to` when `to` is more severe: a cancel outranks a
+/// timeout outranks a failure outranks success.
+fn escalate(state: &mut JobState, to: JobState) {
+    let severity = |state: JobState| match state {
         JobState::Cancelled => 3,
         JobState::TimedOut => 2,
         JobState::Failed => 1,
         _ => 0,
+    };
+    if severity(to) > severity(*state) {
+        *state = to;
     }
 }
 
@@ -233,19 +224,6 @@ fn sum_u64(reports: &[Value], key: &str) -> u64 {
         .iter()
         .filter_map(|r| r.get(key).and_then(Value::as_u64))
         .sum()
-}
-
-/// Shard-process count for one job: `shards == 0` means one per core,
-/// and no job spawns more children than it has scenarios.
-fn effective_shards(config: &ServeConfig, scenarios: usize) -> usize {
-    let n = if config.shards == 0 {
-        thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        config.shards
-    };
-    n.clamp(1, scenarios.max(1))
 }
 
 fn worker_exe(shared: &Shared) -> Result<std::path::PathBuf, String> {
@@ -273,16 +251,8 @@ fn remove_with_lock(path: &str) {
 }
 
 fn push_job_event(shared: &Shared, ix: usize, event: Value) {
-    lock_state(shared).jobs[ix].events.push(event);
+    lock_state(shared).jobs[ix].push(event);
     shared.event_cv.notify_all();
-}
-
-fn warning_event(id: &str, message: &str) -> Value {
-    let mut event = Value::object();
-    event.insert("event", "warning");
-    event.insert("job", id);
-    event.insert("message", message);
-    event
 }
 
 /// One shard's supervision loop: spawn, drive, classify, retry.
@@ -292,56 +262,43 @@ fn supervise_shard(ctx: ShardCtx<'_>) -> ShardEnd {
     let mut attempt: u64 = 0;
     loop {
         attempt += 1;
-        match run_attempt(ctx, store_path, attempt) {
-            Attempt::Reported(report) => return ShardEnd::Reported(report),
-            Attempt::TimedOut => return ShardEnd::TimedOut,
-            Attempt::Cancelled => return ShardEnd::Cancelled,
-            Attempt::SpawnFailed(e) => return ShardEnd::Exhausted(e),
-            Attempt::Crashed(desc) => {
-                telemetry::static_counter!("daemon_worker_crashes_total").inc();
-                if attempt >= max_attempts {
-                    return ShardEnd::Exhausted(format!(
-                        "worker crashed on all {max_attempts} attempt(s); last: {desc}"
-                    ));
-                }
-                // A SIGKILL mid-append leaves a partial trailing line in
-                // the shard store; clear it so the retry appends onto a
-                // clean, fully-terminated prefix.
-                match ResultStore::open(store_path).drop_partial_tail() {
-                    Ok(None) => {}
-                    Ok(Some(warning)) => {
-                        push_job_event(ctx.shared, ctx.ix, warning_event(ctx.id, &warning));
-                    }
-                    Err(e) => {
-                        let warning = format!("clearing {store_path} crash tail: {e}");
-                        push_job_event(ctx.shared, ctx.ix, warning_event(ctx.id, &warning));
-                    }
-                }
-                let backoff = backoff_delay(&ctx.shared.config, ctx.id, ctx.shard, attempt);
-                telemetry::static_counter!("daemon_job_retries_total").inc();
-                let mut event = Value::object();
-                event.insert("event", "retry");
-                event.insert("job", ctx.id);
-                event.insert("shard", ctx.shard);
-                event.insert("attempt", attempt + 1);
-                event.insert("backoff_ms", backoff.as_millis() as u64);
-                event.insert("error", desc.as_str());
-                push_job_event(ctx.shared, ctx.ix, event);
-                match sleep_backoff(ctx, backoff) {
-                    Wait::Completed => {}
-                    Wait::Cancelled => return ShardEnd::Cancelled,
-                    Wait::DeadlineHit => return ShardEnd::TimedOut,
-                }
+        let desc = match run_attempt(ctx, store_path, attempt) {
+            Ok(end) => return end,
+            Err(desc) => desc,
+        };
+        telemetry::static_counter!("daemon_worker_crashes_total").inc();
+        if attempt >= max_attempts {
+            return ShardEnd::Exhausted(format!(
+                "worker crashed on all {max_attempts} attempt(s); last: {desc}"
+            ));
+        }
+        // A SIGKILL mid-append leaves a partial trailing line in the
+        // shard store; clear it so the retry appends onto a clean,
+        // fully-terminated prefix.
+        match ResultStore::open(store_path).drop_partial_tail() {
+            Ok(None) => {}
+            Ok(Some(warning)) => push_job_event(ctx.shared, ctx.ix, warning_event(&warning)),
+            Err(e) => {
+                let warning = format!("clearing {store_path} crash tail: {e}");
+                push_job_event(ctx.shared, ctx.ix, warning_event(&warning));
             }
+        }
+        let backoff = backoff_delay(&ctx.shared.config, ctx.id, ctx.shard, attempt);
+        telemetry::static_counter!("daemon_job_retries_total").inc();
+        let retry = retry_event(ctx.shard, attempt + 1, backoff.as_millis() as u64, &desc);
+        push_job_event(ctx.shared, ctx.ix, retry);
+        if let Some(stop) = sleep_backoff(ctx, backoff) {
+            return ShardEnd::Stopped(stop);
         }
     }
 }
 
-/// Spawns and drives one child attempt to an [`Attempt`] classification.
-fn run_attempt(ctx: ShardCtx<'_>, store_path: &str, attempt: u64) -> Attempt {
+/// Spawns and drives one child attempt. `Err` describes a crash the
+/// caller may retry; every `Ok` ends the shard.
+fn run_attempt(ctx: ShardCtx<'_>, store_path: &str, attempt: u64) -> Result<ShardEnd, String> {
     let exe = match worker_exe(ctx.shared) {
         Ok(exe) => exe,
-        Err(e) => return Attempt::SpawnFailed(e),
+        Err(e) => return Ok(ShardEnd::Exhausted(e)),
     };
     let mut cmd = Command::new(exe);
     cmd.arg("run")
@@ -384,7 +341,7 @@ fn run_attempt(ctx: ShardCtx<'_>, store_path: &str, attempt: u64) -> Attempt {
         .stderr(Stdio::piped());
     let mut child = match cmd.spawn() {
         Ok(child) => child,
-        Err(e) => return Attempt::SpawnFailed(format!("spawning worker: {e}")),
+        Err(e) => return Ok(ShardEnd::Exhausted(format!("spawning worker: {e}"))),
     };
     let pid = child.id();
     {
@@ -401,15 +358,30 @@ fn run_attempt(ctx: ShardCtx<'_>, store_path: &str, attempt: u64) -> Attempt {
     outcome
 }
 
+/// Kills `child` the first time its shard must stop, recording why. Only
+/// a kill at the deadline counts in `daemon_job_timeouts_total`.
+fn kill_if_stopped(ctx: ShardCtx<'_>, child: &mut Child, killed: &mut Option<Stop>) {
+    if killed.is_some() {
+        return;
+    }
+    *killed = ctx.stop();
+    if let Some(stop) = *killed {
+        let _ = child.kill();
+        if stop == Stop::TimedOut {
+            telemetry::static_counter!("daemon_job_timeouts_total").inc();
+        }
+    }
+}
+
 /// Streams a live child's events, enforces cancel/shutdown/deadline by
-/// killing it, reaps it, and classifies the exit.
-fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Attempt {
+/// killing it, reaps it, and classifies the exit (`Err` is a crash).
+fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Result<ShardEnd, String> {
     let stdout = child.stdout.take();
     let stderr = child.stderr.take();
     let stderr_tail: Mutex<VecDeque<String>> = Mutex::new(VecDeque::new());
     let mut report: Option<Value> = None;
     let mut garbage: u64 = 0;
-    let mut killed: Option<Kill> = None;
+    let mut killed: Option<Stop> = None;
 
     thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<String>();
@@ -452,8 +424,6 @@ fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Attempt {
                     Ok(event) => match event.get("event").and_then(Value::as_str) {
                         Some("report") => report = Some(event),
                         Some("scenario") | Some("warning") => {
-                            let mut event = event;
-                            event.insert("job", ctx.id);
                             push_job_event(ctx.shared, ctx.ix, event);
                         }
                         _ => garbage += 1,
@@ -463,16 +433,7 @@ fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Attempt {
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
-            if killed.is_none() {
-                if ctx.cancel.load(Ordering::SeqCst) || ctx.shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = child.kill();
-                    killed = Some(Kill::Cancel);
-                } else if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-                    let _ = child.kill();
-                    killed = Some(Kill::Deadline);
-                    telemetry::static_counter!("daemon_job_timeouts_total").inc();
-                }
-            }
+            kill_if_stopped(ctx, child, &mut killed);
         }
     });
 
@@ -482,7 +443,7 @@ fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Attempt {
             "worker shard {} emitted {garbage} non-protocol line(s) on its event stream",
             ctx.shard
         );
-        push_job_event(ctx.shared, ctx.ix, warning_event(ctx.id, &warning));
+        push_job_event(ctx.shared, ctx.ix, warning_event(&warning));
     }
 
     // Reap. A well-behaved child exits promptly once stdout is closed,
@@ -492,40 +453,26 @@ fn drive_child(ctx: ShardCtx<'_>, child: &mut Child) -> Attempt {
         match child.try_wait() {
             Ok(Some(status)) => break status,
             Ok(None) => {
-                if killed.is_none() {
-                    if ctx.cancel.load(Ordering::SeqCst)
-                        || ctx.shared.shutdown.load(Ordering::SeqCst)
-                    {
-                        let _ = child.kill();
-                        killed = Some(Kill::Cancel);
-                    } else if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-                        let _ = child.kill();
-                        killed = Some(Kill::Deadline);
-                        telemetry::static_counter!("daemon_job_timeouts_total").inc();
-                    }
-                }
+                kill_if_stopped(ctx, child, &mut killed);
                 thread::sleep(IDLE_TICK);
             }
             Err(e) => {
                 let _ = child.kill();
-                return Attempt::Crashed(format!("waiting on worker: {e}"));
+                return Err(format!("waiting on worker: {e}"));
             }
         }
     };
 
-    match killed {
-        Some(Kill::Cancel) => Attempt::Cancelled,
-        Some(Kill::Deadline) => Attempt::TimedOut,
-        None => match report {
-            Some(report) => Attempt::Reported(report),
-            None => {
-                let tail = match stderr_tail.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                Attempt::Crashed(describe_exit(status, &tail))
-            }
-        },
+    match (killed, report) {
+        (Some(stop), _) => Ok(ShardEnd::Stopped(stop)),
+        (None, Some(report)) => Ok(ShardEnd::Reported(report)),
+        (None, None) => {
+            let tail = match stderr_tail.lock() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            Err(describe_exit(status, &tail))
+        }
     }
 }
 
@@ -572,19 +519,17 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Sleeps out a backoff in shutdown-aware ticks.
-fn sleep_backoff(ctx: ShardCtx<'_>, backoff: Duration) -> Wait {
+/// Sleeps out a backoff in stop-aware ticks; `Some` if the shard must
+/// stop instead of retrying.
+fn sleep_backoff(ctx: ShardCtx<'_>, backoff: Duration) -> Option<Stop> {
     let until = Instant::now() + backoff;
     loop {
-        if ctx.cancel.load(Ordering::SeqCst) || ctx.shared.shutdown.load(Ordering::SeqCst) {
-            return Wait::Cancelled;
-        }
-        if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Wait::DeadlineHit;
+        if let Some(stop) = ctx.stop() {
+            return Some(stop);
         }
         let now = Instant::now();
         if now >= until {
-            return Wait::Completed;
+            return None;
         }
         thread::sleep((until - now).min(IDLE_TICK));
     }
@@ -594,7 +539,7 @@ fn sleep_backoff(ctx: ShardCtx<'_>, backoff: Duration) -> Wait {
 /// reconstructs campaign order (and compacts), then the canonical
 /// records land in the daemon store as one locked, fsynced batch.
 /// Partial prefixes from failed jobs take exactly the same path.
-fn merge_job_stores(shared: &Shared, ix: usize, id: &str, paths: &JobPaths) -> Result<(), String> {
+fn merge_job_stores(shared: &Shared, ix: usize, paths: &JobPaths) -> Result<(), String> {
     let inputs: Vec<ResultStore> = paths
         .shards
         .iter()
@@ -609,7 +554,7 @@ fn merge_job_stores(shared: &Shared, ix: usize, id: &str, paths: &JobPaths) -> R
         .merge_from(&inputs)
         .map_err(|e| format!("merging worker stores: {e}"))?;
     for message in summary.warnings.iter().chain(summary.conflicts.iter()) {
-        push_job_event(shared, ix, warning_event(id, message));
+        push_job_event(shared, ix, warning_event(message));
     }
     let records = merged
         .load()
@@ -621,8 +566,8 @@ fn merge_job_stores(shared: &Shared, ix: usize, id: &str, paths: &JobPaths) -> R
         .map_err(|e| format!("appending {} worker record(s): {e}", raws.len()))
 }
 
-/// Terminal bookkeeping: state, error, aggregated `done` event (counters
-/// summed across shard reports), latency observation, watcher wakeup.
+/// Finishes the job with counters summed across the shard reports, then
+/// wakes watchers.
 fn finalize(
     shared: &Shared,
     ix: usize,
@@ -633,23 +578,14 @@ fn finalize(
 ) {
     let mut st = lock_state(shared);
     let job = &mut st.jobs[ix];
-    job.state = state;
-    job.worker_pids.clear();
-    if let Some(error) = error {
-        job.error = Some(error);
-    }
-    let mut event = done_event(&job.id, state);
-    event.insert("total", job.campaign.scenarios.len());
+    let mut counters = Value::object();
+    counters.insert("total", job.campaign.scenarios.len());
     for key in ["completed", "failed", "cache_served", "store_served"] {
-        event.insert(key, sum_u64(reports, key));
+        counters.insert(key, sum_u64(reports, key));
     }
-    event.insert("wall_ms", wall_ms);
-    event.insert("attempts", job.attempts);
-    if let Some(error) = &job.error {
-        event.insert("error", error.as_str());
-    }
-    job.events.push(event);
-    observe_job_terminal(job);
+    counters.insert("wall_ms", wall_ms);
+    counters.insert("attempts", job.attempts);
+    job.finish(state, error, counters);
     drop(st);
     shared.event_cv.notify_all();
 }

@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Shapes are stored inline (no heap allocation) so that tensors can be
 /// built from recycled buffers on allocation-free hot paths; 8 comfortably
-/// covers every rank used in the workspace (≤ 4 today) and matches the
-/// sanity cap enforced by the weight-snapshot reader.
+/// covers every rank used in the workspace (≤ 4 today).
 pub const MAX_RANK: usize = 8;
 
 /// A tensor shape: the extent of each dimension, outermost first.
