@@ -7,6 +7,11 @@
 //! path.json` to dump every measurement (including the bytes-allocated
 //! gauges) as a JSON artifact. A name filter runs only the benches and
 //! gauges whose id contains it: `cargo bench -p bench -- matmul`.
+//!
+//! These numbers locate a cost; they do not decide which kernel body to
+//! keep. The `matmul/*` benches once ranked two gemm bodies opposite to the
+//! end-to-end benchmark, so a body is kept or retired on pairs of
+//! `perfbench` runs, not on micro-bench numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -536,20 +541,28 @@ fn bench_matmul(c: &mut Criterion) {
     }
     // conv1's lowering and its adjoint (a 5×5 kernel, padding 2, on one
     // 14×14 digit), then conv2's (5×5, no padding, on a 28-sample chunk
-    // of 6×7×7 maps).
-    for (name, spec, n, side) in [
-        ("14x14", Conv2dSpec::new(1, 6, 5, 1, 2), 1, 14),
-        ("28x6x7x7", Conv2dSpec::new(6, 16, 5, 1, 0), 28, 7),
+    // of 6×7×7 maps), then a ResNet-S 3×3 padding-1 layer's on one sample
+    // of 16×16×16 maps, whose 16-float runs LeNet does not have.
+    for (model, shape, spec, n, side) in [
+        ("lenet", "14x14", Conv2dSpec::new(1, 6, 5, 1, 2), 1, 14),
+        ("lenet", "28x6x7x7", Conv2dSpec::new(6, 16, 5, 1, 0), 28, 7),
+        (
+            "resnet",
+            "16x16x16",
+            Conv2dSpec::new(16, 16, 3, 1, 1),
+            1,
+            16,
+        ),
     ] {
         let (oh, ow) = spec.output_hw(side, side);
         let len = n * spec.in_channels * side * side;
         let image = Tensor::randn(&[len], 0.0, 1.0, &mut rng);
         let mut cols = vec![0.0f32; spec.patch_len() * n * oh * ow];
-        group.bench_function(format!("lenet_im2col_{name}"), |b| {
+        group.bench_function(format!("{model}_im2col_{shape}"), |b| {
             b.iter(|| im2col_into(image.as_slice(), &mut cols, &spec, n, side, side))
         });
         let mut grad = vec![0.0f32; len];
-        group.bench_function(format!("lenet_col2im_{name}"), |b| {
+        group.bench_function(format!("{model}_col2im_{shape}"), |b| {
             b.iter(|| col2im_into(&cols, &mut grad, &spec, n, side, side))
         });
     }

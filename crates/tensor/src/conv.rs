@@ -7,13 +7,22 @@
 //!
 //! With stride 1, both go through a zero-padded copy of each
 //! `(sample, channel)` plane, `(H + 2p)×(W + 2p)` floats in a stack array
-//! of [`PLANE`] floats (padding 0 uses the plane itself). Every output row
-//! of a kernel tap `(ky, kx)` is then a plain run of `OW` floats of that
-//! copy, with no bounds to clip and no zeros to fill: `im2col` copies the
-//! runs out and `col2im` adds them into a zeroed copy, visiting the taps
-//! in ascending `(ky, kx)`, then copies its interior back. LeNet's 3- and
-//! 14-wide runs are copied with the width fixed at compile time, a few
-//! register moves where a `memcpy` call per run cost more than the run.
+//! of [`PLANE`] floats of which only the part a plane uses is zeroed
+//! (padding 0 uses the planes themselves). Every output row of a kernel
+//! tap `(ky, kx)` is then a plain run of `OW` floats of that copy, with no
+//! bounds to clip and no zeros to fill: `im2col` copies the runs out, and
+//! `col2im` adds them into a zeroed copy (with padding 0, into the zeroed
+//! planes), visiting each plane's taps in ascending `(ky, kx)`, then copies
+//! the interior back. One call moves many runs at once: the `k` taps of a
+//! kernel row, or with padding 0 the same tap of all `n` samples.
+//!
+//! A run moves in 128-bit vectors of four floats, one body for every run
+//! width. A run of four or more ends with a vector that overlaps its
+//! predecessor; a shorter run is one vector whose extra floats land on
+//! runs written after it, or two overlapping pairs at the end of a
+//! block. `col2im` adds whole vectors too: the lanes past a run's end add
+//! `+0.0`, which leaves a sum that started at `+0.0` unchanged (NaN
+//! payloads aside), so each float still gets exactly its contributions.
 //!
 //! Other strides, and stride-1 planes whose padded copy would not fit,
 //! work one row segment at a time: for each kernel tap `(c, ky, kx)` and
@@ -32,6 +41,7 @@
 //! exactly the single-image matrix, and each image gradient only gathers
 //! from its own block, so batching changes no value.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
@@ -39,6 +49,9 @@ use serde::{Deserialize, Serialize};
 /// Floats in the stack copy of one zero-padded plane (8 KiB): the
 /// stride-1 lowering takes its padded path while `(H + 2p)·(W + 2p)` fits.
 const PLANE: usize = 2048;
+
+/// Floats per vector move of a lowering run: one 128-bit register.
+const LANES: usize = 4;
 
 /// Static description of a 2-D convolution (or pooling) geometry.
 ///
@@ -167,68 +180,268 @@ fn padded_fits(spec: &Conv2dSpec, h: usize, w: usize) -> bool {
     spec.stride == 1 && (pad == 0 || (h + 2 * pad) * (w + 2 * pad) <= PLANE)
 }
 
-/// Calls `$f::<W>(args)` with `W = $ow` for LeNet's 3- and 14-float
-/// rows, whose copies and add loops then compile to a few fixed-size
-/// moves instead of a call per run, and with `W = 0` (the width read at
-/// run time) otherwise. Only these two widths were measured to gain;
-/// each width added here is one more copy of both loops.
-macro_rules! by_run_width {
-    ($ow:expr, $f:ident($($arg:expr),*)) => {
-        match $ow {
-            3 => $f::<3>($($arg),*),
-            14 => $f::<14>($($arg),*),
-            _ => $f::<0>($($arg),*),
-        }
-    };
-}
-
-/// The stride-1 `im2col` through a padded copy of each plane.
+/// The stride-1 `im2col` through a padded copy of each plane. With
+/// padding 0 every plane is its own copy, so each patch row lowers all
+/// `n` samples in one call; otherwise each `(sample, channel)` plane is
+/// copied into a zero-bordered stack plane first.
 fn im2col_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let (oh, ow) = spec.output_hw(h, w);
     let (c, k, pad) = (spec.in_channels, spec.kernel, spec.padding);
     let (ohw, pw) = (oh * ow, w + 2 * pad);
-    let mut buf = [0.0f32; PLANE];
+    if pad == 0 {
+        let runs = Runs {
+            shape: [n, oh, ow],
+            to: [ohw, ow],
+            from: [c * h * w, w],
+        };
+        for row in 0..spec.patch_len() {
+            let (ch, ky, kx) = (row / (k * k), row / k % k, row % k);
+            let from = &src[(ch * h + ky) * w + kx..];
+            move_runs(&mut dst[row * n * ohw..][..n * ohw], from, runs);
+        }
+        return;
+    }
+    let mut storage = [MaybeUninit::uninit(); PLANE];
+    // Only the interior is written below, so the border stays zero.
+    let buf = zeroed(&mut storage, (h + 2 * pad) * pw);
+    let interior = Runs {
+        shape: [1, h, w],
+        to: [0, pw],
+        from: [0, w],
+    };
+    // The `k` taps of one kernel row: tap `kx` reads the plane one float
+    // further on than tap `kx - 1`, and writes the next patch row.
+    let taps = Runs {
+        shape: [k, oh, ow],
+        to: [n * ohw, ow],
+        from: [1, pw],
+    };
     for s in 0..n {
         for ch in 0..c {
             let plane = &src[(s * c + ch) * h * w..][..h * w];
-            let (padded, pw) = if pad == 0 {
-                (plane, w)
-            } else {
-                // Only the interior is written, so the border stays zero.
-                for y in 0..h {
-                    buf[(y + pad) * pw + pad..][..w].copy_from_slice(&plane[y * w..][..w]);
-                }
-                (&buf[..], pw)
-            };
-            for tap in 0..k * k {
-                let (ky, kx) = (tap / k, tap % k);
-                let seg = &mut dst[((ch * k * k + tap) * n + s) * ohw..][..ohw];
-                let from = &padded[ky * pw + kx..];
-                by_run_width!(ow, copy_runs(seg, from, pw, ow));
+            move_runs(&mut buf[pad * pw + pad..], plane, interior);
+            for ky in 0..k {
+                let to = &mut dst[(((ch * k + ky) * k) * n + s) * ohw..];
+                move_runs(to, &buf[ky * pw..], taps);
             }
         }
     }
 }
 
-/// Copies the runs of `ow` floats that start `pw` apart in `from` to the
-/// consecutive runs of `seg` (`W` is `ow`, or 0).
-#[inline(always)]
-fn copy_runs<const W: usize>(seg: &mut [f32], from: &[f32], pw: usize, ow: usize) {
-    let ow = if W == 0 { ow } else { W };
-    for (oy, run) in seg.chunks_exact_mut(ow).enumerate() {
-        run.copy_from_slice(&from[oy * pw..][..ow]);
+/// The first `len` floats of `storage`, set to `+0.0`.
+fn zeroed(storage: &mut [MaybeUninit<f32>], len: usize) -> &mut [f32] {
+    let head = &mut storage[..len];
+    for x in head.iter_mut() {
+        x.write(0.0);
+    }
+    // SAFETY: every element of `head` was initialized just above, and
+    // `MaybeUninit<f32>` has the size and alignment of `f32`.
+    unsafe { &mut *(head as *mut [MaybeUninit<f32>] as *mut [f32]) }
+}
+
+/// Where the runs of one lowering step lie: `blocks` blocks of `rows`
+/// runs of `len` floats each, run `(b, r)` starting at `b·block + r·row`
+/// of its slice.
+#[derive(Clone, Copy)]
+struct Runs {
+    /// `[blocks, rows, len]`.
+    shape: [usize; 3],
+    /// `[block, row]` steps in `to`.
+    to: [usize; 2],
+    /// `[block, row]` steps in `from`.
+    from: [usize; 2],
+}
+
+impl Runs {
+    /// Asserts that every run lies inside a `to` of `to_len` floats and a
+    /// `from` of `from_len`, and returns how many leading rows still do
+    /// with each run rounded up to whole `LANES`-float vectors.
+    fn check(&self, to_len: usize, from_len: usize) -> usize {
+        let [blocks, rows, len] = self.shape;
+        // The end of run `(blocks - 1, r)` stretched to `len` floats, if
+        // it lies inside a slice of `slice` floats.
+        let ends_inside = |[block, row]: [usize; 2], r: usize, len: usize, slice: usize| {
+            let end = (blocks - 1)
+                .checked_mul(block)
+                .and_then(|at| at.checked_add(r.checked_mul(row)?))
+                .and_then(|at| at.checked_add(len));
+            end.is_some_and(|end| end <= slice)
+        };
+        assert!(
+            ends_inside(self.to, rows - 1, len, to_len),
+            "run past the end of `to`"
+        );
+        assert!(
+            ends_inside(self.from, rows - 1, len, from_len),
+            "run past the end of `from`"
+        );
+        let wide = len.next_multiple_of(LANES);
+        let fits = |&r: &usize| {
+            ends_inside(self.to, r, wide, to_len) && ends_inside(self.from, r, wide, from_len)
+        };
+        (0..rows).rev().find(fits).map_or(0, |r| r + 1)
+    }
+
+    /// Calls `op` on the pointers at offset `at` of the runs in `rows` of
+    /// every block, looping over the longer of the two innermost.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        to: *mut f32,
+        from: *const f32,
+        rows: Range<usize>,
+        at: usize,
+        op: impl Fn(*mut f32, *const f32),
+    ) {
+        let to = to.wrapping_add(rows.start * self.to[1] + at);
+        let from = from.wrapping_add(rows.start * self.from[1] + at);
+        let mut loops = [
+            (self.shape[0], self.to[0], self.from[0]),
+            (rows.len(), self.to[1], self.from[1]),
+        ];
+        if loops[0].0 > loops[1].0 {
+            loops.swap(0, 1);
+        }
+        let [(outer, to_outer, from_outer), (inner, to_inner, from_inner)] = loops;
+        for i in 0..outer {
+            let mut t = to.wrapping_add(i * to_outer);
+            let mut f = from.wrapping_add(i * from_outer);
+            for _ in 0..inner {
+                op(t, f);
+                t = t.wrapping_add(to_inner);
+                f = f.wrapping_add(from_inner);
+            }
+        }
     }
 }
 
-/// Adds the consecutive runs of `ow` floats of `seg` into the runs that
-/// start `pw` apart in `into` (`W` is `ow`, or 0).
-#[inline(always)]
-fn add_runs<const W: usize>(seg: &[f32], into: &mut [f32], pw: usize, ow: usize) {
-    let ow = if W == 0 { ow } else { W };
-    for (oy, run) in seg.chunks_exact(ow).enumerate() {
-        for (d, &v) in into[oy * pw..][..ow].iter_mut().zip(run) {
-            *d += v;
+/// Copies every run of `runs` from `from` to `to`.
+///
+/// A run of at least `LANES` floats moves in `LANES`-float vectors, the
+/// last one overlapping its predecessor when the length is not a multiple
+/// of `LANES`. A shorter run moves as one vector when the floats it writes
+/// past its end belong to its block's next run, which is moved after it,
+/// and otherwise as two overlapping pairs, or one float.
+///
+/// # Panics
+///
+/// Panics if a run lies past the end of either slice.
+fn move_runs(to: &mut [f32], from: &[f32], runs: Runs) {
+    if runs.shape.contains(&0) {
+        return;
+    }
+    let fit = runs.check(to.len(), from.len());
+    let [_, rows, len] = runs.shape;
+    let (t, f) = (to.as_mut_ptr(), from.as_ptr());
+    let all = 0..rows;
+    // SAFETY (every closure below): each moves `N` floats at an offset
+    // `at` with `at + N <= len`, inside every run by `check`, or `LANES`
+    // floats from the start of a run in the rows `check` found to fit.
+    unsafe {
+        if len >= LANES {
+            let last = len - LANES;
+            runs.sweep(t, f, all, 0, |t, f| {
+                copy::<LANES>(t, f);
+                copy::<LANES>(t.add(LANES.min(last)), f.add(LANES.min(last)));
+                copy::<LANES>(t.add((2 * LANES).min(last)), f.add((2 * LANES).min(last)));
+                for x in (3 * LANES..last).step_by(LANES) {
+                    copy::<LANES>(t.add(x), f.add(x));
+                }
+                copy::<LANES>(t.add(last), f.add(last));
+            });
+            return;
         }
+        // Rows whose vector ends inside its block, on later runs of it.
+        let inside = (rows * len)
+            .checked_sub(LANES)
+            .map_or(0, |room| room / len + 1);
+        let wide = if runs.to[1] == len {
+            fit.min(inside)
+        } else {
+            0
+        };
+        runs.sweep(t, f, 0..wide, 0, |t, f| copy::<LANES>(t, f));
+        if len >= 2 {
+            runs.sweep(t, f, wide..rows, 0, |t, f| copy::<2>(t, f));
+            runs.sweep(t, f, wide..rows, len - 2, |t, f| copy::<2>(t, f));
+        } else {
+            runs.sweep(t, f, wide..rows, 0, |t, f| copy::<1>(t, f));
+        }
+    }
+}
+
+/// Adds every run of `runs` of `from` into `to`: each float of `to` gets
+/// one `+` per run that covers it.
+///
+/// Runs move in `LANES`-float vectors; the lanes of the last vector past
+/// the run's end add `+0.0`, which leaves every value but `-0.0`
+/// unchanged (and a sum that started at `+0.0` is never `-0.0`). The rows
+/// whose vectors would leave either slice add one float at a time.
+///
+/// # Panics
+///
+/// Panics if a run lies past the end of either slice.
+fn add_runs(to: &mut [f32], from: &[f32], runs: Runs) {
+    if runs.shape.contains(&0) {
+        return;
+    }
+    let fit = runs.check(to.len(), from.len());
+    let [_, rows, len] = runs.shape;
+    let (t, f) = (to.as_mut_ptr(), from.as_ptr());
+    // The start of each run's last vector, and the lanes of it to add.
+    let last = (len - 1) / LANES * LANES;
+    let keep = lanes(0..len - last);
+    // SAFETY: as in `move_runs`.
+    unsafe {
+        runs.sweep(t, f, 0..fit, 0, |t, f| {
+            for x in (0..last).step_by(LANES) {
+                add(t.add(x), f.add(x), [!0; LANES]);
+            }
+            add(t.add(last), f.add(last), keep);
+        });
+        runs.sweep(t, f, fit..rows, 0, |t, f| {
+            for x in 0..len {
+                add(t.add(x), f.add(x), [!0]);
+            }
+        });
+    }
+}
+
+/// A lane mask that keeps the lanes in `keep`.
+fn lanes(keep: Range<usize>) -> [u32; LANES] {
+    std::array::from_fn(|lane| if keep.contains(&lane) { !0 } else { 0 })
+}
+
+/// Copies `N` floats from `from` to `to`.
+///
+/// # Safety
+///
+/// Both must be valid for `N` floats.
+#[inline(always)]
+unsafe fn copy<const N: usize>(to: *mut f32, from: *const f32) {
+    // SAFETY: guaranteed by the caller.
+    unsafe {
+        to.cast::<[f32; N]>()
+            .write_unaligned(from.cast::<[f32; N]>().read_unaligned())
+    }
+}
+
+/// Adds the `N` floats at `from`, those of the lanes `keep` clears read as
+/// `+0.0`, into the `N` at `to`.
+///
+/// # Safety
+///
+/// Both must be valid for `N` floats.
+#[inline(always)]
+unsafe fn add<const N: usize>(to: *mut f32, from: *const f32, keep: [u32; N]) {
+    // SAFETY: guaranteed by the caller.
+    unsafe {
+        let v = from.cast::<[u32; N]>().read_unaligned();
+        let mut sum = to.cast::<[f32; N]>().read_unaligned();
+        for lane in 0..N {
+            sum[lane] += f32::from_bits(v[lane] & keep[lane]);
+        }
+        to.cast::<[f32; N]>().write_unaligned(sum);
     }
 }
 
@@ -297,33 +510,55 @@ pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h:
 }
 
 /// The stride-1 `col2im`: each plane's taps add, in ascending `(ky, kx)`,
-/// into a zeroed padded copy (the plane itself with padding 0), whose
-/// interior is then copied out.
+/// into a zeroed padded copy, whose interior is then copied out. With
+/// padding 0 the planes are their own copies, all zeroed first, and each
+/// patch row adds into all `n` samples in one call.
 fn col2im_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: usize, w: usize) {
     let (oh, ow) = spec.output_hw(h, w);
     let (c, k, pad) = (spec.in_channels, spec.kernel, spec.padding);
-    let (ohw, pw) = (oh * ow, w + 2 * pad);
-    let mut buf = [0.0f32; PLANE];
+    let (ohw, pw, ph) = (oh * ow, w + 2 * pad, h + 2 * pad);
+    if pad == 0 {
+        dst.fill(0.0);
+        let runs = Runs {
+            shape: [n, oh, ow],
+            to: [c * h * w, w],
+            from: [ohw, ow],
+        };
+        for row in 0..spec.patch_len() {
+            let (ch, ky, kx) = (row / (k * k), row / k % k, row % k);
+            add_runs(
+                &mut dst[(ch * h + ky) * w + kx..],
+                &src[row * n * ohw..],
+                runs,
+            );
+        }
+        return;
+    }
+    let mut storage = [MaybeUninit::uninit(); PLANE + LANES];
+    // The headroom past the plane takes the `+0.0`s of wide adds.
+    let buf = zeroed(&mut storage, ph * pw + LANES);
+    // The `k` taps of one kernel row, as in `im2col_padded`; they add in
+    // ascending `kx`, whichever loop `add_runs` puts innermost, since one
+    // row of runs covers each plane float once per tap.
+    let taps = Runs {
+        shape: [k, oh, ow],
+        to: [1, pw],
+        from: [n * ohw, ow],
+    };
+    let interior = Runs {
+        shape: [1, h, w],
+        to: [0, w],
+        from: [0, pw],
+    };
     for s in 0..n {
         for ch in 0..c {
+            buf[..ph * pw].fill(0.0);
+            for ky in 0..k {
+                let from = &src[(((ch * k + ky) * k) * n + s) * ohw..];
+                add_runs(&mut buf[ky * pw..], from, taps);
+            }
             let plane = &mut dst[(s * c + ch) * h * w..][..h * w];
-            let (padded, pw) = if pad == 0 {
-                (&mut *plane, w)
-            } else {
-                (&mut buf[..(h + 2 * pad) * pw], pw)
-            };
-            padded.fill(0.0);
-            for tap in 0..k * k {
-                let (ky, kx) = (tap / k, tap % k);
-                let seg = &src[((ch * k * k + tap) * n + s) * ohw..][..ohw];
-                let into = &mut padded[ky * pw + kx..];
-                by_run_width!(ow, add_runs(seg, into, pw, ow));
-            }
-            if pad > 0 {
-                for y in 0..h {
-                    plane[y * w..][..w].copy_from_slice(&buf[(y + pad) * pw + pad..][..w]);
-                }
-            }
+            move_runs(plane, &buf[pad * pw + pad..], interior);
         }
     }
 }

@@ -182,6 +182,99 @@ fn gemm_operands(m: usize, k: usize, n: usize, seed: u64, nonfinite: bool) -> (V
     (a, b)
 }
 
+/// A lowering input: mostly values in `-2..2`, with about one in eight
+/// an edge value (`±0.0`, `±∞`, NaN or a subnormal).
+fn lowering_value(rng: &mut impl rand::Rng) -> f32 {
+    match rng.gen_range(0u32..48) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        5 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+        6 => -f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
+}
+
+/// Lowers `n` random `[C, h, w]` images with `im2col_into` and scatters a
+/// random patch matrix back with `col2im_into`, both into dirty buffers,
+/// and compares each bit for bit against `n` runs of the per-element
+/// loops. Inputs come from [`lowering_value`].
+fn check_lowering(
+    spec: &Conv2dSpec,
+    n: usize,
+    h: usize,
+    w: usize,
+    seed: u64,
+) -> Result<(), String> {
+    use rand::SeedableRng;
+    let (oh, ow) = spec.output_hw(h, w);
+    let (image_len, ncols, patch) = (spec.in_channels * h * w, oh * ow, spec.patch_len());
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let images: Vec<f32> = (0..n * image_len)
+        .map(|_| lowering_value(&mut rng))
+        .collect();
+    let cols: Vec<f32> = (0..patch * n * ncols)
+        .map(|_| lowering_value(&mut rng))
+        .collect();
+
+    let mut want_cols = vec![0.0f32; patch * n * ncols];
+    let mut want_images = Vec::with_capacity(n * image_len);
+    for s in 0..n {
+        let one = naive_im2col(&images[s * image_len..][..image_len], spec, h, w);
+        let mut sample_cols = Vec::with_capacity(patch * ncols);
+        for row in 0..patch {
+            let at = row * n * ncols + s * ncols;
+            want_cols[at..at + ncols].copy_from_slice(&one[row * ncols..][..ncols]);
+            sample_cols.extend_from_slice(&cols[at..at + ncols]);
+        }
+        want_images.extend(naive_col2im(&sample_cols, spec, h, w));
+    }
+
+    let mut col_buf = vec![f32::NAN; patch * n * ncols];
+    im2col_into(&images, &mut col_buf, spec, n, h, w);
+    if canonical_bits(&col_buf) != canonical_bits(&want_cols) {
+        return Err(format!(
+            "im2col differs: {spec:?}, n {n}, {h}x{w}, seed {seed}"
+        ));
+    }
+    let mut image_buf = vec![-0.0f32; n * image_len];
+    col2im_into(&cols, &mut image_buf, spec, n, h, w);
+    if canonical_bits(&image_buf) != canonical_bits(&want_images) {
+        return Err(format!(
+            "col2im differs: {spec:?}, n {n}, {h}x{w}, seed {seed}"
+        ));
+    }
+    Ok(())
+}
+
+/// The lowering equals the per-element loops bit for bit, edge values
+/// included, on LeNet's two geometries (conv1: one 1×14×14 digit, 5×5
+/// kernel, padding 2; conv2: a 28-sample chunk of 6×7×7 maps, 5×5, no
+/// padding), on a ResNet-S 3×3 padding-1 layer over 16×16 maps, and at
+/// every stride-1 output width from 1 to 33, so every vector tail length
+/// is met with and without padding.
+#[test]
+fn lowering_matches_per_element_loops_on_fixed_geometries() {
+    let mut cases = vec![
+        (Conv2dSpec::new(1, 6, 5, 1, 2), 1, 14, 14),
+        (Conv2dSpec::new(6, 16, 5, 1, 0), 28, 7, 7),
+        (Conv2dSpec::new(16, 16, 3, 1, 1), 1, 16, 16),
+        (Conv2dSpec::new(16, 16, 3, 1, 1), 2, 16, 16),
+    ];
+    for ow in 1..=33 {
+        cases.push((Conv2dSpec::new(2, 1, 3, 1, 1), 3, 3, ow));
+        cases.push((Conv2dSpec::new(2, 1, 3, 1, 0), 3, 4, ow + 2));
+        cases.push((Conv2dSpec::new(1, 1, 1, 1, 0), 5, 2, ow));
+    }
+    for (seed, (spec, n, h, w)) in cases.into_iter().enumerate() {
+        if let Err(message) = check_lowering(&spec, n, h, w, seed as u64) {
+            panic!("{message}");
+        }
+    }
+}
+
 /// The old per-element `im2col`: one bounds check per output element.
 fn naive_im2col(src: &[f32], spec: &Conv2dSpec, h: usize, w: usize) -> Vec<f32> {
     let (oh, ow) = spec.output_hw(h, w);
@@ -275,7 +368,7 @@ proptest! {
         extra_w in 0usize..9,
         seed in 0u64..u64::MAX,
     ) {
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let (channels, kernel, stride, padding) = geometry;
         let spec = Conv2dSpec::new(channels, 1, kernel, stride, padding);
         // The padded input must cover the kernel.
@@ -283,9 +376,9 @@ proptest! {
         let (h, w) = (min_side + extra_h, min_side + extra_w);
         let (oh, ow) = spec.output_hw(h, w);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let image: Vec<f32> = (0..channels * h * w).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let image: Vec<f32> = (0..channels * h * w).map(|_| lowering_value(&mut rng)).collect();
         let cols: Vec<f32> = (0..spec.patch_len() * oh * ow)
-            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .map(|_| lowering_value(&mut rng))
             .collect();
 
         let mut col_buf = vec![f32::NAN; spec.patch_len() * oh * ow];
@@ -310,39 +403,11 @@ proptest! {
         n in 1usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        use rand::{Rng, SeedableRng};
         let (channels, kernel, padding) = geometry;
         let spec = Conv2dSpec::new(channels, 1, kernel, 1, padding);
         let padded_width = 32 << wide;
         let (h, w) = (2048 / padded_width + over - 2 * padding, padded_width - 2 * padding);
-        let (oh, ow) = spec.output_hw(h, w);
-        let (image_len, ncols, patch) = (channels * h * w, oh * ow, spec.patch_len());
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let images: Vec<f32> = (0..n * image_len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let cols: Vec<f32> = (0..patch * n * ncols)
-            .map(|_| rng.gen_range(-2.0f32..2.0))
-            .collect();
-
-        let mut want_cols = vec![0.0f32; patch * n * ncols];
-        let mut want_images = Vec::with_capacity(n * image_len);
-        for s in 0..n {
-            let one = naive_im2col(&images[s * image_len..][..image_len], &spec, h, w);
-            let mut sample_cols = Vec::with_capacity(patch * ncols);
-            for row in 0..patch {
-                let at = row * n * ncols + s * ncols;
-                want_cols[at..at + ncols].copy_from_slice(&one[row * ncols..][..ncols]);
-                sample_cols.extend_from_slice(&cols[at..at + ncols]);
-            }
-            want_images.extend(naive_col2im(&sample_cols, &spec, h, w));
-        }
-
-        let mut col_buf = vec![f32::NAN; patch * n * ncols];
-        im2col_into(&images, &mut col_buf, &spec, n, h, w);
-        prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&want_cols));
-
-        let mut image_buf = vec![f32::NAN; n * image_len];
-        col2im_into(&cols, &mut image_buf, &spec, n, h, w);
-        prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&want_images));
+        prop_assert_eq!(check_lowering(&spec, n, h, w, seed), Ok(()));
     }
 
     /// `n` images lowered side by side equal `n` per-sample lowerings bit
@@ -356,38 +421,10 @@ proptest! {
         extra_w in 0usize..9,
         seed in 0u64..u64::MAX,
     ) {
-        use rand::{Rng, SeedableRng};
         let (channels, kernel, stride, padding) = geometry;
         let spec = Conv2dSpec::new(channels, 1, kernel, stride, padding);
         let min_side = kernel.saturating_sub(2 * padding).max(1);
         let (h, w) = (min_side + extra_h, min_side + extra_w);
-        let (oh, ow) = spec.output_hw(h, w);
-        let (image_len, ncols, patch) = (channels * h * w, oh * ow, spec.patch_len());
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let images: Vec<f32> = (0..n * image_len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let cols: Vec<f32> = (0..patch * n * ncols)
-            .map(|_| rng.gen_range(-2.0f32..2.0))
-            .collect();
-
-        let mut want_cols = vec![0.0f32; patch * n * ncols];
-        let mut want_images = Vec::with_capacity(n * image_len);
-        for s in 0..n {
-            let one = naive_im2col(&images[s * image_len..][..image_len], &spec, h, w);
-            let mut sample_cols = Vec::with_capacity(patch * ncols);
-            for row in 0..patch {
-                let at = row * n * ncols + s * ncols;
-                want_cols[at..at + ncols].copy_from_slice(&one[row * ncols..][..ncols]);
-                sample_cols.extend_from_slice(&cols[at..at + ncols]);
-            }
-            want_images.extend(naive_col2im(&sample_cols, &spec, h, w));
-        }
-
-        let mut col_buf = vec![f32::NAN; patch * n * ncols];
-        im2col_into(&images, &mut col_buf, &spec, n, h, w);
-        prop_assert_eq!(canonical_bits(&col_buf), canonical_bits(&want_cols));
-
-        let mut image_buf = vec![f32::NAN; n * image_len];
-        col2im_into(&cols, &mut image_buf, &spec, n, h, w);
-        prop_assert_eq!(canonical_bits(&image_buf), canonical_bits(&want_images));
+        prop_assert_eq!(check_lowering(&spec, n, h, w, seed), Ok(()));
     }
 }
