@@ -333,14 +333,13 @@ fn move_runs(to: &mut [f32], from: &[f32], runs: Runs) {
     let fit = runs.check(to.len(), from.len());
     let [_, rows, len] = runs.shape;
     let (t, f) = (to.as_mut_ptr(), from.as_ptr());
-    let all = 0..rows;
     // SAFETY (every closure below): each moves `N` floats at an offset
     // `at` with `at + N <= len`, inside every run by `check`, or `LANES`
     // floats from the start of a run in the rows `check` found to fit.
     unsafe {
         if len >= LANES {
             let last = len - LANES;
-            runs.sweep(t, f, all, 0, |t, f| {
+            runs.sweep(t, f, 0..rows, 0, |t, f| {
                 copy::<LANES>(t, f);
                 copy::<LANES>(t.add(LANES.min(last)), f.add(LANES.min(last)));
                 copy::<LANES>(t.add((2 * LANES).min(last)), f.add((2 * LANES).min(last)));
