@@ -541,8 +541,9 @@ fn bench_matmul(c: &mut Criterion) {
     }
     // conv1's lowering and its adjoint (a 5×5 kernel, padding 2, on one
     // 14×14 digit), then conv2's (5×5, no padding, on a 28-sample chunk
-    // of 6×7×7 maps), then a ResNet-S 3×3 padding-1 layer's on one sample
-    // of 16×16×16 maps, whose 16-float runs LeNet does not have.
+    // of 6×7×7 maps), then ResNet-S's 3×3 padding-1 layers' on one sample
+    // of each stage's maps (16×16×16, 32×8×8 and 64×4×4), whose 16-, 8-
+    // and 4-float runs LeNet does not have.
     for (model, shape, spec, n, side) in [
         ("lenet", "14x14", Conv2dSpec::new(1, 6, 5, 1, 2), 1, 14),
         ("lenet", "28x6x7x7", Conv2dSpec::new(6, 16, 5, 1, 0), 28, 7),
@@ -553,6 +554,8 @@ fn bench_matmul(c: &mut Criterion) {
             1,
             16,
         ),
+        ("resnet", "32x8x8", Conv2dSpec::new(32, 32, 3, 1, 1), 1, 8),
+        ("resnet", "64x4x4", Conv2dSpec::new(64, 64, 3, 1, 1), 1, 4),
     ] {
         let (oh, ow) = spec.output_hw(side, side);
         let len = n * spec.in_channels * side * side;

@@ -944,48 +944,4 @@ mod tests {
         );
         assert_eq!(latency.count(), observed + 1);
     }
-
-    /// `watch`, `status` and `cancel` refuse a job id the daemon never
-    /// issued with the same machine-readable reason.
-    #[test]
-    fn every_verb_refuses_an_unknown_job_with_one_reason() {
-        use std::io::Write;
-
-        let store = std::env::temp_dir().join(format!(
-            "bayesft-serve-unit-{}-unknown-job.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&store);
-        let config = ServeConfig {
-            store: store.to_string_lossy().into_owned(),
-            workers: 0,
-            ..ServeConfig::default()
-        };
-        let daemon = Daemon::bind("127.0.0.1:0", config).expect("bind loopback");
-        let addr = daemon.local_addr().expect("bound address");
-        let running = thread::spawn(move || daemon.run());
-
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
-        let mut ask = |request: &str| -> Value {
-            writer.write_all(request.as_bytes()).expect("send request");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read response");
-            serde_json::from_str(line.trim()).expect("response is JSON")
-        };
-        for verb in ["watch", "status", "cancel"] {
-            let response = ask(&format!("{{\"cmd\":\"{verb}\",\"job\":\"job-9\"}}\n"));
-            assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
-            assert_eq!(
-                response.get("reason").and_then(Value::as_str),
-                Some("unknown_job"),
-                "{verb} refusal: {response:?}"
-            );
-        }
-        ask("{\"cmd\":\"shutdown\"}\n");
-        running.join().expect("daemon thread").expect("daemon run");
-        let _ = std::fs::remove_file(&store);
-        let _ = std::fs::remove_file(store.with_extension("jsonl.lock"));
-    }
 }

@@ -247,9 +247,28 @@ fn queued_jobs_cancel_and_overflow_is_refused() {
         Some("cancelled")
     );
 
-    // Unknown jobs are refused, not hung.
+    // Unknown jobs are refused, not hung, and every verb that names a job
+    // gives the same reason code (the client keeps only the message).
     assert!(client.cancel("job-99").is_err());
     assert!(client.status(Some("job-99")).is_err());
+    {
+        use std::io::{BufRead, BufReader, Write};
+        let raw = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut writer = raw;
+        for verb in ["watch", "status", "cancel"] {
+            writeln!(writer, "{{\"cmd\":\"{verb}\",\"job\":\"job-99\"}}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let response: Value = serde_json::from_str(line.trim()).unwrap();
+            assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+            assert_eq!(
+                response.get("reason").and_then(Value::as_str),
+                Some("unknown_job"),
+                "{verb} refusal: {line}"
+            );
+        }
+    }
 
     // Shutdown cancels the remaining queued job and refuses new work.
     client.shutdown().unwrap();

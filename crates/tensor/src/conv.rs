@@ -350,11 +350,13 @@ fn move_runs(to: &mut [f32], from: &[f32], runs: Runs) {
             });
             return;
         }
-        // Rows whose vector ends inside its block, on later runs of it.
+        // Rows whose vector ends inside its block, on later runs of it,
+        // when the runs of a block are back to back in `to` and no later
+        // block starts inside it.
         let inside = (rows * len)
             .checked_sub(LANES)
             .map_or(0, |room| room / len + 1);
-        let wide = if runs.to[1] == len {
+        let wide = if runs.to[1] == len && (runs.shape[0] == 1 || runs.to[0] >= rows * len) {
             fit.min(inside)
         } else {
             0
@@ -534,8 +536,6 @@ fn col2im_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: u
         return;
     }
     let mut storage = [MaybeUninit::uninit(); PLANE + LANES];
-    // The headroom past the plane takes the `+0.0`s of wide adds.
-    let buf = zeroed(&mut storage, ph * pw + LANES);
     // The `k` taps of one kernel row, as in `im2col_padded`; they add in
     // ascending `kx`, whichever loop `add_runs` puts innermost, since one
     // row of runs covers each plane float once per tap.
@@ -551,7 +551,8 @@ fn col2im_padded(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, n: usize, h: u
     };
     for s in 0..n {
         for ch in 0..c {
-            buf[..ph * pw].fill(0.0);
+            // The headroom past the plane takes the `+0.0`s of wide adds.
+            let buf = zeroed(&mut storage, ph * pw + LANES);
             for ky in 0..k {
                 let from = &src[(((ch * k + ky) * k) * n + s) * ohw..];
                 add_runs(&mut buf[ky * pw..], from, taps);

@@ -198,9 +198,10 @@ fn lowering_value(rng: &mut impl rand::Rng) -> f32 {
 }
 
 /// Lowers `n` random `[C, h, w]` images with `im2col_into` and scatters a
-/// random patch matrix back with `col2im_into`, both into dirty buffers,
-/// and compares each bit for bit against `n` runs of the per-element
-/// loops. Inputs come from [`lowering_value`].
+/// random patch matrix back with `col2im_into`, both into dirty buffers
+/// (`col2im_into` twice, into NaNs and into 7.0s), and compares each bit
+/// for bit against `n` runs of the per-element loops. Inputs come from
+/// [`lowering_value`].
 fn check_lowering(
     spec: &Conv2dSpec,
     n: usize,
@@ -239,12 +240,16 @@ fn check_lowering(
             "im2col differs: {spec:?}, n {n}, {h}x{w}, seed {seed}"
         ));
     }
-    let mut image_buf = vec![-0.0f32; n * image_len];
-    col2im_into(&cols, &mut image_buf, spec, n, h, w);
-    if canonical_bits(&image_buf) != canonical_bits(&want_images) {
-        return Err(format!(
-            "col2im differs: {spec:?}, n {n}, {h}x{w}, seed {seed}"
-        ));
+    // A NaN left in the buffer shows an element never written, and a 7.0
+    // one an element not zeroed before its sum, even where the sum is NaN.
+    for dirty in [f32::NAN, 7.0] {
+        let mut image_buf = vec![dirty; n * image_len];
+        col2im_into(&cols, &mut image_buf, spec, n, h, w);
+        if canonical_bits(&image_buf) != canonical_bits(&want_images) {
+            return Err(format!(
+                "col2im into {dirty} differs: {spec:?}, n {n}, {h}x{w}, seed {seed}"
+            ));
+        }
     }
     Ok(())
 }
