@@ -525,11 +525,13 @@ fn bench_matmul(c: &mut Criterion) {
         });
     }
     // The conv layers' dW as one accumulating product per chunk, one
-    // segment per sample: conv1's single sample (nt 6×196×25) and conv2's
-    // 28-sample chunk (nt 16×(28·9)×150).
+    // segment per sample: conv1's single sample (nt 6×196×25), conv2's
+    // 28-sample chunk (nt 16×(28·9)×150) and its 4-sample tail chunk of a
+    // 32-sample batch (nt 16×(4·9)×150).
     for (name, [m, seg, segments, n]) in [
         ("lenet_nt_acc_6x196x25", [6, 196, 1, 25]),
         ("lenet_nt_acc_16x28x9x150", [16, 9, 28, 150]),
+        ("lenet_nt_acc_16x4x9x150", [16, 9, 4, 150]),
     ] {
         let k = seg * segments;
         let a = Tensor::randn(&[m * k], 0.0, 1.0, &mut rng);

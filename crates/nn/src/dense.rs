@@ -140,18 +140,18 @@ impl Dense {
         // (summed in scratch, then added), dx = g·Wᵀ.
         let dw = self.weight.grad.as_mut_slice();
         gemm_tn_acc_into(x.as_slice(), grad_out.as_slice(), dw, k, m, n);
-        let mut db = ws.take(n);
-        db.fill(0.0);
+        let mut db = ws.take_tensor(&[n]);
+        db.as_mut_slice().fill(0.0);
         for r in 0..m {
             let row = &grad_out.as_slice()[r * n..(r + 1) * n];
-            for (o, &v) in db.iter_mut().zip(row) {
+            for (o, &v) in db.as_mut_slice().iter_mut().zip(row) {
                 *o += v;
             }
         }
-        for (gb, &d) in self.bias.grad.as_mut_slice().iter_mut().zip(&db) {
+        for (gb, &d) in self.bias.grad.as_mut_slice().iter_mut().zip(db.as_slice()) {
             *gb += d;
         }
-        ws.recycle_vec(db);
+        ws.recycle(db);
         if !need_input_grad {
             return None;
         }

@@ -13,9 +13,14 @@ use tensor::Tensor;
 /// them with [`Workspace::recycle`], so after a warm-up trial the steady
 /// state performs **zero** heap allocations in the forward pass.
 ///
-/// Buffers are handed out best-fit (smallest capacity that holds the
-/// request); because an evaluation pass requests the same sizes in the
-/// same order every trial, the pool stabilizes after the first pass.
+/// A pooled buffer keeps every value it was ever written with: a tensor
+/// taken from a longer buffer is a shorter view of it
+/// ([`Tensor::from_buffer`]), and [`Workspace::recycle`] puts the whole
+/// buffer back. So a buffer is zero-filled once, when it is allocated, and
+/// never again. Buffers are handed out best-fit (smallest capacity that
+/// holds the request); because an evaluation pass requests the same sizes
+/// in the same order every trial, the pool stabilizes after the first
+/// pass.
 ///
 /// Each Monte-Carlo worker thread owns its own `Workspace` ("per replica"),
 /// so no synchronization is involved.
@@ -57,35 +62,41 @@ impl Workspace {
     /// per-trial `O(len)` clear would double the memory traffic this
     /// pool exists to avoid.
     ///
-    /// Reuses the pooled buffer with the smallest sufficient capacity;
-    /// allocates only when no pooled buffer fits.
+    /// Reuses the pooled buffer with the smallest sufficient capacity, and
+    /// allocates only when no pooled buffer fits. A raw `Vec` cannot carry
+    /// a shorter view, so the returned buffer is truncated to `len`; when
+    /// it comes back, the pool knows only those `len` values, and a later
+    /// longer take from it zero-fills the rest once. Tensors
+    /// ([`Workspace::take_tensor`]) keep the whole buffer.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, v) in self.pool.iter().enumerate() {
-            let cap = v.capacity();
-            if cap >= len && best.is_none_or(|(_, bc)| cap < bc) {
-                best = Some((i, cap));
-            }
+        let mut v = self.take_buffer(len);
+        v.truncate(len);
+        v
+    }
+
+    /// The pooled buffer with the smallest capacity that holds `len`
+    /// values, or a fresh zeroed one, at least `len` long with every value
+    /// written: a pooled buffer shorter than `len` is zero-filled up to it,
+    /// the one fill it ever gets (a tensor view keeps it whole).
+    fn take_buffer(&mut self, len: usize) -> Vec<f32> {
+        let best = (0..self.pool.len())
+            .filter(|&i| self.pool[i].capacity() >= len)
+            .min_by_key(|&i| self.pool[i].capacity());
+        let Some(i) = best else {
+            return vec![0.0; len];
+        };
+        let mut v = self.pool.swap_remove(i);
+        if v.len() < len {
+            v.resize(len, 0.0);
         }
-        match best {
-            Some((i, _)) => {
-                let mut v = self.pool.swap_remove(i);
-                if v.len() > len {
-                    v.truncate(len);
-                } else {
-                    v.resize(len, 0.0);
-                }
-                v
-            }
-            None => vec![0.0; len],
-        }
+        v
     }
 
     /// Takes a tensor of the given shape with unspecified contents (see
     /// [`Workspace::take`]) — callers must fully overwrite it.
     pub fn take_tensor(&mut self, dims: &[usize]) -> Tensor {
         let len = dims.iter().product();
-        Tensor::from_vec(self.take(len), dims).expect("buffer length matches requested dims")
+        Tensor::from_buffer(self.take_buffer(len), dims)
     }
 
     /// Takes a tensor of the given shape holding a copy of `src`'s data.
@@ -99,9 +110,10 @@ impl Workspace {
         out
     }
 
-    /// Returns a tensor's buffer to the pool.
+    /// Returns a tensor's buffer to the pool, whole
+    /// ([`Tensor::into_buffer`]).
     pub fn recycle(&mut self, t: Tensor) {
-        self.recycle_vec(t.into_vec());
+        self.recycle_vec(t.into_buffer());
     }
 
     /// Returns a raw buffer to the pool.
@@ -138,6 +150,30 @@ mod tests {
         assert_eq!(v.len(), 3);
         let v2 = ws.take(9); // no pooled fit (cap 5 < 9) → fresh, zeroed
         assert_eq!(v2, vec![0.0; 9]);
+    }
+
+    /// A tensor taken short from a long buffer is a view of it: recycled
+    /// and taken long again, the buffer still holds its old values past the
+    /// short tensor's end, and nothing is allocated.
+    #[test]
+    fn a_short_take_keeps_the_buffer_values_past_its_end() {
+        let mut ws = Workspace::new();
+        let mut long = ws.take_tensor(&[100]);
+        for (i, v) in long.as_mut_slice().iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        ws.recycle(long);
+        let mut short = ws.take_tensor(&[2, 5]);
+        assert_eq!(short.len(), 10);
+        short.as_mut_slice().fill(-1.0);
+        ws.recycle(short);
+        let long = ws.take_tensor(&[100]);
+        assert_eq!(&long.as_slice()[..10], &[-1.0; 10]);
+        let old: Vec<f32> = (10..100).map(|i| i as f32).collect();
+        assert_eq!(&long.as_slice()[10..], &old[..]);
+        ws.recycle(long);
+        assert_eq!(ws.pooled_buffers(), 1);
+        assert_eq!(ws.pooled_elements(), 100);
     }
 
     #[test]

@@ -20,10 +20,37 @@ use crate::{Shape, TensorError};
 /// assert_eq!(t.sum(), 21.0);
 /// # Ok::<(), tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct Tensor {
+    /// The elements in row-major order, then any elements past them of
+    /// the buffer the tensor was made from ([`Tensor::from_buffer`]),
+    /// which only [`Tensor::into_buffer`] hands back.
     data: Vec<f32>,
     shape: Shape,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            data: self.as_slice().to_vec(),
+            shape: self.shape,
+        }
+    }
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice() && self.shape == other.shape
+    }
+}
+
+impl std::fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tensor")
+            .field("data", &self.as_slice())
+            .field("shape", &self.shape)
+            .finish()
+    }
 }
 
 impl Tensor {
@@ -76,6 +103,21 @@ impl Tensor {
         Ok(Tensor { data, shape })
     }
 
+    /// Wraps the first elements of `buf` as a tensor of shape `dims`, as a
+    /// view: the rest of `buf` stays in it untouched, and
+    /// [`Tensor::into_buffer`] hands all of `buf` back. A buffer pool can
+    /// so lend a long buffer for a short tensor without ever rewriting the
+    /// values past its end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the element count of `dims`.
+    pub fn from_buffer(buf: Vec<f32>, dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        assert!(buf.len() >= shape.len(), "buffer shorter than the tensor");
+        Tensor { data: buf, shape }
+    }
+
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
         Tensor {
@@ -109,26 +151,36 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.shape.len()
     }
 
     /// Whether the tensor has zero elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Immutable view of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.len()]
     }
 
     /// Mutable view of the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        let len = self.len();
+        &mut self.data[..len]
     }
 
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
+    /// Consumes the tensor, returning the underlying buffer, exactly as
+    /// long as the tensor.
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.data.truncate(self.len());
+        self.data
+    }
+
+    /// Consumes the tensor, returning the whole buffer it was made from by
+    /// [`Tensor::from_buffer`], values past the tensor's end included; for
+    /// any other tensor, the same as [`Tensor::into_vec`].
+    pub fn into_buffer(self) -> Vec<f32> {
         self.data
     }
 
@@ -165,7 +217,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: self.data.clone(),
+            data: self.as_slice().to_vec(),
             shape: new_shape,
         })
     }
@@ -180,6 +232,7 @@ impl Tensor {
     /// contents must overwrite them.
     pub fn reuse_as(&mut self, dims: &[usize]) {
         let shape = Shape::new(dims);
+        self.data.truncate(self.len());
         self.data.resize(shape.len(), 0.0);
         self.shape = shape;
     }
@@ -209,7 +262,7 @@ impl Tensor {
     pub fn row(&self, row: usize) -> &[f32] {
         assert_eq!(self.rank(), 2, "row() requires a rank-2 tensor");
         let cols = self.dims()[1];
-        &self.data[row * cols..(row + 1) * cols]
+        &self.as_slice()[row * cols..(row + 1) * cols]
     }
 
     /// Mutable row of a rank-2 tensor.
@@ -220,7 +273,7 @@ impl Tensor {
     pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
         assert_eq!(self.rank(), 2, "row_mut() requires a rank-2 tensor");
         let cols = self.dims()[1];
-        &mut self.data[row * cols..(row + 1) * cols]
+        &mut self.as_mut_slice()[row * cols..(row + 1) * cols]
     }
 
     /// Transpose of a rank-2 tensor.
@@ -251,7 +304,7 @@ impl std::fmt::Display for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor{} ", self.shape)?;
         let preview: Vec<String> = self
-            .data
+            .as_slice()
             .iter()
             .take(8)
             .map(|v| format!("{v:.4}"))

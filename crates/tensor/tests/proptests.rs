@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tensor::{
-    col2im_into, gemm_into, gemm_nt_into, gemm_tn_into, im2col_into, Conv2dSpec, Shape, Tensor,
+    col2im_into, gemm_into, gemm_nt_acc_into, gemm_nt_into, gemm_tn_acc_into, gemm_tn_into,
+    im2col_into, Conv2dSpec, Shape, Tensor,
 };
 
 fn small_matrix() -> impl Strategy<Value = Tensor> {
@@ -180,6 +181,32 @@ fn gemm_operands(m: usize, k: usize, n: usize, seed: u64, nonfinite: bool) -> (V
         })
         .collect();
     (a, b)
+}
+
+/// `C + Σ_s A_s·B_s` for row-major `a` (`[m, k]`) and `b` (`[k, n]`) as
+/// naive loops over segments of `seg` values of `k`: each segment's sum of
+/// each element starts at `+0.0` and adds its terms in ascending `k`, and
+/// is then added into `C`, segment after segment.
+fn naive_accumulate(
+    a: &[f32],
+    b: &[f32],
+    c: &[f32],
+    (m, k, n): (usize, usize, usize),
+    seg: usize,
+) -> Vec<f32> {
+    let mut c = c.to_vec();
+    for s0 in (0..k).step_by(seg) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in s0..s0 + seg {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+    c
 }
 
 /// A lowering input: mostly values in `-2..2`, with about one in eight
@@ -362,6 +389,47 @@ proptest! {
         c.fill(-3.0);
         gemm_nt_into(&a, &bt, &mut c, m, k, n);
         prop_assert_eq!(canonical_bits(&c), want);
+    }
+
+    /// The accumulating products equal the naive loops bit for bit:
+    /// `gemm_nt_acc_into` (`C += Σ_s A_s·B_sᵀ`, a convolution's `dW` with
+    /// one segment per sample) over 1, 4, 9, 28 or 196 segments, and
+    /// `gemm_tn_acc_into` (`C += Aᵀ·B`, one segment), on few rows (1 to 8,
+    /// and 16) and 1 to 33 or 150 columns, with operands and a dirty `C`
+    /// that hold ±0.0, ±∞, NaN and subnormals.
+    #[test]
+    fn accumulating_products_match_naive_loops(
+        row in 0usize..9,
+        column in 0usize..34,
+        run in 0usize..5,
+        seg in 1usize..300,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let m = if row == 8 { 16 } else { row + 1 };
+        let n = if column == 33 { 150 } else { column + 1 };
+        let segments = [1, 4, 9, 28, 196][run];
+        let seg = seg.min(300 / segments);
+        let k = seg * segments;
+        let a: Vec<f32> = (0..m * k).map(|_| lowering_value(&mut rng)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| lowering_value(&mut rng)).collect();
+        let mut dirty: Vec<f32> = (0..m * n).map(|_| lowering_value(&mut rng)).collect();
+        dirty[0] = -0.0;
+        // `b` read as `[k, n]`; `bt` holds the same matrix as `[n, k]`.
+        let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+        // `a` read as `[m, k]`; `at` holds the same matrix as `[k, m]`.
+        let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+
+        let mut c = dirty.clone();
+        gemm_nt_acc_into(&a, &bt, &mut c, m, k, n, segments);
+        let want = naive_accumulate(&a, &b, &dirty, (m, k, n), seg);
+        prop_assert_eq!(canonical_bits(&c), canonical_bits(&want));
+
+        c.copy_from_slice(&dirty);
+        gemm_tn_acc_into(&at, &b, &mut c, m, k, n);
+        let want = naive_accumulate(&a, &b, &dirty, (m, k, n), k);
+        prop_assert_eq!(canonical_bits(&c), canonical_bits(&want));
     }
 
     /// `im2col_into`/`col2im_into` equal the per-element loops bit for bit
